@@ -179,6 +179,8 @@ int main(int argc, char** argv) {
     for (const ConfigResult& config : results) {
       const WorkloadReport& r = config.report;
       configs.Push(JsonValue::Object()
+                       .Add("name",
+                            "mc" + std::to_string(config.max_concurrent))
                        .Add("max_concurrent",
                             static_cast<uint64_t>(config.max_concurrent))
                        .Add("peak_in_flight",

@@ -89,7 +89,9 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
 
   # Perf-regression gate, one invocation over every (anchor, metric)
   # pair: smoke throughput must stay within a generous factor of the
-  # committed anchors (see ci/perf_gate.py). The service-latency gate
+  # committed anchors (see ci/perf_gate.py). The workload-throughput and
+  # workload-contention gates read simulated queries/sec, one config per
+  # admission setting. The service-latency gate
   # metric is open-loop throughput at the lowest swept rate — p99 tails
   # are load-shape measurements, not simulator-health ones. The
   # service-faults gate metric is goodput at fault rate zero — the
@@ -102,6 +104,7 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
       echo "== perf gate: smoke vs committed anchors =="
       GATES=(
         --gate "BENCH_sim_throughput.json:$BUILD_DIR/BENCH_sim_throughput.json"
+        --gate "BENCH_workload_throughput.json:$BUILD_DIR/BENCH_workload_throughput.json:sim_queries_per_sec"
         --gate "BENCH_workload_contention.json:$BUILD_DIR/BENCH_workload_contention.json:sim_queries_per_sec"
         --gate "BENCH_service_latency.json:$BUILD_DIR/BENCH_service_latency.json:sim_queries_per_sec"
         --gate "BENCH_service_faults.json:$BUILD_DIR/BENCH_service_faults.json:sim_goodput_qps"

@@ -264,8 +264,11 @@ class Engine {
   /// In deterministic mode (the default) every query's results and
   /// counters are bit-identical to running it alone through
   /// ExecuteBaseline / ExecuteProgressive, and the aggregate report's
-  /// simulated makespan / latencies / queries-per-sec are bit-stable on
-  /// any host.
+  /// simulated makespan / latencies / queries-per-sec do not depend on
+  /// host timing. Across processes they are bit-stable only for one
+  /// binary with ASLR off: the cache model keys off host addresses, so
+  /// heap placement moves them slightly (EXPERIMENTS.md
+  /// "Reproducibility").
   ///
   /// Service mode (DESIGN.md Section 7): `spec.options.arrival` switches
   /// the closed queue to an open arrival stream (uniform / Poisson /

@@ -44,56 +44,6 @@ ColumnCacheEstimate EstimateColumnCache(const ScanCacheModelConfig& config,
   return out;
 }
 
-double EstimateScanL3Accesses(const ScanCacheModelConfig& config,
-                              double num_tuples,
-                              const std::vector<ScanColumnSpec>& columns) {
-  double total = 0.0;
-  for (const ScanColumnSpec& column : columns) {
-    total += EstimateColumnCache(config, num_tuples, column).l3_accesses;
-  }
-  return total;
-}
-
-std::vector<ScanColumnSpec> BuildScanColumns(
-    const std::vector<double>& selectivities,
-    const std::vector<uint32_t>& predicate_widths,
-    const std::vector<uint32_t>& payload_widths) {
-  return BuildScanColumns(selectivities, predicate_widths, payload_widths, {},
-                          {});
-}
-
-std::vector<ScanColumnSpec> BuildScanColumns(
-    const std::vector<double>& selectivities,
-    const std::vector<uint32_t>& predicate_widths,
-    const std::vector<uint32_t>& payload_widths,
-    const std::vector<double>& predicate_packed_bytes,
-    const std::vector<double>& payload_packed_bytes) {
-  NIPO_CHECK(selectivities.size() == predicate_widths.size());
-  NIPO_CHECK(predicate_packed_bytes.empty() ||
-             predicate_packed_bytes.size() == predicate_widths.size());
-  NIPO_CHECK(payload_packed_bytes.empty() ||
-             payload_packed_bytes.size() == payload_widths.size());
-  std::vector<ScanColumnSpec> columns;
-  columns.reserve(selectivities.size() + payload_widths.size());
-  double rho = 1.0;
-  for (size_t i = 0; i < selectivities.size(); ++i) {
-    ScanColumnSpec spec{predicate_widths[i], rho};
-    if (!predicate_packed_bytes.empty()) {
-      spec.packed_bytes_per_value = predicate_packed_bytes[i];
-    }
-    columns.push_back(spec);
-    rho *= std::clamp(selectivities[i], 0.0, 1.0);
-  }
-  for (size_t i = 0; i < payload_widths.size(); ++i) {
-    ScanColumnSpec spec{payload_widths[i], rho};
-    if (!payload_packed_bytes.empty()) {
-      spec.packed_bytes_per_value = payload_packed_bytes[i];
-    }
-    columns.push_back(spec);
-  }
-  return columns;
-}
-
 ScanFootprintEstimate EstimateScanFootprint(uint64_t streamed_bytes,
                                             uint64_t reuse_bytes,
                                             uint64_t l3_capacity_bytes) {

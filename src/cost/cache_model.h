@@ -58,31 +58,6 @@ ColumnCacheEstimate EstimateColumnCache(const ScanCacheModelConfig& config,
                                         double num_tuples,
                                         const ScanColumnSpec& column);
 
-/// \brief Total expected L3 accesses of a scan over all its columns.
-double EstimateScanL3Accesses(const ScanCacheModelConfig& config,
-                              double num_tuples,
-                              const std::vector<ScanColumnSpec>& columns);
-
-/// \brief Convenience: builds the ScanColumnSpec chain for a predicate
-/// evaluation order with the given per-predicate selectivities and value
-/// widths, appending `extra_payload_widths` columns that are accessed only
-/// by fully qualifying tuples (aggregate inputs).
-std::vector<ScanColumnSpec> BuildScanColumns(
-    const std::vector<double>& selectivities,
-    const std::vector<uint32_t>& predicate_widths,
-    const std::vector<uint32_t>& payload_widths);
-
-/// \brief As above, with per-column encoded scan widths. Empty vectors (or
-/// zero entries) mean plain storage; otherwise `predicate_packed_bytes`
-/// must align with `predicate_widths` and `payload_packed_bytes` with
-/// `payload_widths`.
-std::vector<ScanColumnSpec> BuildScanColumns(
-    const std::vector<double>& selectivities,
-    const std::vector<uint32_t>& predicate_widths,
-    const std::vector<uint32_t>& payload_widths,
-    const std::vector<double>& predicate_packed_bytes,
-    const std::vector<double>& payload_packed_bytes);
-
 /// \brief Estimated shared-L3 working set of one query (the admission
 /// input of footprint-aware co-scheduling; DESIGN.md Section 6).
 struct ScanFootprintEstimate {

@@ -22,12 +22,39 @@ CounterEstimate PredictCounters(const ScanShape& shape,
   out.branches_not_taken = branches.branches_not_taken;
   out.taken_mp = branches.taken_mp;
   out.not_taken_mp = branches.not_taken_mp;
-  const std::vector<ScanColumnSpec> columns = BuildScanColumns(
-      selectivities, shape.predicate_widths, shape.payload_widths,
-      shape.predicate_packed_bytes, shape.payload_packed_bytes);
-  out.l3_accesses =
-      EstimateScanL3Accesses(shape.cache, shape.num_tuples, columns);
+  out.l3_accesses = PredictScanL3Accesses(shape, selectivities);
   return out;
+}
+
+double PredictScanL3Accesses(const ScanShape& shape,
+                             const std::vector<double>& selectivities) {
+  NIPO_CHECK(selectivities.size() == shape.predicate_widths.size());
+  NIPO_CHECK(shape.predicate_packed_bytes.empty() ||
+             shape.predicate_packed_bytes.size() ==
+                 shape.predicate_widths.size());
+  NIPO_CHECK(shape.payload_packed_bytes.empty() ||
+             shape.payload_packed_bytes.size() == shape.payload_widths.size());
+  auto l3_of = [&](uint32_t width, double rho, double packed) {
+    return EstimateColumnCache(shape.cache, shape.num_tuples,
+                               ScanColumnSpec{width, rho, packed})
+        .l3_accesses;
+  };
+  double total = 0.0;
+  double rho = 1.0;
+  for (size_t i = 0; i < selectivities.size(); ++i) {
+    total += l3_of(shape.predicate_widths[i], rho,
+                   shape.predicate_packed_bytes.empty()
+                       ? 0.0
+                       : shape.predicate_packed_bytes[i]);
+    rho *= std::clamp(selectivities[i], 0.0, 1.0);
+  }
+  for (size_t i = 0; i < shape.payload_widths.size(); ++i) {
+    total += l3_of(shape.payload_widths[i], rho,
+                   shape.payload_packed_bytes.empty()
+                       ? 0.0
+                       : shape.payload_packed_bytes[i]);
+  }
+  return total;
 }
 
 double CounterDistance(const CounterEstimate& sampled,

@@ -53,6 +53,14 @@ struct CounterEstimate {
 CounterEstimate PredictCounters(const ScanShape& shape,
                                 const std::vector<double>& selectivities);
 
+/// \brief The L3-access part of PredictCounters alone: the scan cache
+/// model summed over the predicate columns (each read at the product of
+/// the preceding selectivities) and then the payload columns (read by
+/// qualifying tuples). Allocation-free; the estimator's objective calls
+/// it once per candidate point.
+double PredictScanL3Accesses(const ScanShape& shape,
+                             const std::vector<double>& selectivities);
+
 /// \brief Relative distance between a sampled counter vector and a
 /// prediction: sum over the four counters of |sampled - predicted| /
 /// max(sampled, 1). This is the implemented form of the paper's

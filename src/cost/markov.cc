@@ -11,40 +11,49 @@
 
 namespace nipo {
 
-std::vector<double> MarkovStationaryDistribution(const PredictorConfig& config,
-                                                 double p) {
+namespace {
+
+/// Writes the closed-form stationary distribution into pi[0, num_states).
+void StationaryDistributionInto(const PredictorConfig& config, double p,
+                                double* pi) {
   NIPO_CHECK(config.Valid());
   const int n = config.num_states;
-  std::vector<double> pi(static_cast<size_t>(n), 0.0);
+  std::fill(pi, pi + n, 0.0);
   p = std::clamp(p, 0.0, 1.0);
   if (p == 0.0) {
-    pi[static_cast<size_t>(n - 1)] = 1.0;  // every branch taken
-    return pi;
+    pi[n - 1] = 1.0;  // every branch taken
+    return;
   }
   if (p == 1.0) {
     pi[0] = 1.0;  // every branch not taken
-    return pi;
+    return;
   }
   const double r = (1.0 - p) / p;
   // pi[i] = r^i / sum_j r^j. Compute in a numerically stable way by
-  // normalizing against the largest term.
-  std::vector<double> weights(static_cast<size_t>(n));
+  // normalizing against the largest term; pi holds the log-weights, then
+  // the weights, then the distribution.
   double max_log = -1e300;
   const double log_r = std::log(r);
   for (int i = 0; i < n; ++i) {
     const double lw = i * log_r;
-    weights[static_cast<size_t>(i)] = lw;
+    pi[i] = lw;
     max_log = std::max(max_log, lw);
   }
   double sum = 0.0;
   for (int i = 0; i < n; ++i) {
-    weights[static_cast<size_t>(i)] =
-        std::exp(weights[static_cast<size_t>(i)] - max_log);
-    sum += weights[static_cast<size_t>(i)];
+    pi[i] = std::exp(pi[i] - max_log);
+    sum += pi[i];
   }
-  for (int i = 0; i < n; ++i) {
-    pi[static_cast<size_t>(i)] = weights[static_cast<size_t>(i)] / sum;
-  }
+  for (int i = 0; i < n; ++i) pi[i] /= sum;
+}
+
+}  // namespace
+
+std::vector<double> MarkovStationaryDistribution(const PredictorConfig& config,
+                                                 double p) {
+  NIPO_CHECK(config.Valid());
+  std::vector<double> pi(static_cast<size_t>(config.num_states));
+  StationaryDistributionInto(config, p, pi.data());
   return pi;
 }
 
@@ -76,13 +85,23 @@ std::vector<double> MarkovStationaryByIteration(const PredictorConfig& config,
 BranchProbabilities ComputeBranchProbabilities(const PredictorConfig& config,
                                                double p) {
   p = std::clamp(p, 0.0, 1.0);
-  const std::vector<double> pi = MarkovStationaryDistribution(config, p);
+  // The estimator evaluates this per predicate per objective call: keep
+  // the distribution on the stack for every predictor the paper models.
+  constexpr int kStackStates = 32;
+  double stack_pi[kStackStates];
+  std::vector<double> heap_pi;
+  double* pi = stack_pi;
+  if (config.num_states > kStackStates) {
+    heap_pi.resize(static_cast<size_t>(config.num_states));
+    pi = heap_pi.data();
+  }
+  StationaryDistributionInto(config, p, pi);
   BranchProbabilities out;
   for (int i = 0; i < config.num_states; ++i) {
     if (i < config.not_taken_states) {
-      out.predict_not_taken += pi[static_cast<size_t>(i)];
+      out.predict_not_taken += pi[i];
     } else {
-      out.predict_taken += pi[static_cast<size_t>(i)];
+      out.predict_taken += pi[i];
     }
   }
   const double q = 1.0 - p;

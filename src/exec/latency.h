@@ -7,8 +7,11 @@
 /// Latency accumulation and tail reporting for open-loop workload
 /// execution (DESIGN.md "Open-loop service mode").
 ///
-/// All samples live in *simulated* milliseconds, so every percentile is
-/// bit-stable across hosts and reruns. The accumulator keeps the exact
+/// All samples live in *simulated* milliseconds, so no percentile
+/// depends on host timing. Like every simulated result they are
+/// bit-stable across reruns only for one binary with ASLR off; heap
+/// placement otherwise moves them slightly (EXPERIMENTS.md
+/// "Reproducibility"). The accumulator keeps the exact
 /// sample set (workload sizes are thousands of queries, not billions)
 /// and computes exact nearest-rank percentiles — no sketch error term to
 /// reason about in the differential tests.

@@ -56,8 +56,10 @@ void ResetForcedLevel();
 /// `n` elements of a typed column.
 ///
 /// Element j lives at row `base_row + (gather ? gather[j] : j)` of the
-/// column; `pass[j]` receives the 0/1 outcome of
-/// `EvaluateCompare(double(element), op, value)` and the id
+/// column; `pass[j]` receives the outcome of
+/// `EvaluateCompare(double(element), op, value)` as exactly 0 or 1 (the
+/// flag contract of Pmu::OnPredicateBranches, which packs 8 flags into
+/// one byte) and the id
 /// `ids ? ids[j] : j` is appended to `out_sel` for passing elements
 /// (dense-first semantics, identical to the executor's historical scalar
 /// loop). Returns the number of passing elements. `out_sel` must hold `n`

@@ -44,7 +44,11 @@
 /// Concurrency metrics live in *simulated* time, like everything else in
 /// this repository: per-quantum simulated durations are replayed through a
 /// deterministic event-driven model of the worker pool, yielding a
-/// bit-stable makespan, per-query latencies and queries/sec on any host.
+/// makespan, per-query latencies and queries/sec free of host-timing
+/// noise. They are bit-stable within a process and, for one binary with
+/// ASLR off, across reruns; heap placement otherwise moves them slightly,
+/// because the cache model keys off host addresses (EXPERIMENTS.md
+/// "Reproducibility").
 /// Host wall-clock of the pool region is reported alongside, wall-only
 /// and non-deterministic, as in ParallelDriveResult.
 ///

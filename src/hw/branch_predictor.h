@@ -1,7 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/logging.h"
@@ -62,6 +64,60 @@ struct BranchOutcome {
   bool mispredicted = false; ///< prediction != actual
 };
 
+/// \brief Packs 8 pass flags (each byte 0 or 1) into one byte, flag j in
+/// bit j: one load and one multiply. The multiplier places byte j's low
+/// bit at bit 56 + j; no two partial products share a bit, so nothing
+/// carries into the top byte.
+inline uint8_t PackPassFlags(const uint8_t* pass_flags) {
+  static_assert(std::endian::native == std::endian::little,
+                "PackPassFlags reads flag j from byte j of a word");
+  uint64_t word;
+  std::memcpy(&word, pass_flags, sizeof(word));
+  NIPO_DCHECK((word & ~uint64_t{0x0101010101010101}) == 0);
+  return static_cast<uint8_t>((word * uint64_t{0x0102040810204080}) >> 56);
+}
+
+/// \brief The predictor's response to 8 consecutive outcomes at one site,
+/// precomputed for every (state, packed pass flags) pair of one
+/// PredictorConfig (DESIGN.md Section 4, "Predicate branch streams").
+///
+/// Pass flag j set means outcome j was NOT taken (the tuple qualified).
+/// Each entry is the result of 8 Step() calls, so a lookup is
+/// counter-identical to observing the outcomes one by one.
+class BranchStepTable {
+ public:
+  struct Entry {
+    uint8_t next_state = 0;
+    uint8_t taken_mp = 0;      ///< taken outcomes predicted not taken
+    uint8_t not_taken_mp = 0;  ///< not-taken outcomes predicted taken
+    uint8_t unused = 0;  ///< pads an entry to 4 bytes
+  };
+
+  /// Largest predictor the tables cover; bigger ones book run by run.
+  static constexpr int kMaxStates = 16;
+
+  /// The process-wide table for `config`, built on first use (thread-safe)
+  /// and shared by every machine with that predictor; nullptr when the
+  /// config has more than kMaxStates states.
+  static const BranchStepTable* For(const PredictorConfig& config);
+
+  explicit BranchStepTable(const PredictorConfig& config);
+
+  const Entry& Lookup(int state, uint8_t pass_bits) const {
+    return entries_[static_cast<size_t>(state) * 256 + pass_bits];
+  }
+
+ private:
+  std::vector<Entry> entries_;  ///< num_states x 256
+};
+
+/// Branch counts of a batch of predicate outcomes at one site.
+struct PassFlagCounts {
+  uint64_t not_taken = 0;     ///< qualifying tuples
+  uint64_t taken_mp = 0;      ///< taken outcomes predicted not taken
+  uint64_t not_taken_mp = 0;  ///< not-taken outcomes predicted taken
+};
+
 /// \brief Saturating-counter predictor state for a set of static branch
 /// sites (a simplified branch history table without aliasing).
 ///
@@ -73,6 +129,7 @@ class BranchPredictor {
   explicit BranchPredictor(PredictorConfig config = PredictorConfig{})
       : config_(config) {
     NIPO_CHECK(config_.Valid());
+    step_table_ = BranchStepTable::For(config_);
   }
 
   const PredictorConfig& config() const { return config_; }
@@ -91,17 +148,20 @@ class BranchPredictor {
   /// was wrong.
   BranchOutcome Observe(size_t site, bool taken) {
     NIPO_DCHECK(site < states_.size());
-    int& state = states_[site];
-    const bool predicted_taken = state >= config_.not_taken_states;
-    BranchOutcome out;
-    out.taken = taken;
-    out.mispredicted = predicted_taken != taken;
+    return BranchOutcome{taken, Step(config_, states_[site], taken)};
+  }
+
+  /// The saturating-counter transition behind Observe() and the step
+  /// table: returns whether `state` mispredicts `taken`, then moves it one
+  /// step toward `taken`.
+  static bool Step(const PredictorConfig& config, int& state, bool taken) {
+    const bool mispredicted = (state >= config.not_taken_states) != taken;
     if (taken) {
-      if (state < config_.num_states - 1) ++state;
+      if (state < config.num_states - 1) ++state;
     } else {
       if (state > 0) --state;
     }
-    return out;
+    return mispredicted;
   }
 
   /// Observes `n` consecutive branches at `site` that all went the same
@@ -138,6 +198,31 @@ class BranchPredictor {
     return mispredicted;
   }
 
+  /// The 8-outcome step table of this predictor's config, or nullptr if
+  /// the config is too large for one (BranchStepTable::kMaxStates).
+  const BranchStepTable* step_table() const { return step_table_; }
+
+  /// Observes `8 * groups` outcomes at `site`, given as 0/1 pass flags in
+  /// outcome order (flag 1 = not taken), one table lookup per 8 flags.
+  /// Equivalent to calling Observe() once per flag. Requires
+  /// step_table() != nullptr.
+  PassFlagCounts ObservePassFlags(size_t site, const uint8_t* pass_flags,
+                                  size_t groups) {
+    NIPO_DCHECK(step_table_ != nullptr && site < states_.size());
+    PassFlagCounts counts;
+    int state = states_[site];
+    for (size_t g = 0; g < groups; ++g) {
+      const uint8_t bits = PackPassFlags(pass_flags + 8 * g);
+      const BranchStepTable::Entry& e = step_table_->Lookup(state, bits);
+      state = e.next_state;
+      counts.taken_mp += e.taken_mp;
+      counts.not_taken_mp += e.not_taken_mp;
+      counts.not_taken += static_cast<uint64_t>(std::popcount(bits));
+    }
+    states_[site] = state;
+    return counts;
+  }
+
   /// Current prediction at `site` without updating.
   bool PredictsTaken(size_t site) const {
     NIPO_DCHECK(site < states_.size());
@@ -155,6 +240,7 @@ class BranchPredictor {
 
  private:
   PredictorConfig config_;
+  const BranchStepTable* step_table_ = nullptr;
   std::vector<int> states_;
 };
 

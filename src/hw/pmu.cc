@@ -204,6 +204,27 @@ uint64_t Pmu::SharedL3PeakOccupancyLines() const {
              : 0;
 }
 
+void Pmu::OnPredicateBranches(size_t site, const uint8_t* pass_flags,
+                              size_t n) {
+  size_t j = 0;
+  if (reporting_mode_ == ReportingMode::kBatched &&
+      predictor_.step_table() != nullptr) {
+    const size_t groups = n / 8;
+    const PassFlagCounts c =
+        predictor_.ObservePassFlags(site, pass_flags, groups);
+    j = groups * 8;
+    BookBranches(/*taken=*/false, c.not_taken, c.not_taken_mp);
+    BookBranches(/*taken=*/true, j - c.not_taken, c.taken_mp);
+  }
+  while (j < n) {
+    NIPO_DCHECK(pass_flags[j] <= 1);
+    size_t k = j + 1;
+    while (k < n && pass_flags[k] == pass_flags[j]) ++k;
+    OnBranchRun(site, /*taken=*/pass_flags[j] == 0, k - j);
+    j = k;
+  }
+}
+
 void Pmu::OnSequentialLoads(const void* base, uint32_t width,
                             uint64_t count) {
   if (count == 0) return;

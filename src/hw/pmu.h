@@ -176,19 +176,16 @@ class Pmu {
   /// Reports one conditional branch per evaluated element at `site`, in
   /// element order, from the executor's pass flags: the branch is taken
   /// iff the flag is zero (not taken = the tuple qualifies, the
-  /// convention of every scan loop here). Maximal uniform runs collapse
-  /// into OnBranchRun calls — the one place the run grouping is
-  /// implemented, so every executor's branch stream coalesces the same
-  /// way.
-  void OnPredicateBranches(size_t site, const uint8_t* pass_flags,
-                           size_t n) {
-    for (size_t j = 0; j < n;) {
-      size_t k = j + 1;
-      while (k < n && pass_flags[k] == pass_flags[j]) ++k;
-      OnBranchRun(site, /*taken=*/pass_flags[j] == 0, k - j);
-      j = k;
-    }
-  }
+  /// convention of every scan loop here). Every flag must be 0 or 1, as
+  /// simd::CompareSelect writes them (checked).
+  ///
+  /// The batched mode books whole groups of 8 flags with one lookup in
+  /// the predictor's step table (BranchPredictor::ObservePassFlags); a
+  /// tail of fewer than 8 flags, a predictor too large for a table, and
+  /// the scalar mode split the flags into maximal uniform runs and book
+  /// each through OnBranchRun. Counter-identical either way (DESIGN.md
+  /// Section 4, "Predicate branch streams").
+  void OnPredicateBranches(size_t site, const uint8_t* pass_flags, size_t n);
 
   /// Reports a demand load of `width` bytes at `addr`; runs the cache
   /// hierarchy and charges cycles for the serving level.

@@ -119,17 +119,23 @@ Result<SearchBounds> RestrictSearchSpace(double tupsin, double tupsout,
 
 std::vector<double> AccessesToSelectivities(double tupsin,
                                             const std::vector<double>& acc) {
-  std::vector<double> s(acc.size(), 1.0);
+  std::vector<double> s;
+  AccessesToSelectivities(tupsin, acc, &s);
+  return s;
+}
+
+void AccessesToSelectivities(double tupsin, const std::vector<double>& acc,
+                             std::vector<double>* out) {
+  out->resize(acc.size());
   double prev = tupsin;
   for (size_t i = 0; i < acc.size(); ++i) {
     if (prev > 1e-12) {
-      s[i] = std::clamp(acc[i] / prev, 0.0, 1.0);
+      (*out)[i] = std::clamp(acc[i] / prev, 0.0, 1.0);
     } else {
-      s[i] = 1.0;  // no tuples reached this predicate: no information
+      (*out)[i] = 1.0;  // no tuples reached this predicate: no information
     }
     prev = acc[i];
   }
-  return s;
 }
 
 std::vector<double> SelectivitiesToAccesses(

@@ -75,6 +75,11 @@ Result<SearchBounds> RestrictSearchSpace(double tupsin, double tupsout,
 std::vector<double> AccessesToSelectivities(double tupsin,
                                             const std::vector<double>& acc);
 
+/// \brief As above, into `out` (resized to acc.size()): allocation-free
+/// once `out` has the capacity.
+void AccessesToSelectivities(double tupsin, const std::vector<double>& acc,
+                             std::vector<double>* out);
+
 /// \brief Converts per-predicate selectivities to access counts.
 std::vector<double> SelectivitiesToAccesses(
     double tupsin, const std::vector<double>& selectivities);

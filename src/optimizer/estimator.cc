@@ -26,7 +26,10 @@ double EstimationObjective(const ScanShape& shape,
                            const CounterEstimate& sampled,
                            const std::vector<double>& selectivities,
                            CounterSet counter_set) {
-  const CounterEstimate predicted = PredictCounters(shape, selectivities);
+  NIPO_CHECK(selectivities.size() == shape.predicate_widths.size());
+  const BranchEstimate predicted =
+      EstimateScanBranches(shape.predictor, shape.num_tuples, selectivities,
+                           shape.branch_free, shape.include_loop_branch);
   // Branches-not-taken is the one *exact* counter (paper Section 4.1:
   // "independent of runtime or CPU characteristics and thus exact"), so
   // it carries extra weight against the statistical misprediction and
@@ -40,8 +43,11 @@ double EstimationObjective(const ScanShape& shape,
     cost += RelativeTerm(sampled.taken_mp, predicted.taken_mp);
     cost += RelativeTerm(sampled.not_taken_mp, predicted.not_taken_mp);
   }
+  // Only kAll reads the cache counter; the other sets skip its model
+  // (one std::pow per column).
   if (counter_set == CounterSet::kAll) {
-    cost += RelativeTerm(sampled.l3_accesses, predicted.l3_accesses);
+    cost += RelativeTerm(sampled.l3_accesses,
+                         PredictScanL3Accesses(shape, selectivities));
   }
   return cost;
 }
@@ -87,12 +93,14 @@ Result<SelectivityEstimate> EstimateSelectivities(
     upper[i] = bounds.upper[i] / sample.tuples_in;
   }
 
-  // Candidate point -> full selectivity vector.
+  // Candidate point -> full selectivity vector, in scratch buffers the
+  // objective reuses across its thousands of calls.
+  std::vector<double> acc(n);
+  std::vector<double> sel(n);
   auto to_selectivities = [&](const std::vector<double>& pi) {
-    std::vector<double> acc(n);
     for (size_t i = 0; i < dims; ++i) acc[i] = pi[i] * sample.tuples_in;
     acc[n - 1] = sample.tuples_out;
-    return AccessesToSelectivities(sample.tuples_in, acc);
+    AccessesToSelectivities(sample.tuples_in, acc, &sel);
   };
 
   auto objective = [&](const std::vector<double>& pi) {
@@ -104,7 +112,7 @@ Result<SelectivityEstimate> EstimateSelectivities(
       penalty += std::max(0.0, overall - pi[i]);
       prev = pi[i];
     }
-    const std::vector<double> sel = to_selectivities(pi);
+    to_selectivities(pi);
     return EstimationObjective(shape, sample.counters, sel,
                                config.counter_set) +
            config.monotonicity_penalty * penalty;
@@ -147,7 +155,8 @@ Result<SelectivityEstimate> EstimateSelectivities(
     prev = v;
   }
 
-  best.selectivities = to_selectivities(best_pi);
+  to_selectivities(best_pi);
+  best.selectivities = sel;
   best.access_fractions.resize(n);
   for (size_t i = 0; i < dims; ++i) best.access_fractions[i] = best_pi[i];
   best.access_fractions[n - 1] = overall;

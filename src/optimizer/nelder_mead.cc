@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 /// \file nelder_mead.cc
 /// Box-constrained Nelder-Mead downhill simplex: reflection, expansion,
@@ -71,7 +72,7 @@ Result<NelderMeadResult> NelderMeadMinimize(const ObjectiveFn& objective,
 
   NelderMeadResult result;
   std::vector<size_t> rank(simplex.size());
-  std::vector<double> centroid(dim), candidate(dim);
+  std::vector<double> centroid(dim), candidate(dim), reflected_point(dim);
 
   int iter = 0;
   for (; iter < options.max_iterations; ++iter) {
@@ -108,15 +109,16 @@ Result<NelderMeadResult> NelderMeadMinimize(const ObjectiveFn& objective,
     blend(options.reflection, simplex[worst]);
     const double reflected = objective(candidate);
     if (reflected < values[best]) {
-      // Expand.
-      std::vector<double> reflected_point = candidate;
+      // Expand. Every buffer here keeps size `dim`, so the copies and the
+      // swap reuse storage instead of allocating.
+      reflected_point = candidate;
       blend(options.expansion, simplex[worst]);
       const double expanded = objective(candidate);
       if (expanded < reflected) {
         simplex[worst] = candidate;
         values[worst] = expanded;
       } else {
-        simplex[worst] = std::move(reflected_point);
+        std::swap(simplex[worst], reflected_point);
         values[worst] = reflected;
       }
       continue;

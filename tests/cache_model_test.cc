@@ -70,24 +70,6 @@ TEST(CacheModelTest, WiderValuesTouchMoreLines) {
   EXPECT_NEAR(wide / narrow, 2.0, 1e-9);
 }
 
-TEST(CacheModelTest, BuildScanColumnsChainsAccessFractions) {
-  const auto cols = BuildScanColumns({0.5, 0.2}, {4, 4}, {8});
-  ASSERT_EQ(cols.size(), 3u);
-  EXPECT_DOUBLE_EQ(cols[0].access_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(cols[1].access_fraction, 0.5);
-  EXPECT_DOUBLE_EQ(cols[2].access_fraction, 0.1);  // payload: survivors
-  EXPECT_EQ(cols[2].value_width, 8u);
-}
-
-TEST(CacheModelTest, ScanTotalIsSumOfColumns) {
-  const auto cols = BuildScanColumns({0.5, 0.5}, {4, 4}, {});
-  double manual = 0;
-  for (const auto& c : cols) {
-    manual += EstimateColumnCache(kCfg, 1e6, c).l3_accesses;
-  }
-  EXPECT_NEAR(EstimateScanL3Accesses(kCfg, 1e6, cols), manual, 1e-9);
-}
-
 // Cross-validation against the simulated hierarchy: the analytic scan
 // model must predict the simulator's L3 access counter within a few
 // percent across the selectivity sweep.

@@ -25,6 +25,29 @@ TEST(CounterModelTest, PredictsAllFourCounters) {
   EXPECT_NEAR(e.branches_not_taken, 650'000.0, 1e-6);
 }
 
+TEST(CounterModelTest, L3ChainsAccessFractionsThroughPredicatesAndPayloads) {
+  // Predicate i is read at the product of the selectivities before it;
+  // payloads are read by qualifying tuples. Packed widths replace the
+  // plain ones per column.
+  ScanShape shape = MakeShape(1e6, 2);
+  shape.payload_widths = {8, 4};
+  const ScanCacheModelConfig& cfg = shape.cache;
+  auto column = [&](uint32_t width, double rho, double packed) {
+    return EstimateColumnCache(cfg, 1e6, ScanColumnSpec{width, rho, packed})
+        .l3_accesses;
+  };
+  EXPECT_DOUBLE_EQ(PredictScanL3Accesses(shape, {0.5, 0.2}),
+                   column(4, 1.0, 0) + column(4, 0.5, 0) +
+                       column(8, 0.1, 0) + column(4, 0.1, 0));
+  shape.predicate_packed_bytes = {0.5, 0.0};
+  shape.payload_packed_bytes = {0.0, 1.5};
+  EXPECT_DOUBLE_EQ(PredictScanL3Accesses(shape, {0.5, 0.2}),
+                   column(4, 1.0, 0.5) + column(4, 0.5, 0) +
+                       column(8, 0.1, 0) + column(4, 0.1, 1.5));
+  EXPECT_EQ(PredictCounters(shape, {0.5, 0.2}).l3_accesses,
+            PredictScanL3Accesses(shape, {0.5, 0.2}));
+}
+
 TEST(CounterModelTest, DistinguishesPermutedSelectivities) {
   // The paper's key requirement (Figure 8): (0.4, 0.2) and (0.2, 0.4)
   // must differ in at least one counter. Their BNT totals differ already

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace nipo {
 namespace {
 
@@ -164,6 +170,203 @@ TEST(EstimatorTest, ObjectiveExposedForAblations) {
   EXPECT_LE(EstimationObjective(shape, sampled, {0.6, 0.4},
                                 CounterSet::kBntOnly),
             off + 1e-12);
+}
+
+
+// --- Bit-exact pins --------------------------------------------------------
+//
+// The estimator's output is part of the simulated result: a reordering
+// decision hangs on it. These samples pin EstimateSelectivities bit for bit
+// (every selectivity, access fraction and objective as a hex float, plus
+// the start and iteration counts), so a refactor of the objective, the
+// counter model or Nelder-Mead that reorders a single floating-point
+// operation fails here rather than as drift in a benchmark.
+
+struct PinnedCase {
+  const char* name;
+  std::vector<double> truth;
+  CounterSet counter_set;
+  std::vector<bool> branch_free;
+  std::vector<double> predicate_packed_bytes;
+  std::vector<double> payload_packed_bytes;
+  PredictorConfig predictor;
+};
+
+std::vector<PinnedCase> PinnedCases() {
+  const PredictorConfig six = PredictorConfig::Symmetric(6);
+  return {
+      {"two_plain_all", {0.3, 0.7}, CounterSet::kAll, {}, {}, {}, six},
+      {"three_plain_all", {0.8, 0.25, 0.6}, CounterSet::kAll, {}, {}, {}, six},
+      {"three_branch_free_mid_branches",
+       {0.45, 0.1, 0.9},
+       CounterSet::kBranchesOnly,
+       {false, true, false},
+       {},
+       {},
+       six},
+      {"four_packed_all",
+       {0.9, 0.55, 0.35, 0.7},
+       CounterSet::kAll,
+       {},
+       {1.0, 0.5, 0.0, 2.0},
+       {1.25, 0.0},
+       six},
+      {"four_packed_branches",
+       {0.2, 0.95, 0.5, 0.4},
+       CounterSet::kBranchesOnly,
+       {},
+       {0.375, 1.0, 2.0, 0.25},
+       {0.0, 1.5},
+       six},
+      {"five_branch_free_all",
+       {0.6, 0.85, 0.3, 0.95, 0.5},
+       CounterSet::kAll,
+       {true, false, false, true, false},
+       {},
+       {},
+       six},
+      {"five_plain_branches",
+       {0.95, 0.7, 0.5, 0.3, 0.8},
+       CounterSet::kBranchesOnly,
+       {},
+       {},
+       {},
+       six},
+      {"two_packed_branch_free_plus_one_taken",
+       {0.65, 0.15},
+       CounterSet::kAll,
+       {false, true},
+       {0.75, 1.0},
+       {2.0, 0.5},
+       PredictorConfig::PlusOneTaken(5)},
+  };
+}
+
+/// The sample a PMU would report for `c`: the counter model at the true
+/// selectivities over one 4096-tuple vector, perturbed by a few percent
+/// and rounded to whole events.
+std::pair<ScanShape, CounterSample> PinnedSample(const PinnedCase& c) {
+  ScanShape shape;
+  shape.num_tuples = 4096;
+  shape.predicate_widths.assign(c.truth.size(), 4);
+  shape.payload_widths = {8, 4};
+  shape.predicate_packed_bytes = c.predicate_packed_bytes;
+  shape.payload_packed_bytes = c.payload_packed_bytes;
+  shape.branch_free = c.branch_free;
+  shape.predictor = c.predictor;
+  CounterSample s;
+  s.tuples_in = shape.num_tuples;
+  double out = shape.num_tuples;
+  for (const double p : c.truth) out *= p;
+  s.tuples_out = std::round(out);
+  const CounterEstimate exact = PredictCounters(shape, c.truth);
+  s.counters.branches_not_taken = std::round(exact.branches_not_taken * 1.01);
+  s.counters.taken_mp = std::round(exact.taken_mp * 0.96);
+  s.counters.not_taken_mp = std::round(exact.not_taken_mp * 1.04);
+  s.counters.l3_accesses = std::round(exact.l3_accesses * 0.98);
+  return {shape, s};
+}
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string HexList(const std::vector<double>& values) {
+  std::string out = "{";
+  for (size_t i = 0; i < values.size(); ++i) {
+    out += (i ? ", " : "") + Hex(values[i]);
+  }
+  return out + "}";
+}
+
+/// Recorded before the objective was made allocation-free; any change here
+/// is a change of simulated results and needs its own justification.
+struct PinnedResult {
+  std::vector<double> selectivities;
+  std::vector<double> access_fractions;
+  double objective;
+  int starts_used;
+  int total_nm_iterations;
+};
+
+const std::vector<PinnedResult>& PinnedResults() {
+  static const std::vector<PinnedResult> results = {
+      {{0x1.388p-2, 0x1.604189374bc6ap-1},
+       {0x1.388p-2, 0x1.aep-3},
+       0x1.12c497ec6786fp-3,
+       4,
+       0},
+      {{0x1.9bfe711cc3778p-1, 0x1.068b5ea1fd28p-2, 0x1.2a17c03be7f5cp-1},
+       {0x1.9bfe711cc3778p-1, 0x1.a686b336faa3p-3, 0x1.ecp-4},
+       0x1.e1536af3aaefep-5,
+       6,
+       260},
+      {{0x1.a84p-2, 0x1.3b4251c4f0c36p-3, 0x1.455b1725778d7p-1},
+       {0x1.a84p-2, 0x1.053a54014fffep-4, 0x1.4cp-5},
+       0x1.d3ceeb57bc8ebp-2,
+       6,
+       130},
+      {{0x1.d5705d9824ecap-1, 0x1.145f13808ec01p-1, 0x1.664bfc2399987p-2,
+        0x1.66bfd6a6bc3abp-1},
+       {0x1.d5705d9824ecap-1, 0x1.facb7d5dd82a6p-2, 0x1.62a77f0ae00acp-3,
+        0x1.f1p-4},
+       0x1.47b75a318ee9fp-6,
+       8,
+       809},
+      {{0x1.e29de380c243p-3, 0x1.b2b6c1eb0d2c1p-1, 0x1.16edec8487132p-2,
+        0x1.65cb8633d4567p-1},
+       {0x1.e29de380c243p-3, 0x1.99c41ac217946p-3, 0x1.be77ca307548cp-5,
+        0x1.38p-5},
+       0x1.3d93b7c9adf5p-20,
+       8,
+       760},
+      {{0x1.bbb07c940d14p-2, 0x1.f4c8dbf7e18e8p-2, 0x1.e1294c04a5dc3p-1,
+        0x1.ae675e97929cdp-1, 0x1.bd0a4e1768055p-2},
+       {0x1.bbb07c940d14p-2, 0x1.b1f869380afeap-3, 0x1.97d4dfac63757p-3,
+        0x1.56d61e8597d6ep-3, 0x1.2ap-4},
+       0x1.8cfc6f56ec0c6p+0,
+       10,
+       1147},
+      {{0x1.df65ebbd53d1ap-1, 0x1.0ea711850182p-1, 0x1.52a8e757420adp-1,
+        0x1.e4b419880ab9fp-1, 0x1.07c42a5259bf1p-2},
+       {0x1.df65ebbd53d1ap-1, 0x1.fad65aed4e56ap-2, 0x1.4f3eb55e9567cp-2,
+        0x1.3d5f3436d005ep-2, 0x1.47p-4},
+       0x1.616c50f8b4c0ap-20,
+       10,
+       1372},
+      {{0x1.1e4p-1, 0x1.64d5be446a6cbp-3},
+       {0x1.1e4p-1, 0x1.8fp-4},
+       0x1.20715892b50d8p+0,
+       4,
+       0},
+  };
+  return results;
+}
+
+TEST(EstimatorPinTest, EstimatesAreBitIdenticalToRecorded) {
+  const std::vector<PinnedCase> cases = PinnedCases();
+  ASSERT_EQ(cases.size(), PinnedResults().size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const PinnedCase& c = cases[i];
+    const PinnedResult& want = PinnedResults()[i];
+    const auto [shape, sample] = PinnedSample(c);
+    EstimatorConfig cfg;
+    cfg.counter_set = c.counter_set;
+    auto est = EstimateSelectivities(shape, sample, cfg);
+    ASSERT_TRUE(est.ok()) << c.name;
+    const SelectivityEstimate& got = est.ValueOrDie();
+    // Compared as hex strings so a mismatch prints the new value in the
+    // form the table above records.
+    EXPECT_EQ(HexList(got.selectivities), HexList(want.selectivities))
+        << c.name;
+    EXPECT_EQ(HexList(got.access_fractions), HexList(want.access_fractions))
+        << c.name;
+    EXPECT_EQ(Hex(got.objective), Hex(want.objective)) << c.name;
+    EXPECT_EQ(got.starts_used, want.starts_used) << c.name;
+    EXPECT_EQ(got.total_nm_iterations, want.total_nm_iterations) << c.name;
+  }
 }
 
 }  // namespace

@@ -75,6 +75,99 @@ TEST(ObserveRunTest, MatchesScalarObserveForAllConfigsStatesAndLengths) {
   }
 }
 
+TEST(BranchStepTableTest, EveryEntryMatchesEightObserveCalls) {
+  for (int n = 2; n <= BranchStepTable::kMaxStates; ++n) {
+    for (int nts = 1; nts < n; ++nts) {
+      const PredictorConfig cfg{n, nts};
+      const BranchStepTable* table = BranchStepTable::For(cfg);
+      ASSERT_NE(table, nullptr) << "states=" << n;
+      EXPECT_EQ(BranchStepTable::For(cfg), table) << "built once";
+      for (int start = 0; start < n; ++start) {
+        BranchPredictor at_start(cfg);
+        at_start.EnsureSites(1);
+        while (at_start.state(0) != start) {
+          at_start.Observe(0, at_start.state(0) < start);
+        }
+        for (int bits = 0; bits < 256; ++bits) {
+          BranchPredictor scalar = at_start;
+          uint64_t taken_mp = 0, not_taken_mp = 0;
+          for (int j = 0; j < 8; ++j) {
+            const bool taken = ((bits >> j) & 1) == 0;
+            if (scalar.Observe(0, taken).mispredicted) {
+              ++(taken ? taken_mp : not_taken_mp);
+            }
+          }
+          const BranchStepTable::Entry& e =
+              table->Lookup(start, static_cast<uint8_t>(bits));
+          ASSERT_EQ(e.next_state, scalar.state(0))
+              << "states=" << n << " nts=" << nts << " start=" << start
+              << " bits=" << bits;
+          ASSERT_EQ(e.taken_mp, taken_mp);
+          ASSERT_EQ(e.not_taken_mp, not_taken_mp);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(BranchStepTable::For(PredictorConfig::Symmetric(
+                BranchStepTable::kMaxStates + 2)),
+            nullptr);
+}
+
+TEST(PassFlagsTest, PackPutsFlagJInBitJ) {
+  for (int bits = 0; bits < 256; ++bits) {
+    uint8_t flags[8];
+    for (int j = 0; j < 8; ++j) flags[j] = (bits >> j) & 1;
+    EXPECT_EQ(PackPassFlags(flags), bits);
+  }
+}
+
+TEST(PmuBatchTest, PredicateBranchesIdenticalAcrossModes) {
+  // Every length 0-70 covers every tail length behind whole groups of 8;
+  // the machines keep their predictor state from call to call, so a
+  // state handed across the group/tail boundary is checked as well. The
+  // 20-state predictor has no step table and books run by run.
+  for (const PredictorConfig cfg :
+       {PredictorConfig::Symmetric(6), PredictorConfig::Symmetric(2),
+        PredictorConfig::PlusOneTaken(5), PredictorConfig::PlusOneNotTaken(7),
+        PredictorConfig::Symmetric(16), PredictorConfig::Symmetric(20)}) {
+    HwConfig hw = HwConfig::ScaledXeon(32);
+    hw.predictor = cfg;
+    ModePair m(hw);
+    m.scalar.EnsureBranchSites(2);
+    m.batched.EnsureBranchSites(2);
+    Prng prng(
+        static_cast<uint64_t>(31 * cfg.num_states + cfg.not_taken_states));
+    std::vector<uint8_t> flags;
+    for (size_t n = 0; n <= 70; ++n) {
+      for (int shape = 0; shape < 4; ++shape) {
+        flags.resize(n);
+        if (shape < 3) {
+          // Independent outcomes at selectivity 0.5, 0.1 and 0.9.
+          const double p = shape == 0 ? 0.5 : shape == 1 ? 0.1 : 0.9;
+          for (uint8_t& f : flags) f = prng.NextBool(p) ? 1 : 0;
+        } else {
+          // Run-heavy: uniform runs of 1-20 outcomes.
+          for (size_t j = 0; j < n;) {
+            const size_t run = 1 + prng.NextBounded(20);
+            const uint8_t f = prng.NextBool(0.5) ? 1 : 0;
+            for (size_t k = 0; k < run && j < n; ++k) flags[j++] = f;
+          }
+        }
+        const size_t site = prng.NextBounded(2);
+        m.scalar.OnPredicateBranches(site, flags.data(), n);
+        m.batched.OnPredicateBranches(site, flags.data(), n);
+        ASSERT_EQ(m.scalar.Read(), m.batched.Read())
+            << "states=" << cfg.num_states << " n=" << n
+            << " shape=" << shape << "\nscalar:  "
+            << m.scalar.Read().ToString()
+            << "\nbatched: " << m.batched.Read().ToString();
+        ASSERT_EQ(m.scalar.predictor().state(site),
+                  m.batched.predictor().state(site));
+      }
+    }
+  }
+}
+
 TEST(PmuBatchTest, BranchRunsIdenticalAcrossModes) {
   ModePair m;
   m.scalar.EnsureBranchSites(3);
