@@ -3,15 +3,15 @@
 /// mixed queue of Q6-shaped scans, FK-probe joins and SUM aggregates over
 /// a shared TPC-H database, executed through Engine::Execute(WorkloadSpec)
 /// while admission control widens from 1 (fully serial) to 8 in-flight
-/// queries on a fixed 4-worker pool.
+/// queries on 4 simulated cores.
 ///
-/// The headline is *simulated* queries/sec from the deterministic
-/// schedule replay, so the numbers are bit-stable on any host; host
-/// wall-clock of the pool region is reported alongside. Two gates make
-/// the sweep trustworthy: every query's counters must be bit-identical
-/// across all admission configurations (deterministic mode), and the
-/// widest configuration must actually improve aggregate throughput over
-/// the serial one.
+/// The headline is *simulated* queries/sec from the driver's
+/// deterministic event loop, so the numbers are free of host-timing
+/// noise; host wall-clock of the loop (one host thread, whatever the
+/// simulated core count) is reported alongside. Two gates make the sweep
+/// trustworthy: every query's counters must be bit-identical across all
+/// admission configurations, and the widest configuration must actually
+/// improve aggregate throughput over the serial one.
 ///
 /// Run with `--json` (ci/check.sh does, in --quick smoke form) to write
 /// BENCH_workload_throughput.json for the perf trajectory
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table("Workload throughput, " + std::to_string(num_queries) +
                      " mixed queries over " + std::to_string(rows) +
-                     " lineitems, 4 workers");
+                     " lineitems, 4 simulated cores");
   table.SetHeader({"max concurrent", "peak in flight", "sim makespan msec",
                    "sim queries/s", "speedup", "wall msec"});
 
@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
     results.push_back({max_concurrent, std::move(r.ValueOrDie())});
   }
 
-  // Correctness gate: deterministic mode promises every query's counters
-  // and results are independent of the admission schedule (and equal to a
+  // Correctness gate: private machines make every query's counters and
+  // results independent of the admission schedule (and equal to a
   // solo single-threaded run; tests/workload_driver_test.cc proves that
   // equivalence, the sweep here proves the independence).
   const WorkloadReport& serial = results.front().report;
@@ -169,8 +169,8 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "counters: bit-identical across all admission configs\n";
 
-  // Throughput gate: widening admission onto the 4-worker pool must beat
-  // the serialized schedule on aggregate simulated queries/sec.
+  // Throughput gate: widening admission onto the 4 simulated cores must
+  // beat the serialized schedule on aggregate simulated queries/sec.
   const WorkloadReport& widest = results.back().report;
   NIPO_CHECK(widest.sim_queries_per_sec > 1.5 * serial.sim_queries_per_sec);
 

@@ -121,15 +121,17 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
   fi
 fi
 
-# ThreadSanitizer pass over the concurrency tests (the sharded parallel
-# driver, the multi-query workload driver, the shared-L3 contention
-# layer, the open-loop service mode, the fault-tolerance layer — whose
-# cancellation token crosses worker threads — and the SIMD kernel
+# ThreadSanitizer pass over the concurrency tests: the sharded parallel
+# driver's worker threads, the fault-tolerance layer's parallel
+# cancellation token (which crosses those threads), and the SIMD kernel
 # layer, whose forced-level override is process-global state the
-# executors read). Tests only (no benches/examples) keeps the second
-# build tree small.
+# executors read. The workload, contention and service-mode suites run
+# on one host thread (the workload driver's event loop), so they cannot
+# race; they stay on the list to catch any thread a later change adds
+# to that path. Tests only (no benches/examples) keeps the second build
+# tree small.
 if [[ "${NIPO_TSAN:-1}" == "1" ]]; then
-  echo "== ThreadSanitizer build: parallel + workload driver tests =="
+  echo "== ThreadSanitizer build: concurrency tests =="
   cmake -B "$BUILD_DIR-tsan" -S . -DNIPO_TSAN=ON -DNIPO_SIMD="$NIPO_SIMD" \
       -DNIPO_BUILD_BENCHES=OFF -DNIPO_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-tsan" -j "$(nproc)" \

@@ -1,9 +1,9 @@
 /// \file workload_quickstart.cc
 /// Smallest end-to-end use of multi-query workload execution (DESIGN.md
 /// "Workload execution"): queue six mixed queries over two shared tables,
-/// run them through Engine::Execute(WorkloadSpec) on a 4-worker pool with at
-/// most 3 in flight, print the aggregate report, and confirm that the
-/// deterministic mode makes each query bit-identical to running it alone.
+/// run them through Engine::Execute(WorkloadSpec) on 4 simulated cores with
+/// at most 3 in flight, print the aggregate report, and confirm that each
+/// query is bit-identical to running it alone.
 
 #include <cstdio>
 #include <iostream>
@@ -61,14 +61,14 @@ int main() {
     q.config.reopt_interval = 3;
     spec.queries.push_back(std::move(q));
   }
-  spec.options.num_threads = 4;     // worker pool
+  spec.options.num_threads = 4;     // simulated cores
   spec.options.max_concurrent = 3;  // admission control
   auto result = engine.Execute(spec);
   NIPO_CHECK(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   PrintWorkloadReport(report, "workload quickstart", std::cout);
 
-  // 3. Deterministic mode: any query of the workload is bit-identical to
+  // 3. Private machines: any query of the workload is bit-identical to
   //    running it alone single-threaded — counters included, which is
   //    what lets per-query progressive optimization work unperturbed
   //    under concurrency.
@@ -78,13 +78,13 @@ int main() {
   auto solo = engine.Execute(spec.queries[3].query, solo_options);
   NIPO_CHECK(solo.ok());
   const ExecReport& solo_report = solo.ValueOrDie();
-  const WorkloadQueryReport& in_pool = report.queries[3];
-  NIPO_CHECK(in_pool.drive.total == solo_report.counters);
-  NIPO_CHECK(in_pool.drive.aggregate == solo_report.aggregate);
-  NIPO_CHECK(in_pool.final_order == solo_report.final_order);
+  const WorkloadQueryReport& in_workload = report.queries[3];
+  NIPO_CHECK(in_workload.drive.total == solo_report.counters);
+  NIPO_CHECK(in_workload.drive.aggregate == solo_report.aggregate);
+  NIPO_CHECK(in_workload.final_order == solo_report.final_order);
   std::printf(
-      "query '%s' inside the pool == solo run: every counter identical\n",
-      in_pool.name.c_str());
+      "query '%s' inside the workload == solo run: every counter identical\n",
+      in_workload.name.c_str());
   std::printf(
       "workload finished %zu queries in %.2f simulated msec "
       "(%.2fx over one-at-a-time)\n",

@@ -340,10 +340,6 @@ Result<WorkloadReport> Engine::Execute(const WorkloadSpec& spec) const {
   return driver.Run(tasks);
 }
 
-Result<WorkloadReport> Engine::ExecuteWorkload(const WorkloadSpec& spec) const {
-  return Execute(spec);
-}
-
 std::vector<std::vector<size_t>> AllOrders(size_t n) {
   NIPO_CHECK(n <= 8);
   std::vector<size_t> order(n);

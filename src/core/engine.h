@@ -94,7 +94,7 @@ struct WorkloadQuery {
   /// admits earlier. The other per-query scheduling inputs — the work
   /// estimate for kSrwf and the L3 footprint for kFootprintAware — are
   /// derived automatically from the cost model (cost/cache_model.h)
-  /// against the registered tables; see Engine::ExecuteWorkload.
+  /// against the registered tables; see Engine::Execute(WorkloadSpec).
   int priority = 0;
   /// Simulated deadline relative to arrival (0 = none; see
   /// WorkloadTask::sim_deadline_msec): past it the query is killed
@@ -108,8 +108,8 @@ struct WorkloadQuery {
 };
 
 /// \brief A workload: the query queue plus its scheduling options
-/// (worker pool size, admission control, determinism, scheduling policy,
-/// shared-L3 contention; see WorkloadOptions in exec/workload_driver.h).
+/// (simulated core count, admission control, scheduling policy, shared-L3
+/// contention; see WorkloadOptions in exec/workload_driver.h).
 struct WorkloadSpec {
   std::vector<WorkloadQuery> queries;
   WorkloadOptions options;
@@ -210,7 +210,26 @@ class Engine {
                              const ExecOptions& options = {}) const;
 
   /// Unified entry point, workload form: executes a multi-query workload
-  /// over a shared worker pool (ExecuteWorkload is the delegating shim).
+  /// with admission control (DESIGN.md "Workload execution"): up to
+  /// `spec.options.max_concurrent` queries in flight, each on its own
+  /// fresh private machine with its own progressive optimizer, time-shared
+  /// at vector granularity across `spec.options.num_threads` simulated
+  /// cores by one deterministic event loop. Without contention every
+  /// query's results and counters are bit-identical to running it alone,
+  /// and the report's simulated makespan / latencies / queries-per-sec do
+  /// not depend on host timing. Across processes they are bit-stable only
+  /// for one binary with ASLR off: the cache model keys off host
+  /// addresses, so heap placement moves them slightly (EXPERIMENTS.md
+  /// "Reproducibility").
+  ///
+  /// Service mode (DESIGN.md Section 7): `spec.options.arrival` switches
+  /// the closed queue to an open arrival stream (uniform / Poisson /
+  /// bursty over the seeded PRNG) with per-query latency decomposed into
+  /// queue wait + in-service span and p50/p95/p99/max tails in the
+  /// report; `spec.options.adaptive_admission` lets the admission limit
+  /// self-tune inside [1, max_concurrent] from simulated interference
+  /// feedback. Both compose with `spec.options.contention`, and every
+  /// latency figure stays bit-stable.
   Result<WorkloadReport> Execute(const WorkloadSpec& spec) const;
 
   /// Re-encodes every column of a registered table into the per-block
@@ -256,29 +275,6 @@ class Engine {
       const ParallelOptions& options,
       std::optional<std::vector<size_t>> initial_order = std::nullopt) const;
 
-  /// Executes a multi-query workload over a shared worker pool with
-  /// admission control (DESIGN.md "Workload execution"): up to
-  /// `spec.options.max_concurrent` queries in flight, each on its own
-  /// fresh private machine with its own progressive optimizer, scheduled
-  /// across `spec.options.num_threads` workers at vector granularity.
-  /// In deterministic mode (the default) every query's results and
-  /// counters are bit-identical to running it alone through
-  /// ExecuteBaseline / ExecuteProgressive, and the aggregate report's
-  /// simulated makespan / latencies / queries-per-sec do not depend on
-  /// host timing. Across processes they are bit-stable only for one
-  /// binary with ASLR off: the cache model keys off host addresses, so
-  /// heap placement moves them slightly (EXPERIMENTS.md
-  /// "Reproducibility").
-  ///
-  /// Service mode (DESIGN.md Section 7): `spec.options.arrival` switches
-  /// the closed queue to an open arrival stream (uniform / Poisson /
-  /// bursty over the seeded PRNG) with per-query latency decomposed into
-  /// queue wait + in-service span and p50/p95/p99/max tails in the
-  /// report; `spec.options.adaptive_admission` lets the admission limit
-  /// self-tune inside [1, max_concurrent] from simulated interference
-  /// feedback. Both compose with `spec.options.contention`, and every
-  /// latency figure stays bit-stable. Shim over Execute(WorkloadSpec).
-  Result<WorkloadReport> ExecuteWorkload(const WorkloadSpec& spec) const;
 
   /// Builds the fresh simulated machine every execution runs on (cold
   /// caches, neutral predictor). Single-threaded entry points run on this

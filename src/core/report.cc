@@ -227,7 +227,7 @@ void PrintWorkloadReport(const WorkloadReport& report,
                              ? report.sim_serial_msec / report.sim_makespan_msec
                              : 0.0;
   out << "queries: " << report.queries.size()
-      << ", workers: " << report.num_threads
+      << ", simulated cores: " << report.num_threads
       << ", max concurrent: " << report.max_concurrent
       << " (peak in flight: " << report.peak_in_flight << ")\n"
       << "policy: " << SchedulePolicyToString(report.policy)

@@ -41,7 +41,7 @@ void PrintParallelProgressiveReport(const ParallelProgressiveReport& report,
 /// machine time, simulated queue/finish times, PEO changes; arrival /
 /// queue-wait / latency columns in open-loop runs) plus the aggregate
 /// schedule lines (makespan, throughput, latency and queue-wait tails,
-/// adaptive-admission trajectory, pool utilization).
+/// adaptive-admission trajectory, fault census).
 void PrintWorkloadReport(const WorkloadReport& report,
                          const std::string& title, std::ostream& out);
 

@@ -39,6 +39,21 @@ struct DriveResult {
 /// read; Figure 16 shows this to be negligible relative to vector work.
 inline constexpr double kCounterReadCycles = 200.0;
 
+/// \brief Hook invoked after each vector with its sample. May call
+/// executor->Reorder() to change the evaluation order for subsequent
+/// vectors.
+using VectorHook = std::function<void(const VectorSample&)>;
+
+/// \brief One step of the vector loop: executes rows [begin, end) and
+/// folds the result into `drive`. With a `hook`, the vector is sampled:
+/// a charged counter read on each side of it (kCounterReadCycles each,
+/// like a PAPI_read pair) and the hook gets the sample. VectorDriver::Run
+/// and the workload driver both step through this, which is what keeps a
+/// workload query bit-identical to its solo run.
+void DriveVector(PipelineExecutor* executor, size_t begin, size_t end,
+                 size_t vector_index, const VectorHook& hook,
+                 DriveResult* drive);
+
 /// \brief Drives a PipelineExecutor vector by vector.
 class VectorDriver {
  public:
@@ -46,11 +61,6 @@ class VectorDriver {
   /// \param vector_size tuples per vector (the paper uses 1M at SF 100;
   ///        scaled-down runs use proportionally smaller vectors)
   VectorDriver(PipelineExecutor* executor, size_t vector_size);
-
-  /// Hook invoked after each vector with its sample. May call
-  /// executor->Reorder() to change the evaluation order for subsequent
-  /// vectors. Return value ignored for now (reserved).
-  using VectorHook = std::function<void(const VectorSample&)>;
 
   /// Executes the whole table. If `hook` is set, counters are sampled
   /// around every vector (charging kCounterReadCycles each) and the hook

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <limits>
-#include <mutex>
-#include <numeric>
 #include <queue>
-#include <thread>
 
 #include "common/logging.h"
 #include "hw/shared_cache.h"
@@ -16,14 +12,14 @@
 /// \file workload_driver.cc
 /// Multi-query workload scheduling (DESIGN.md "Workload execution",
 /// Section 6 "Shared-cache contention", Section 7 "Open-loop service
-/// mode"): policy-driven admission control over a slot table, a
-/// vector-granular round-robin ready queue, per-query private machines
-/// and optimizers stepping the exact single-query driver sequence, and
-/// one event-driven schedule core that serves every schedule-shaped
-/// role — the deterministic simulated-schedule replay, the policy-aware
-/// variant of it, open-loop arrival release, the adaptive admission
-/// limit, and the contention-mode executor that runs quanta *inside*
-/// the event loop against a shared L3 domain.
+/// mode"): policy-driven admission control, a vector-granular round-robin
+/// ready queue, per-query private machines and optimizers stepping the
+/// exact single-query driver sequence, and one event-driven schedule core
+/// that serves both roles — the live executor, which runs each quantum
+/// *inside* the event loop at its simulated dispatch point, and the
+/// replay of recorded quanta (SimulateWorkloadSchedule). Open-loop
+/// arrival release, the adaptive admission limit, the shared-L3 domain
+/// and fault handling are all options of that one loop.
 
 namespace nipo {
 
@@ -43,21 +39,17 @@ std::string_view SchedulePolicyToString(SchedulePolicy policy) {
 
 namespace {
 
-/// Mutable execution state of one admitted query. A QueryRun is touched
-/// by exactly one worker at a time: ownership passes through the
-/// scheduler's ready queue (mutex-protected), which is also what makes
-/// the hand-off race-free. (In contention mode everything runs on one
-/// host thread and the question does not arise.)
+/// Mutable execution state of one admitted query. Everything runs on the
+/// event loop's host thread, one quantum at a time.
 struct QueryRun {
   const WorkloadTask* task = nullptr;
-  size_t slot = 0;  ///< admission slot (machine owner in warm mode)
 
-  /// The query's machine: privately owned in deterministic mode, the
-  /// admission slot's long-lived machine in warm mode.
-  std::unique_ptr<Pmu> owned_pmu;
-  Pmu* pmu = nullptr;
+  /// The query's private machine (a fresh prototype clone per attempt).
+  std::unique_ptr<Pmu> pmu;
   std::unique_ptr<PipelineExecutor> exec;
   std::unique_ptr<ProgressiveOptimizer> optimizer;
+  /// Feeds each vector's sample to `optimizer` (null for baseline tasks).
+  VectorHook hook;
 
   /// Full-run counter window, opened at admission (the solo drivers read
   /// their machine once at Run() entry; admission is that point here).
@@ -66,62 +58,34 @@ struct QueryRun {
   size_t vector_index = 0;
   DriveResult drive;
 
-  /// Per-quantum simulated durations, input of the schedule replay.
+  /// Per-quantum replay trace: simulated durations, shared-L3 evictions
+  /// suffered, live shared-L3 occupancy after the quantum (both zero when
+  /// contention=off) and fates, all parallel.
   std::vector<double> quantum_msec;
-  /// Per-quantum shared-L3 evictions suffered (parallel to quantum_msec;
-  /// zero when contention=off) — with quantum_msec and
-  /// quantum_occupancy, the QuantumTrace replay input of adaptive runs.
   std::vector<uint64_t> quantum_evictions;
-  /// Per-quantum live shared-L3 occupancy after the quantum (lines owned
-  /// by in-flight queries; zero when contention=off).
   std::vector<uint64_t> quantum_occupancy;
-  /// touched_workers[w] != 0 iff host worker w ran a quantum of this
-  /// query (sized num_threads at admission).
-  std::vector<uint8_t> touched_workers;
+  std::vector<QuantumFate> quantum_fate;
   size_t quanta = 0;
   /// Contention mode: occupancy gauges sampled at the last quantum.
   uint64_t peak_occupancy_lines = 0;
   uint64_t final_occupancy_lines = 0;
 
-  /// Fault-mode state (DESIGN.md Section 9). Defaults describe the
-  /// fault-free run: one attempt, no backoff, outcome kOk.
-  QueryOutcome outcome = QueryOutcome::kOk;
-  size_t attempts = 1;
-  double backoff_msec = 0;
+  /// The error behind a kFailed outcome (the event loop decides the
+  /// outcome itself).
   Status error;
-  /// Per-quantum fates, parallel to quantum_msec.
-  std::vector<QuantumFate> quantum_fate;
 };
 
-/// Executes one vector of `run`, replaying VectorDriver::Run exactly:
-/// baseline tasks execute the range bare; progressive tasks take the
-/// charged counter-read pair around it and feed the sample to the query's
-/// private optimizer, which may Reorder() for subsequent vectors.
+/// Executes the next vector of `run` through the solo driver's own step
+/// (DriveVector): baseline tasks execute the range bare; progressive
+/// tasks take the charged counter-read pair around it and feed the sample
+/// to the query's private optimizer, which may Reorder() for subsequent
+/// vectors.
 void ExecuteOneVector(QueryRun* run) {
-  const size_t rows = run->exec->num_rows();
   const size_t begin = run->next_row;
-  const size_t end = std::min(begin + run->task->config.vector_size, rows);
-  if (run->optimizer != nullptr) {
-    run->pmu->ChargeCycles(kCounterReadCycles);
-    CounterWindow window(run->pmu);
-    const VectorResult r = run->exec->ExecuteRange(begin, end);
-    run->drive.input_tuples += r.input_tuples;
-    run->drive.qualifying_tuples += r.qualifying_tuples;
-    run->drive.zone_skipped_tuples += r.zone_skipped;
-    run->drive.aggregate += r.aggregate;
-    run->pmu->ChargeCycles(kCounterReadCycles);
-    VectorSample sample;
-    sample.vector_index = run->vector_index;
-    sample.result = r;
-    sample.counters = window.Delta();
-    run->optimizer->OnVector(sample);
-  } else {
-    const VectorResult r = run->exec->ExecuteRange(begin, end);
-    run->drive.input_tuples += r.input_tuples;
-    run->drive.qualifying_tuples += r.qualifying_tuples;
-    run->drive.zone_skipped_tuples += r.zone_skipped;
-    run->drive.aggregate += r.aggregate;
-  }
+  const size_t end =
+      std::min(begin + run->task->config.vector_size, run->exec->num_rows());
+  DriveVector(run->exec.get(), begin, end, run->vector_index, run->hook,
+              &run->drive);
   ++run->vector_index;
   run->next_row = end;
 }
@@ -217,11 +181,11 @@ struct QuantumOutcome {
   QuantumFate fate = QuantumFate::kNormal;
 };
 
-/// Optional side-effect hooks of the event loop (used by the contention
+/// Optional side-effect hooks of the event loop (used by the live
 /// executor; the pure replay passes none).
 struct EventLoopHooks {
+  /// A query was admitted: put it on its machine.
   std::function<void(size_t)> on_admit;
-  std::function<void(size_t)> on_complete;
   /// A transient fault is being retried: reset the query's execution
   /// state (fresh machine, recompiled pipeline, fresh optimizer) so the
   /// next dispatch restarts the query from row zero.
@@ -229,15 +193,15 @@ struct EventLoopHooks {
   std::function<uint64_t(size_t)> live_footprint;
 };
 
-/// The event-driven schedule core shared by the replay and the
-/// event-driven executor: admission picked by `cfg.policy` into at most
+/// The event-driven schedule core shared by the replay and the live
+/// executor: admission picked by `cfg.policy` into at most
 /// `max_concurrent` slots (lowered live by `controller` when adaptive),
 /// a round-robin ready queue, dispatch of the front query to the
 /// earliest-free of `num_threads` simulated workers. `run_quantum(q)` is
 /// called at q's dispatch points *in dispatch order* — for a replay it
-/// returns recorded durations; for contended execution it actually runs
-/// the quantum, which is exactly what serializes the shared-L3
-/// interleaving into event order.
+/// returns recorded durations; for a live run it actually executes the
+/// quantum, which is also what serializes the shared-L3 interleaving
+/// into event order under contention.
 ///
 /// Open-loop mode: `arrival_msec` (empty = closed queue; otherwise
 /// non-decreasing, one instant per query) gates when each query joins
@@ -255,19 +219,21 @@ struct EventLoopHooks {
 /// Ties in completion time break by dispatch sequence, making the loop
 /// fully deterministic.
 ///
-/// Fault mode (non-null `faults`): run_quantum reports each quantum's
-/// fate. kTransientFault attempts retry after a reconstructed capped-
-/// exponential backoff (re-entering the ready queue at fail time +
-/// backoff, keeping the admission slot) until the retry budget is spent;
+/// Faults: run_quantum reports each quantum's fate. kTransientFault
+/// attempts retry after a reconstructed capped-exponential backoff
+/// (re-entering the ready queue at fail time + backoff, keeping the
+/// admission slot) until the retry budget is spent;
 /// kill fates and exhausted retries complete the query with the matching
 /// outcome. With shedding on, admission picks whose predicted completion
 /// misses their deadline are rejected (kShed) without ever dispatching —
 /// the DeadlineShedder calibrates from completed-OK queries' scheduled
-/// time, so live runs and trace replays shed identically.
+/// time, so live runs and trace replays shed identically. The default
+/// spec (one attempt, no deadlines, no shedding) makes every non-kNormal
+/// fate terminal and never sheds.
 SimSchedule RunEventSchedule(
     size_t n, size_t num_threads, size_t max_concurrent,
     const SchedulePolicyConfig& cfg, const std::vector<double>& arrival_msec,
-    AdmissionController* controller, const ServiceFaultSpec* faults,
+    AdmissionController* controller, const ServiceFaultSpec& faults,
     const std::function<QuantumOutcome(size_t, double)>& run_quantum,
     const EventLoopHooks& hooks, size_t* peak_in_flight_out) {
   SimSchedule schedule;
@@ -326,16 +292,13 @@ SimSchedule RunEventSchedule(
   // (the shedder's calibration basis — identical between a live run and
   // its replay, unlike machine time, which stalls inflate away from the
   // schedule), and the admission shedder.
-  const size_t max_attempts =
-      faults != nullptr ? std::max<size_t>(1, faults->retry.max_attempts) : 1;
+  const size_t max_attempts = std::max<size_t>(1, faults.retry.max_attempts);
   auto deadline_of = [&](size_t q) {
-    return faults != nullptr && q < faults->deadline_msec.size()
-               ? faults->deadline_msec[q]
-               : 0.0;
+    return q < faults.deadline_msec.size() ? faults.deadline_msec[q] : 0.0;
   };
   std::vector<double> service_msec(n, 0.0);
   DeadlineShedder shedder;
-  const bool shedding = faults != nullptr && faults->shed_deadline;
+  const bool shedding = faults.shed_deadline;
 
   // Arrival schedules are non-decreasing in query index, so releasing in
   // index order keeps `pending` in spec order — the same order the
@@ -432,7 +395,7 @@ SimSchedule RunEventSchedule(
           // keeps its admission slot but re-enters the ready queue only
           // at fail time + backoff, restarting from scratch.
           const double backoff = RetryBackoffMsec(
-              faults->retry, schedule.attempts[event.query]);
+              faults.retry, schedule.attempts[event.query]);
           ++schedule.attempts[event.query];
           schedule.backoff_msec[event.query] += backoff;
           if (hooks.on_retry != nullptr) hooks.on_retry(event.query);
@@ -474,7 +437,6 @@ SimSchedule RunEventSchedule(
         shedder.OnQueryDone(service_msec[event.query],
                             TaskWork(cfg, event.query));
       }
-      if (hooks.on_complete != nullptr) hooks.on_complete(event.query);
     } else if (event.fate == QuantumFate::kNormal) {
       ready.push_back({event.query, event.time});
     }
@@ -495,11 +457,12 @@ SimSchedule RunEventSchedule(
 }
 
 /// Assembles the per-query reports and serial baseline out of finished
-/// runs (shared by the threaded and contended paths); the caller fills
-/// the schedule-derived fields afterwards.
+/// runs and the terminal outcomes the event loop decided; the caller
+/// fills the schedule timing afterwards (ApplySchedule).
 WorkloadReport AssembleReport(const std::vector<WorkloadTask>& tasks,
                               std::vector<QueryRun>* runs,
-                              const WorkloadOptions& options, double wall_msec,
+                              const WorkloadOptions& options,
+                              const SimSchedule& schedule, double wall_msec,
                               size_t peak_in_flight) {
   const size_t n = tasks.size();
   WorkloadReport report;
@@ -523,14 +486,11 @@ WorkloadReport AssembleReport(const std::vector<WorkloadTask>& tasks,
     q.name = tasks[i].name.empty() ? "q" + std::to_string(i) : tasks[i].name;
     q.progressive = tasks[i].progressive;
     q.quanta = run.quanta;
-    for (const uint8_t touched : run.touched_workers) {
-      q.workers_touched += touched;
-    }
     q.shared_l3_peak_occupancy_lines = run.peak_occupancy_lines;
     q.shared_l3_final_occupancy_lines = run.final_occupancy_lines;
-    q.outcome = run.outcome;
-    q.attempts = run.attempts;
-    q.sim_backoff_msec = run.backoff_msec;
+    q.outcome = schedule.outcome[i];
+    q.attempts = schedule.attempts[i];
+    q.sim_backoff_msec = schedule.backoff_msec[i];
     q.error = run.error;
     q.quantum_fate = std::move(run.quantum_fate);
     if (run.exec == nullptr) {
@@ -611,52 +571,7 @@ void ApplySchedule(const SimSchedule& schedule, WorkloadReport* report) {
           : 0.0;
 }
 
-/// True iff the run needs the fault-tolerant event-driven path: any
-/// enabled fault plan, retry budget, shedding, or per-task deadline /
-/// cancellation point. False keeps fault-free runs on their existing
-/// paths, byte-for-byte.
-bool FaultModeRequested(const WorkloadOptions& options,
-                        const std::vector<WorkloadTask>& tasks) {
-  if (options.faults.enabled() || options.retry.max_attempts > 1 ||
-      options.shed_deadline) {
-    return true;
-  }
-  for (const WorkloadTask& task : tasks) {
-    if (task.sim_deadline_msec > 0 || task.sim_cancel_msec > 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
-
-SimSchedule SimulateWorkloadSchedule(
-    const std::vector<std::vector<double>>& quantum_msec, size_t num_threads,
-    size_t max_concurrent) {
-  return SimulateWorkloadSchedule(quantum_msec, num_threads, max_concurrent,
-                                  SchedulePolicyConfig{});
-}
-
-SimSchedule SimulateWorkloadSchedule(
-    const std::vector<std::vector<double>>& quantum_msec, size_t num_threads,
-    size_t max_concurrent, const SchedulePolicyConfig& config) {
-  const size_t n = quantum_msec.size();
-  if (n == 0) return SimSchedule{};
-  NIPO_CHECK(config.tasks.empty() || config.tasks.size() == n);
-  std::vector<size_t> next_quantum(n, 0);
-  auto run_quantum = [&](size_t q, double /*start_msec*/) {
-    QuantumOutcome out;
-    out.duration_msec = next_quantum[q] < quantum_msec[q].size()
-                            ? quantum_msec[q][next_quantum[q]]
-                            : 0.0;
-    ++next_quantum[q];
-    out.done = next_quantum[q] >= quantum_msec[q].size();
-    return out;
-  };
-  return RunEventSchedule(n, num_threads, max_concurrent, config,
-                          /*arrival_msec=*/{}, /*controller=*/nullptr,
-                          /*faults=*/nullptr, run_quantum, EventLoopHooks{},
-                          nullptr);
-}
 
 SimSchedule SimulateWorkloadSchedule(
     const std::vector<std::vector<QuantumTrace>>& quanta,
@@ -686,8 +601,10 @@ SimSchedule SimulateWorkloadSchedule(
     out.done = next_quantum[q] >= quanta[q].size();
     return out;
   };
+  const ServiceFaultSpec no_faults;
   return RunEventSchedule(n, num_threads, max_concurrent, config, arrival_msec,
-                          controller.get(), faults, run_quantum,
+                          controller.get(),
+                          faults != nullptr ? *faults : no_faults, run_quantum,
                           EventLoopHooks{}, nullptr);
 }
 
@@ -793,7 +710,7 @@ Result<WorkloadReport> WorkloadDriver::Run(
   const size_t n = tasks.size();
   // Validation pass: compile every task against a scratch machine and
   // apply its initial order, so unknown tables / bad orders surface
-  // before any thread starts. Admission-time compiles repeat the same
+  // before anything executes. Admission-time compiles repeat the same
   // inputs and therefore cannot fail.
   {
     Pmu scratch = prototype_.CloneFresh();
@@ -806,173 +723,11 @@ Result<WorkloadReport> WorkloadDriver::Run(
     }
   }
 
-  // Anything that shapes execution or feedback through the schedule —
-  // shared-L3 contention, open-loop arrivals, the adaptive limit, fault
-  // injection / deadlines / retry — runs inside the deterministic event
-  // loop. The plain closed queue keeps the PR-4 threaded pool below,
-  // byte-for-byte.
-  if (options_.contention || options_.adaptive_admission ||
-      options_.arrival.kind != ArrivalKind::kClosed ||
-      FaultModeRequested(options_, tasks)) {
-    return RunEventDriven(tasks);
-  }
-
-  const size_t num_slots = options_.max_concurrent;
-  std::vector<QueryRun> runs(n);
-  // Warm mode: one long-lived machine per admission slot, created fresh
-  // on first use and carrying cache/predictor state to later queries.
-  std::vector<std::unique_ptr<Pmu>> slot_machines(num_slots);
-  const SchedulePolicyConfig policy_cfg = PolicyConfig(tasks);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<QueryRun*> ready;
-  std::vector<size_t> free_slots;
-  for (size_t s = 0; s < num_slots; ++s) free_slots.push_back(s);
-  std::vector<size_t> pending(n);
-  std::iota(pending.begin(), pending.end(), size_t{0});
-  std::vector<size_t> in_flight_set;
-  size_t finished = 0;
-  size_t peak_in_flight = 0;
-
-  // Admission (lock held): pick the next query per policy, bind it to a
-  // machine, compile its executor, open its full-run counter window, and
-  // enqueue it. Policy picks use static estimates only (there is no
-  // shared cache here), so the admission sequence is a pure function of
-  // the policy inputs — identical to the replay's, whatever the host
-  // timing of completions.
-  auto admit_locked = [&] {
-    while (!free_slots.empty()) {
-      const size_t pos =
-          PickNextAdmission(pending, policy_cfg, in_flight_set, nullptr);
-      if (pos == kNoPick) break;
-      const size_t index = pending[pos];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pos));
-      QueryRun& run = runs[index];
-      run.task = &tasks[index];
-      run.slot = free_slots.back();
-      free_slots.pop_back();
-      if (options_.deterministic) {
-        run.owned_pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
-        run.pmu = run.owned_pmu.get();
-      } else {
-        std::unique_ptr<Pmu>& slot = slot_machines[run.slot];
-        if (slot == nullptr) {
-          slot = std::make_unique<Pmu>(prototype_.CloneFresh());
-        } else {
-          slot->ResetCounters();  // keep warm caches and predictor state
-        }
-        run.pmu = slot.get();
-      }
-      auto exec = factory_(index, run.pmu);
-      NIPO_CHECK(exec.ok());  // the validation pass proved this compiles
-      run.exec = std::move(exec.ValueOrDie());
-      if (run.task->initial_order.has_value()) {
-        NIPO_CHECK(run.exec->Reorder(*run.task->initial_order).ok());
-      }
-      if (run.task->progressive) {
-        run.optimizer = std::make_unique<ProgressiveOptimizer>(
-            run.exec.get(), run.task->config);
-        run.optimizer->Begin();
-      }
-      run.run_begin = run.pmu->Read();
-      run.touched_workers.assign(options_.num_threads, 0);
-      ready.push_back(&run);
-      in_flight_set.push_back(index);
-      peak_in_flight = std::max(peak_in_flight, in_flight_set.size());
-    }
-  };
-
-  auto worker_main = [&](size_t worker_id) {
-    for (;;) {
-      QueryRun* run = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return !ready.empty() || finished == n; });
-        if (ready.empty()) return;  // all queries finished
-        run = ready.front();
-        ready.pop_front();
-      }
-      // One scheduling quantum, outside the lock: this worker is the
-      // sole owner of `run` (and its machine) until the yield below.
-      const CounterWindow quantum(run->pmu);
-      const size_t rows = run->exec->num_rows();
-      for (size_t b = 0; b < options_.burst_vectors && run->next_row < rows;
-           ++b) {
-        ExecuteOneVector(run);
-      }
-      run->quantum_msec.push_back(run->pmu->ToMilliseconds(quantum.Delta()));
-      run->touched_workers[worker_id] = 1;
-      ++run->quanta;
-      // Runtime data errors latch on the executor (exec/pipeline.h)
-      // instead of aborting; a latched query stops here and reports
-      // kFailed with its partial progress.
-      const bool failed = !run->exec->error().ok();
-      if (failed) {
-        run->outcome = QueryOutcome::kFailed;
-        run->error = run->exec->error();
-      }
-      run->quantum_fate.push_back(failed ? QuantumFate::kHardFault
-                                         : QuantumFate::kNormal);
-      const bool done = failed || run->next_row >= rows;
-      if (done) {
-        // Close the full-run window, exactly like the solo drivers.
-        run->drive.num_vectors = run->vector_index;
-        run->drive.total = run->pmu->Read() - run->run_begin;
-        run->drive.simulated_msec = run->pmu->ToMilliseconds(run->drive.total);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (done) {
-          ++finished;
-          const size_t index = static_cast<size_t>(run - runs.data());
-          in_flight_set.erase(std::find(in_flight_set.begin(),
-                                        in_flight_set.end(), index));
-          free_slots.push_back(run->slot);
-          admit_locked();
-          cv.notify_all();
-        } else {
-          ready.push_back(run);
-          cv.notify_one();
-        }
-      }
-    }
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    admit_locked();
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  if (options_.num_threads == 1) {
-    // Run inline, like ParallelDriver: no thread-spawn noise in the wall
-    // clock, and the single-worker path stays trivially serial.
-    worker_main(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(options_.num_threads);
-    for (size_t w = 0; w < options_.num_threads; ++w) {
-      threads.emplace_back(worker_main, w);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double wall_msec = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - wall_start)
-                               .count();
-
-  std::vector<std::vector<double>> quanta(n);
-  for (size_t i = 0; i < n; ++i) quanta[i] = runs[i].quantum_msec;
-  WorkloadReport report =
-      AssembleReport(tasks, &runs, options_, wall_msec, peak_in_flight);
-  const SimSchedule schedule = SimulateWorkloadSchedule(
-      quanta, options_.num_threads, options_.max_concurrent, policy_cfg);
-  ApplySchedule(schedule, &report);
-  return report;
-}
-
-Result<WorkloadReport> WorkloadDriver::RunEventDriven(
-    const std::vector<WorkloadTask>& tasks) {
-  const size_t n = tasks.size();
+  // Every run executes inside the deterministic event loop: quanta run
+  // serially on this thread at their simulated dispatch points, so the
+  // schedule is exactly what SimulateWorkloadSchedule replays from the
+  // recorded quanta.
+  //
   // Contention mode: one shared L3, sized like the prototype's, with one
   // owner id per query (the query index). Machines keep their private
   // L1/L2. Null when contention=off — queries then run interference-free
@@ -986,7 +741,7 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
     }
   }
   // Open-loop arrival schedule (empty = closed queue: everything
-  // admissible at t = 0, exactly the PR-4/5 event-loop behaviour).
+  // admissible at t = 0).
   std::vector<double> arrivals;
   if (options_.arrival.kind != ArrivalKind::kClosed) {
     arrivals = GenerateArrivalTimes(options_.arrival, n);
@@ -1000,109 +755,66 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
         n, options_.max_concurrent,
         domain != nullptr ? domain->capacity_lines() : 0, options_.admission);
   }
-  // Fault mode (DESIGN.md Section 9): the spec handed to the event loop
-  // (retry budget, deadlines, shedding switch) plus the live fault-draw
-  // coordinates. Null/absent when no fault feature is requested, keeping
-  // the fault-free event paths byte-identical to PR 5-7.
-  const bool fault_mode = FaultModeRequested(options_, tasks);
+  // Fault handling (DESIGN.md Section 9): the spec handed to the event
+  // loop (retry budget, deadlines, shedding switch) plus the live
+  // fault-draw coordinates. The default options give the default spec —
+  // one attempt, no deadlines, no shedding — under which only a latched
+  // runtime error ends a query early.
   ServiceFaultSpec fault_spec;
-  if (fault_mode) {
-    fault_spec.retry = options_.retry;
-    fault_spec.shed_deadline = options_.shed_deadline;
-    fault_spec.deadline_msec.resize(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      fault_spec.deadline_msec[i] = tasks[i].sim_deadline_msec;
-    }
+  fault_spec.retry = options_.retry;
+  fault_spec.shed_deadline = options_.shed_deadline;
+  for (const WorkloadTask& task : tasks) {
+    fault_spec.deadline_msec.push_back(task.sim_deadline_msec);
   }
-  const size_t max_attempts =
-      fault_mode ? std::max<size_t>(1, options_.retry.max_attempts) : 1;
+  const size_t max_attempts = options_.retry.max_attempts;
   std::vector<size_t> attempt_no(n, 0);
   std::vector<size_t> quantum_in_attempt(n, 0);
   constexpr double kNoKill = std::numeric_limits<double>::infinity();
 
-  const size_t num_slots = options_.max_concurrent;
   std::vector<QueryRun> runs(n);
-  std::vector<std::unique_ptr<Pmu>> slot_machines(num_slots);
-  std::vector<size_t> free_slots;
-  for (size_t s = 0; s < num_slots; ++s) free_slots.push_back(s);
   const SchedulePolicyConfig policy_cfg = PolicyConfig(tasks);
 
-  EventLoopHooks hooks;
-  hooks.on_admit = [&](size_t index) {
+  // Puts query `index` on a fresh private machine (attached to the shared
+  // L3 under contention), compiles its pipeline, applies its initial
+  // order, starts its optimizer and opens its full-run counter window.
+  // Admission and every retry go through here, so a retried attempt
+  // restarts exactly like a first one; the failed attempt's machine and
+  // execution state are discarded.
+  auto start_attempt = [&](size_t index) {
     QueryRun& run = runs[index];
     run.task = &tasks[index];
-    run.slot = free_slots.back();
-    free_slots.pop_back();
-    if (options_.deterministic) {
-      run.owned_pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
-      run.pmu = run.owned_pmu.get();
-    } else {
-      std::unique_ptr<Pmu>& slot = slot_machines[run.slot];
-      if (slot == nullptr) {
-        slot = std::make_unique<Pmu>(prototype_.CloneFresh());
-      } else {
-        slot->ResetCounters();  // keep warm private caches and predictor
-      }
-      run.pmu = slot.get();
-    }
+    run.pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
     if (domain != nullptr) {
       run.pmu->AttachSharedL3(domain.get(), static_cast<uint32_t>(index));
     }
-    auto exec = factory_(index, run.pmu);
+    auto exec = factory_(index, run.pmu.get());
     NIPO_CHECK(exec.ok());  // the validation pass proved this compiles
     run.exec = std::move(exec.ValueOrDie());
     if (run.task->initial_order.has_value()) {
       NIPO_CHECK(run.exec->Reorder(*run.task->initial_order).ok());
     }
+    run.optimizer.reset();
+    run.hook = nullptr;
     if (run.task->progressive) {
       run.optimizer = std::make_unique<ProgressiveOptimizer>(run.exec.get(),
                                                              run.task->config);
       run.optimizer->Begin();
-    }
-    run.run_begin = run.pmu->Read();
-    run.touched_workers.assign(1, 0);  // one host thread runs everything
-  };
-  hooks.on_complete = [&](size_t index) {
-    free_slots.push_back(runs[index].slot);
-  };
-  hooks.on_retry = [&](size_t index) {
-    // A transient fault is being retried: the query restarts from
-    // scratch. The failed attempt's machine state is discarded (fresh
-    // clone in deterministic mode; counter reset on the warm slot
-    // machine), the pipeline recompiles, and a progressive query gets a
-    // fresh optimizer — exactly the admission sequence, minus the slot
-    // bookkeeping (the query keeps its slot through the backoff).
-    QueryRun& run = runs[index];
-    ++attempt_no[index];
-    quantum_in_attempt[index] = 0;
-    run.error = Status::OK();
-    if (domain != nullptr) run.pmu->AttachSharedL3(nullptr, 0);
-    if (options_.deterministic) {
-      run.owned_pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
-      run.pmu = run.owned_pmu.get();
-    } else {
-      run.pmu->ResetCounters();
-    }
-    if (domain != nullptr) {
-      run.pmu->AttachSharedL3(domain.get(), static_cast<uint32_t>(index));
-    }
-    auto exec = factory_(index, run.pmu);
-    NIPO_CHECK(exec.ok());  // the validation pass proved this compiles
-    run.exec = std::move(exec.ValueOrDie());
-    if (run.task->initial_order.has_value()) {
-      NIPO_CHECK(run.exec->Reorder(*run.task->initial_order).ok());
-    }
-    if (run.task->progressive) {
-      run.optimizer = std::make_unique<ProgressiveOptimizer>(run.exec.get(),
-                                                             run.task->config);
-      run.optimizer->Begin();
-    } else {
-      run.optimizer.reset();
+      run.hook = [optimizer = run.optimizer.get()](const VectorSample& s) {
+        optimizer->OnVector(s);
+      };
     }
     run.run_begin = run.pmu->Read();
     run.next_row = 0;
     run.vector_index = 0;
     run.drive = DriveResult{};
+  };
+  EventLoopHooks hooks;
+  hooks.on_admit = start_attempt;
+  hooks.on_retry = [&](size_t index) {
+    ++attempt_no[index];
+    quantum_in_attempt[index] = 0;
+    runs[index].error = Status::OK();
+    start_attempt(index);
   };
   if (domain != nullptr) {
     hooks.live_footprint = [&domain](size_t index) -> uint64_t {
@@ -1124,7 +836,7 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
     // — schedule-independent, so every admission limit, worker count and
     // rerun sees the identical per-query fault sequence.
     FaultDraw draw;
-    if (fault_mode && options_.faults.enabled()) {
+    if (options_.faults.enabled()) {
       draw = DrawFault(options_.faults, index, attempt_no[index],
                        quantum_in_attempt[index]);
     }
@@ -1135,38 +847,31 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
     const double cancel_at =
         tasks[index].sim_cancel_msec > 0 ? tasks[index].sim_cancel_msec
                                          : kNoKill;
-    const CounterWindow quantum(run.pmu);
-    if (deadline_at < kNoKill || cancel_at < kNoKill) {
-      // Cooperative kill checks at every vector boundary, against
-      // *scheduled* time: the quantum's dispatch instant plus the
-      // (stall-scaled) simulated time of the vectors run so far. The
-      // per-vector windows only read counters, so the whole-quantum
-      // window below still yields the exact duration it always did.
-      double elapsed = 0;
-      for (size_t b = 0; b < options_.burst_vectors && run.next_row < rows;
-           ++b) {
-        const double now = start + elapsed;
-        if (now >= cancel_at) {
-          out.fate = QuantumFate::kCancel;
-          break;
-        }
-        if (now >= deadline_at) {
-          out.fate = QuantumFate::kDeadline;
-          break;
-        }
-        const CounterWindow vec(run.pmu);
-        ExecuteOneVector(&run);
-        if (!run.exec->error().ok()) break;  // latched; resolved below
-        double vec_msec = run.pmu->ToMilliseconds(vec.Delta());
-        if (draw.stall) vec_msec *= options_.faults.stall_factor;
-        elapsed += vec_msec;
+    // Cooperative kill checks at every vector boundary, against
+    // *scheduled* time: the quantum's dispatch instant plus the
+    // (stall-scaled) simulated time of the vectors run so far. Without a
+    // deadline or cancel point they never fire, and the per-vector
+    // windows only read counters, so the whole-quantum window still
+    // yields the exact duration.
+    const CounterWindow quantum(run.pmu.get());
+    double elapsed = 0;
+    for (size_t b = 0; b < options_.burst_vectors && run.next_row < rows;
+         ++b) {
+      const double now = start + elapsed;
+      if (now >= cancel_at) {
+        out.fate = QuantumFate::kCancel;
+        break;
       }
-    } else {
-      for (size_t b = 0; b < options_.burst_vectors && run.next_row < rows;
-           ++b) {
-        ExecuteOneVector(&run);
-        if (!run.exec->error().ok()) break;  // latched; resolved below
+      if (now >= deadline_at) {
+        out.fate = QuantumFate::kDeadline;
+        break;
       }
+      const CounterWindow vec(run.pmu.get());
+      ExecuteOneVector(&run);
+      if (!run.exec->error().ok()) break;  // latched; resolved below
+      double vec_msec = run.pmu->ToMilliseconds(vec.Delta());
+      if (draw.stall) vec_msec *= options_.faults.stall_factor;
+      elapsed += vec_msec;
     }
     // Resolve the quantum's fate, in precedence order: a kill check
     // above, else a latched runtime error, else the injected faults
@@ -1204,14 +909,13 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
     run.quantum_msec.push_back(out.duration_msec);
     run.quantum_evictions.push_back(out.evictions_suffered);
     run.quantum_fate.push_back(out.fate);
-    run.touched_workers[0] = 1;
     ++run.quanta;
     ++quantum_in_attempt[index];
     out.done = run.next_row >= rows;
     // The full-run counter window closes when the query leaves the
     // machine for good: normal completion, any kill or hard fault, or a
     // transient fault with no retry budget left. (A retried attempt
-    // instead resets the whole execution state in hooks.on_retry.)
+    // instead restarts on a fresh machine in hooks.on_retry.)
     const bool terminal =
         (out.fate == QuantumFate::kNormal && out.done) ||
         out.fate == QuantumFate::kHardFault ||
@@ -1262,21 +966,13 @@ Result<WorkloadReport> WorkloadDriver::RunEventDriven(
   const auto wall_start = std::chrono::steady_clock::now();
   const SimSchedule schedule = RunEventSchedule(
       n, options_.num_threads, options_.max_concurrent, policy_cfg, arrivals,
-      controller.get(), fault_mode ? &fault_spec : nullptr, run_quantum, hooks,
-      &peak_in_flight);
+      controller.get(), fault_spec, run_quantum, hooks, &peak_in_flight);
   const double wall_msec = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - wall_start)
                                .count();
 
-  // The loop owns the terminal outcomes (it decides retries, kills and
-  // shedding); fold them into the runs before report assembly.
-  for (size_t i = 0; i < n; ++i) {
-    runs[i].outcome = schedule.outcome[i];
-    runs[i].attempts = schedule.attempts[i];
-    runs[i].backoff_msec = schedule.backoff_msec[i];
-  }
-  WorkloadReport report =
-      AssembleReport(tasks, &runs, options_, wall_msec, peak_in_flight);
+  WorkloadReport report = AssembleReport(tasks, &runs, options_, schedule,
+                                         wall_msec, peak_in_flight);
   ApplySchedule(schedule, &report);
   if (domain != nullptr) {
     report.shared_l3_capacity_lines = domain->capacity_lines();

@@ -22,35 +22,38 @@
 ///
 /// A workload is a queue of queries over the shared table registry. The
 /// driver admits up to `max_concurrent` of them at a time (admission
-/// control, FIFO), and a pool of `num_threads` workers executes the
-/// admitted queries one *vector* at a time, round-robin: a worker claims
-/// the query at the front of the ready queue, runs one scheduling quantum
-/// (`burst_vectors` vectors) on that query's private simulated machine,
-/// and yields it back. Queries therefore time-share the pool at vector
+/// control, picked by SchedulePolicy) and runs the admitted queries one
+/// *scheduling quantum* (`burst_vectors` vectors) at a time, round-robin,
+/// on `num_threads` simulated cores: the front of the ready queue is
+/// dispatched to the earliest-free core, runs its quantum on that query's
+/// private simulated machine, and yields back to the ready queue.
+/// Queries therefore time-share the simulated cores at vector
 /// granularity — the workload analogue of the parallel driver's morsel
 /// scheduling (exec/parallel_driver.h) with queries in place of shards.
+///
+/// One deterministic event loop does all of this on the calling thread:
+/// each quantum executes at its simulated dispatch point, in event order,
+/// and its measured simulated duration decides when the core frees up
+/// again. The same loop, fed recorded quanta instead of live execution,
+/// is SimulateWorkloadSchedule — a live run and the replay of its
+/// recorded quanta land on the identical schedule.
 ///
 /// Every query owns a complete private simulated machine (Pmu::CloneFresh:
 /// cold caches, neutral predictor) and, when progressive, its own
 /// optimizer, so each query re-optimizes independently from its own
-/// counter windows while running concurrently with the others. Because a
-/// query's vectors execute strictly in order on that private state — no
-/// matter which worker runs which quantum — its results and counters are
-/// **bit-identical to running it alone single-threaded** through
-/// Engine::ExecuteBaseline / ExecuteProgressive. That is the driver's
-/// deterministic mode (the default; see WorkloadOptions::deterministic
-/// for the warm machine-reuse alternative).
+/// counter windows while interleaving with the others. Because a query's
+/// vectors execute strictly in order on that private state, its results
+/// and counters are **bit-identical to running it alone** through
+/// Engine::Execute — unless `contention` deliberately shares the L3.
 ///
 /// Concurrency metrics live in *simulated* time, like everything else in
-/// this repository: per-quantum simulated durations are replayed through a
-/// deterministic event-driven model of the worker pool, yielding a
-/// makespan, per-query latencies and queries/sec free of host-timing
-/// noise. They are bit-stable within a process and, for one binary with
-/// ASLR off, across reruns; heap placement otherwise moves them slightly,
-/// because the cache model keys off host addresses (EXPERIMENTS.md
-/// "Reproducibility").
-/// Host wall-clock of the pool region is reported alongside, wall-only
-/// and non-deterministic, as in ParallelDriveResult.
+/// this repository: makespan, per-query latencies and queries/sec come out
+/// of the event loop, free of host-timing noise. They are bit-stable
+/// within a process and, for one binary with ASLR off, across reruns;
+/// heap placement otherwise moves them slightly, because the cache model
+/// keys off host addresses (EXPERIMENTS.md "Reproducibility").
+/// Host wall-clock of the loop is reported alongside, wall-only and
+/// non-deterministic.
 ///
 /// Besides the closed queue (every query available at t = 0), the driver
 /// runs *open-loop* service-mode workloads (DESIGN.md "Open-loop service
@@ -62,9 +65,9 @@
 /// report. Optionally an adaptive admission controller (exec/admission.h)
 /// tunes the effective concurrency limit below `max_concurrent` from
 /// per-quantum interference feedback, with a floor-of-one progress
-/// guarantee. Open-loop, adaptive, and contended runs all execute inside
-/// the same deterministic event loop, so every latency figure is
-/// bit-stable and exactly replayable via SimulateWorkloadSchedule.
+/// guarantee. Arrivals, adaptive admission, shared-L3 contention and
+/// faults are all options of the one event loop, so every latency figure
+/// is bit-stable and exactly replayable via SimulateWorkloadSchedule.
 
 namespace nipo {
 
@@ -98,7 +101,7 @@ struct WorkloadTask {
   /// deadline is killed cooperatively at the next vector boundary
   /// (QueryOutcome::kDeadlineExceeded) with its partial-progress counters
   /// kept; with WorkloadOptions::shed_deadline it may instead be shed at
-  /// admission. Deadlines route the run through the event-driven path.
+  /// admission.
   double sim_deadline_msec = 0;
   /// Absolute simulated cancellation instant (0 = none): the query is
   /// killed cooperatively at the first vector boundary at or past this
@@ -109,7 +112,7 @@ struct WorkloadTask {
 /// \brief Admission-control policy of the workload scheduler. Policies
 /// act at *admission* time (which pending query takes a freed slot); the
 /// ready queue of admitted queries stays round-robin in every policy, so
-/// in-flight queries always time-share the pool fairly.
+/// in-flight queries always time-share the simulated cores fairly.
 enum class SchedulePolicy : int {
   /// Spec order (the PR-4 behaviour and the default).
   kFifo = 0,
@@ -134,38 +137,27 @@ std::string_view SchedulePolicyToString(SchedulePolicy policy);
 
 /// \brief Scheduling options of a workload execution.
 struct WorkloadOptions {
-  /// Worker pool size (>= 1). Also the core count of the simulated
-  /// schedule replay.
+  /// Simulated cores (>= 1) the event loop dispatches quanta to. Execution
+  /// itself always runs on the calling thread; this shapes only the
+  /// simulated schedule.
   size_t num_threads = 1;
   /// Admission control: maximum queries in flight (>= 1). Queries are
   /// admitted in spec order as slots free up.
   size_t max_concurrent = 1;
-  /// Vectors a worker executes on a claimed query before yielding it back
-  /// to the ready queue (the scheduling quantum).
+  /// Vectors a dispatched query executes before yielding back to the
+  /// ready queue (the scheduling quantum).
   size_t burst_vectors = 1;
-  /// Deterministic mode (default): every query runs on a fresh private
-  /// machine, so its results and counters are bit-identical to a solo
-  /// single-threaded run, and all simulated aggregates are bit-stable.
-  /// When false, the `max_concurrent` admission slots own long-lived
-  /// machines that carry cache and predictor state from one query to the
-  /// next (Pmu::ResetCounters keeps warm state, like a real core between
-  /// queries of a server); counters then depend on the admission schedule
-  /// exactly as on real silicon. Query *results* (tuple counts,
-  /// aggregates) are schedule-independent in both modes.
-  bool deterministic = true;
   /// Admission-control policy (see SchedulePolicy).
   SchedulePolicy policy = SchedulePolicy::kFifo;
   /// Shared-L3 contention modelling (DESIGN.md Section 6). When true,
   /// every query machine keeps its private L1/L2 but routes L3 fills
   /// through one SharedCacheDomain sized like the prototype's L3, so
   /// concurrent queries evict each other's lines and the per-query
-  /// counters show the interference. Execution is serialized into the
-  /// event-driven schedule itself (quanta run at their simulated dispatch
-  /// points, in event order), which makes the L3 interleaving — and every
-  /// counter — a pure function of the schedule: bit-stable across reruns
-  /// and hosts, like everything else here. When false (default), queries
-  /// run interference-free on the PR-4 threaded pool, bit-identical to
-  /// solo runs in deterministic mode.
+  /// counters show the interference. Quanta run at their simulated
+  /// dispatch points, in event order, which makes the L3 interleaving —
+  /// and every counter — a pure function of the schedule. When false
+  /// (default), queries run interference-free, bit-identical to solo
+  /// runs.
   bool contention = false;
   /// Contention-mode self-audit: after every quantum, NIPO_CHECK the
   /// domain's accounting invariants (per-owner occupancy sums to the
@@ -175,23 +167,19 @@ struct WorkloadOptions {
   /// Arrival process of the workload (exec/arrival.h). kClosed (default)
   /// is the PR-4/5 closed queue; any open kind enqueues query i only at
   /// its generated simulated arrival instant and reports per-query
-  /// latency = queue wait + in-service span. Open-loop runs execute
-  /// inside the deterministic event loop (like contention mode), so all
-  /// latency figures are bit-stable.
+  /// latency = queue wait + in-service span.
   ArrivalSpec arrival;
   /// Adaptive admission (exec/admission.h): tune the effective
   /// concurrency limit within [1, max_concurrent] from per-quantum
   /// interference feedback instead of pinning it at max_concurrent.
   /// Composes with `contention` (eviction feedback) and any arrival
-  /// kind; runs inside the event loop.
+  /// kind.
   bool adaptive_admission = false;
   /// Thresholds and cadence of the adaptive controller.
   AdmissionConfig admission;
   /// Seeded fault injection (exec/faults.h; DESIGN.md Section 9). The
-  /// default plan injects nothing and leaves every execution path —
-  /// threaded pool and event loop — byte-identical to a fault-free
-  /// build. Any enabled plan routes the run through the event-driven
-  /// path, where fault timing is part of the deterministic schedule.
+  /// default plan injects nothing; an enabled plan's fault timing is part
+  /// of the deterministic schedule.
   FaultPlan faults;
   /// Retry policy for transient (retryable) faults: capped exponential
   /// backoff in simulated time. max_attempts = 1 (default) disables
@@ -200,7 +188,7 @@ struct WorkloadOptions {
   /// Deadline-aware admission shedding (DeadlineShedder, exec/
   /// admission.h): once calibrated by completed queries, admission picks
   /// predicted to miss their deadline are rejected as
-  /// QueryOutcome::kShed instead of burning worker time and dying at a
+  /// QueryOutcome::kShed instead of burning core time and dying at a
   /// vector boundary.
   bool shed_deadline = false;
 };
@@ -221,8 +209,8 @@ enum class QuantumFate : uint8_t {
 struct WorkloadQueryReport {
   std::string name;
   bool progressive = false;
-  /// Results and full-run counters on the query's machine. In
-  /// deterministic mode, bit-identical to the solo single-threaded run.
+  /// Results and full-run counters on the query's machine. Without
+  /// contention, bit-identical to the solo single-threaded run.
   DriveResult drive;
   /// Progressive-only: the PEO trace of this query's private optimizer
   /// (empty for baseline queries).
@@ -230,10 +218,10 @@ struct WorkloadQueryReport {
   size_t num_optimizations = 0;
   std::vector<double> last_estimate;
   std::vector<size_t> final_order;
-  /// Simulated schedule (deterministic replay): arrival instant, first
-  /// dispatch and completion on the simulated worker pool. In the closed
-  /// queue every arrival is 0 and latency equals sim_finish_msec; in
-  /// open-loop modes the latency decomposition is
+  /// Simulated schedule: arrival instant, first dispatch and completion
+  /// on the simulated cores. In the closed queue every arrival is 0 and
+  /// latency equals sim_finish_msec; in open-loop modes the latency
+  /// decomposition is
   ///   sim_latency_msec = sim_queue_wait_msec + (finish - start)
   /// with sim_queue_wait_msec = sim_start_msec - sim_arrival_msec, exact
   /// in floating point by construction.
@@ -244,11 +232,10 @@ struct WorkloadQueryReport {
   double sim_latency_msec = 0;
   /// Scheduling quanta this query was dispatched in.
   size_t quanta = 0;
-  /// Distinct host workers that executed at least one quantum of it.
-  size_t workers_touched = 0;
   /// Per-quantum simulated durations (the schedule-replay input; exposed
-  /// so tests can cross-check live contended schedules against
-  /// SimulateWorkloadSchedule).
+  /// so tests can cross-check live schedules against
+  /// SimulateWorkloadSchedule). The four quantum_* arrays are parallel:
+  /// element k of each forms the QuantumTrace of quantum k.
   std::vector<double> quantum_msec;
   /// Per-quantum shared-L3 evictions suffered inside the quantum's
   /// counter window (parallel to quantum_msec; all zero when
@@ -287,8 +274,8 @@ struct WorkloadQueryReport {
 /// \brief Aggregate outcome of a workload execution.
 struct WorkloadReport {
   std::vector<WorkloadQueryReport> queries;
-  /// Completion time of the last query in the deterministic simulated
-  /// schedule (num_threads simulated cores, the configured admission and
+  /// Completion time of the last query in the simulated schedule
+  /// (num_threads simulated cores, the configured admission and
   /// round-robin policy).
   double sim_makespan_msec = 0;
   /// queries.size() / sim_makespan; the workload throughput headline.
@@ -297,7 +284,7 @@ struct WorkloadReport {
   /// workload one query at a time on one core (the serial baseline the
   /// makespan is compared against; speedup = sim_serial / sim_makespan).
   double sim_serial_msec = 0;
-  /// Host wall-clock of the pool region (not simulated, not
+  /// Host wall-clock of the event loop (not simulated, not
   /// deterministic).
   double wall_msec = 0;
   double wall_queries_per_sec = 0;
@@ -343,8 +330,8 @@ struct WorkloadReport {
   double total_backoff_msec = 0;
 };
 
-/// \brief The deterministic simulated schedule of a workload, replayed
-/// from per-quantum durations (exposed separately for tests).
+/// \brief The deterministic simulated schedule of a workload: what the
+/// event loop produced live, or replayed from recorded quanta.
 struct SimSchedule {
   std::vector<double> arrival_msec;  ///< arrival instant per query (0 if
                                      ///< closed)
@@ -382,21 +369,6 @@ struct SchedulePolicyConfig {
   /// Per-query info; empty means all-default (every query identical).
   std::vector<ScheduleTaskInfo> tasks;
 };
-
-/// \brief Replays the pool's scheduling policy (FIFO admission of at most
-/// `max_concurrent` queries, round-robin ready queue, `num_threads`
-/// workers, earliest-free-worker dispatch) in simulated time.
-/// `quantum_msec[q]` holds query q's per-quantum simulated durations.
-SimSchedule SimulateWorkloadSchedule(
-    const std::vector<std::vector<double>>& quantum_msec, size_t num_threads,
-    size_t max_concurrent);
-
-/// \brief Policy-aware overload: same event-driven replay with admission
-/// picked by `config.policy` instead of FIFO. With a default-constructed
-/// config this is exactly the overload above (same event loop).
-SimSchedule SimulateWorkloadSchedule(
-    const std::vector<std::vector<double>>& quantum_msec, size_t num_threads,
-    size_t max_concurrent, const SchedulePolicyConfig& config);
 
 /// \brief One recorded scheduling quantum: its simulated duration, the
 /// shared-L3 evictions the query suffered inside the quantum's counter
@@ -436,14 +408,17 @@ struct ServiceFaultSpec {
   bool shed_deadline = false;
 };
 
-/// \brief Full service-mode overload: event-driven replay with arrivals
+/// \brief Replays a workload's schedule from its recorded quanta
+/// (`quanta[q]` holds query q's QuantumTraces) through the live driver's
+/// own event loop: admission picked by `config.policy` into at most
+/// `max_concurrent` slots, a round-robin ready queue, dispatch to the
+/// earliest-free of `num_threads` simulated cores. Arrivals
 /// (`arrival_msec[q]`, non-decreasing in q; empty means closed queue)
-/// and, when `adaptive` is non-null, an AdmissionController rebuilt from
-/// the recorded quantum traces, evolving the effective concurrency limit
-/// exactly as the live run did. With empty arrivals and null `adaptive`
-/// this is exactly the policy-aware overload above.
+/// gate admission; when `adaptive` is non-null, an AdmissionController
+/// rebuilt from the recorded quantum traces evolves the effective
+/// concurrency limit exactly as the live run did.
 ///
-/// Fault mode: a non-null `faults` interprets the recorded QuantumTrace
+/// Faults: a non-null `faults` interprets the recorded QuantumTrace
 /// fates — kTransientFault quanta re-enter the ready queue after their
 /// reconstructed backoff (until the retry budget is spent), kill fates
 /// complete the query — and re-derives shedding, reproducing the live
@@ -456,20 +431,18 @@ SimSchedule SimulateWorkloadSchedule(
     const AdaptiveAdmissionSpec* adaptive = nullptr,
     const ServiceFaultSpec* faults = nullptr);
 
-/// \brief Drives a multi-query workload over a shared worker pool.
+/// \brief Drives a multi-query workload through the event loop.
 class WorkloadDriver {
  public:
   /// Compiles task `index`'s pipeline against the machine it was admitted
-  /// on. Called under the scheduler lock, once per admission (plus once
-  /// per task, against a scratch machine, for the up-front validation
-  /// pass).
+  /// on. Called once per attempt (plus once per task, against a scratch
+  /// machine, for the up-front validation pass).
   using ExecutorFactory =
       std::function<Result<std::unique_ptr<PipelineExecutor>>(size_t index,
                                                               Pmu* pmu)>;
 
   /// \param prototype machine-configuration donor; every query machine
-  ///        (deterministic mode) or slot machine (warm mode) is
-  ///        prototype.CloneFresh().
+  ///        is prototype.CloneFresh().
   WorkloadDriver(const Pmu& prototype, ExecutorFactory factory,
                  WorkloadOptions options);
 
@@ -480,13 +453,6 @@ class WorkloadDriver {
   const WorkloadOptions& options() const { return options_; }
 
  private:
-  /// Event-driven execution: quanta run serially inside the event loop
-  /// itself, at their simulated dispatch points. Used whenever the
-  /// schedule shapes execution or feedback — contention mode (shared L3
-  /// domain), open-loop arrivals, adaptive admission — in any
-  /// combination.
-  Result<WorkloadReport> RunEventDriven(const std::vector<WorkloadTask>& tasks);
-
   /// The scheduling-field view of `tasks` plus this driver's policy and
   /// L3 budget (prototype L3 capacity).
   SchedulePolicyConfig PolicyConfig(

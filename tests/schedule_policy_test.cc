@@ -6,6 +6,7 @@
 #include "common/prng.h"
 #include "core/engine.h"
 #include "exec/workload_driver.h"
+#include "workload_replay.h"
 
 // Coverage for the admission-control policies of the workload scheduler
 // (SchedulePolicy in exec/workload_driver.h): SRWF honors the work
@@ -38,7 +39,7 @@ bool Overlaps(const SimSchedule& s, size_t a, size_t b) {
 TEST(SchedulePolicyTest, SrwfAdmitsShortestRemainingWorkFirst) {
   // One worker, one admission slot: completion order == admission order.
   const std::vector<std::vector<double>> quanta = {{10.0}, {10.0}, {10.0}};
-  const SimSchedule s = SimulateWorkloadSchedule(
+  const SimSchedule s = ReplayDurations(
       quanta, 1, 1,
       Config(SchedulePolicy::kSrwf, {{0, 3.0, 0}, {0, 1.0, 0}, {0, 2.0, 0}}));
   EXPECT_EQ(s.start_msec, (std::vector<double>{20.0, 0.0, 10.0}));
@@ -47,7 +48,7 @@ TEST(SchedulePolicyTest, SrwfAdmitsShortestRemainingWorkFirst) {
 
 TEST(SchedulePolicyTest, SrwfTiesBreakInSpecOrder) {
   const std::vector<std::vector<double>> quanta = {{5.0}, {5.0}, {5.0}};
-  const SimSchedule s = SimulateWorkloadSchedule(
+  const SimSchedule s = ReplayDurations(
       quanta, 1, 1,
       Config(SchedulePolicy::kSrwf, {{0, 2.0, 0}, {0, 2.0, 0}, {0, 2.0, 0}}));
   EXPECT_EQ(s.start_msec, (std::vector<double>{0.0, 5.0, 10.0}));
@@ -55,7 +56,7 @@ TEST(SchedulePolicyTest, SrwfTiesBreakInSpecOrder) {
 
 TEST(SchedulePolicyTest, PriorityAdmitsHighestFirstFifoAmongEqual) {
   const std::vector<std::vector<double>> quanta = {{4.0}, {4.0}, {4.0}, {4.0}};
-  const SimSchedule s = SimulateWorkloadSchedule(
+  const SimSchedule s = ReplayDurations(
       quanta, 1, 1,
       Config(SchedulePolicy::kPriority,
              {{0, 0, 0}, {5, 0, 0}, {1, 0, 0}, {5, 0, 0}}));
@@ -69,7 +70,7 @@ TEST(SchedulePolicyTest, PriorityDoesNotStarveLowPriority) {
   // with whatever is in flight (no in-flight preemption).
   const std::vector<std::vector<double>> quanta = {
       {2.0, 2.0, 2.0}, {2.0, 2.0}, {2.0, 2.0}, {2.0, 2.0}};
-  const SimSchedule s = SimulateWorkloadSchedule(
+  const SimSchedule s = ReplayDurations(
       quanta, 1, 2,
       Config(SchedulePolicy::kPriority,
              {{-1, 0, 0}, {3, 0, 0}, {2, 0, 0}, {1, 0, 0}}));
@@ -93,10 +94,10 @@ TEST(SchedulePolicyTest, FootprintAwareAvoidsOvercapacityPairing) {
       {10.0, 10.0}, {10.0, 10.0}, {10.0, 10.0}};
   const std::vector<ScheduleTaskInfo> tasks = {
       {0, 0, 60}, {0, 0, 60}, {0, 0, 30}};
-  const SimSchedule fifo = SimulateWorkloadSchedule(
+  const SimSchedule fifo = ReplayDurations(
       quanta, 2, 2, Config(SchedulePolicy::kFifo, tasks, 100));
   EXPECT_TRUE(Overlaps(fifo, 0, 1));  // the pairing being avoided
-  const SimSchedule fp = SimulateWorkloadSchedule(
+  const SimSchedule fp = ReplayDurations(
       quanta, 2, 2, Config(SchedulePolicy::kFootprintAware, tasks, 100));
   EXPECT_TRUE(Overlaps(fp, 0, 2));    // the alternative pairing
   EXPECT_FALSE(Overlaps(fp, 0, 1));   // 60 + 60 never co-resident
@@ -110,7 +111,7 @@ TEST(SchedulePolicyTest, FootprintAwareProgressGuarantee) {
   // which is what makes such queries admissible at all): the machine
   // never idles forever — queries run, one at a time.
   const std::vector<std::vector<double>> quanta = {{6.0}, {6.0}};
-  const SimSchedule s = SimulateWorkloadSchedule(
+  const SimSchedule s = ReplayDurations(
       quanta, 2, 2,
       Config(SchedulePolicy::kFootprintAware, {{0, 0, 200}, {0, 0, 150}},
              100));
@@ -124,9 +125,9 @@ TEST(SchedulePolicyTest, FootprintAwareWithoutBudgetDegeneratesToFifo) {
       {3.0, 3.0}, {3.0}, {3.0, 3.0}, {3.0}};
   const std::vector<ScheduleTaskInfo> tasks = {
       {0, 0, 64}, {0, 0, 32}, {0, 0, 16}, {0, 0, 8}};
-  const SimSchedule fifo = SimulateWorkloadSchedule(
+  const SimSchedule fifo = ReplayDurations(
       quanta, 2, 2, Config(SchedulePolicy::kFifo, tasks, 0));
-  const SimSchedule fp = SimulateWorkloadSchedule(
+  const SimSchedule fp = ReplayDurations(
       quanta, 2, 2, Config(SchedulePolicy::kFootprintAware, tasks, 0));
   EXPECT_EQ(fp.start_msec, fifo.start_msec);
   EXPECT_EQ(fp.finish_msec, fifo.finish_msec);
@@ -205,7 +206,7 @@ TEST(SchedulePolicyTest, EngineSrwfStartsSmallTablesFirst) {
   Engine engine = MakePolicyEngine();
   WorkloadSpec spec = MakePolicyWorkload(engine);
   spec.options.policy = SchedulePolicy::kSrwf;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.policy, SchedulePolicy::kSrwf);
@@ -225,7 +226,7 @@ TEST(SchedulePolicyTest, EnginePriorityAdmitsHighestFirst) {
   Engine engine = MakePolicyEngine();
   WorkloadSpec spec = MakePolicyWorkload(engine);
   spec.options.policy = SchedulePolicy::kPriority;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries[IndexOf(report, "small_1")].sim_start_msec, 0.0);
@@ -239,18 +240,18 @@ TEST(SchedulePolicyTest, PoliciesLeaveQueryCountersUntouched) {
   WorkloadSpec spec = MakePolicyWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto fifo = engine.ExecuteWorkload(spec);
+  auto fifo = engine.Execute(spec);
   ASSERT_TRUE(fifo.ok());
   for (const SchedulePolicy policy :
        {SchedulePolicy::kSrwf, SchedulePolicy::kPriority,
         SchedulePolicy::kFootprintAware}) {
     spec.options.policy = policy;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     for (size_t i = 0; i < report.queries.size(); ++i) {
       // Admission order is the only degree of freedom: per-query work is
-      // bit-identical under every policy (deterministic mode, no shared
+      // bit-identical under every policy (private machines, no shared
       // state).
       EXPECT_EQ(report.queries[i].drive.total,
                 fifo.ValueOrDie().queries[i].drive.total)
@@ -281,7 +282,7 @@ TEST(SchedulePolicyTest, EngineFootprintAwareSerializesThrashingPair) {
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
   spec.options.policy = SchedulePolicy::kFootprintAware;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   // Each streams ~700 KB against a 960 KB L3: capped claims exhaust the

@@ -13,6 +13,7 @@
 #include "exec/faults.h"
 #include "exec/parallel_driver.h"
 #include "exec/workload_driver.h"
+#include "workload_replay.h"
 
 // Fault-tolerance layer tests (DESIGN.md Section 9 "Fault-tolerant
 // service"):
@@ -165,22 +166,6 @@ DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q) {
   return r.ValueOrDie().drive;
 }
 
-/// The fault-mode QuantumTrace replay input recorded in a report.
-std::vector<std::vector<QuantumTrace>> TracesOf(const WorkloadReport& report) {
-  std::vector<std::vector<QuantumTrace>> traces(report.queries.size());
-  for (size_t i = 0; i < report.queries.size(); ++i) {
-    const WorkloadQueryReport& q = report.queries[i];
-    EXPECT_EQ(q.quantum_msec.size(), q.quantum_evictions.size());
-    EXPECT_EQ(q.quantum_msec.size(), q.quantum_occupancy.size());
-    EXPECT_EQ(q.quantum_msec.size(), q.quantum_fate.size());
-    for (size_t k = 0; k < q.quantum_msec.size(); ++k) {
-      traces[i].push_back({q.quantum_msec[k], q.quantum_evictions[k],
-                           q.quantum_occupancy[k], q.quantum_fate[k]});
-    }
-  }
-  return traces;
-}
-
 /// The per-query fault signature the determinism tests compare.
 struct FaultSignature {
   QueryOutcome outcome;
@@ -206,7 +191,7 @@ TEST(ServiceFaultsTest, FaultFreeRunKeepsFaultFieldsInert) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_ok, report.queries.size());
@@ -230,15 +215,14 @@ TEST(ServiceFaultsTest, FaultFreeRunKeepsFaultFieldsInert) {
 }
 
 TEST(ServiceFaultsTest, RetryRoutingWithoutFaultsMatchesSoloBitwise) {
-  // A retry budget (or shedding switch) routes the run through the
-  // event-driven path even when no fault ever fires; results must stay
-  // bit-identical to solo runs regardless.
+  // A retry budget that no fault ever uses changes nothing: results stay
+  // bit-identical to solo runs.
   Engine engine = MakeFaultEngine();
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
   spec.options.retry.max_attempts = 4;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_ok, report.queries.size());
@@ -274,9 +258,9 @@ TEST(ServiceFaultsTest, FaultScheduleIsIdenticalAcrossConcurrencyAndReruns) {
       spec.options.retry.max_attempts = 4;
       spec.options.retry.backoff_base_msec = 0.5;
       spec.options.retry.backoff_cap_msec = 8.0;
-      auto first = engine.ExecuteWorkload(spec);
+      auto first = engine.Execute(spec);
       ASSERT_TRUE(first.ok());
-      auto second = engine.ExecuteWorkload(spec);
+      auto second = engine.Execute(spec);
       ASSERT_TRUE(second.ok());
       const WorkloadReport& a = first.ValueOrDie();
       const WorkloadReport& b = second.ValueOrDie();
@@ -328,7 +312,7 @@ TEST(ServiceFaultsTest, StallsInflateScheduleNotCounters) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto clean_result = engine.ExecuteWorkload(spec);
+  auto clean_result = engine.Execute(spec);
   ASSERT_TRUE(clean_result.ok());
   const WorkloadReport& clean = clean_result.ValueOrDie();
 
@@ -338,7 +322,7 @@ TEST(ServiceFaultsTest, StallsInflateScheduleNotCounters) {
   // slow).
   spec.options.faults.stall_rate = 1.0;
   spec.options.faults.stall_factor = 4.0;
-  auto stalled_result = engine.ExecuteWorkload(spec);
+  auto stalled_result = engine.Execute(spec);
   ASSERT_TRUE(stalled_result.ok());
   const WorkloadReport& stalled = stalled_result.ValueOrDie();
   ASSERT_EQ(stalled.queries.size(), clean.queries.size());
@@ -369,7 +353,7 @@ TEST(ServiceFaultsTest, TransientFaultsExhaustRetryBudgetWithCappedBackoff) {
   spec.options.retry.max_attempts = 3;
   spec.options.retry.backoff_base_msec = 2.0;
   spec.options.retry.backoff_cap_msec = 64.0;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_failed, report.queries.size());
@@ -399,7 +383,7 @@ TEST(ServiceFaultsTest, PoisonQueryFailsHardWithoutRetry) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.faults.poison_queries = {1};
   spec.options.retry.max_attempts = 3;  // retry must NOT apply to poison
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_failed, 1u);
@@ -429,7 +413,7 @@ TEST(ServiceFaultsTest, DeadlineKillsAtVectorBoundaryWithPartialProgress) {
   const DriveResult solo = SoloDrive(engine, spec.queries[0]);
   ASSERT_GT(solo.simulated_msec, 0.0);
   spec.queries[0].sim_deadline_msec = 0.3 * solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_deadline_exceeded, 1u);
@@ -453,7 +437,7 @@ TEST(ServiceFaultsTest, CancellationKillsAtAbsoluteSimInstant) {
   spec.queries[1].sim_cancel_msec = 0.2 * solo.simulated_msec;
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.queries_cancelled, 1u);
@@ -479,14 +463,14 @@ TEST(ServiceFaultsTest, DeadlineSheddingPrefersEarlyRejection) {
   }
   spec.options.num_threads = 1;
   spec.options.max_concurrent = 1;
-  auto late_result = engine.ExecuteWorkload(spec);
+  auto late_result = engine.Execute(spec);
   ASSERT_TRUE(late_result.ok());
   const WorkloadReport& late = late_result.ValueOrDie();
   EXPECT_GT(late.queries_deadline_exceeded, 0u);
   EXPECT_EQ(late.queries_shed, 0u);
 
   spec.options.shed_deadline = true;
-  auto shed_result = engine.ExecuteWorkload(spec);
+  auto shed_result = engine.Execute(spec);
   ASSERT_TRUE(shed_result.ok());
   const WorkloadReport& shed = shed_result.ValueOrDie();
   // Shedding turns late deadline misses into admission-time rejections:
@@ -530,7 +514,7 @@ TEST(ServiceFaultsTest, FaultyScheduleReplaysExactly) {
   spec.options.shed_deadline = true;
   spec.queries[2].sim_deadline_msec = 10.0 * solo.simulated_msec;
   spec.queries[5].sim_deadline_msec = 0.5 * solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
 
@@ -687,14 +671,13 @@ TEST(ServiceFaultsTest, FkOutOfRangeFailsWorkloadQueryKeepsOthers) {
   spec.queries = {good, bad, good};
   spec.queries[2].name = "good_scan_2";
   const DriveResult solo = SoloDrive(engine, good);
-  // Both execution paths must latch identically: the threaded pool
-  // (default options) and the event loop (forced by a retry budget —
-  // which must NOT retry a hard data error).
+  // A latched data error fails the query identically with and without a
+  // retry budget: the budget must NOT retry a hard data error.
   for (const size_t max_attempts : {size_t{1}, size_t{3}}) {
     spec.options.num_threads = 2;
     spec.options.max_concurrent = 2;
     spec.options.retry.max_attempts = max_attempts;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     EXPECT_EQ(report.queries_failed, 1u);
@@ -765,7 +748,7 @@ TEST(ServiceFaultsTest, FaultOptionsValidate) {
   Engine engine = MakeFaultEngine();
   const WorkloadSpec base = MakeMixedWorkload(engine);
   auto expect_invalid = [&](WorkloadSpec spec) {
-    EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+    EXPECT_EQ(engine.Execute(spec).status().code(),
               StatusCode::kInvalidArgument);
   };
   WorkloadSpec spec = base;

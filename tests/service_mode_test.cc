@@ -9,6 +9,7 @@
 #include "common/prng.h"
 #include "core/engine.h"
 #include "exec/workload_driver.h"
+#include "workload_replay.h"
 
 // Differential test layer for the open-loop service mode (DESIGN.md
 // Section 7 "Open-loop service mode"):
@@ -153,21 +154,6 @@ DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
   return r.ValueOrDie().drive;
 }
 
-/// The QuantumTrace replay input recorded in a report.
-std::vector<std::vector<QuantumTrace>> TracesOf(const WorkloadReport& report) {
-  std::vector<std::vector<QuantumTrace>> traces(report.queries.size());
-  for (size_t i = 0; i < report.queries.size(); ++i) {
-    const WorkloadQueryReport& q = report.queries[i];
-    EXPECT_EQ(q.quantum_msec.size(), q.quantum_evictions.size());
-    EXPECT_EQ(q.quantum_msec.size(), q.quantum_occupancy.size());
-    for (size_t k = 0; k < q.quantum_msec.size(); ++k) {
-      traces[i].push_back(
-          {q.quantum_msec[k], q.quantum_evictions[k], q.quantum_occupancy[k]});
-    }
-  }
-  return traces;
-}
-
 // ---------------------------------------------------------------------------
 // (a) Open-loop at vanishing arrival rate == solo runs, bit for bit.
 // ---------------------------------------------------------------------------
@@ -180,7 +166,7 @@ TEST(ServiceModeTest, VanishingArrivalRateMatchesSoloRunsBitwise) {
   spec.options.arrival.rate_qps = 1e-3;  // 1e6 msec between arrivals
   for (size_t threads : TestThreadCounts()) {
     spec.options.num_threads = threads;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     ASSERT_EQ(report.queries.size(), spec.queries.size());
@@ -225,13 +211,13 @@ TEST(ServiceModeTest, SimultaneousArrivalsMatchClosedQueueEventForEvent) {
       WorkloadSpec spec = MakeMixedWorkload(engine);
       spec.options.num_threads = threads;
       spec.options.max_concurrent = max_concurrent;
-      auto closed_result = engine.ExecuteWorkload(spec);
+      auto closed_result = engine.Execute(spec);
       ASSERT_TRUE(closed_result.ok());
       const WorkloadReport& closed = closed_result.ValueOrDie();
 
       spec.options.arrival.kind = ArrivalKind::kUniform;
       spec.options.arrival.rate_qps = std::numeric_limits<double>::infinity();
-      auto open_result = engine.ExecuteWorkload(spec);
+      auto open_result = engine.Execute(spec);
       ASSERT_TRUE(open_result.ok());
       const WorkloadReport& open = open_result.ValueOrDie();
 
@@ -273,9 +259,9 @@ TEST(ServiceModeTest, LatencyIsDeterministicAndDecomposesExactly) {
       spec.options.arrival.kind = ArrivalKind::kPoisson;
       spec.options.arrival.rate_qps = 100.0;
       spec.options.arrival.seed = 7;
-      auto first = engine.ExecuteWorkload(spec);
+      auto first = engine.Execute(spec);
       ASSERT_TRUE(first.ok());
-      auto second = engine.ExecuteWorkload(spec);
+      auto second = engine.Execute(spec);
       ASSERT_TRUE(second.ok());
       const WorkloadReport& a = first.ValueOrDie();
       const WorkloadReport& b = second.ValueOrDie();
@@ -330,7 +316,7 @@ TEST(ServiceModeTest, OpenLoopAdaptiveContendedScheduleReplaysExactly) {
   spec.options.arrival.rate_qps = 200.0;
   spec.options.arrival.seed = 13;
   spec.options.arrival.burst_len = 3;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.arrival_kind, ArrivalKind::kBursty);
@@ -379,15 +365,11 @@ TEST(ServiceModeTest, SimulateWorkloadScheduleHonorsArrivals) {
   EXPECT_EQ(queued.finish_msec, (std::vector<double>{10.0, 20.0}));
   EXPECT_EQ(queued.queue_wait_msec, (std::vector<double>{0.0, 5.0}));
   EXPECT_EQ(queued.latency_msec, (std::vector<double>{10.0, 15.0}));
-  // Empty arrivals == the closed-queue overloads, field for field.
-  const std::vector<std::vector<double>> plain = {{10.0}, {10.0}};
-  const SimSchedule closed_new =
-      SimulateWorkloadSchedule(quanta, {}, 2, 1, SchedulePolicyConfig{});
-  const SimSchedule closed_old = SimulateWorkloadSchedule(plain, 2, 1);
-  EXPECT_EQ(closed_new.start_msec, closed_old.start_msec);
-  EXPECT_EQ(closed_new.finish_msec, closed_old.finish_msec);
-  EXPECT_EQ(closed_new.makespan_msec, closed_old.makespan_msec);
-  EXPECT_EQ(closed_old.latency_msec, closed_old.finish_msec);  // arrive at 0
+  // Empty arrivals: the closed queue, everything arriving at t = 0.
+  const SimSchedule closed = ReplayDurations({{10.0}, {10.0}}, 2, 1);
+  EXPECT_EQ(closed.start_msec, (std::vector<double>{0.0, 10.0}));
+  EXPECT_EQ(closed.finish_msec, (std::vector<double>{10.0, 20.0}));
+  EXPECT_EQ(closed.latency_msec, closed.finish_msec);  // arrive at 0
 }
 
 // ---------------------------------------------------------------------------
@@ -407,7 +389,7 @@ TEST(ServiceModeTest, OverloadGrowsQueueWaitMonotonically) {
   // Arrivals 5x faster than the server drains: every gap adds another
   // (service - gap) of backlog.
   spec.options.arrival.rate_qps = 5e3 / solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   for (size_t i = 1; i < report.queries.size(); ++i) {
@@ -438,7 +420,7 @@ TEST(ServiceModeTest, AdaptiveControllerNeverStarvesUnderOverload) {
   spec.options.admission.hold_epochs = 0;
   spec.options.arrival.kind = ArrivalKind::kUniform;
   spec.options.arrival.rate_qps = 5e3 / solo.simulated_msec;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_GT(report.admission_decreases, 0u);
@@ -545,21 +527,21 @@ TEST(ServiceModeTest, ServiceOptionsValidate) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.arrival.kind = ArrivalKind::kPoisson;
   spec.options.arrival.rate_qps = 0;  // open kind needs a positive rate
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.arrival.rate_qps = 100.0;
   spec.options.arrival.kind = ArrivalKind::kBursty;
   spec.options.arrival.burst_rate_qps = 50.0;  // below the mean rate
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.arrival.burst_rate_qps = 0;
   spec.options.arrival.burst_len = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.arrival = ArrivalSpec{};
   spec.options.adaptive_admission = true;
   spec.options.admission.epoch_quanta = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -59,7 +59,7 @@ Engine MakeEngine(const TpchConfig& config, bool encoded) {
 }
 
 TEST(StorageScanTest, ShimsAndUnifiedExecuteBitIdenticalPlain) {
-  // Encodings off: the four legacy entry points must match Execute()
+  // Encodings off: the legacy entry points must match Execute()
   // bit-for-bit on results and counters (same engine, same registered
   // arrays, so the address-based cache simulation sees identical
   // addresses).
@@ -122,30 +122,6 @@ TEST(StorageScanTest, ShimsAndUnifiedExecuteBitIdenticalPlain) {
     EXPECT_EQ(shim.ValueOrDie().drive.merged.aggregate, u.aggregate);
     EXPECT_EQ(shim.ValueOrDie().drive.merged.qualifying_tuples,
               u.qualifying_tuples);
-  }
-  {  // workload
-    WorkloadSpec spec;
-    for (int i = 0; i < 3; ++i) {
-      WorkloadQuery q;
-      q.name = "q" + std::to_string(i);
-      q.query = query;
-      q.progressive = i == 2;
-      q.config.vector_size = kVectorSize;
-      spec.queries.push_back(std::move(q));
-    }
-    spec.options.num_threads = 2;
-    spec.options.max_concurrent = 2;
-    auto shim = engine.ExecuteWorkload(spec);
-    auto unified = engine.Execute(spec);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    ASSERT_EQ(shim.ValueOrDie().queries.size(),
-              unified.ValueOrDie().queries.size());
-    for (size_t i = 0; i < spec.queries.size(); ++i) {
-      EXPECT_EQ(shim.ValueOrDie().queries[i].drive.total,
-                unified.ValueOrDie().queries[i].drive.total);
-      EXPECT_EQ(shim.ValueOrDie().queries[i].drive.aggregate,
-                unified.ValueOrDie().queries[i].drive.aggregate);
-    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include "common/prng.h"
 #include "core/engine.h"
 #include "hw/shared_cache.h"
+#include "workload_replay.h"
 
 // Differential coverage for shared-L3 contention modelling (DESIGN.md
 // Section 6 "Shared-cache contention"):
@@ -146,7 +147,7 @@ TEST(WorkloadContentionTest, ContentionOffKeepsSoloBitEquality) {
   spec.options.num_threads = 4;
   spec.options.max_concurrent = 4;
   spec.options.contention = false;  // the PR-4 contract, explicitly
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_FALSE(report.contention);
@@ -177,7 +178,7 @@ TEST(WorkloadContentionTest, SingleQueryUnderContentionMatchesSolo) {
     spec.options.max_concurrent = 8;
     spec.options.contention = true;
     spec.options.audit_contention = true;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     const DriveResult solo = SoloDrive(engine, spec.queries[0]);
@@ -206,7 +207,7 @@ TEST(WorkloadContentionTest, CoScheduledReuseQueriesEachSufferMoreL3Misses) {
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 2;
   spec.options.contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_GT(report.shared_l3_lines_displaced, 0u);
@@ -237,7 +238,7 @@ TEST(WorkloadContentionTest, OccupancyAndEvictionAccountingAuditsClean) {
   // Per-quantum NIPO_CHECK inside the driver: per-owner occupancy sums to
   // the occupied line count, displaced lines equal charged evictions.
   spec.options.audit_contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   const uint64_t capacity =
@@ -270,9 +271,9 @@ TEST(WorkloadContentionTest, ContendedRunsAreDeterministic) {
   for (size_t max_concurrent : {size_t{1}, size_t{2}, size_t{8}}) {
     spec.options.max_concurrent = max_concurrent;
     spec.options.num_threads = max_concurrent;
-    auto first = engine.ExecuteWorkload(spec);
+    auto first = engine.Execute(spec);
     ASSERT_TRUE(first.ok());
-    auto second = engine.ExecuteWorkload(spec);
+    auto second = engine.Execute(spec);
     ASSERT_TRUE(second.ok());
     const WorkloadReport& a = first.ValueOrDie();
     const WorkloadReport& b = second.ValueOrDie();
@@ -297,17 +298,17 @@ TEST(WorkloadContentionTest, LiveContendedScheduleMatchesReplay) {
   spec.options.num_threads = 3;
   spec.options.max_concurrent = 2;
   spec.options.contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
-  // The contended executor IS the event loop, so replaying the recorded
+  // The executor IS the event loop, so replaying the recorded
   // per-quantum durations through SimulateWorkloadSchedule must land on
   // the identical schedule.
   std::vector<std::vector<double>> quanta;
   for (const WorkloadQueryReport& q : report.queries) {
     quanta.push_back(q.quantum_msec);
   }
-  const SimSchedule replay = SimulateWorkloadSchedule(
+  const SimSchedule replay = ReplayDurations(
       quanta, spec.options.num_threads, spec.options.max_concurrent);
   ASSERT_EQ(replay.start_msec.size(), report.queries.size());
   for (size_t i = 0; i < report.queries.size(); ++i) {
@@ -331,7 +332,7 @@ TEST(WorkloadContentionTest, SerializedContentionStillInterferes) {
   spec.options.max_concurrent = 1;
   spec.options.contention = true;
   spec.options.audit_contention = true;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   EXPECT_EQ(report.peak_in_flight, 1u);

@@ -7,21 +7,25 @@
 
 #include "common/prng.h"
 #include "core/engine.h"
+#include "workload_replay.h"
 
 // Coverage for multi-query workload execution (DESIGN.md "Workload
 // execution"):
-//  - deterministic mode: every query's results AND counters are
-//    bit-identical to running it alone through ExecuteBaseline /
-//    ExecuteProgressive, for any max_concurrent and worker count;
+//  - every query's results AND counters are bit-identical to running it
+//    alone through ExecuteBaseline / ExecuteProgressive, for any
+//    max_concurrent and simulated core count;
 //  - the whole report (per-query counters, simulated schedule, makespan)
 //    is stable across max_concurrent in {1, 2, 8} and across repeated
-//    runs under racing worker schedules;
+//    runs;
 //  - admission control bounds in-flight queries and serializes the
 //    simulated schedule at max_concurrent = 1;
-//  - SimulateWorkloadSchedule replays the pool policy deterministically;
-//  - warm (non-deterministic) mode keeps results schedule-independent.
+//  - SimulateWorkloadSchedule replays the admission policy
+//    deterministically, and under every SchedulePolicy a closed-queue
+//    report's recorded quanta (four parallel per-quantum arrays) replay
+//    to its exact schedule;
+//  - a retry budget on a fault-free run changes nothing.
 // ci/check.sh runs this suite with NIPO_TEST_THREADS=1 and =8 and under
-// ThreadSanitizer; the env var replaces the default worker-count sweep.
+// ThreadSanitizer; the env var replaces the default core-count sweep.
 
 namespace nipo {
 namespace {
@@ -151,7 +155,7 @@ TEST(WorkloadDriverTest, DeterministicModeIsBitIdenticalToSoloRuns) {
   spec.options.max_concurrent = 8;
   for (size_t threads : TestThreadCounts()) {
     spec.options.num_threads = threads;
-    auto result = engine.ExecuteWorkload(spec);
+    auto result = engine.Execute(spec);
     ASSERT_TRUE(result.ok());
     const WorkloadReport& report = result.ValueOrDie();
     ASSERT_EQ(report.queries.size(), spec.queries.size());
@@ -177,7 +181,7 @@ TEST(WorkloadDriverTest, ReportIsStableAcrossMaxConcurrentAndRuns) {
   // Reference: fully serial (one slot, one worker).
   spec.options.num_threads = 1;
   spec.options.max_concurrent = 1;
-  auto serial = engine.ExecuteWorkload(spec);
+  auto serial = engine.Execute(spec);
   ASSERT_TRUE(serial.ok());
   const WorkloadReport& ref = serial.ValueOrDie();
   EXPECT_EQ(ref.peak_in_flight, 1u);
@@ -186,7 +190,7 @@ TEST(WorkloadDriverTest, ReportIsStableAcrossMaxConcurrentAndRuns) {
       for (int run = 0; run < 2; ++run) {
         spec.options.num_threads = threads;
         spec.options.max_concurrent = max_concurrent;
-        auto result = engine.ExecuteWorkload(spec);
+        auto result = engine.Execute(spec);
         ASSERT_TRUE(result.ok());
         const WorkloadReport& report = result.ValueOrDie();
         EXPECT_LE(report.peak_in_flight, max_concurrent);
@@ -222,7 +226,7 @@ TEST(WorkloadDriverTest, SimulatedScheduleIsConcurrentOnlyWhenAdmitted) {
   // max_concurrent = 1: admission serializes the simulated schedule FIFO
   // regardless of the pool width.
   spec.options.max_concurrent = 1;
-  auto serialized = engine.ExecuteWorkload(spec);
+  auto serialized = engine.Execute(spec);
   ASSERT_TRUE(serialized.ok());
   const WorkloadReport& one = serialized.ValueOrDie();
   EXPECT_EQ(one.peak_in_flight, 1u);
@@ -235,7 +239,7 @@ TEST(WorkloadDriverTest, SimulatedScheduleIsConcurrentOnlyWhenAdmitted) {
   // every slot open all queries are dispatched at t = 0-plus-queueing on
   // the 4 simulated cores.
   spec.options.max_concurrent = 8;
-  auto open = engine.ExecuteWorkload(spec);
+  auto open = engine.Execute(spec);
   ASSERT_TRUE(open.ok());
   const WorkloadReport& eight = open.ValueOrDie();
   EXPECT_EQ(eight.peak_in_flight, 8u);
@@ -243,49 +247,170 @@ TEST(WorkloadDriverTest, SimulatedScheduleIsConcurrentOnlyWhenAdmitted) {
   EXPECT_GT(eight.sim_queries_per_sec, one.sim_queries_per_sec);
 }
 
-TEST(WorkloadDriverTest, SimulateWorkloadScheduleReplaysPoolPolicy) {
-  // Two single-quantum queries on two workers: concurrent with two
+TEST(WorkloadDriverTest, SimulateWorkloadScheduleReplaysAdmissionPolicy) {
+  // Two single-quantum queries on two cores: concurrent with two
   // admission slots, serialized with one.
   const std::vector<std::vector<double>> quanta = {{10.0}, {10.0}};
-  SimSchedule two = SimulateWorkloadSchedule(quanta, 2, 2);
+  SimSchedule two = ReplayDurations(quanta, 2, 2);
   EXPECT_EQ(two.start_msec, (std::vector<double>{0.0, 0.0}));
   EXPECT_EQ(two.finish_msec, (std::vector<double>{10.0, 10.0}));
   EXPECT_EQ(two.makespan_msec, 10.0);
-  SimSchedule one = SimulateWorkloadSchedule(quanta, 2, 1);
+  SimSchedule one = ReplayDurations(quanta, 2, 1);
   EXPECT_EQ(one.start_msec, (std::vector<double>{0.0, 10.0}));
   EXPECT_EQ(one.finish_msec, (std::vector<double>{10.0, 20.0}));
   EXPECT_EQ(one.makespan_msec, 20.0);
-  // Round-robin on one worker: quanta of the two admitted queries
+  // Round-robin on one core: quanta of the two admitted queries
   // interleave a-b-a-b.
-  SimSchedule rr = SimulateWorkloadSchedule({{1.0, 1.0}, {1.0, 1.0}}, 1, 2);
+  SimSchedule rr = ReplayDurations({{1.0, 1.0}, {1.0, 1.0}}, 1, 2);
   EXPECT_EQ(rr.finish_msec, (std::vector<double>{3.0, 4.0}));
   EXPECT_EQ(rr.makespan_msec, 4.0);
   // A freed admission slot admits the next query FIFO.
-  SimSchedule fifo = SimulateWorkloadSchedule({{5.0}, {1.0}, {1.0}}, 2, 2);
+  SimSchedule fifo = ReplayDurations({{5.0}, {1.0}, {1.0}}, 2, 2);
   EXPECT_EQ(fifo.start_msec, (std::vector<double>{0.0, 0.0, 1.0}));
   EXPECT_EQ(fifo.finish_msec, (std::vector<double>{5.0, 1.0, 2.0}));
   EXPECT_EQ(fifo.makespan_msec, 5.0);
 }
 
-TEST(WorkloadDriverTest, WarmModeKeepsResultsScheduleIndependent) {
+/// Runs the mixed workload straight through WorkloadDriver, with task
+/// scheduling inputs that make every SchedulePolicy reorder admission:
+/// distinct priorities, work estimates and L3 footprints (some pairs fit
+/// the L3 together, some do not). Returns the report and, through
+/// `config`, the matching replay configuration.
+Result<WorkloadReport> RunWithPolicyInputs(const Engine& engine,
+                                           const WorkloadSpec& spec,
+                                           SchedulePolicyConfig* config) {
+  const Pmu prototype = engine.NewMachine();
+  const uint64_t l3 = prototype.config().l3.capacity_bytes;
+  std::vector<WorkloadTask> tasks;
+  config->policy = spec.options.policy;
+  config->l3_capacity_bytes = l3;
+  config->tasks.clear();
+  for (size_t i = 0; i < spec.queries.size(); ++i) {
+    const WorkloadQuery& q = spec.queries[i];
+    WorkloadTask task;
+    task.name = q.name;
+    task.progressive = q.progressive;
+    task.config = q.config;
+    task.initial_order = q.initial_order;
+    task.priority = static_cast<int>((i * 5) % 3);
+    task.estimated_work = static_cast<double>((i * 7) % 8);
+    task.footprint_bytes = (i % 2 == 0 ? 6 : 3) * (l3 / 10);
+    config->tasks.push_back(
+        {task.priority, task.estimated_work, task.footprint_bytes});
+    tasks.push_back(std::move(task));
+  }
+  WorkloadDriver driver(
+      prototype,
+      [&](size_t index, Pmu* pmu) -> Result<std::unique_ptr<PipelineExecutor>> {
+        const QuerySpec& query = spec.queries[index].query;
+        NIPO_ASSIGN_OR_RETURN(const Table* table, engine.GetTable(query.table));
+        return PipelineExecutor::Compile(*table, query.ops,
+                                         query.payload_columns, pmu);
+      },
+      spec.options);
+  return driver.Run(tasks);
+}
+
+constexpr SchedulePolicy kAllPolicies[] = {
+    SchedulePolicy::kFifo, SchedulePolicy::kSrwf, SchedulePolicy::kPriority,
+    SchedulePolicy::kFootprintAware};
+
+TEST(WorkloadDriverTest, ClosedQueueRecordsReplayableQuanta) {
   Engine engine = MakeWorkloadEngine();
   WorkloadSpec spec = MakeMixedWorkload(engine);
-  spec.options.deterministic = false;
-  spec.options.num_threads = TestThreadCounts().back();
-  spec.options.max_concurrent = 2;
-  auto result = engine.ExecuteWorkload(spec);
-  ASSERT_TRUE(result.ok());
-  const WorkloadReport& report = result.ValueOrDie();
-  for (size_t i = 0; i < spec.queries.size(); ++i) {
-    const DriveResult solo = SoloDrive(engine, spec.queries[i]);
-    // Query results are machine-state independent; counters may differ
-    // (slot machines carry warm caches from earlier queries — the point
-    // of the mode).
-    EXPECT_EQ(report.queries[i].drive.qualifying_tuples,
-              solo.qualifying_tuples)
-        << report.queries[i].name;
-    EXPECT_EQ(report.queries[i].drive.aggregate, solo.aggregate)
-        << report.queries[i].name;
+  spec.options.max_concurrent = 3;
+  spec.options.burst_vectors = 2;
+  for (const SchedulePolicy policy : kAllPolicies) {
+    for (size_t threads : TestThreadCounts()) {
+      spec.options.policy = policy;
+      spec.options.num_threads = threads;
+      SchedulePolicyConfig config;
+      auto result = RunWithPolicyInputs(engine, spec, &config);
+      ASSERT_TRUE(result.ok());
+      const WorkloadReport& report = result.ValueOrDie();
+      const std::string where = std::string(SchedulePolicyToString(policy)) +
+                                ", " + std::to_string(threads) + " cores";
+      // All four per-quantum arrays are parallel, one entry per quantum.
+      for (const WorkloadQueryReport& q : report.queries) {
+        EXPECT_EQ(q.quantum_msec.size(), q.quanta) << q.name << ", " << where;
+        EXPECT_EQ(q.quantum_evictions.size(), q.quanta) << q.name;
+        EXPECT_EQ(q.quantum_occupancy.size(), q.quanta) << q.name;
+        EXPECT_EQ(q.quantum_fate.size(), q.quanta) << q.name;
+      }
+      // The recorded quanta replay to the live schedule, exactly.
+      const SimSchedule replay = SimulateWorkloadSchedule(
+          TracesOf(report), /*arrival_msec=*/{}, threads,
+          spec.options.max_concurrent, config);
+      ASSERT_EQ(replay.start_msec.size(), report.queries.size());
+      for (size_t i = 0; i < report.queries.size(); ++i) {
+        const WorkloadQueryReport& q = report.queries[i];
+        EXPECT_EQ(replay.start_msec[i], q.sim_start_msec) << q.name << ", "
+                                                          << where;
+        EXPECT_EQ(replay.finish_msec[i], q.sim_finish_msec) << q.name << ", "
+                                                            << where;
+      }
+      EXPECT_EQ(replay.makespan_msec, report.sim_makespan_msec) << where;
+    }
+  }
+}
+
+/// Every simulated field of two reports (host wall time excluded).
+void ExpectSameReport(const WorkloadReport& a, const WorkloadReport& b) {
+  ASSERT_EQ(a.queries.size(), b.queries.size());
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    const WorkloadQueryReport& x = a.queries[i];
+    const WorkloadQueryReport& y = b.queries[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.drive.total, y.drive.total) << x.name;
+    EXPECT_EQ(x.drive.input_tuples, y.drive.input_tuples) << x.name;
+    EXPECT_EQ(x.drive.qualifying_tuples, y.drive.qualifying_tuples);
+    EXPECT_EQ(x.drive.aggregate, y.drive.aggregate) << x.name;
+    EXPECT_EQ(x.drive.simulated_msec, y.drive.simulated_msec) << x.name;
+    EXPECT_EQ(x.drive.num_vectors, y.drive.num_vectors) << x.name;
+    EXPECT_EQ(x.changes.size(), y.changes.size()) << x.name;
+    EXPECT_EQ(x.num_optimizations, y.num_optimizations) << x.name;
+    EXPECT_EQ(x.final_order, y.final_order) << x.name;
+    EXPECT_EQ(x.sim_start_msec, y.sim_start_msec) << x.name;
+    EXPECT_EQ(x.sim_finish_msec, y.sim_finish_msec) << x.name;
+    EXPECT_EQ(x.sim_latency_msec, y.sim_latency_msec) << x.name;
+    EXPECT_EQ(x.quanta, y.quanta) << x.name;
+    EXPECT_EQ(x.quantum_msec, y.quantum_msec) << x.name;
+    EXPECT_EQ(x.quantum_evictions, y.quantum_evictions) << x.name;
+    EXPECT_EQ(x.quantum_occupancy, y.quantum_occupancy) << x.name;
+    EXPECT_EQ(x.quantum_fate, y.quantum_fate) << x.name;
+    EXPECT_EQ(x.outcome, y.outcome) << x.name;
+    EXPECT_EQ(x.attempts, y.attempts) << x.name;
+    EXPECT_EQ(x.sim_backoff_msec, y.sim_backoff_msec) << x.name;
+    EXPECT_EQ(x.error.ok(), y.error.ok()) << x.name;
+  }
+  EXPECT_EQ(a.sim_makespan_msec, b.sim_makespan_msec);
+  EXPECT_EQ(a.sim_queries_per_sec, b.sim_queries_per_sec);
+  EXPECT_EQ(a.sim_serial_msec, b.sim_serial_msec);
+  EXPECT_EQ(a.peak_in_flight, b.peak_in_flight);
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.queue_wait, b.queue_wait);
+  EXPECT_EQ(a.queries_ok, b.queries_ok);
+  EXPECT_EQ(a.sim_goodput_qps, b.sim_goodput_qps);
+  EXPECT_EQ(a.total_retries, b.total_retries);
+  EXPECT_EQ(a.total_backoff_msec, b.total_backoff_msec);
+}
+
+TEST(WorkloadDriverTest, UnusedRetryBudgetChangesNothing) {
+  Engine engine = MakeWorkloadEngine();
+  WorkloadSpec spec = MakeMixedWorkload(engine);
+  spec.options.max_concurrent = 3;
+  for (const SchedulePolicy policy : kAllPolicies) {
+    for (size_t threads : TestThreadCounts()) {
+      spec.options.policy = policy;
+      spec.options.num_threads = threads;
+      spec.options.retry = RetryPolicy{};
+      auto plain = engine.Execute(spec);
+      spec.options.retry.max_attempts = 2;  // no fault ever uses it
+      auto budget = engine.Execute(spec);
+      ASSERT_TRUE(plain.ok() && budget.ok());
+      EXPECT_EQ(budget.ValueOrDie().queries_ok, spec.queries.size());
+      ExpectSameReport(plain.ValueOrDie(), budget.ValueOrDie());
+    }
   }
 }
 
@@ -294,7 +419,7 @@ TEST(WorkloadDriverTest, ProgressiveQueriesReoptimizeIndependently) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 8;
-  auto result = engine.ExecuteWorkload(spec);
+  auto result = engine.Execute(spec);
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   // The worst-first progressive scans must each discover the selective
@@ -320,28 +445,28 @@ TEST(WorkloadDriverTest, ProgressiveQueriesReoptimizeIndependently) {
 TEST(WorkloadDriverTest, ErrorsPropagate) {
   Engine engine = MakeWorkloadEngine();
   WorkloadSpec spec;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);  // empty workload
   spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.max_concurrent = 2;
   spec.options.burst_vectors = 0;
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kInvalidArgument);
   spec.options.burst_vectors = 1;
   // A bad query anywhere in the queue fails the whole workload up front.
   spec.queries[3].query.table = "missing";
-  EXPECT_EQ(engine.ExecuteWorkload(spec).status().code(),
+  EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kNotFound);
   spec = MakeMixedWorkload(engine);
   spec.queries[5].initial_order = std::vector<size_t>{0, 0};
-  EXPECT_FALSE(engine.ExecuteWorkload(spec).ok());
+  EXPECT_FALSE(engine.Execute(spec).ok());
 }
 
 TEST(WorkloadDriverTest, BurstVectorsDoNotChangeCountersOrSchedulePolicy) {
@@ -349,10 +474,10 @@ TEST(WorkloadDriverTest, BurstVectorsDoNotChangeCountersOrSchedulePolicy) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.num_threads = 2;
   spec.options.max_concurrent = 4;
-  auto fine = engine.ExecuteWorkload(spec);
+  auto fine = engine.Execute(spec);
   ASSERT_TRUE(fine.ok());
   spec.options.burst_vectors = 8;  // coarser quanta, fewer yields
-  auto coarse = engine.ExecuteWorkload(spec);
+  auto coarse = engine.Execute(spec);
   ASSERT_TRUE(coarse.ok());
   for (size_t i = 0; i < spec.queries.size(); ++i) {
     EXPECT_EQ(fine.ValueOrDie().queries[i].drive.total,
