@@ -8,9 +8,9 @@
 /// \file engine.cc
 /// Engine facade implementation: the table registry, compilation of a
 /// QuerySpec into a PipelineExecutor bound to a fresh simulated machine,
-/// the baseline and progressive execution entry points (single-threaded
-/// and sharded-parallel, see DESIGN.md "Parallel execution"), and the
-/// AllOrders permutation enumeration used by the figure benches.
+/// the unified Execute entry points (baseline or progressive, solo or
+/// sharded-parallel, see DESIGN.md "Parallel execution"; and workloads),
+/// and the AllOrders permutation enumeration used by the figure benches.
 
 namespace nipo {
 
@@ -92,10 +92,10 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
       NIPO_RETURN_NOT_OK(ApplyOrder(exec.get(), options.order));
       BaselineReport sub;
       sub.order = exec->current_order();
-      sub.drive = RunBaseline(exec.get(), options.vector_size);
+      sub.drive = VectorDriver(exec.get(), options.vector_size).Run();
       // Runtime data errors (e.g. an FK value outside its dimension) latch
-      // on the executor instead of aborting; the solo entry points surface
-      // them as a failed call.
+      // on the executor instead of aborting; solo drives surface them as a
+      // failed call.
       NIPO_RETURN_NOT_OK(exec->error());
       FillHeadline(sub.drive, &report);
       report.final_order = sub.order;
@@ -140,7 +140,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
     // starts.
     ParallelBaselineReport sub;
     NIPO_ASSIGN_OR_RETURN(sub.drive, pdriver.Run(options.order));
-    // A runtime data error fails the call, like the solo entry point;
+    // A runtime data error fails the call, like a solo drive;
     // cooperative cancellation instead returns the partial report with
     // drive.cancelled set.
     NIPO_RETURN_NOT_OK(sub.drive.error);
@@ -188,71 +188,6 @@ Result<TableEncodingStats> Engine::EncodeTable(const std::string& name,
                                                const EncodingOptions& options) {
   NIPO_ASSIGN_OR_RETURN(Table * table, GetMutableTable(name));
   return EncodeTableColumns(table, options);
-}
-
-Result<BaselineReport> Engine::ExecuteBaseline(
-    const QuerySpec& query, size_t vector_size,
-    std::optional<std::vector<size_t>> order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kBaseline;
-  options.driver = ExecDriver::kSolo;
-  options.vector_size = vector_size;
-  options.order = std::move(order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.baseline.has_value()) {
-    return Status::InvalidArgument("execution produced no baseline report");
-  }
-  return *std::move(report.baseline);
-}
-
-Result<ProgressiveReport> Engine::ExecuteProgressive(
-    const QuerySpec& query, const ProgressiveConfig& config,
-    std::optional<std::vector<size_t>> initial_order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kProgressive;
-  options.driver = ExecDriver::kSolo;
-  options.progressive = config;
-  options.order = std::move(initial_order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.progressive.has_value()) {
-    return Status::InvalidArgument("execution produced no progressive report");
-  }
-  return *std::move(report.progressive);
-}
-
-Result<ParallelBaselineReport> Engine::ExecuteBaselineParallel(
-    const QuerySpec& query, const ParallelOptions& parallel,
-    std::optional<std::vector<size_t>> order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kBaseline;
-  options.driver = ExecDriver::kSharded;
-  options.num_threads = parallel.num_threads;
-  options.vector_size = parallel.morsel_size;
-  options.cancel = parallel.cancel;
-  options.order = std::move(order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.sharded_baseline.has_value()) {
-    return Status::InvalidArgument("execution produced no sharded_baseline report");
-  }
-  return *std::move(report.sharded_baseline);
-}
-
-Result<ParallelProgressiveReport> Engine::ExecuteProgressiveParallel(
-    const QuerySpec& query, const ProgressiveConfig& config,
-    const ParallelOptions& parallel,
-    std::optional<std::vector<size_t>> initial_order) const {
-  ExecOptions options;
-  options.mode = ExecMode::kProgressive;
-  options.driver = ExecDriver::kSharded;
-  options.num_threads = parallel.num_threads;
-  options.progressive = config;
-  options.cancel = parallel.cancel;
-  options.order = std::move(initial_order);
-  NIPO_ASSIGN_OR_RETURN(ExecReport report, Execute(query, options));
-  if (!report.sharded_progressive.has_value()) {
-    return Status::InvalidArgument("execution produced no sharded_progressive report");
-  }
-  return *std::move(report.sharded_progressive);
 }
 
 namespace {

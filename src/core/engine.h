@@ -18,13 +18,13 @@
 ///
 /// An Engine owns a set of registered tables and a simulated-machine
 /// configuration; queries are described by QuerySpec (operator chain +
-/// aggregate payload) and executed either as a fixed-order baseline (the
-/// paper's "common execution pattern") or under progressive optimization,
-/// each in a single-threaded and a sharded multi-threaded form (the
-/// *Parallel entry points; DESIGN.md "Parallel execution"). Each execution
-/// runs on fresh simulated machines (cold caches, neutral predictor) --
-/// one per worker thread in the parallel case -- so results are
-/// deterministic and comparable.
+/// aggregate payload) and executed through one Engine::Execute, either as
+/// a fixed-order baseline (the paper's "common execution pattern") or
+/// under progressive optimization, each on a single-threaded or a sharded
+/// multi-threaded driver (ExecOptions; DESIGN.md "Parallel execution").
+/// Each execution runs on fresh simulated machines (cold caches, neutral
+/// predictor) -- one per worker thread in the sharded case -- so results
+/// are deterministic and comparable.
 ///
 /// Typical use (see examples/quickstart.cc):
 /// \code
@@ -34,7 +34,9 @@
 ///   query.table = "lineitem";
 ///   query.ops = nipo::MakeQ6FullPredicates();
 ///   query.payload_columns = nipo::Q6PayloadColumns();
-///   auto report = engine.ExecuteProgressive(query, {});
+///   nipo::ExecOptions options;
+///   options.mode = nipo::ExecMode::kProgressive;
+///   auto report = engine.Execute(query, options);
 /// \endcode
 
 namespace nipo {
@@ -52,22 +54,6 @@ struct QuerySpec {
 struct BaselineReport {
   DriveResult drive;
   std::vector<size_t> order;  ///< the order that was executed
-};
-
-/// \brief Options of the sharded (multi-threaded) entry points.
-struct ParallelOptions {
-  /// Worker thread count (>= 1); 1 reproduces the single-threaded
-  /// VectorDriver execution bit-identically.
-  size_t num_threads = 1;
-  /// Tuples per morsel for ExecuteBaselineParallel. The progressive
-  /// entry point uses ProgressiveConfig::vector_size instead, so its
-  /// sampling unit matches the single-threaded driver.
-  size_t morsel_size = 65'536;
-  /// Optional cooperative cancellation token (see ParallelConfig::cancel):
-  /// workers stop at the next morsel boundary once it reads true and the
-  /// report comes back with drive.cancelled set and partial counts. The
-  /// pointee must outlive the call.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// \brief Sharded baseline execution result.
@@ -152,7 +138,9 @@ struct ExecOptions {
   /// Optional initial evaluation order (permutation of query.ops).
   std::optional<std::vector<size_t>> order;
   /// Optional cooperative cancellation token for sharded drives (see
-  /// ParallelOptions::cancel). The pointee must outlive the call.
+  /// ParallelConfig::cancel): workers stop at the next morsel boundary
+  /// once it reads true and the report comes back with drive.cancelled set
+  /// and partial counts. The pointee must outlive the call.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -203,9 +191,11 @@ class Engine {
   void set_reporting_mode(ReportingMode mode) { reporting_mode_ = mode; }
 
   /// Unified entry point: executes `query` on fresh machines under the
-  /// mode / driver / pricing selected by `options`. The older
-  /// Execute{Baseline,Progressive,BaselineParallel,ProgressiveParallel}
-  /// names below are thin shims over this call.
+  /// mode / driver / pricing selected by `options`. `options.order`, if
+  /// given, permutes query.ops before the first vector (the paper's
+  /// "initial PEO" degree of freedom). Sharded progressive runs merge
+  /// per-morsel counter samples in one shared coordinator, whose plan
+  /// changes are broadcast to all workers at morsel boundaries.
   Result<ExecReport> Execute(const QuerySpec& query,
                              const ExecOptions& options = {}) const;
 
@@ -241,44 +231,9 @@ class Engine {
   Result<TableEncodingStats> EncodeTable(const std::string& name,
                                          const EncodingOptions& options = {});
 
-  /// Executes `query` with a fixed evaluation order on a fresh machine.
-  /// `order`, if given, permutes query.ops; otherwise the spec order runs.
-  /// Shim over Execute({kBaseline, kSolo}).
-  Result<BaselineReport> ExecuteBaseline(
-      const QuerySpec& query, size_t vector_size,
-      std::optional<std::vector<size_t>> order = std::nullopt) const;
-
-  /// Executes `query` under progressive optimization on a fresh machine.
-  /// `initial_order`, if given, permutes query.ops before the first
-  /// vector (the paper's "initial PEO" degree of freedom). Shim over
-  /// Execute({kProgressive, kSolo}).
-  Result<ProgressiveReport> ExecuteProgressive(
-      const QuerySpec& query, const ProgressiveConfig& config,
-      std::optional<std::vector<size_t>> initial_order = std::nullopt) const;
-
-  /// Executes `query` with a fixed order sharded across
-  /// `options.num_threads` worker threads, each on its own fresh machine
-  /// (DESIGN.md "Parallel execution"). With num_threads = 1 the result is
-  /// bit-identical to ExecuteBaseline at vector_size = morsel_size. Shim
-  /// over Execute({kBaseline, kSharded}).
-  Result<ParallelBaselineReport> ExecuteBaselineParallel(
-      const QuerySpec& query, const ParallelOptions& options,
-      std::optional<std::vector<size_t>> order = std::nullopt) const;
-
-  /// Executes `query` under progressive optimization sharded across
-  /// `options.num_threads` workers: per-morsel counter samples are merged
-  /// by one shared coordinator, whose reorder decisions are broadcast to
-  /// all workers at morsel boundaries. Morsel size is
-  /// `config.vector_size`. Shim over Execute({kProgressive, kSharded}).
-  Result<ParallelProgressiveReport> ExecuteProgressiveParallel(
-      const QuerySpec& query, const ProgressiveConfig& config,
-      const ParallelOptions& options,
-      std::optional<std::vector<size_t>> initial_order = std::nullopt) const;
-
-
   /// Builds the fresh simulated machine every execution runs on (cold
-  /// caches, neutral predictor). Single-threaded entry points run on this
-  /// machine directly; the parallel driver clones it per worker
+  /// caches, neutral predictor). Solo drives run on this machine
+  /// directly; the sharded driver clones it per worker
   /// (Pmu::CloneFresh), so the two paths cannot drift apart.
   Pmu NewMachine() const {
     Pmu pmu(hw_);

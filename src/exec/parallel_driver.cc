@@ -12,7 +12,7 @@
 /// Morsel-sharded multi-threaded driving of per-worker PipelineExecutors
 /// (DESIGN.md "Parallel execution"): contiguous per-worker morsel ranges
 /// with half-range work-stealing, per-worker private simulated machines,
-/// order-version broadcasting at morsel boundaries, and the deterministic
+/// plan-version broadcasting at morsel boundaries, and the deterministic
 /// morsel-index-ordered merge.
 
 namespace nipo {
@@ -70,13 +70,13 @@ class MorselQueue {
   std::vector<Range> ranges_;
 };
 
-/// Published evaluation order, bumped by each broadcast. Workers check the
-/// atomic version before every morsel and only take the lock (to copy the
-/// order) when it moved.
+/// Published plan (order and forms), bumped by each broadcast. Workers
+/// check the atomic version before every morsel and only take the lock (to
+/// apply the plan) when it moved.
 struct OrderBroadcast {
   std::atomic<uint64_t> version{0};
   std::mutex mu;
-  std::vector<size_t> order;  // guarded by mu, valid when version > 0
+  PlanBroadcast plan;  // guarded by mu, valid when version > 0
 };
 
 }  // namespace
@@ -161,12 +161,13 @@ Result<ParallelDriveResult> ParallelDriver::Run(
       if (!(morsel = queue.Next(worker_id, &stats.steals)).has_value()) {
         break;
       }
-      // Apply any broadcast order change at the morsel boundary.
+      // Apply any broadcast plan change at the morsel boundary.
       if (broadcast.version.load(std::memory_order_acquire) !=
           local_version) {
         std::lock_guard<std::mutex> lock(broadcast.mu);
         local_version = broadcast.version.load(std::memory_order_relaxed);
-        NIPO_CHECK(exec->Reorder(broadcast.order).ok());
+        NIPO_CHECK(exec->Reorder(broadcast.plan.order).ok());
+        NIPO_CHECK(exec->SetForms(broadcast.plan.forms).ok());
       }
       const size_t begin = *morsel * config_.morsel_size;
       const size_t end = std::min(begin + config_.morsel_size, num_rows);
@@ -189,10 +190,10 @@ Result<ParallelDriveResult> ParallelDriver::Run(
         records[*morsel] = record;
         if (hook) {
           std::lock_guard<std::mutex> lock(coordinator_mu);
-          std::optional<std::vector<size_t>> new_order = hook(record);
-          if (new_order.has_value()) {
-            std::lock_guard<std::mutex> order_lock(broadcast.mu);
-            broadcast.order = std::move(*new_order);
+          std::optional<PlanBroadcast> new_plan = hook(record);
+          if (new_plan.has_value()) {
+            std::lock_guard<std::mutex> plan_lock(broadcast.mu);
+            broadcast.plan = std::move(*new_plan);
             broadcast.version.fetch_add(1, std::memory_order_release);
           }
         }

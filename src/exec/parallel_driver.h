@@ -64,15 +64,23 @@ struct ParallelConfig {
   const std::atomic<bool>* cancel = nullptr;
 };
 
+/// \brief A plan the progressive coordinator broadcasts to every worker:
+/// the evaluation order plus the per-operator predicate forms (by
+/// original operator index), applied together at a morsel boundary.
+struct PlanBroadcast {
+  std::vector<size_t> order;
+  std::vector<PredicateForm> forms;
+};
+
 /// \brief One morsel's execution record: the per-morsel sample (with
 /// VectorSample::vector_index holding the *global morsel index*), plus
 /// which worker ran it and under which evaluation-order version.
 struct MorselRecord {
   VectorSample sample;
   size_t worker_id = 0;
-  /// Broadcast generation of the evaluation order this morsel ran under
-  /// (0 = the initial order). The progressive coordinator uses this to
-  /// exclude stale-order morsels from its merged decision windows.
+  /// Broadcast generation of the plan this morsel ran under (0 = the
+  /// initial plan). The progressive coordinator uses this to exclude
+  /// stale-plan morsels from its merged decision windows.
   uint64_t order_version = 0;
 };
 
@@ -118,11 +126,12 @@ class ParallelDriver {
       std::function<Result<std::unique_ptr<PipelineExecutor>>(Pmu*)>;
 
   /// Decision hook, invoked serially (under the coordinator lock) with
-  /// each completed morsel record, in completion order. Returning an order
+  /// each completed morsel record, in completion order. Returning a plan
   /// broadcasts it: every worker applies it to its own executor at its
-  /// next morsel boundary (Reorder between morsels, never mid-morsel).
+  /// next morsel boundary (Reorder then SetForms between morsels, never
+  /// mid-morsel).
   using MorselHook =
-      std::function<std::optional<std::vector<size_t>>(const MorselRecord&)>;
+      std::function<std::optional<PlanBroadcast>(const MorselRecord&)>;
 
   /// \param prototype machine configuration donor; every worker machine is
   ///        prototype.CloneFresh() (cold caches, neutral predictor).

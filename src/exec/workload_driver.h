@@ -74,8 +74,8 @@ namespace nipo {
 /// \brief Driver-level description of one workload query: how to run it,
 /// not what it computes. The facade-level WorkloadQuery (core/engine.h)
 /// adds the QuerySpec; the driver reaches the compiled pipeline through
-/// its ExecutorFactory instead, mirroring the ParallelOptions /
-/// ParallelConfig split.
+/// its ExecutorFactory instead, as ParallelDriver does under
+/// Engine::Execute.
 struct WorkloadTask {
   /// Display name for reports (empty -> "q<index>").
   std::string name;

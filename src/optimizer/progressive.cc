@@ -8,11 +8,9 @@
 /// The progressive optimization driver loop: per-interval counter
 /// sampling, selectivity learning, operator re-ranking (cost-weighted
 /// when probes or expensive predicates participate) and in-flight
-/// evaluation-order changes, recorded as a PEO trace. The decision core
-/// (estimate + rank) is shared between the single-threaded driver and the
-/// parallel coordinator, which runs the same cycle on merged morsel
-/// windows and broadcasts its decisions to all workers (DESIGN.md
-/// "Parallel execution").
+/// evaluation-order changes, recorded as a PEO trace. The parallel
+/// coordinator steps the same optimizer over merged morsel windows and
+/// broadcasts its plans to all workers (DESIGN.md "Parallel execution").
 
 namespace nipo {
 
@@ -69,8 +67,9 @@ ScanShape ShapeForOrder(const PipelineExecutor& exec, double num_tuples) {
   return shape;
 }
 
-}  // namespace
-
+/// Runs the Section 4.2 learning algorithm on `sample` (one vector, or a
+/// SampleMerger-merged window of same-order morsels) against the current
+/// evaluation order of `exec`. Errors for inconsistent samples.
 Result<SelectivityEstimate> EstimateOrderSelectivities(
     const PipelineExecutor& exec, const ProgressiveConfig& config,
     const VectorSample& sample) {
@@ -100,6 +99,16 @@ Result<SelectivityEstimate> EstimateOrderSelectivities(
   return EstimateSelectivities(shape, cs, est);
 }
 
+/// Ranks the operators of `exec`'s current order by cost-weighted
+/// selectivity (ascending (s-1)/c; for unit costs this is the paper's
+/// ascending-selectivity PEO rule; probe cost is informed by the Section
+/// 5.5-5.6 sortedness detector on the sampled L3 misses). Under
+/// kBranchCycles / kSimdAware pricing, predicate costs come from
+/// PricePredicateForms on the simulated machine's CycleModel. Returns the
+/// proposed order in original operator indices; when `forms_out` is
+/// non-null it receives the per-operator form choice *by original
+/// operator index* (cheapest form under kSimdAware, branching otherwise),
+/// ready for PipelineExecutor::SetForms.
 std::vector<size_t> RankOrderOperators(
     const PipelineExecutor& exec, const ProgressiveConfig& config,
     const VectorSample& sample, const std::vector<double>& selectivities,
@@ -215,6 +224,15 @@ std::vector<size_t> RankOrderOperators(
   }
   return proposed;
 }
+
+/// The coordinator's inner optimizer config: every merged window is one
+/// decision point.
+ProgressiveConfig PerWindowConfig(ProgressiveConfig config) {
+  config.reopt_interval = 1;
+  return config;
+}
+
+}  // namespace
 
 ProgressiveOptimizer::ProgressiveOptimizer(PipelineExecutor* executor,
                                            ProgressiveConfig config)
@@ -336,115 +354,44 @@ ProgressiveReport ProgressiveOptimizer::Run() {
 
 ParallelProgressiveCoordinator::ParallelProgressiveCoordinator(
     PipelineExecutor* control, ProgressiveConfig config)
-    : control_(control), config_(config) {
-  NIPO_CHECK(control_ != nullptr);
-  NIPO_CHECK(config_.reopt_interval > 0);
-  if (config_.pricing == CostPricing::kSimdAware) {
-    // Form switches are not broadcast to workers yet (the morsel protocol
-    // carries orders only; see ROADMAP.md): keep cycle-accurate pricing
-    // but leave every predicate in its branching form.
-    config_.pricing = CostPricing::kBranchCycles;
-  }
+    : control_(control),
+      window_size_(config.reopt_interval),
+      optimizer_(control, PerWindowConfig(config)) {
+  NIPO_CHECK(window_size_ > 0);
+  optimizer_.Begin();
 }
 
-std::optional<std::vector<size_t>> ParallelProgressiveCoordinator::OnMorsel(
+std::optional<PlanBroadcast> ParallelProgressiveCoordinator::OnMorsel(
     const MorselRecord& record) {
   if (record.order_version != version_) {
-    // The morsel was in flight (under the previous order) when a broadcast
+    // The morsel was in flight (under the previous plan) when a broadcast
     // happened; mixing its counters into the window would hand the
-    // estimator a sample spanning two orders. Its result still counts in
+    // estimator a sample spanning two plans. Its result still counts in
     // the driver's merge -- only the decision window excludes it.
     ++stale_morsels_;
     return std::nullopt;
   }
   window_.Add(record.sample);
-  if (window_.count() < config_.reopt_interval) return std::nullopt;
-  const VectorSample merged = window_.merged();
+  if (window_.count() < window_size_) return std::nullopt;
+  const std::vector<size_t> order = control_->current_order();
+  const std::vector<PredicateForm> forms = control_->forms();
+  optimizer_.OnVector(window_.merged());
   window_.Reset();
-  return DecideOnWindow(merged);
-}
-
-std::optional<std::vector<size_t>>
-ParallelProgressiveCoordinator::DecideOnWindow(const VectorSample& merged) {
-  const double tuples = std::max<double>(
-      1.0, static_cast<double>(merged.result.input_tuples));
-  const double cycles_per_tuple =
-      static_cast<double>(merged.counters.cycles) / tuples;
-
-  if (pending_.has_value()) {
-    // This window ran entirely under the new order: validate it.
-    std::optional<std::vector<size_t>> broadcast;
-    if (pending_->old_cycles_per_tuple > 0 &&
-        cycles_per_tuple >
-            pending_->old_cycles_per_tuple * config_.revert_threshold) {
-      recently_reverted_ = control_->current_order();
-      hysteresis_ttl_ = 1;  // skip this order for one optimization cycle
-      NIPO_CHECK(control_->Reorder(pending_->old_order).ok());
-      ++version_;
-      changes_.back().reverted = true;
-      broadcast = control_->current_order();  // the revert is a broadcast too
-    } else {
-      hysteresis_ttl_ = 0;  // a change survived; reopen the space
-    }
-    pending_.reset();
-    last_cycles_per_tuple_ = cycles_per_tuple;
-    return broadcast;
+  if (control_->current_order() == order && control_->forms() == forms) {
+    return std::nullopt;
   }
-
-  ++optimization_count_;
-  ++num_optimizations_;
-  std::optional<std::vector<size_t>> broadcast;
-  if (merged.result.input_tuples > 0) {
-    auto estimate = EstimateOrderSelectivities(*control_, config_, merged);
-    if (estimate.ok()) {
-      last_estimate_ = estimate.ValueOrDie().selectivities;
-      std::vector<size_t> proposed = RankOrderOperators(
-          *control_, config_, merged, estimate.ValueOrDie().selectivities);
-      const bool explore = config_.explore_period > 0 &&
-                           optimization_count_ % config_.explore_period == 0 &&
-                           proposed.size() > 1;
-      if (explore && proposed == control_->current_order()) {
-        std::swap(proposed[0], proposed[1]);
-      }
-      bool blocked = proposed == control_->current_order();
-      if (!blocked && hysteresis_ttl_ > 0) {
-        --hysteresis_ttl_;
-        if (proposed == recently_reverted_) blocked = true;
-      }
-      if (!blocked) {
-        PendingValidation pending;
-        pending.old_order = control_->current_order();
-        pending.old_cycles_per_tuple = last_cycles_per_tuple_;
-        pending.exploration = explore;
-        NIPO_CHECK(control_->Reorder(proposed).ok());
-        ++version_;
-        PeoChange change;
-        change.vector_index = merged.vector_index;
-        change.old_order = pending.old_order;
-        change.new_order = proposed;
-        change.exploration = explore;
-        changes_.push_back(change);
-        if (config_.validate_and_revert) pending_ = std::move(pending);
-        broadcast = control_->current_order();
-      }
-    }
-  }
-  last_cycles_per_tuple_ = cycles_per_tuple;
-  return broadcast;
+  ++version_;
+  return PlanBroadcast{control_->current_order(), control_->forms()};
 }
 
 void ParallelProgressiveCoordinator::FillReport(
-    ParallelProgressiveReport* report) const {
-  report->changes = changes_;
-  report->num_optimizations = num_optimizations_;
-  report->last_estimate = last_estimate_;
-  report->final_order = control_->current_order();
+    ParallelProgressiveReport* report) {
+  ProgressiveReport decisions = optimizer_.Finish(DriveResult{});
+  report->changes = std::move(decisions.changes);
+  report->num_optimizations = decisions.num_optimizations;
+  report->last_estimate = std::move(decisions.last_estimate);
+  report->final_order = std::move(decisions.final_order);
   report->stale_morsels = stale_morsels_;
-}
-
-DriveResult RunBaseline(PipelineExecutor* executor, size_t vector_size) {
-  VectorDriver driver(executor, vector_size);
-  return driver.Run();
 }
 
 }  // namespace nipo

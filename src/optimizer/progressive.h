@@ -27,11 +27,12 @@
 /// its cycles-per-tuple deteriorate, the old order is re-established
 /// (Section 4.4's "if they deteriorate, the old order is reestablished").
 ///
-/// Under sharded execution the same estimate->rank->validate cycle runs in
-/// ParallelProgressiveCoordinator: worker morsel samples are merged into
-/// windows of `reopt_interval` morsels (SampleMerger; counter sums over
-/// same-order morsels are sufficient statistics for the estimators), and
-/// each decision is broadcast to all workers at morsel boundaries.
+/// Under sharded execution ParallelProgressiveCoordinator feeds this same
+/// optimizer: worker morsel samples are merged into windows of
+/// `reopt_interval` same-order morsels (SampleMerger; counter sums over
+/// same-order morsels are sufficient statistics for the estimators), each
+/// window is one decision point, and every resulting (order, forms) change
+/// is broadcast to all workers at morsel boundaries.
 
 namespace nipo {
 
@@ -75,8 +76,6 @@ struct ProgressiveConfig {
   /// surface correlation effects (Section 4.5); 0 disables exploration.
   size_t explore_period = 0;
   /// Operator pricing rule (kUnit reproduces the pre-SIMD behaviour).
-  /// The parallel coordinator degrades kSimdAware to kBranchCycles: form
-  /// switches are not broadcast to workers yet (see ROADMAP.md).
   CostPricing pricing = CostPricing::kUnit;
 };
 
@@ -106,35 +105,6 @@ struct ProgressiveReport {
   std::vector<size_t> final_order;
 };
 
-// ---------------------------------------------------------------------------
-// Shared decision core
-// ---------------------------------------------------------------------------
-// Used by both the single-threaded ProgressiveOptimizer and the parallel
-// ParallelProgressiveCoordinator, so the two drivers cannot drift apart;
-// exposed for tests.
-
-/// \brief Runs the Section 4.2 learning algorithm on `sample` (one vector,
-/// or a SampleMerger-merged window of same-order morsels) against the
-/// current evaluation order of `exec`. Errors for inconsistent samples.
-Result<SelectivityEstimate> EstimateOrderSelectivities(
-    const PipelineExecutor& exec, const ProgressiveConfig& config,
-    const VectorSample& sample);
-
-/// \brief Ranks the operators of `exec`'s current order by cost-weighted
-/// selectivity (ascending (s-1)/c; for unit costs this is the paper's
-/// ascending-selectivity PEO rule; probe cost is informed by the Section
-/// 5.5-5.6 sortedness detector on the sampled L3 misses). Under
-/// kBranchCycles / kSimdAware pricing, predicate costs come from
-/// PricePredicateForms on the simulated machine's CycleModel. Returns the
-/// proposed order in original operator indices; when `forms_out` is
-/// non-null it receives the per-operator form choice *by original
-/// operator index* (cheapest form under kSimdAware, branching otherwise),
-/// ready for PipelineExecutor::SetForms.
-std::vector<size_t> RankOrderOperators(
-    const PipelineExecutor& exec, const ProgressiveConfig& config,
-    const VectorSample& sample, const std::vector<double>& selectivities,
-    std::vector<PredicateForm>* forms_out = nullptr);
-
 /// \brief Runs a pipeline to completion under progressive optimization.
 class ProgressiveOptimizer {
  public:
@@ -144,12 +114,13 @@ class ProgressiveOptimizer {
   ProgressiveReport Run();
 
   // Stepping interface, used by the workload driver (exec/workload_driver.h)
-  // to interleave this query with others on a shared worker pool while
-  // replaying exactly the Run() decision sequence: Begin() resets the
-  // optimizer state, OnVector() consumes one per-vector sample (identical
-  // to the hook Run() installs), and Finish() returns the report with the
-  // caller-accumulated drive result filled in. Run() itself is implemented
-  // on top of these three calls, so the paths cannot drift apart.
+  // to interleave this query with others on a shared worker pool, and by
+  // ParallelProgressiveCoordinator to decide on merged morsel windows:
+  // Begin() resets the optimizer state, OnVector() consumes one sample
+  // (identical to the hook Run() installs), and Finish() returns the
+  // report with the caller-accumulated drive result filled in. Run()
+  // itself is implemented on top of these three calls, so the paths cannot
+  // drift apart.
 
   /// Resets all optimizer state for a new execution.
   void Begin();
@@ -200,68 +171,46 @@ struct ParallelProgressiveReport {
   std::vector<double> last_estimate;
   std::vector<size_t> final_order;
   /// Morsels excluded from decision windows because they were already in
-  /// flight (under the previous order) when a reorder was broadcast.
+  /// flight (under the previous plan) when a new plan was broadcast.
   size_t stale_morsels = 0;
 };
 
 /// \brief The shared optimizer of a sharded execution: one coordinator
 /// receives every worker's morsel samples (serialized by ParallelDriver's
 /// hook lock), merges them into windows of `reopt_interval` same-order
-/// morsels, and runs the estimate->rank->validate cycle on each window.
+/// morsels, and steps a ProgressiveOptimizer over the windows -- one
+/// decision point per window, so estimate, rank, forms, validate/revert
+/// and hysteresis are exactly the single-threaded driver's.
 ///
-/// Decisions are expressed against a *control* executor -- a non-executing
-/// pipeline compiled over the same query that provides operator metadata
-/// and carries the authoritative current order -- and returned to the
-/// driver for broadcast; workers apply them at morsel boundaries.
-/// The coordinator's broadcast count mirrors ParallelDriver's order
-/// version (both start at 0 and advance once per returned order), which is
-/// how MorselRecord::order_version identifies stale-order morsels.
-///
-/// Validation mirrors the single-threaded driver at window granularity:
-/// the first complete window executed under a new order is compared, in
-/// cycles per tuple, against the window that preceded the change, and the
-/// old order is re-established on regression (Section 4.4).
+/// That optimizer drives a *control* executor: a non-executing pipeline
+/// compiled over the same query that provides operator metadata and
+/// carries the authoritative current order and forms. Whenever a window
+/// changes either, the new plan is returned to the driver for broadcast;
+/// workers apply it at morsel boundaries. The coordinator's broadcast
+/// count equals ParallelDriver's plan version (both start at 0 and
+/// advance once per returned plan), which is how
+/// MorselRecord::order_version identifies stale-plan morsels.
 class ParallelProgressiveCoordinator {
  public:
   ParallelProgressiveCoordinator(PipelineExecutor* control,
                                  ProgressiveConfig config);
 
-  /// ParallelDriver::MorselHook entry point. Returns an order to broadcast
-  /// when a window triggers a reorder (or a validation revert).
-  std::optional<std::vector<size_t>> OnMorsel(const MorselRecord& record);
+  /// ParallelDriver::MorselHook entry point. Returns the plan to broadcast
+  /// when a window changes the order or forms (a reorder, a form switch
+  /// or a validation revert).
+  std::optional<PlanBroadcast> OnMorsel(const MorselRecord& record);
 
-  /// Exports the PEO trace into `report` (call after the drive completes;
-  /// `drive` is filled by the caller).
-  void FillReport(ParallelProgressiveReport* report) const;
+  /// Exports the PEO trace into `report` (call once, after the drive
+  /// completes; `drive` is filled by the caller).
+  void FillReport(ParallelProgressiveReport* report);
 
  private:
-  std::optional<std::vector<size_t>> DecideOnWindow(
-      const VectorSample& merged);
-
   PipelineExecutor* control_;
-  ProgressiveConfig config_;
+  size_t window_size_;
+  ProgressiveOptimizer optimizer_;
   SampleMerger window_;
-  uint64_t version_ = 0;  ///< broadcasts issued; mirrors the driver's version
-  std::vector<PeoChange> changes_;
-  size_t num_optimizations_ = 0;
-  std::vector<double> last_estimate_;
+  uint64_t version_ = 0;  ///< broadcasts issued; the driver's plan version
   size_t stale_morsels_ = 0;
-  // Validation + hysteresis state, mirroring ProgressiveOptimizer.
-  struct PendingValidation {
-    std::vector<size_t> old_order;
-    double old_cycles_per_tuple = 0;
-    bool exploration = false;
-  };
-  std::optional<PendingValidation> pending_;
-  double last_cycles_per_tuple_ = 0;
-  size_t optimization_count_ = 0;
-  std::vector<size_t> recently_reverted_;
-  int hysteresis_ttl_ = 0;
 };
-
-/// \brief Convenience: run `executor` without any optimization (the
-/// paper's "common execution pattern" base line), with the same vector
-/// size so run-times are comparable.
-DriveResult RunBaseline(PipelineExecutor* executor, size_t vector_size);
 
 }  // namespace nipo

@@ -32,6 +32,21 @@ QuerySpec MakeQuery() {
   return q;
 }
 
+/// Solo fixed-order drive at `vector_size`.
+ExecOptions BaselineOptions(size_t vector_size) {
+  ExecOptions options;
+  options.vector_size = vector_size;
+  return options;
+}
+
+/// Solo progressive drive under `config`.
+ExecOptions ProgressiveOptions(const ProgressiveConfig& config) {
+  ExecOptions options;
+  options.mode = ExecMode::kProgressive;
+  options.progressive = config;
+  return options;
+}
+
 TEST(EngineTest, RegisterAndLookup) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 100)).ok());
@@ -47,50 +62,56 @@ TEST(EngineTest, RegisterAndLookup) {
 TEST(EngineTest, BaselineExecutesSpecOrder) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 50'000)).ok());
-  auto r = engine.ExecuteBaseline(MakeQuery(), 4'096);
+  auto r = engine.Execute(MakeQuery(), BaselineOptions(4'096));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie().order, (std::vector<size_t>{0, 1}));
-  EXPECT_GT(r.ValueOrDie().drive.qualifying_tuples, 0u);
+  const ExecReport& report = r.ValueOrDie();
+  EXPECT_EQ(report.mode, ExecMode::kBaseline);
+  EXPECT_EQ(report.driver, ExecDriver::kSolo);
+  ASSERT_TRUE(report.baseline.has_value());
+  EXPECT_EQ(report.baseline->order, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(report.final_order, (std::vector<size_t>{0, 1}));
+  EXPECT_GT(report.qualifying_tuples, 0u);
+  EXPECT_EQ(report.qualifying_tuples, report.baseline->drive.qualifying_tuples);
   // aggregate counts qualifying rows since v == 1.
-  EXPECT_DOUBLE_EQ(
-      r.ValueOrDie().drive.aggregate,
-      static_cast<double>(r.ValueOrDie().drive.qualifying_tuples));
+  EXPECT_DOUBLE_EQ(report.aggregate,
+                   static_cast<double>(report.qualifying_tuples));
 }
 
 TEST(EngineTest, BaselineHonorsExplicitOrder) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 50'000)).ok());
-  auto r = engine.ExecuteBaseline(MakeQuery(), 4'096,
-                                  std::vector<size_t>{1, 0});
+  ExecOptions options = BaselineOptions(4'096);
+  options.order = std::vector<size_t>{1, 0};
+  auto r = engine.Execute(MakeQuery(), options);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie().order, (std::vector<size_t>{1, 0}));
+  EXPECT_EQ(r.ValueOrDie().final_order, (std::vector<size_t>{1, 0}));
 }
 
 TEST(EngineTest, BaselineIsDeterministic) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 50'000)).ok());
-  auto a = engine.ExecuteBaseline(MakeQuery(), 4'096);
-  auto b = engine.ExecuteBaseline(MakeQuery(), 4'096);
+  auto a = engine.Execute(MakeQuery(), BaselineOptions(4'096));
+  auto b = engine.Execute(MakeQuery(), BaselineOptions(4'096));
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.ValueOrDie().drive.total.cycles,
-            b.ValueOrDie().drive.total.cycles);
-  EXPECT_EQ(a.ValueOrDie().drive.total.l3_accesses,
-            b.ValueOrDie().drive.total.l3_accesses);
+  EXPECT_EQ(a.ValueOrDie().counters.cycles, b.ValueOrDie().counters.cycles);
+  EXPECT_EQ(a.ValueOrDie().counters.l3_accesses,
+            b.ValueOrDie().counters.l3_accesses);
 }
 
 TEST(EngineTest, ProgressiveMatchesBaselineResult) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 80'000)).ok());
-  auto base = engine.ExecuteBaseline(MakeQuery(), 4'096);
+  auto base = engine.Execute(MakeQuery(), BaselineOptions(4'096));
   ProgressiveConfig cfg;
   cfg.vector_size = 4'096;
   cfg.reopt_interval = 3;
-  auto prog = engine.ExecuteProgressive(MakeQuery(), cfg);
+  auto prog = engine.Execute(MakeQuery(), ProgressiveOptions(cfg));
   ASSERT_TRUE(base.ok() && prog.ok());
-  EXPECT_EQ(base.ValueOrDie().drive.qualifying_tuples,
-            prog.ValueOrDie().drive.qualifying_tuples);
-  EXPECT_DOUBLE_EQ(base.ValueOrDie().drive.aggregate,
-                   prog.ValueOrDie().drive.aggregate);
+  ASSERT_TRUE(prog.ValueOrDie().progressive.has_value());
+  EXPECT_EQ(base.ValueOrDie().qualifying_tuples,
+            prog.ValueOrDie().qualifying_tuples);
+  EXPECT_DOUBLE_EQ(base.ValueOrDie().aggregate,
+                   prog.ValueOrDie().aggregate);
 }
 
 TEST(EngineTest, ProgressiveHonorsInitialOrder) {
@@ -99,8 +120,9 @@ TEST(EngineTest, ProgressiveHonorsInitialOrder) {
   ProgressiveConfig cfg;
   cfg.vector_size = 4'096;
   cfg.reopt_interval = 1000;  // effectively never reoptimize
-  auto prog = engine.ExecuteProgressive(MakeQuery(), cfg,
-                                        std::vector<size_t>{1, 0});
+  ExecOptions options = ProgressiveOptions(cfg);
+  options.order = std::vector<size_t>{1, 0};
+  auto prog = engine.Execute(MakeQuery(), options);
   ASSERT_TRUE(prog.ok());
   EXPECT_EQ(prog.ValueOrDie().final_order, (std::vector<size_t>{1, 0}));
 }
@@ -110,19 +132,19 @@ TEST(EngineTest, ErrorsPropagate) {
   ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 100)).ok());
   QuerySpec bad = MakeQuery();
   bad.table = "missing";
-  EXPECT_EQ(engine.ExecuteBaseline(bad, 1024).status().code(),
+  EXPECT_EQ(engine.Execute(bad, BaselineOptions(1024)).status().code(),
             StatusCode::kNotFound);
   bad = MakeQuery();
   bad.ops[0].predicate.column = "zzz";
-  EXPECT_FALSE(engine.ExecuteBaseline(bad, 1024).ok());
-  EXPECT_FALSE(engine.ExecuteBaseline(MakeQuery(), 0).ok());
+  EXPECT_FALSE(engine.Execute(bad, BaselineOptions(1024)).ok());
+  EXPECT_FALSE(engine.Execute(MakeQuery(), BaselineOptions(0)).ok());
   ProgressiveConfig cfg;
   cfg.vector_size = 0;
-  EXPECT_FALSE(engine.ExecuteProgressive(MakeQuery(), cfg).ok());
+  EXPECT_FALSE(engine.Execute(MakeQuery(), ProgressiveOptions(cfg)).ok());
   // Bad explicit order.
-  EXPECT_FALSE(
-      engine.ExecuteBaseline(MakeQuery(), 1024, std::vector<size_t>{0, 0})
-          .ok());
+  ExecOptions options = BaselineOptions(1024);
+  options.order = std::vector<size_t>{0, 0};
+  EXPECT_FALSE(engine.Execute(MakeQuery(), options).ok());
 }
 
 TEST(EngineTest, AllOrdersEnumerates) {

@@ -15,6 +15,16 @@
 namespace nipo {
 namespace {
 
+/// Solo fixed-order drive at `vector_size`, in `order` when given.
+ExecOptions BaselineOptions(
+    size_t vector_size,
+    std::optional<std::vector<size_t>> order = std::nullopt) {
+  ExecOptions options;
+  options.vector_size = vector_size;
+  options.order = std::move(order);
+  return options;
+}
+
 class Q6IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -55,18 +65,18 @@ Q6Reference Q6IntegrationTest::reference_;
 
 TEST_F(Q6IntegrationTest, EveryOrderProducesTheReferenceResult) {
   for (const auto& order : AllOrders(5)) {
-    auto r = engine_->ExecuteBaseline(Query(), 8'192, order);
+    auto r = engine_->Execute(Query(), BaselineOptions(8'192, order));
     ASSERT_TRUE(r.ok());
-    ASSERT_EQ(r.ValueOrDie().drive.qualifying_tuples, reference_.qualifying);
-    ASSERT_DOUBLE_EQ(r.ValueOrDie().drive.aggregate, reference_.revenue);
+    ASSERT_EQ(r.ValueOrDie().qualifying_tuples, reference_.qualifying);
+    ASSERT_DOUBLE_EQ(r.ValueOrDie().aggregate, reference_.revenue);
   }
 }
 
 TEST_F(Q6IntegrationTest, BranchesTakenIdentityOnRealData) {
-  auto r = engine_->ExecuteBaseline(Query(), 8'192);
+  auto r = engine_->Execute(Query(), BaselineOptions(8'192));
   ASSERT_TRUE(r.ok());
-  const DriveResult& d = r.ValueOrDie().drive;
-  EXPECT_EQ(2 * d.input_tuples - d.total.branches_taken,
+  const ExecReport& d = r.ValueOrDie();
+  EXPECT_EQ(2 * d.input_tuples - d.counters.branches_taken,
             d.qualifying_tuples);
 }
 
@@ -105,7 +115,7 @@ TEST_F(Q6IntegrationTest, CounterModelMatchesSimulatedScan) {
   // account for repeated-column L1 reuse).
   q.payload_columns = {"l_extendedprice"};
   ASSERT_TRUE(engine.RegisterTable(std::move(li_owned.ValueOrDie())).ok());
-  auto r = engine.ExecuteBaseline(q, 8'192);
+  auto r = engine.Execute(q, BaselineOptions(8'192));
   ASSERT_TRUE(r.ok());
 
   // Conditional per-position selectivities by direct evaluation.
@@ -145,7 +155,7 @@ TEST_F(Q6IntegrationTest, CounterModelMatchesSimulatedScan) {
   shape.payload_widths = {8};
   shape.predictor = engine.hw_config().predictor;
   const CounterEstimate predicted = PredictCounters(shape, sel);
-  const PmuCounters& sampled = r.ValueOrDie().drive.total;
+  const PmuCounters& sampled = r.ValueOrDie().counters;
 
   EXPECT_NEAR(static_cast<double>(sampled.branches_not_taken) /
                   predicted.branches_not_taken,
@@ -165,25 +175,27 @@ TEST_F(Q6IntegrationTest, ProgressiveRobustAcrossAllStartOrders) {
   // from the worst one.
   double best = 1e300, worst = 0;
   for (const auto& order : AllOrders(5)) {
-    auto r = engine_->ExecuteBaseline(Query(), 8'192, order);
+    auto r = engine_->Execute(Query(), BaselineOptions(8'192, order));
     ASSERT_TRUE(r.ok());
-    best = std::min(best, r.ValueOrDie().drive.simulated_msec);
-    worst = std::max(worst, r.ValueOrDie().drive.simulated_msec);
+    best = std::min(best, r.ValueOrDie().simulated_msec);
+    worst = std::max(worst, r.ValueOrDie().simulated_msec);
   }
   ASSERT_GT(worst / best, 1.3);  // ordering must matter at this scale
 
-  ProgressiveConfig cfg;
-  cfg.vector_size = 2'048;
-  cfg.reopt_interval = 2;
+  ExecOptions prog_options;
+  prog_options.mode = ExecMode::kProgressive;
+  prog_options.progressive.vector_size = 2'048;
+  prog_options.progressive.reopt_interval = 2;
   // Sample a few representative start orders, including the worst shape.
   for (const auto& order :
        {std::vector<size_t>{0, 1, 2, 3, 4}, std::vector<size_t>{4, 3, 2, 1, 0},
         std::vector<size_t>{2, 4, 0, 1, 3}}) {
-    auto prog = engine_->ExecuteProgressive(Query(), cfg, order);
+    prog_options.order = order;
+    auto prog = engine_->Execute(Query(), prog_options);
     ASSERT_TRUE(prog.ok());
     // At this small scale convergence time is a visible fraction of the
     // run; the paper's 600-vector runs amortize it much further.
-    const double ms = prog.ValueOrDie().drive.simulated_msec;
+    const double ms = prog.ValueOrDie().simulated_msec;
     EXPECT_LT(ms, worst * 0.95);
     EXPECT_LT(ms, best * 2.0);
   }
@@ -231,15 +243,17 @@ TEST(IntegrationTest, SortednessChangesOptimalJoinOrderEndToEnd) {
                                   engine.GetTable("dim_b").ValueOrDie(),
                                   "attr", CompareOp::kLt, 50.0})};
 
-  auto a_first = engine.ExecuteBaseline(q, 8'192, std::vector<size_t>{0, 1});
-  auto b_first = engine.ExecuteBaseline(q, 8'192, std::vector<size_t>{1, 0});
+  auto a_first =
+      engine.Execute(q, BaselineOptions(8'192, std::vector<size_t>{0, 1}));
+  auto b_first =
+      engine.Execute(q, BaselineOptions(8'192, std::vector<size_t>{1, 0}));
   ASSERT_TRUE(a_first.ok() && b_first.ok());
-  EXPECT_LT(a_first.ValueOrDie().drive.simulated_msec,
-            b_first.ValueOrDie().drive.simulated_msec);
-  EXPECT_LT(a_first.ValueOrDie().drive.total.l3_misses,
-            b_first.ValueOrDie().drive.total.l3_misses);
-  EXPECT_EQ(a_first.ValueOrDie().drive.qualifying_tuples,
-            b_first.ValueOrDie().drive.qualifying_tuples);
+  EXPECT_LT(a_first.ValueOrDie().simulated_msec,
+            b_first.ValueOrDie().simulated_msec);
+  EXPECT_LT(a_first.ValueOrDie().counters.l3_misses,
+            b_first.ValueOrDie().counters.l3_misses);
+  EXPECT_EQ(a_first.ValueOrDie().qualifying_tuples,
+            b_first.ValueOrDie().qualifying_tuples);
 }
 
 TEST(IntegrationTest, LayoutsChangeCountersNotResults) {
@@ -262,10 +276,10 @@ TEST(IntegrationTest, LayoutsChangeCountersNotResults) {
     q.table = "lineitem";
     q.ops = MakeQ6FullPredicates();
     q.payload_columns = Q6PayloadColumns();
-    auto r = engine.ExecuteBaseline(q, 4'096);
+    auto r = engine.Execute(q, BaselineOptions(4'096));
     ASSERT_TRUE(r.ok());
-    qualifying[idx] = r.ValueOrDie().drive.qualifying_tuples;
-    l3_misses[idx] = r.ValueOrDie().drive.total.l3_misses;
+    qualifying[idx] = r.ValueOrDie().qualifying_tuples;
+    l3_misses[idx] = r.ValueOrDie().counters.l3_misses;
     ++idx;
   }
   // Same logical result regardless of physical layout...

@@ -10,7 +10,7 @@
 
 // Determinism and equivalence coverage for sharded execution (DESIGN.md
 // "Parallel execution"):
-//  - num_threads = 1 reproduces VectorDriver / ExecuteBaseline
+//  - num_threads = 1 reproduces VectorDriver / the solo baseline drive
 //    bit-identically (counters, aggregate, simulated_msec);
 //  - num_threads in {2, 4, 8} agree with the single-threaded result on
 //    qualifying_tuples and the (bitwise) aggregate, run after run, under
@@ -68,6 +68,29 @@ Engine MakeEngine(size_t rows) {
   return engine;
 }
 
+/// Fixed-order drive in `size`-tuple vectors (kSolo) or morsels
+/// (kSharded, across `threads` workers).
+ExecOptions BaselineOptions(ExecDriver driver, size_t size,
+                            size_t threads = 1) {
+  ExecOptions options;
+  options.driver = driver;
+  options.num_threads = threads;
+  options.vector_size = size;
+  return options;
+}
+
+/// Sharded progressive drive across `threads` workers; morsels are
+/// `config.vector_size` tuples.
+ExecOptions ShardedProgressiveOptions(const ProgressiveConfig& config,
+                                      size_t threads) {
+  ExecOptions options;
+  options.mode = ExecMode::kProgressive;
+  options.driver = ExecDriver::kSharded;
+  options.num_threads = threads;
+  options.progressive = config;
+  return options;
+}
+
 TEST(ParallelDriverTest, SingleThreadIsBitIdenticalToVectorDriver) {
   Table table("t");
   Prng prng(3);
@@ -107,38 +130,38 @@ TEST(ParallelDriverTest, SingleThreadIsBitIdenticalToVectorDriver) {
   EXPECT_EQ(par.workers[0].steals, 0u);
 }
 
-TEST(ParallelDriverTest, EngineSingleThreadMatchesExecuteBaseline) {
+TEST(ParallelDriverTest, EngineSingleThreadMatchesSoloBaseline) {
   Engine engine = MakeEngine(60'000);
-  auto base = engine.ExecuteBaseline(MakeQuery(), 2'048);
+  auto base =
+      engine.Execute(MakeQuery(), BaselineOptions(ExecDriver::kSolo, 2'048));
   ASSERT_TRUE(base.ok());
-  ParallelOptions options;
-  options.num_threads = 1;
-  options.morsel_size = 2'048;
-  auto par = engine.ExecuteBaselineParallel(MakeQuery(), options);
+  auto par = engine.Execute(MakeQuery(),
+                            BaselineOptions(ExecDriver::kSharded, 2'048));
   ASSERT_TRUE(par.ok());
-  EXPECT_EQ(par.ValueOrDie().drive.merged.total,
-            base.ValueOrDie().drive.total);
-  EXPECT_EQ(par.ValueOrDie().drive.merged.aggregate,
-            base.ValueOrDie().drive.aggregate);
-  EXPECT_EQ(par.ValueOrDie().drive.merged.simulated_msec,
-            base.ValueOrDie().drive.simulated_msec);
-  EXPECT_EQ(par.ValueOrDie().order, base.ValueOrDie().order);
+  ASSERT_TRUE(par.ValueOrDie().sharded_baseline.has_value());
+  const ParallelBaselineReport& sharded = *par.ValueOrDie().sharded_baseline;
+  EXPECT_EQ(sharded.drive.merged.total, base.ValueOrDie().counters);
+  EXPECT_EQ(sharded.drive.merged.aggregate, base.ValueOrDie().aggregate);
+  EXPECT_EQ(sharded.drive.merged.simulated_msec,
+            base.ValueOrDie().simulated_msec);
+  EXPECT_EQ(sharded.order, base.ValueOrDie().final_order);
 }
 
 TEST(ParallelDriverTest, ThreadCountsAgreeOnResultsAcrossRuns) {
   Engine engine = MakeEngine(60'000);
-  auto base = engine.ExecuteBaseline(MakeQuery(), 2'048);
+  auto base =
+      engine.Execute(MakeQuery(), BaselineOptions(ExecDriver::kSolo, 2'048));
   ASSERT_TRUE(base.ok());
-  const uint64_t expected_qualifying = base.ValueOrDie().drive.qualifying_tuples;
-  const double expected_aggregate = base.ValueOrDie().drive.aggregate;
+  const uint64_t expected_qualifying = base.ValueOrDie().qualifying_tuples;
+  const double expected_aggregate = base.ValueOrDie().aggregate;
   for (size_t threads : TestThreadCounts()) {
     for (int run = 0; run < 2; ++run) {
-      ParallelOptions options;
-      options.num_threads = threads;
-      options.morsel_size = 2'048;
-      auto par = engine.ExecuteBaselineParallel(MakeQuery(), options);
+      auto par = engine.Execute(
+          MakeQuery(), BaselineOptions(ExecDriver::kSharded, 2'048, threads));
       ASSERT_TRUE(par.ok());
-      const ParallelDriveResult& drive = par.ValueOrDie().drive;
+      ASSERT_TRUE(par.ValueOrDie().sharded_baseline.has_value());
+      const ParallelDriveResult& drive =
+          par.ValueOrDie().sharded_baseline->drive;
       EXPECT_EQ(drive.merged.qualifying_tuples, expected_qualifying)
           << threads << " threads, run " << run;
       // The morsel-index-ordered merge makes the floating-point sum
@@ -209,50 +232,52 @@ TEST(ParallelDriverTest, HookBroadcastReachesAllWorkers) {
                                          query.payload_columns, pmu);
       },
       config);
-  auto result =
-      driver.Run(std::nullopt,
-                 [&](const MorselRecord& record)
-                     -> std::optional<std::vector<size_t>> {
-                   if (!broadcast_sent && record.sample.vector_index >= 3) {
-                     broadcast_sent = true;
-                     return std::vector<size_t>{2, 1, 0};
-                   }
-                   return std::nullopt;
-                 });
+  auto result = driver.Run(
+      std::nullopt,
+      [&](const MorselRecord& record) -> std::optional<PlanBroadcast> {
+        if (!broadcast_sent && record.sample.vector_index >= 3) {
+          broadcast_sent = true;
+          return PlanBroadcast{{2, 1, 0},
+                               {PredicateForm::kBranchFree,
+                                PredicateForm::kBranching,
+                                PredicateForm::kBranchFree}};
+        }
+        return std::nullopt;
+      });
   ASSERT_TRUE(result.ok());
   const ParallelDriveResult& par = result.ValueOrDie();
   EXPECT_TRUE(broadcast_sent);
-  // Late morsels ran under the broadcast order; results are unaffected.
-  uint64_t new_order_morsels = 0;
+  // Late morsels ran under the broadcast plan (order and forms); results
+  // are unaffected.
+  uint64_t new_plan_morsels = 0;
   for (const MorselRecord& record : par.samples) {
-    if (record.order_version == 1) ++new_order_morsels;
+    if (record.order_version == 1) ++new_plan_morsels;
   }
-  EXPECT_GT(new_order_morsels, 0u);
-  auto base = engine.ExecuteBaseline(MakeQuery(), 1'024);
+  EXPECT_GT(new_plan_morsels, 0u);
+  auto base =
+      engine.Execute(MakeQuery(), BaselineOptions(ExecDriver::kSolo, 1'024));
   ASSERT_TRUE(base.ok());
-  EXPECT_EQ(par.merged.qualifying_tuples,
-            base.ValueOrDie().drive.qualifying_tuples);
-  EXPECT_EQ(par.merged.aggregate, base.ValueOrDie().drive.aggregate);
+  EXPECT_EQ(par.merged.qualifying_tuples, base.ValueOrDie().qualifying_tuples);
+  EXPECT_EQ(par.merged.aggregate, base.ValueOrDie().aggregate);
 }
 
 TEST(ParallelDriverTest, ProgressiveParallelMatchesBaselineResults) {
   Engine engine = MakeEngine(120'000);
-  auto base = engine.ExecuteBaseline(MakeQuery(), 2'048);
+  auto base =
+      engine.Execute(MakeQuery(), BaselineOptions(ExecDriver::kSolo, 2'048));
   ASSERT_TRUE(base.ok());
   for (size_t threads : TestThreadCounts()) {
     ProgressiveConfig config;
     config.vector_size = 2'048;
     config.reopt_interval = 2;
-    ParallelOptions options;
-    options.num_threads = threads;
-    auto prog = engine.ExecuteProgressiveParallel(MakeQuery(), config,
-                                                  options);
+    auto prog = engine.Execute(MakeQuery(),
+                               ShardedProgressiveOptions(config, threads));
     ASSERT_TRUE(prog.ok());
-    EXPECT_EQ(prog.ValueOrDie().drive.merged.qualifying_tuples,
-              base.ValueOrDie().drive.qualifying_tuples)
+    ASSERT_TRUE(prog.ValueOrDie().sharded_progressive.has_value());
+    EXPECT_EQ(prog.ValueOrDie().qualifying_tuples,
+              base.ValueOrDie().qualifying_tuples)
         << threads << " threads";
-    EXPECT_EQ(prog.ValueOrDie().drive.merged.aggregate,
-              base.ValueOrDie().drive.aggregate)
+    EXPECT_EQ(prog.ValueOrDie().aggregate, base.ValueOrDie().aggregate)
         << threads << " threads";
   }
 }
@@ -262,22 +287,30 @@ TEST(ParallelDriverTest, ProgressiveParallelReordersWorstFirstOrder) {
   ProgressiveConfig config;
   config.vector_size = 2'048;
   config.reopt_interval = 2;
-  ParallelOptions options;
-  options.num_threads = 1;  // deterministic coordinator schedule
+  // One thread: a deterministic coordinator schedule.
   auto prog =
-      engine.ExecuteProgressiveParallel(MakeQuery(), config, options);
+      engine.Execute(MakeQuery(), ShardedProgressiveOptions(config, 1));
   ASSERT_TRUE(prog.ok());
-  const ParallelProgressiveReport& report = prog.ValueOrDie();
+  ASSERT_TRUE(prog.ValueOrDie().sharded_progressive.has_value());
+  const ParallelProgressiveReport& report =
+      *prog.ValueOrDie().sharded_progressive;
   // The query is worst-first (c, the ~2% predicate, evaluated last); the
   // merged-window coordinator must discover and broadcast a better order.
   ASSERT_FALSE(report.changes.empty());
   ASSERT_EQ(report.final_order.size(), 3u);
   EXPECT_EQ(report.final_order.front(), 2u);  // most selective first
+  // Every change records the forms on both sides, one per operator, as
+  // the solo driver's changes do.
+  for (const PeoChange& change : report.changes) {
+    EXPECT_EQ(change.old_forms.size(), 3u);
+    EXPECT_EQ(change.new_forms.size(), 3u);
+  }
   // Progressive beats the worst-first fixed order on machine time.
-  auto base = engine.ExecuteBaseline(MakeQuery(), 2'048);
+  auto base =
+      engine.Execute(MakeQuery(), BaselineOptions(ExecDriver::kSolo, 2'048));
   ASSERT_TRUE(base.ok());
   EXPECT_LT(report.drive.merged.simulated_msec,
-            base.ValueOrDie().drive.simulated_msec);
+            base.ValueOrDie().simulated_msec);
 }
 
 TEST(ParallelDriverTest, ProgressiveSingleThreadIsDeterministic) {
@@ -285,41 +318,35 @@ TEST(ParallelDriverTest, ProgressiveSingleThreadIsDeterministic) {
   ProgressiveConfig config;
   config.vector_size = 2'048;
   config.reopt_interval = 2;
-  ParallelOptions options;
-  options.num_threads = 1;
-  auto a = engine.ExecuteProgressiveParallel(MakeQuery(), config, options);
-  auto b = engine.ExecuteProgressiveParallel(MakeQuery(), config, options);
+  auto a = engine.Execute(MakeQuery(), ShardedProgressiveOptions(config, 1));
+  auto b = engine.Execute(MakeQuery(), ShardedProgressiveOptions(config, 1));
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.ValueOrDie().drive.merged.total,
-            b.ValueOrDie().drive.merged.total);
+  ASSERT_TRUE(a.ValueOrDie().sharded_progressive.has_value());
+  ASSERT_TRUE(b.ValueOrDie().sharded_progressive.has_value());
+  EXPECT_EQ(a.ValueOrDie().counters, b.ValueOrDie().counters);
   EXPECT_EQ(a.ValueOrDie().final_order, b.ValueOrDie().final_order);
-  EXPECT_EQ(a.ValueOrDie().changes.size(), b.ValueOrDie().changes.size());
+  EXPECT_EQ(a.ValueOrDie().sharded_progressive->changes.size(),
+            b.ValueOrDie().sharded_progressive->changes.size());
 }
 
 TEST(ParallelDriverTest, ErrorsPropagate) {
   Engine engine = MakeEngine(1'000);
-  ParallelOptions options;
-  options.num_threads = 0;
-  EXPECT_EQ(
-      engine.ExecuteBaselineParallel(MakeQuery(), options).status().code(),
-      StatusCode::kInvalidArgument);
-  options.num_threads = 2;
-  options.morsel_size = 0;
-  EXPECT_EQ(
-      engine.ExecuteBaselineParallel(MakeQuery(), options).status().code(),
-      StatusCode::kInvalidArgument);
-  options.morsel_size = 1'024;
+  ExecOptions options = BaselineOptions(ExecDriver::kSharded, 1'024, 0);
+  EXPECT_EQ(engine.Execute(MakeQuery(), options).status().code(),
+            StatusCode::kInvalidArgument);
+  options = BaselineOptions(ExecDriver::kSharded, 0, 2);
+  EXPECT_EQ(engine.Execute(MakeQuery(), options).status().code(),
+            StatusCode::kInvalidArgument);
+  options = BaselineOptions(ExecDriver::kSharded, 1'024, 2);
   QuerySpec bad = MakeQuery();
   bad.table = "missing";
-  EXPECT_EQ(engine.ExecuteBaselineParallel(bad, options).status().code(),
+  EXPECT_EQ(engine.Execute(bad, options).status().code(),
             StatusCode::kNotFound);
-  EXPECT_FALSE(engine
-                   .ExecuteBaselineParallel(MakeQuery(), options,
-                                            std::vector<size_t>{0, 0, 0})
-                   .ok());
+  options.order = std::vector<size_t>{0, 0, 0};
+  EXPECT_FALSE(engine.Execute(MakeQuery(), options).ok());
   ProgressiveConfig config;
   config.vector_size = 0;
-  EXPECT_EQ(engine.ExecuteProgressiveParallel(MakeQuery(), config, options)
+  EXPECT_EQ(engine.Execute(MakeQuery(), ShardedProgressiveOptions(config, 2))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

@@ -72,7 +72,7 @@ TEST(ProgressiveTest, BeatsBadBaselineOrder) {
   const ProgressiveReport prog = opt.Run();
 
   Fixture fx_base(200'000, 0.95, 0.5, 0.05);
-  const DriveResult base = RunBaseline(fx_base.exec.get(), 8'192);
+  const DriveResult base = VectorDriver(fx_base.exec.get(), 8'192).Run();
 
   EXPECT_LT(prog.drive.simulated_msec, base.simulated_msec * 0.75);
 }
@@ -91,7 +91,7 @@ TEST(ProgressiveTest, OverheadOnOptimalOrderIsBounded) {
   const ProgressiveReport prog = opt.Run();
 
   Fixture fx_base(200'000, 0.1, 0.5, 0.9);
-  const DriveResult base = RunBaseline(fx_base.exec.get(), 8'192);
+  const DriveResult base = VectorDriver(fx_base.exec.get(), 8'192).Run();
   // Monitoring + estimation must cost < 5% on an already optimal plan.
   EXPECT_LT(prog.drive.simulated_msec, base.simulated_msec * 1.05);
 }
@@ -210,9 +210,9 @@ TEST(ProgressiveTest, ExpensivePredicateDeferredDespiteSelectivity) {
   EXPECT_EQ(report.final_order, (std::vector<size_t>{1, 0}));
 }
 
-TEST(ProgressiveTest, RunBaselineMatchesDriverOutput) {
+TEST(ProgressiveTest, FixedOrderDriveMatchesFixtureOutput) {
   Fixture fx(50'000, 0.5, 0.5, 0.5);
-  const DriveResult r = RunBaseline(fx.exec.get(), 4'096);
+  const DriveResult r = VectorDriver(fx.exec.get(), 4'096).Run();
   EXPECT_EQ(r.input_tuples, 50'000u);
   EXPECT_EQ(r.qualifying_tuples, fx.expected_qualifying);
 }

@@ -154,18 +154,6 @@ WorkloadSpec MakeHomogeneousWorkload(size_t n) {
   return spec;
 }
 
-DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    return r.ValueOrDie().drive;
-  }
-  auto r = engine.ExecuteBaseline(q.query, q.config.vector_size,
-                                  q.initial_order);
-  EXPECT_TRUE(r.ok());
-  return r.ValueOrDie().drive;
-}
-
 /// The per-query fault signature the determinism tests compare.
 struct FaultSignature {
   QueryOutcome outcome;
@@ -635,12 +623,14 @@ TEST(ServiceFaultsTest, DeadlineShedderCalibratesOnlineAndNeverShedsBlind) {
 TEST(ServiceFaultsTest, FkOutOfRangeFailsSoloEntryPoints) {
   Engine engine = MakeFaultEngine();
   const QuerySpec bad = JoinQuery(engine, "bad_fact");
-  auto baseline = engine.ExecuteBaseline(bad, 2'048);
+  ExecOptions options;
+  options.vector_size = 2'048;
+  auto baseline = engine.Execute(bad, options);
   EXPECT_EQ(baseline.status().code(), StatusCode::kOutOfRange);
   EXPECT_NE(baseline.status().message().find("dimension"), std::string::npos);
-  ProgressiveConfig config;
-  config.vector_size = 2'048;
-  auto progressive = engine.ExecuteProgressive(bad, config);
+  options.mode = ExecMode::kProgressive;
+  options.progressive.vector_size = 2'048;
+  auto progressive = engine.Execute(bad, options);
   EXPECT_EQ(progressive.status().code(), StatusCode::kOutOfRange);
 }
 
@@ -648,10 +638,11 @@ TEST(ServiceFaultsTest, FkOutOfRangeFailsParallelEntryPoints) {
   Engine engine = MakeFaultEngine();
   const QuerySpec bad = JoinQuery(engine, "bad_fact");
   for (size_t threads : TestThreadCounts()) {
-    ParallelOptions options;
+    ExecOptions options;
+    options.driver = ExecDriver::kSharded;
     options.num_threads = threads;
-    options.morsel_size = 2'048;
-    auto report = engine.ExecuteBaselineParallel(bad, options);
+    options.vector_size = 2'048;
+    auto report = engine.Execute(bad, options);
     EXPECT_EQ(report.status().code(), StatusCode::kOutOfRange)
         << threads << " threads";
   }
@@ -724,13 +715,15 @@ TEST(ServiceFaultsTest, ParallelCancellationStopsAtMorselBoundary) {
   Engine engine = MakeFaultEngine();
   const QuerySpec q = ScanQuery("fact_a", 90, 50, 2);
   std::atomic<bool> cancel{true};  // pre-cancelled: nothing may run
-  ParallelOptions options;
+  ExecOptions options;
+  options.driver = ExecDriver::kSharded;
   options.num_threads = 4;
-  options.morsel_size = 2'048;
+  options.vector_size = 2'048;
   options.cancel = &cancel;
-  auto result = engine.ExecuteBaselineParallel(q, options);
+  auto result = engine.Execute(q, options);
   ASSERT_TRUE(result.ok());
-  const ParallelBaselineReport& report = result.ValueOrDie();
+  ASSERT_TRUE(result.ValueOrDie().sharded_baseline.has_value());
+  const ParallelBaselineReport& report = *result.ValueOrDie().sharded_baseline;
   EXPECT_TRUE(report.drive.cancelled);
   EXPECT_TRUE(report.drive.error.ok());
   EXPECT_EQ(report.drive.merged.num_vectors, 0u);
@@ -738,10 +731,11 @@ TEST(ServiceFaultsTest, ParallelCancellationStopsAtMorselBoundary) {
 
   // Not cancelled: the identical call runs to completion.
   cancel.store(false);
-  auto full = engine.ExecuteBaselineParallel(q, options);
+  auto full = engine.Execute(q, options);
   ASSERT_TRUE(full.ok());
-  EXPECT_FALSE(full.ValueOrDie().drive.cancelled);
-  EXPECT_GT(full.ValueOrDie().drive.merged.num_vectors, 0u);
+  ASSERT_TRUE(full.ValueOrDie().sharded_baseline.has_value());
+  EXPECT_FALSE(full.ValueOrDie().sharded_baseline->drive.cancelled);
+  EXPECT_GT(full.ValueOrDie().sharded_baseline->drive.merged.num_vectors, 0u);
 }
 
 TEST(ServiceFaultsTest, FaultOptionsValidate) {

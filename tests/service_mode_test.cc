@@ -14,8 +14,8 @@
 // Differential test layer for the open-loop service mode (DESIGN.md
 // Section 7 "Open-loop service mode"):
 //  (a) open-loop at vanishing arrival rate with max_concurrent = 1 is
-//      bit-identical — results AND counters — to solo ExecuteBaseline /
-//      ExecuteProgressive;
+//      bit-identical — results AND counters — to solo Engine::Execute
+//      runs;
 //  (b) the simultaneous-arrival limit (rate -> infinity) reproduces the
 //      closed-queue run event-for-event;
 //  (c) latency figures are bit-identical across reruns for every
@@ -137,21 +137,6 @@ WorkloadSpec MakeHomogeneousWorkload(size_t n) {
     spec.queries.push_back(std::move(query));
   }
   return spec;
-}
-
-DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
-                      std::vector<size_t>* final_order = nullptr) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    if (final_order != nullptr) *final_order = r.ValueOrDie().final_order;
-    return r.ValueOrDie().drive;
-  }
-  auto r =
-      engine.ExecuteBaseline(q.query, q.config.vector_size, q.initial_order);
-  EXPECT_TRUE(r.ok());
-  if (final_order != nullptr) *final_order = r.ValueOrDie().order;
-  return r.ValueOrDie().drive;
 }
 
 // ---------------------------------------------------------------------------

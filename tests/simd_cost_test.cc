@@ -6,13 +6,17 @@
 /// predicate in each form and comparing booked cycles). Also pins the
 /// order-flip behaviour: CostPricing::kSimdAware changes the progressive
 /// optimizer's chosen predicate order versus kBranchCycles on a workload
-/// built to straddle the two models' rankings.
+/// built to straddle the two models' rankings, on the solo driver and on
+/// the sharded driver, whose workers receive the (order, forms) plans
+/// the coordinator broadcasts.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/prng.h"
+#include "core/engine.h"
 #include "cost/branch_model.h"
 #include "optimizer/progressive.h"
 
@@ -105,7 +109,7 @@ TEST(FormCrossoverTest, MatchesBruteForceSweepOfSimulatedMachine) {
         {}, &pmu);
     NIPO_CHECK(exec.ok());
     NIPO_CHECK(exec.ValueOrDie()->SetForms({form}).ok());
-    return RunBaseline(exec.ValueOrDie().get(), 8'192).total.cycles;
+    return VectorDriver(exec.ValueOrDie().get(), 8'192).Run().total.cycles;
   };
 
   const double grid_step = 0.01;
@@ -129,9 +133,8 @@ TEST(FormCrossoverTest, MatchesBruteForceSweepOfSimulatedMachine) {
 /// per tuple), while kSimdAware switches both to their cheaper form
 /// (A branch-free 2.0, B branch-free 7.0) and ranks A first.
 struct FlipFixture {
-  Table table{"t"};
-  Pmu pmu{HwConfig()};
-  std::unique_ptr<PipelineExecutor> exec;
+  Engine engine{HwConfig()};
+  QuerySpec query;
   uint64_t expected_qualifying = 0;
 
   explicit FlipFixture(uint64_t seed = 9) {
@@ -143,30 +146,56 @@ struct FlipFixture {
       b[i] = static_cast<int32_t>(prng.NextBounded(1000));
       if (a[i] < 500 && b[i] < 300) ++expected_qualifying;
     }
-    EXPECT_TRUE(table.AddColumn("a", std::move(a)).ok());
-    EXPECT_TRUE(table.AddColumn("b", std::move(b)).ok());
+    auto table = std::make_unique<Table>("t");
+    EXPECT_TRUE(table->AddColumn("a", std::move(a)).ok());
+    EXPECT_TRUE(table->AddColumn("b", std::move(b)).ok());
+    EXPECT_TRUE(engine.RegisterTable(std::move(table)).ok());
     PredicateSpec pb{"b", CompareOp::kLt, 300.0};
     pb.extra_instructions = 10.0;
-    auto compiled = PipelineExecutor::Compile(
-        table,
-        {OperatorSpec::Predicate({"a", CompareOp::kLt, 500.0}),
-         OperatorSpec::Predicate(pb)},
-        {}, &pmu);
-    EXPECT_TRUE(compiled.ok());
-    exec = std::move(compiled).ValueOrDie();
+    query.table = "t";
+    query.ops = {OperatorSpec::Predicate({"a", CompareOp::kLt, 500.0}),
+                 OperatorSpec::Predicate(pb)};
   }
 };
 
-ProgressiveReport RunWithPricing(CostPricing pricing) {
+/// A driver the flip must hold on.
+struct FlipDriver {
+  ExecDriver driver;
+  size_t num_threads;
+};
+
+/// Solo, sharded on one worker, sharded on four.
+constexpr FlipDriver kFlipDrivers[] = {{ExecDriver::kSolo, 1},
+                                       {ExecDriver::kSharded, 1},
+                                       {ExecDriver::kSharded, 4}};
+
+/// What a flip run decided: the order it ended in and its PEO trace.
+struct FlipRun {
+  std::vector<size_t> final_order;
+  std::vector<PeoChange> changes;
+};
+
+FlipRun RunWithPricing(CostPricing pricing, FlipDriver driver) {
   FlipFixture fx;
-  ProgressiveConfig cfg;
-  cfg.vector_size = 8'192;
-  cfg.reopt_interval = 2;
-  cfg.pricing = pricing;
-  ProgressiveOptimizer opt(fx.exec.get(), cfg);
-  ProgressiveReport report = opt.Run();
-  EXPECT_EQ(report.drive.qualifying_tuples, fx.expected_qualifying);
-  return report;
+  ExecOptions options;
+  options.mode = ExecMode::kProgressive;
+  options.driver = driver.driver;
+  options.num_threads = driver.num_threads;
+  options.progressive.vector_size = 8'192;
+  options.progressive.reopt_interval = 2;
+  options.progressive.pricing = pricing;
+  auto result = fx.engine.Execute(fx.query, options);
+  EXPECT_TRUE(result.ok());
+  const ExecReport& report = result.ValueOrDie();
+  EXPECT_EQ(report.qualifying_tuples, fx.expected_qualifying);
+  return {report.final_order, report.progressive.has_value()
+                                  ? report.progressive->changes
+                                  : report.sharded_progressive->changes};
+}
+
+std::string DriverName(FlipDriver driver) {
+  if (driver.driver == ExecDriver::kSolo) return "solo";
+  return "sharded x" + std::to_string(driver.num_threads);
 }
 
 TEST(SimdAwarePricingTest, ChangesChosenPredicateOrder) {
@@ -174,38 +203,43 @@ TEST(SimdAwarePricingTest, ChangesChosenPredicateOrder) {
   // SIMD-aware model knows A's 0.5-selectivity branch is exactly the one
   // a branch-free kernel makes cheap, and keeps A first. The optimizer's
   // chosen order flips between the two pricings on identical data — the
-  // EXPERIMENTS.md "SIMD kernels" demonstration.
-  const ProgressiveReport branch_cycles =
-      RunWithPricing(CostPricing::kBranchCycles);
-  EXPECT_EQ(branch_cycles.final_order, (std::vector<size_t>{1, 0}));
-
-  const ProgressiveReport simd_aware =
-      RunWithPricing(CostPricing::kSimdAware);
-  EXPECT_EQ(simd_aware.final_order, (std::vector<size_t>{0, 1}));
+  // EXPERIMENTS.md "SIMD kernels" demonstration — on every driver.
+  for (const FlipDriver driver : kFlipDrivers) {
+    EXPECT_EQ(RunWithPricing(CostPricing::kBranchCycles, driver).final_order,
+              (std::vector<size_t>{1, 0}))
+        << DriverName(driver);
+    EXPECT_EQ(RunWithPricing(CostPricing::kSimdAware, driver).final_order,
+              (std::vector<size_t>{0, 1}))
+        << DriverName(driver);
+  }
 }
 
 TEST(SimdAwarePricingTest, SimdAwareRunSwitchesFormsAndPreservesResults) {
-  const ProgressiveReport report = RunWithPricing(CostPricing::kSimdAware);
   // Both predicates price cheaper branch-free (0.5 and 0.3 are above the
   // ~0.066 crossover); at least one applied change must carry a
-  // branch-free form.
-  bool saw_branch_free = false;
-  for (const PeoChange& change : report.changes) {
-    ASSERT_EQ(change.old_forms.size(), change.new_forms.size());
-    if (change.reverted) continue;
-    for (const PredicateForm form : change.new_forms) {
-      if (form == PredicateForm::kBranchFree) saw_branch_free = true;
+  // branch-free form, on every driver.
+  for (const FlipDriver driver : kFlipDrivers) {
+    const FlipRun run = RunWithPricing(CostPricing::kSimdAware, driver);
+    bool saw_branch_free = false;
+    for (const PeoChange& change : run.changes) {
+      ASSERT_EQ(change.old_forms.size(), 2u) << DriverName(driver);
+      ASSERT_EQ(change.new_forms.size(), 2u) << DriverName(driver);
+      if (change.reverted) continue;
+      for (const PredicateForm form : change.new_forms) {
+        if (form == PredicateForm::kBranchFree) saw_branch_free = true;
+      }
     }
+    EXPECT_TRUE(saw_branch_free) << DriverName(driver);
   }
-  EXPECT_TRUE(saw_branch_free);
 }
 
 TEST(SimdAwarePricingTest, BranchCyclesRunKeepsAllBranchingForms) {
-  const ProgressiveReport report =
-      RunWithPricing(CostPricing::kBranchCycles);
-  for (const PeoChange& change : report.changes) {
-    for (const PredicateForm form : change.new_forms) {
-      EXPECT_EQ(form, PredicateForm::kBranching);
+  for (const FlipDriver driver : kFlipDrivers) {
+    const FlipRun run = RunWithPricing(CostPricing::kBranchCycles, driver);
+    for (const PeoChange& change : run.changes) {
+      for (const PredicateForm form : change.new_forms) {
+        EXPECT_EQ(form, PredicateForm::kBranching) << DriverName(driver);
+      }
     }
   }
 }

@@ -58,70 +58,62 @@ Engine MakeEngine(const TpchConfig& config, bool encoded) {
   return engine;
 }
 
-TEST(StorageScanTest, ShimsAndUnifiedExecuteBitIdenticalPlain) {
-  // Encodings off: the legacy entry points must match Execute()
-  // bit-for-bit on results and counters (same engine, same registered
-  // arrays, so the address-based cache simulation sees identical
-  // addresses).
+TEST(StorageScanTest, UnifiedExecuteReportsAgreePlain) {
+  // Encodings off: every (mode, driver) pair engages its own sub-report,
+  // whose drive the headline numbers copy bit-for-bit, and the
+  // single-worker sharded drive reproduces the solo counters (same
+  // engine, same registered arrays, so the address-based cache simulation
+  // sees identical addresses).
   Engine engine = MakeEngine(SmallTpch(), /*encoded=*/false);
   const QuerySpec query = Q6Query();
   const size_t kVectorSize = 4'096;
 
-  {  // solo baseline
-    auto shim = engine.ExecuteBaseline(query, kVectorSize);
-    ExecOptions options;
-    options.vector_size = kVectorSize;
-    auto unified = engine.Execute(query, options);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    const ExecReport& u = unified.ValueOrDie();
-    EXPECT_EQ(u.mode, ExecMode::kBaseline);
-    EXPECT_EQ(u.driver, ExecDriver::kSolo);
-    EXPECT_EQ(shim.ValueOrDie().drive.total, u.counters);
-    EXPECT_EQ(shim.ValueOrDie().drive.aggregate, u.aggregate);
-    EXPECT_EQ(shim.ValueOrDie().drive.qualifying_tuples,
-              u.qualifying_tuples);
-    EXPECT_EQ(u.zone_skipped_tuples, 0u);  // plain storage never skips
-  }
+  ExecOptions options;
+  options.vector_size = kVectorSize;
+  auto solo = engine.Execute(query, options);
+  ASSERT_TRUE(solo.ok());
+  const ExecReport& s = solo.ValueOrDie();
+  EXPECT_EQ(s.mode, ExecMode::kBaseline);
+  EXPECT_EQ(s.driver, ExecDriver::kSolo);
+  ASSERT_TRUE(s.baseline.has_value());
+  EXPECT_EQ(s.baseline->drive.total, s.counters);
+  EXPECT_EQ(s.baseline->drive.aggregate, s.aggregate);
+  EXPECT_EQ(s.baseline->drive.qualifying_tuples, s.qualifying_tuples);
+  EXPECT_EQ(s.zone_skipped_tuples, 0u);  // plain storage never skips
+
   {  // solo progressive
-    ProgressiveConfig config;
-    config.vector_size = kVectorSize;
-    config.reopt_interval = 5;
-    auto shim = engine.ExecuteProgressive(query, config);
-    ExecOptions options;
-    options.mode = ExecMode::kProgressive;
-    options.progressive = config;
-    auto unified = engine.Execute(query, options);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    const ExecReport& u = unified.ValueOrDie();
-    EXPECT_EQ(shim.ValueOrDie().drive.total, u.counters);
-    EXPECT_EQ(shim.ValueOrDie().drive.aggregate, u.aggregate);
-    EXPECT_EQ(shim.ValueOrDie().final_order, u.final_order);
+    ExecOptions prog;
+    prog.mode = ExecMode::kProgressive;
+    prog.progressive.vector_size = kVectorSize;
+    prog.progressive.reopt_interval = 5;
+    auto run = engine.Execute(query, prog);
+    ASSERT_TRUE(run.ok());
+    const ExecReport& u = run.ValueOrDie();
+    EXPECT_EQ(u.driver, ExecDriver::kSolo);
     ASSERT_TRUE(u.progressive.has_value());
-    EXPECT_EQ(shim.ValueOrDie().changes.size(),
-              u.progressive->changes.size());
+    EXPECT_EQ(u.progressive->drive.total, u.counters);
+    EXPECT_EQ(u.progressive->drive.aggregate, u.aggregate);
+    EXPECT_EQ(u.progressive->final_order, u.final_order);
+    EXPECT_EQ(u.qualifying_tuples, s.qualifying_tuples);
   }
   for (const size_t threads : {size_t{1}, size_t{4}}) {  // sharded
-    ParallelOptions par;
-    par.num_threads = threads;
-    par.morsel_size = kVectorSize;
-    auto shim = engine.ExecuteBaselineParallel(query, par);
-    ExecOptions options;
-    options.driver = ExecDriver::kSharded;
-    options.num_threads = threads;
-    options.vector_size = kVectorSize;
-    auto unified = engine.Execute(query, options);
-    ASSERT_TRUE(shim.ok() && unified.ok());
-    const ExecReport& u = unified.ValueOrDie();
+    ExecOptions sharded = options;
+    sharded.driver = ExecDriver::kSharded;
+    sharded.num_threads = threads;
+    auto run = engine.Execute(query, sharded);
+    ASSERT_TRUE(run.ok());
+    const ExecReport& u = run.ValueOrDie();
     EXPECT_EQ(u.driver, ExecDriver::kSharded);
+    ASSERT_TRUE(u.sharded_baseline.has_value());
+    EXPECT_EQ(u.sharded_baseline->drive.merged.total, u.counters);
     if (threads == 1) {
       // Work stealing at >1 thread is timing-dependent, so per-worker
       // predictor state (hence merged mispredictions/cycles) is only
       // pinned for the single-worker shard.
-      EXPECT_EQ(shim.ValueOrDie().drive.merged.total, u.counters);
+      EXPECT_EQ(u.counters, s.counters);
     }
-    EXPECT_EQ(shim.ValueOrDie().drive.merged.aggregate, u.aggregate);
-    EXPECT_EQ(shim.ValueOrDie().drive.merged.qualifying_tuples,
-              u.qualifying_tuples);
+    EXPECT_EQ(u.aggregate, s.aggregate);
+    EXPECT_EQ(u.qualifying_tuples, s.qualifying_tuples);
   }
 }
 

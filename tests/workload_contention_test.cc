@@ -128,19 +128,6 @@ WorkloadSpec MakeMixedWorkload(const Engine& engine) {
   return spec;
 }
 
-/// Solo single-threaded reference for one workload entry.
-DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    return r.ValueOrDie().drive;
-  }
-  auto r =
-      engine.ExecuteBaseline(q.query, q.config.vector_size, q.initial_order);
-  EXPECT_TRUE(r.ok());
-  return r.ValueOrDie().drive;
-}
-
 TEST(WorkloadContentionTest, ContentionOffKeepsSoloBitEquality) {
   Engine engine = MakeContentionEngine();
   WorkloadSpec spec = MakeMixedWorkload(engine);

@@ -12,7 +12,7 @@
 // Coverage for multi-query workload execution (DESIGN.md "Workload
 // execution"):
 //  - every query's results AND counters are bit-identical to running it
-//    alone through ExecuteBaseline / ExecuteProgressive, for any
+//    alone through Engine::Execute (SoloDrive), for any
 //    max_concurrent and simulated core count;
 //  - the whole report (per-query counters, simulated schedule, makespan)
 //    is stable across max_concurrent in {1, 2, 8} and across repeated
@@ -130,23 +130,6 @@ WorkloadSpec MakeMixedWorkload(const Engine& engine) {
   add("scan_a_reordered", ScanQuery("fact_a", 90, 50, 2), false, 2'048,
       std::vector<size_t>{2, 0, 1});
   return spec;
-}
-
-/// Solo single-threaded reference for query `q`: ExecuteBaseline or
-/// ExecuteProgressive, whichever the workload entry asks for.
-DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
-                      std::vector<size_t>* final_order = nullptr) {
-  if (q.progressive) {
-    auto r = engine.ExecuteProgressive(q.query, q.config, q.initial_order);
-    EXPECT_TRUE(r.ok());
-    if (final_order != nullptr) *final_order = r.ValueOrDie().final_order;
-    return r.ValueOrDie().drive;
-  }
-  auto r =
-      engine.ExecuteBaseline(q.query, q.config.vector_size, q.initial_order);
-  EXPECT_TRUE(r.ok());
-  if (final_order != nullptr) *final_order = r.ValueOrDie().order;
-  return r.ValueOrDie().drive;
 }
 
 TEST(WorkloadDriverTest, DeterministicModeIsBitIdenticalToSoloRuns) {

@@ -4,11 +4,13 @@
 
 #include <vector>
 
+#include "core/engine.h"
 #include "exec/workload_driver.h"
 
-// Test-local helpers around SimulateWorkloadSchedule, shared by the
-// workload suites: hand-crafted durations and recorded reports both
-// become QuantumTrace replay input.
+// Test-local helpers shared by the workload suites: hand-crafted
+// durations and recorded reports both become QuantumTrace replay input
+// for SimulateWorkloadSchedule, and SoloDrive runs one workload entry
+// alone as the bit-identity reference.
 
 namespace nipo {
 
@@ -47,6 +49,24 @@ inline std::vector<std::vector<QuantumTrace>> TracesOf(
     }
   }
   return traces;
+}
+
+/// Solo single-threaded reference for one workload entry: its query, mode,
+/// vector size and initial order through Engine::Execute. Stores the
+/// order the run ended in into `final_order` when non-null.
+inline DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
+                             std::vector<size_t>* final_order = nullptr) {
+  ExecOptions options;
+  options.mode = q.progressive ? ExecMode::kProgressive : ExecMode::kBaseline;
+  options.driver = ExecDriver::kSolo;
+  options.vector_size = q.config.vector_size;
+  options.progressive = q.config;
+  options.order = q.initial_order;
+  auto r = engine.Execute(q.query, options);
+  EXPECT_TRUE(r.ok());
+  const ExecReport& report = r.ValueOrDie();
+  if (final_order != nullptr) *final_order = report.final_order;
+  return q.progressive ? report.progressive->drive : report.baseline->drive;
 }
 
 }  // namespace nipo
