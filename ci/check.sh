@@ -46,6 +46,25 @@ if [[ "${NIPO_LINT:-1}" == "1" ]]; then
     echo "lint: scan through ColumnView instead (storage/column_view.h)" >&2
     exit 1
   fi
+
+  # Reachability lint: every header under src/ must be included by some
+  # library, bench, example or repo-benchmark file other than its own .cc.
+  # A module that only its tests reach is code no workload runs; delete it
+  # instead of keeping it compiled.
+  echo "== lint: every src/ header is reached outside its tests =="
+  unreached=0
+  while IFS= read -r header; do
+    users=$(grep -RlF --include='*.h' --include='*.cc' \
+        "#include \"${header#src/}\"" src bench examples nipobench \
+        | grep -vxF "${header%.h}.cc" || true)
+    if [[ -z "$users" ]]; then
+      echo "lint: $header is included only by its own .cc or by tests" >&2
+      unreached=1
+    fi
+  done < <(find src -name '*.h' | sort)
+  if [[ "$unreached" != 0 ]]; then
+    exit 1
+  fi
 fi
 
 cmake -B "$BUILD_DIR" -S . -DNIPO_SIMD="$NIPO_SIMD"

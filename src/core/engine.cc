@@ -68,6 +68,18 @@ void FillHeadline(const DriveResult& drive, ExecReport* report) {
   report->simulated_msec = drive.simulated_msec;
 }
 
+/// Progressive options are user input: reject what the optimizer would
+/// abort on.
+Status ValidateProgressive(const ProgressiveConfig& config) {
+  if (config.vector_size == 0) {
+    return Status::InvalidArgument("vector_size must be positive");
+  }
+  if (config.reopt_interval == 0) {
+    return Status::InvalidArgument("reopt_interval must be positive");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<ExecReport> Engine::Execute(const QuerySpec& query,
@@ -102,9 +114,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
       report.baseline = std::move(sub);
       return report;
     }
-    if (options.progressive.vector_size == 0) {
-      return Status::InvalidArgument("vector_size must be positive");
-    }
+    NIPO_RETURN_NOT_OK(ValidateProgressive(options.progressive));
     Pmu pmu = NewMachine();
     NIPO_ASSIGN_OR_RETURN(
         std::unique_ptr<PipelineExecutor> exec,
@@ -131,7 +141,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
 
   if (options.mode == ExecMode::kBaseline) {
     if (options.vector_size == 0) {
-      return Status::InvalidArgument("morsel_size must be positive");
+      return Status::InvalidArgument("vector_size must be positive");
     }
     pcfg.morsel_size = options.vector_size;
     ParallelDriver pdriver(NewMachine(), factory, pcfg);
@@ -156,9 +166,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
     return report;
   }
 
-  if (options.progressive.vector_size == 0) {
-    return Status::InvalidArgument("vector_size must be positive");
-  }
+  NIPO_RETURN_NOT_OK(ValidateProgressive(options.progressive));
   // The coordinator's control pipeline: never executed, provides operator
   // metadata and carries the authoritative current order.
   Pmu control_pmu = NewMachine();

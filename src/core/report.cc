@@ -5,10 +5,9 @@
 #include "common/table_printer.h"
 
 /// \file report.cc
-/// Rendering of execution reports: PMU counter rows, baseline vs
-/// progressive comparison tables, the PEO-change trace, and the sharded
-/// (parallel) merged/per-worker summaries, in both aligned-text and CSV
-/// form.
+/// Rendering of execution reports: PMU counter rows, drive summaries, the
+/// progressive PEO-change trace and the workload schedule, in both
+/// aligned-text and CSV form.
 
 namespace nipo {
 
@@ -35,6 +34,17 @@ std::vector<std::pair<std::string, uint64_t>> CounterRows(
       {"l3_evictions_suffered", c.l3_evictions_suffered},
       {"cycles", c.cycles},
   };
+}
+
+/// Per-operator predicate forms by original operator index, B for
+/// branching and F for branch-free ("B,F").
+std::string FormatForms(const std::vector<PredicateForm>& forms) {
+  std::string out;
+  for (size_t i = 0; i < forms.size(); ++i) {
+    if (i) out += ",";
+    out += forms[i] == PredicateForm::kBranchFree ? "F" : "B";
+  }
+  return out;
 }
 
 }  // namespace
@@ -66,35 +76,6 @@ void PrintDriveResult(const DriveResult& drive, const std::string& title,
   table.Print(out);
 }
 
-void PrintExecReport(const ExecReport& report, const std::string& title,
-                     std::ostream& out) {
-  TablePrinter table(title);
-  table.SetHeader({"metric", "value"});
-  table.AddRow({"mode", report.mode == ExecMode::kBaseline ? "baseline"
-                                                           : "progressive"});
-  table.AddRow(
-      {"driver", report.driver == ExecDriver::kSolo ? "solo" : "sharded"});
-  table.AddRow({"input tuples", std::to_string(report.input_tuples)});
-  table.AddRow(
-      {"qualifying tuples", std::to_string(report.qualifying_tuples)});
-  table.AddRow(
-      {"zone-skipped tuples", std::to_string(report.zone_skipped_tuples)});
-  table.AddRow({"aggregate", FormatDouble(report.aggregate, 2)});
-  table.AddRow({"simulated msec", FormatDouble(report.simulated_msec, 3)});
-  table.AddRow({"final order", FormatOrder(report.final_order)});
-  table.Print(out);
-  if (report.progressive.has_value()) {
-    PrintProgressiveReport(*report.progressive, title + " (progressive)",
-                           out);
-  } else if (report.sharded_baseline.has_value()) {
-    PrintParallelDriveResult(report.sharded_baseline->drive,
-                             title + " (workers)", out);
-  } else if (report.sharded_progressive.has_value()) {
-    PrintParallelProgressiveReport(*report.sharded_progressive,
-                                   title + " (workers)", out);
-  }
-}
-
 std::string FormatOrder(const std::vector<size_t>& order) {
   std::string out;
   for (size_t i = 0; i < order.size(); ++i) {
@@ -108,64 +89,24 @@ void PrintProgressiveReport(const ProgressiveReport& report,
                             const std::string& title, std::ostream& out) {
   PrintDriveResult(report.drive, title, out);
   TablePrinter trace(title + " - PEO trace");
-  trace.SetHeader({"vector", "old order", "new order", "flags"});
+  trace.SetHeader({"vector", "old order", "new order", "forms", "flags"});
   for (const PeoChange& change : report.changes) {
+    // Forms print only when they changed: under kSimdAware a change may
+    // switch forms alone, with old and new order equal.
+    const std::string forms =
+        change.old_forms != change.new_forms
+            ? FormatForms(change.old_forms) + " -> " +
+                  FormatForms(change.new_forms)
+            : "";
     std::string flags;
     if (change.exploration) flags += "exploration ";
     if (change.reverted) flags += "reverted";
     trace.AddRow({std::to_string(change.vector_index),
                   FormatOrder(change.old_order),
-                  FormatOrder(change.new_order), flags});
+                  FormatOrder(change.new_order), forms, flags});
   }
   trace.Print(out);
   out << "optimizations: " << report.num_optimizations
-      << ", final order: " << FormatOrder(report.final_order) << "\n";
-  if (!report.last_estimate.empty()) {
-    out << "final selectivity estimate:";
-    for (double s : report.last_estimate) {
-      out << " " << FormatDouble(s, 3);
-    }
-    out << "\n";
-  }
-}
-
-void PrintParallelDriveResult(const ParallelDriveResult& result,
-                              const std::string& title, std::ostream& out) {
-  PrintDriveResult(result.merged, title + " (merged)", out);
-  TablePrinter workers(title + " - workers");
-  workers.SetHeader({"worker", "morsels", "steals", "cycles",
-                     "machine msec"});
-  for (size_t w = 0; w < result.workers.size(); ++w) {
-    const WorkerStats& stats = result.workers[w];
-    workers.AddRow({std::to_string(w), std::to_string(stats.morsels),
-                    std::to_string(stats.steals),
-                    std::to_string(stats.counters.cycles),
-                    FormatDouble(stats.simulated_msec, 3)});
-  }
-  workers.Print(out);
-  out << "morsels: " << result.num_morsels
-      << ", critical path: " << FormatDouble(result.merged.simulated_msec, 3)
-      << " simulated msec, wall: " << FormatDouble(result.wall_msec, 3)
-      << " host msec\n";
-}
-
-void PrintParallelProgressiveReport(const ParallelProgressiveReport& report,
-                                    const std::string& title,
-                                    std::ostream& out) {
-  PrintParallelDriveResult(report.drive, title, out);
-  TablePrinter trace(title + " - broadcast PEO trace");
-  trace.SetHeader({"window end", "old order", "new order", "flags"});
-  for (const PeoChange& change : report.changes) {
-    std::string flags;
-    if (change.exploration) flags += "exploration ";
-    if (change.reverted) flags += "reverted";
-    trace.AddRow({std::to_string(change.vector_index),
-                  FormatOrder(change.old_order),
-                  FormatOrder(change.new_order), flags});
-  }
-  trace.Print(out);
-  out << "optimizations: " << report.num_optimizations
-      << ", stale morsels: " << report.stale_morsels
       << ", final order: " << FormatOrder(report.final_order) << "\n";
   if (!report.last_estimate.empty()) {
     out << "final selectivity estimate:";

@@ -22,20 +22,10 @@ void PrintDriveResult(const DriveResult& drive, const std::string& title,
                       std::ostream& out);
 
 /// \brief Renders a progressive run: drive summary plus the PEO trace
-/// (one line per order change, with revert/exploration flags).
+/// (one line per order or form change, with the old and new forms when
+/// they differ and revert/exploration flags).
 void PrintProgressiveReport(const ProgressiveReport& report,
                             const std::string& title, std::ostream& out);
-
-/// \brief Renders a sharded execution: the deterministic merged summary
-/// plus one row per worker (morsels, steals, cycles, machine time).
-void PrintParallelDriveResult(const ParallelDriveResult& result,
-                              const std::string& title, std::ostream& out);
-
-/// \brief Renders a sharded progressive run: merged drive summary,
-/// per-worker table, and the broadcast PEO trace.
-void PrintParallelProgressiveReport(const ParallelProgressiveReport& report,
-                                    const std::string& title,
-                                    std::ostream& out);
 
 /// \brief Renders a workload execution: one row per query (mode, result,
 /// machine time, simulated queue/finish times, PEO changes; arrival /
@@ -44,12 +34,6 @@ void PrintParallelProgressiveReport(const ParallelProgressiveReport& report,
 /// adaptive-admission trajectory, fault census).
 void PrintWorkloadReport(const WorkloadReport& report,
                          const std::string& title, std::ostream& out);
-
-/// \brief Renders a unified Execute run: the mode/driver line, headline
-/// numbers (tuples, zone-skipped, aggregate, simulated time) and the
-/// engaged mode-specific sub-report.
-void PrintExecReport(const ExecReport& report, const std::string& title,
-                     std::ostream& out);
 
 /// \brief One-line PEO rendering ("3,1,0,2,4").
 std::string FormatOrder(const std::vector<size_t>& order);

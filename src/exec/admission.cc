@@ -12,6 +12,13 @@
 
 namespace nipo {
 
+namespace {
+
+/// Hard floor of the effective limit (the progress guarantee).
+constexpr size_t kMinLimit = 1;
+
+}  // namespace
+
 AdmissionController::AdmissionController(size_t num_queries, size_t max_limit,
                                          uint64_t l3_capacity_lines,
                                          const AdmissionConfig& config)
@@ -19,12 +26,10 @@ AdmissionController::AdmissionController(size_t num_queries, size_t max_limit,
       max_limit_(std::max<size_t>(1, max_limit)),
       capacity_lines_(l3_capacity_lines),
       best_quantum_msec_(num_queries, 0.0) {
-  NIPO_CHECK(config_.min_limit >= 1);
   NIPO_CHECK(config_.epoch_quanta >= 1);
-  config_.min_limit = std::min(config_.min_limit, max_limit_);
   limit_ = config_.start_limit == 0
                ? max_limit_
-               : std::clamp(config_.start_limit, config_.min_limit, max_limit_);
+               : std::clamp(config_.start_limit, kMinLimit, max_limit_);
   min_limit_seen_ = limit_;
 }
 
@@ -78,7 +83,7 @@ void AdmissionController::Decide() {
                         mean_slowdown > config_.high_slowdown;
   const bool clear = mean_eviction_frac < config_.low_eviction_frac &&
                      mean_slowdown <= config_.high_slowdown && !crowd;
-  if ((pressure || crowd) && limit_ > config_.min_limit) {
+  if ((pressure || crowd) && limit_ > kMinLimit) {
     --limit_;  // multiplicative-ish decrease is overkill at these scales
     ++decreases_;
     hold_ = config_.hold_epochs;

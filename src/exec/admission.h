@@ -70,12 +70,10 @@ struct AdmissionConfig {
   /// claimed, so added concurrency would only create the next collision.
   /// >= 1 (the default) disables the signal; so does a zero capacity.
   double high_occupancy_frac = 1.0;
-  /// Initial effective limit, clamped to [min_limit, max_limit]; 0 (the
+  /// Initial effective limit, clamped to [1, max_limit]; 0 (the
   /// default) starts at max_limit. Benches use 1 (slow-start) so the
   /// first admission window is as protected as steady state.
   size_t start_limit = 0;
-  /// Hard floor of the effective limit (progress guarantee; >= 1).
-  size_t min_limit = 1;
 };
 
 /// \brief AIMD-style concurrency-limit controller over per-quantum
@@ -93,7 +91,8 @@ class AdmissionController {
                       uint64_t l3_capacity_lines,
                       const AdmissionConfig& config = AdmissionConfig{});
 
-  /// Current effective concurrency limit, in [min_limit, max_limit].
+  /// Current effective concurrency limit, in [1, max_limit]: the floor
+  /// of one is the progress guarantee.
   size_t limit() const { return limit_; }
 
   /// Feeds one completed quantum: query index, simulated duration,
@@ -108,8 +107,8 @@ class AdmissionController {
 
   size_t decreases() const { return decreases_; }
   size_t increases() const { return increases_; }
-  /// Smallest limit the controller ever reached (>= min_limit: the
-  /// progress guarantee, asserted by the overload tests).
+  /// Smallest limit the controller ever reached (>= 1: the progress
+  /// guarantee, asserted by the overload tests).
   size_t min_limit_seen() const { return min_limit_seen_; }
 
  private:

@@ -45,9 +45,10 @@ struct HashAggregateResult {
   uint64_t input_rows = 0;
   uint64_t passed_filter = 0;
   std::vector<GroupResult> groups;
-  /// Final base address of the internal group table (see
-  /// HashJoinResult::table_base: the address-dependence guard of the
-  /// cross-mode differential tests).
+  /// Final base address of the internal group table. Simulated cache
+  /// counters hash real addresses, so two runs are counter-comparable
+  /// only if the allocator handed them the same block; the cross-mode
+  /// differential tests skip when it did not.
   const void* table_base = nullptr;
 };
 

@@ -100,7 +100,7 @@ Result<ParallelDriveResult> ParallelDriver::Run(
     return Status::InvalidArgument("morsel_size must be positive");
   }
   const size_t num_workers = config_.num_threads;
-  const bool sampling = config_.sample_counters || hook != nullptr;
+  const bool sampling = hook != nullptr;
 
   // Build every worker's private machine and thread-local executor up
   // front, so factory errors surface before any thread starts.
@@ -110,9 +110,6 @@ Result<ParallelDriveResult> ParallelDriver::Run(
   executors.reserve(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
     pmus.push_back(std::make_unique<Pmu>(prototype_.CloneFresh()));
-    if (config_.machine_hook != nullptr) {
-      config_.machine_hook(w, pmus.back().get());
-    }
     NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> exec,
                           factory_(pmus.back().get()));
     if (initial_order.has_value()) {

@@ -43,19 +43,6 @@ struct ParallelConfig {
   /// Tuples per morsel; plays the role of VectorDriver's vector_size and
   /// is the counter-sampling unit under progressive optimization.
   size_t morsel_size = 65'536;
-  /// Collect per-morsel counter samples even without a hook (charging the
-  /// kCounterReadCycles read pair per morsel, like the sampled VectorDriver
-  /// path). Implied when a hook is passed to Run().
-  bool sample_counters = false;
-  /// Optional per-worker machine hook, invoked once per worker machine
-  /// (worker id, machine) after construction and before any execution.
-  /// This is the attachment point for shared machine components — e.g.
-  /// Pmu::AttachSharedL3 to give the shard workers one shared L3 domain
-  /// (hw/shared_cache.h). Note a shared domain is unsynchronized: at
-  /// num_threads > 1 the hook's owner must serialize execution or accept
-  /// host-dependent interleavings (the workload driver's contention mode
-  /// therefore runs single-threaded; see DESIGN.md Section 6).
-  std::function<void(size_t, Pmu*)> machine_hook;
   /// Optional cooperative cancellation token (DESIGN.md Section 9): when
   /// non-null, every worker checks it before claiming each morsel and
   /// stops once it reads true. The run then returns with
@@ -101,7 +88,7 @@ struct ParallelDriveResult {
   DriveResult merged;
   std::vector<WorkerStats> workers;
   /// Per-morsel records interleaved deterministically by morsel index
-  /// (empty unless sampling was on).
+  /// (empty unless Run() was given a hook).
   std::vector<MorselRecord> samples;
   size_t num_morsels = 0;
   /// Real host wall-clock of the parallel region, for the thread-scaling
@@ -129,7 +116,9 @@ class ParallelDriver {
   /// each completed morsel record, in completion order. Returning a plan
   /// broadcasts it: every worker applies it to its own executor at its
   /// next morsel boundary (Reorder then SetForms between morsels, never
-  /// mid-morsel).
+  /// mid-morsel). Passing a hook also turns on per-morsel counter
+  /// sampling, charging the kCounterReadCycles read pair per morsel like
+  /// the sampled VectorDriver path.
   using MorselHook =
       std::function<std::optional<PlanBroadcast>(const MorselRecord&)>;
 

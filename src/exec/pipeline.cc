@@ -385,19 +385,6 @@ ColumnScanStats PipelineExecutor::PayloadStatsAt(size_t i) const {
   return StatsOf(payloads_[i].column);
 }
 
-bool PipelineExecutor::AnyEncodedColumn() const {
-  for (const CompiledOp& op : all_ops_) {
-    if (op.column.encoded()) return true;
-    if (op.kind == OperatorSpec::Kind::kFkProbe && op.dim_column.encoded()) {
-      return true;
-    }
-  }
-  for (const CompiledPayload& payload : payloads_) {
-    if (payload.column.encoded()) return true;
-  }
-  return false;
-}
-
 void PipelineExecutor::ResetEnumeratorCounts() {
   std::fill(enum_pass_.begin(), enum_pass_.end(), 0);
 }

@@ -131,12 +131,6 @@ class PipelineExecutor {
   ColumnScanStats PayloadStatsAt(size_t i) const;
   size_t num_payloads() const { return payloads_.size(); }
 
-  /// True iff any scanned column (operator or payload) is encoded; the
-  /// optimizer only switches to storage-aware scan shapes when so,
-  /// keeping plain-column decision traces bit-identical to the
-  /// pre-storage-layer ones.
-  bool AnyEncodedColumn() const;
-
  private:
   struct CompiledOp {
     OperatorSpec::Kind kind;

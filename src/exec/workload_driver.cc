@@ -668,13 +668,8 @@ Result<WorkloadReport> WorkloadDriver::Run(
       }
     }
   }
-  if (options_.adaptive_admission) {
-    if (options_.admission.min_limit == 0) {
-      return Status::InvalidArgument("admission min_limit must be positive");
-    }
-    if (options_.admission.epoch_quanta == 0) {
-      return Status::InvalidArgument("admission epoch_quanta must be positive");
-    }
+  if (options_.adaptive_admission && options_.admission.epoch_quanta == 0) {
+    return Status::InvalidArgument("admission epoch_quanta must be positive");
   }
   if (options_.faults.transient_fault_rate < 0 ||
       options_.faults.transient_fault_rate > 1) {

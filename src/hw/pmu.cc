@@ -104,12 +104,6 @@ HwConfig HwConfig::ScaledXeon(uint64_t divisor) {
   return cfg;
 }
 
-HwConfig HwConfig::WithPredictor(PredictorConfig predictor) {
-  HwConfig cfg;
-  cfg.predictor = predictor;
-  return cfg;
-}
-
 Pmu::Pmu(HwConfig config)
     : config_(config),
       predictor_(config.predictor),

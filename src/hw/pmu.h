@@ -98,10 +98,6 @@ struct HwConfig {
   /// factor, preserving the data-to-cache ratios that the paper's locality
   /// effects depend on, while keeping simulation time on a laptop budget.
   static HwConfig ScaledXeon(uint64_t divisor);
-
-  /// Predictor-variant presets used by Figure 6 (micro-architecture
-  /// comparison) and the paper's AMD remark.
-  static HwConfig WithPredictor(PredictorConfig predictor);
 };
 
 /// \brief How executors report their event stream to the Pmu.

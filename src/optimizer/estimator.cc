@@ -16,6 +16,9 @@ namespace nipo {
 
 namespace {
 
+/// Weight of the monotonicity-violation penalty in the objective.
+constexpr double kMonotonicityPenalty = 100.0;
+
 double RelativeTerm(double sampled, double predicted) {
   return std::abs(sampled - predicted) / std::max(std::abs(sampled), 1.0);
 }
@@ -115,7 +118,7 @@ Result<SelectivityEstimate> EstimateSelectivities(
     to_selectivities(pi);
     return EstimationObjective(shape, sample.counters, sel,
                                config.counter_set) +
-           config.monotonicity_penalty * penalty;
+           kMonotonicityPenalty * penalty;
   };
 
   const int max_starts =

@@ -51,8 +51,6 @@ struct EstimatorConfig {
   /// (paper: n < 5).
   int stall_limit = 5;
   CounterSet counter_set = CounterSet::kAll;
-  /// Weight of the monotonicity-violation penalty.
-  double monotonicity_penalty = 100.0;
   bool include_vertex_starts = true;
 };
 

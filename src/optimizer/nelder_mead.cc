@@ -14,6 +14,12 @@ namespace nipo {
 
 namespace {
 
+// The standard simplex coefficients.
+constexpr double kReflection = 1.0;
+constexpr double kExpansion = 2.0;
+constexpr double kContraction = 0.5;
+constexpr double kShrink = 0.5;
+
 void ClampToBox(std::vector<double>* x, const std::vector<double>& lo,
                 const std::vector<double>& hi) {
   for (size_t i = 0; i < x->size(); ++i) {
@@ -106,13 +112,13 @@ Result<NelderMeadResult> NelderMeadMinimize(const ObjectiveFn& objective,
     };
 
     // Reflect.
-    blend(options.reflection, simplex[worst]);
+    blend(kReflection, simplex[worst]);
     const double reflected = objective(candidate);
     if (reflected < values[best]) {
       // Expand. Every buffer here keeps size `dim`, so the copies and the
       // swap reuse storage instead of allocating.
       reflected_point = candidate;
-      blend(options.expansion, simplex[worst]);
+      blend(kExpansion, simplex[worst]);
       const double expanded = objective(candidate);
       if (expanded < reflected) {
         simplex[worst] = candidate;
@@ -129,7 +135,7 @@ Result<NelderMeadResult> NelderMeadMinimize(const ObjectiveFn& objective,
       continue;
     }
     // Contract (toward the worst vertex).
-    blend(-options.contraction, simplex[worst]);
+    blend(-kContraction, simplex[worst]);
     const double contracted = objective(candidate);
     if (contracted < values[worst]) {
       simplex[worst] = candidate;
@@ -140,8 +146,7 @@ Result<NelderMeadResult> NelderMeadMinimize(const ObjectiveFn& objective,
     for (size_t r = 1; r < rank.size(); ++r) {
       std::vector<double>& v = simplex[rank[r]];
       for (size_t i = 0; i < dim; ++i) {
-        v[i] = simplex[best][i] +
-               options.shrink * (v[i] - simplex[best][i]);
+        v[i] = simplex[best][i] + kShrink * (v[i] - simplex[best][i]);
       }
       ClampToBox(&v, lower, upper);
       values[rank[r]] = objective(v);

@@ -26,11 +26,6 @@ struct NelderMeadOptions {
   double abs_tolerance = 1.0;  ///< stop when f(worst) - f(best) < this
   /// Initial simplex spread as a fraction of the box extent per dimension.
   double initial_step = 0.10;
-  // Standard coefficients.
-  double reflection = 1.0;
-  double expansion = 2.0;
-  double contraction = 0.5;
-  double shrink = 0.5;
 };
 
 /// \brief Outcome of one minimization run.

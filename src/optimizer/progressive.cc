@@ -16,6 +16,17 @@ namespace nipo {
 
 namespace {
 
+/// Regression factor on cycles-per-input-tuple that triggers a revert.
+/// Per-vector costs drift naturally as the scan moves through the data
+/// (especially on clustered layouts), so the threshold leaves room for
+/// that drift; genuinely bad orders regress far beyond it.
+constexpr double kRevertThreshold = 1.15;
+/// Probe co-clusteredness threshold (Section 5.6).
+constexpr double kCoClusterThreshold = 0.5;
+/// Relative instruction cost assumed per probe evaluation when ranking
+/// (base; the miss-informed component is added from samples).
+constexpr double kProbeBaseCost = 2.0;
+
 bool PipelineHasProbe(const PipelineExecutor& exec) {
   for (size_t i = 0; i < exec.num_operators(); ++i) {
     if (exec.OperatorAt(i).kind == OperatorSpec::Kind::kFkProbe) {
@@ -30,39 +41,27 @@ ScanShape ShapeForOrder(const PipelineExecutor& exec, double num_tuples) {
   shape.num_tuples = num_tuples;
   shape.predictor = exec.pmu()->config().predictor;
   shape.cache.line_size = exec.pmu()->config().l1.line_size;
-  // Over plain storage the historical fixed widths (4-byte predicates,
-  // 8+4-byte Q6-style payloads) are kept bit-for-bit: the estimator only
-  // needs the same shape for sampling and prediction. Once any column is
-  // encoded the real per-column scan widths matter -- a packed column
-  // streams fewer bytes per value -- so the shape switches to the
-  // executor's actual storage stats.
-  const bool encoded = exec.AnyEncodedColumn();
+  // The shape describes the columns the executor actually scans: their
+  // value widths, and for encoded columns the bytes streamed per value (a
+  // packed column streams fewer than its width).
   for (size_t pos = 0; pos < exec.num_operators(); ++pos) {
-    // A probe behaves like a predicate on its (int32) FK column for branch
+    // A probe behaves like a predicate on its FK column for branch
     // purposes; its dimension-side cache traffic is handled separately.
-    if (encoded) {
-      const ColumnScanStats stats = exec.ColumnStatsAt(pos);
-      shape.predicate_widths.push_back(stats.value_width);
-      shape.predicate_packed_bytes.push_back(
-          stats.encoded ? stats.scan_bytes_per_value : 0.0);
-    } else {
-      shape.predicate_widths.push_back(4);
-    }
+    const ColumnScanStats stats = exec.ColumnStatsAt(pos);
+    shape.predicate_widths.push_back(stats.value_width);
+    shape.predicate_packed_bytes.push_back(
+        stats.encoded ? stats.scan_bytes_per_value : 0.0);
     // Predicates currently running branch-free book no branch events; the
     // counter prediction must mirror that or the estimator would chase
     // branches the executor never produces.
     shape.branch_free.push_back(exec.FormAt(pos) ==
                                 PredicateForm::kBranchFree);
   }
-  if (encoded) {
-    for (size_t i = 0; i < exec.num_payloads(); ++i) {
-      const ColumnScanStats stats = exec.PayloadStatsAt(i);
-      shape.payload_widths.push_back(stats.value_width);
-      shape.payload_packed_bytes.push_back(
-          stats.encoded ? stats.scan_bytes_per_value : 0.0);
-    }
-  } else {
-    shape.payload_widths = {8, 4};
+  for (size_t i = 0; i < exec.num_payloads(); ++i) {
+    const ColumnScanStats stats = exec.PayloadStatsAt(i);
+    shape.payload_widths.push_back(stats.value_width);
+    shape.payload_packed_bytes.push_back(
+        stats.encoded ? stats.scan_bytes_per_value : 0.0);
   }
   return shape;
 }
@@ -192,8 +191,8 @@ std::vector<size_t> RankOrderOperators(
       obs.sampled_l3_misses =
           probe_misses / static_cast<double>(std::max<size_t>(1, probe_count));
       const SortednessVerdict verdict =
-          JudgeSortedness(hw.l3, obs, config.co_cluster_threshold);
-      cost[pos] = config.probe_base_cost + 20.0 * verdict.score;
+          JudgeSortedness(hw.l3, obs, kCoClusterThreshold);
+      cost[pos] = kProbeBaseCost + 20.0 * verdict.score;
       if (config.pricing != CostPricing::kUnit) cost[pos] *= unit_cycles;
     }
     reach *= std::clamp(selectivities[pos], 0.0, 1.0);
@@ -310,7 +309,7 @@ void ProgressiveOptimizer::HandleVector(const VectorSample& sample) {
     // This vector ran under the new order: validate it.
     if (pending_->old_cycles_per_tuple > 0 &&
         cycles_per_tuple >
-            pending_->old_cycles_per_tuple * config_.revert_threshold) {
+            pending_->old_cycles_per_tuple * kRevertThreshold) {
       recently_reverted_ = executor_->current_order();
       recently_reverted_forms_ = executor_->forms();
       hysteresis_ttl_ = 1;  // skip this order for one optimization cycle

@@ -60,18 +60,10 @@ struct ProgressiveConfig {
   /// evaluation uses 10, 75 and 200).
   size_t reopt_interval = 10;
   EstimatorConfig estimator;
-  /// Validate the vector after a reorder and revert on regression.
+  /// Validate the vector after a reorder and revert when its
+  /// cycles-per-tuple regress past a fixed factor (kRevertThreshold in
+  /// progressive.cc).
   bool validate_and_revert = true;
-  /// Regression factor on cycles-per-input-tuple that triggers a revert.
-  /// Per-vector costs drift naturally as the scan moves through the data
-  /// (especially on clustered layouts), so the threshold leaves room for
-  /// that drift; genuinely bad orders regress far beyond it.
-  double revert_threshold = 1.15;
-  /// Probe co-clusteredness threshold (Section 5.6).
-  double co_cluster_threshold = 0.5;
-  /// Relative instruction cost assumed per probe evaluation when ranking
-  /// (base; the miss-informed component is added from samples).
-  double probe_base_cost = 2.0;
   /// Every k-th optimization additionally explores a perturbed order to
   /// surface correlation effects (Section 4.5); 0 disables exploration.
   size_t explore_period = 0;

@@ -19,6 +19,10 @@ namespace nipo {
 
 namespace {
 
+/// A block dictionary larger than this falls through to bit-packing or
+/// plain storage (keeps the per-block decode table cache-resident).
+constexpr size_t kMaxDictionaryValues = 4096;
+
 /// Total-order bit pattern of a value: the dictionary sort key. Using the
 /// raw pattern (not operator<) keeps NaN and -0.0 doubles deterministic
 /// and round-trip exact.
@@ -124,12 +128,12 @@ void EncodeBlock(const T* src, size_t row_begin, size_t n,
   size_t dict_bytes = 0;
   bool dict_ok = false;
   if (options.enable_dictionary) {
-    patterns.reserve(std::min(n, options.max_dictionary_values + 1));
+    patterns.reserve(std::min(n, kMaxDictionaryValues + 1));
     for (size_t i = 0; i < n; ++i) patterns.push_back(PatternOf(src[i]));
     std::sort(patterns.begin(), patterns.end());
     patterns.erase(std::unique(patterns.begin(), patterns.end()),
                    patterns.end());
-    if (patterns.size() <= options.max_dictionary_values) {
+    if (patterns.size() <= kMaxDictionaryValues) {
       dict_bytes = n * CodeWidthFor(patterns.size()) +
                    patterns.size() * kWidth;
       dict_ok = true;
@@ -143,8 +147,7 @@ void EncodeBlock(const T* src, size_t row_begin, size_t n,
   int64_t frame_base = 0;
   size_t pack_bytes = 0;
   bool pack_ok = false;
-  if (options.enable_bit_packing && IsIntegerType(DataTypeOf<T>::value) &&
-      n > 0) {
+  if (IsIntegerType(DataTypeOf<T>::value) && n > 0) {
     int64_t lo = static_cast<int64_t>(src[0]);
     int64_t hi = lo;
     for (size_t i = 1; i < n; ++i) {
@@ -340,9 +343,6 @@ Result<std::unique_ptr<EncodedColumn>> EncodedColumn::Encode(
     const ColumnBase& source, const EncodingOptions& options) {
   if (options.block_values == 0) {
     return Status::InvalidArgument("block_values must be positive");
-  }
-  if (options.max_dictionary_values > (size_t{1} << 31)) {
-    return Status::InvalidArgument("max_dictionary_values exceeds code range");
   }
   if (dynamic_cast<const EncodedColumn*>(&source) != nullptr) {
     return Status::InvalidArgument("column '" + source.name() +

@@ -49,10 +49,6 @@ struct EncodingOptions {
   /// Values per storage block (and zone-map granularity).
   size_t block_values = 65536;
   bool enable_dictionary = true;
-  bool enable_bit_packing = true;
-  /// A block dictionary larger than this falls through to bit-packing or
-  /// plain storage (keeps the per-block decode table cache-resident).
-  size_t max_dictionary_values = 4096;
 };
 
 /// \brief Min/max statistics of one block, in the double domain the

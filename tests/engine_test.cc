@@ -147,6 +147,33 @@ TEST(EngineTest, ErrorsPropagate) {
   EXPECT_FALSE(engine.Execute(MakeQuery(), options).ok());
 }
 
+TEST(EngineTest, ZeroReoptIntervalIsInvalidArgumentOnEveryDriver) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 100)).ok());
+  ProgressiveConfig cfg;
+  cfg.reopt_interval = 0;
+  ExecOptions options = ProgressiveOptions(cfg);
+  for (ExecDriver driver : {ExecDriver::kSolo, ExecDriver::kSharded}) {
+    options.driver = driver;
+    auto r = engine.Execute(MakeQuery(), options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("reopt_interval"), std::string::npos);
+  }
+}
+
+TEST(EngineTest, ShardedBaselineZeroVectorSizeNamesTheField) {
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterTable(MakeTable("t", 100)).ok());
+  ExecOptions options = BaselineOptions(0);
+  options.driver = ExecDriver::kSharded;
+  options.num_threads = 2;
+  auto r = engine.Execute(MakeQuery(), options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("vector_size"), std::string::npos);
+}
+
 TEST(EngineTest, AllOrdersEnumerates) {
   EXPECT_EQ(AllOrders(1).size(), 1u);
   EXPECT_EQ(AllOrders(3).size(), 6u);

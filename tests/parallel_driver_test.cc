@@ -185,7 +185,6 @@ TEST(ParallelDriverTest, SamplesInterleaveDeterministicallyByMorselIndex) {
   ParallelConfig config;
   config.num_threads = 4;
   config.morsel_size = 1'024;
-  config.sample_counters = true;
   ParallelDriver driver(
       engine.NewMachine(),
       [&](Pmu* pmu) {
@@ -193,7 +192,10 @@ TEST(ParallelDriverTest, SamplesInterleaveDeterministicallyByMorselIndex) {
                                          query.payload_columns, pmu);
       },
       config);
-  auto result = driver.Run();
+  // A hook turns per-morsel sampling on; this one never broadcasts.
+  auto result = driver.Run(std::nullopt, [](const MorselRecord&) {
+    return std::optional<PlanBroadcast>{};
+  });
   ASSERT_TRUE(result.ok());
   const ParallelDriveResult& par = result.ValueOrDie();
   ASSERT_EQ(par.samples.size(), par.num_morsels);
@@ -202,7 +204,7 @@ TEST(ParallelDriverTest, SamplesInterleaveDeterministicallyByMorselIndex) {
   for (size_t m = 0; m < par.samples.size(); ++m) {
     EXPECT_EQ(par.samples[m].sample.vector_index, m);
     EXPECT_LT(par.samples[m].worker_id, config.num_threads);
-    EXPECT_EQ(par.samples[m].order_version, 0u);  // no hook, no broadcasts
+    EXPECT_EQ(par.samples[m].order_version, 0u);  // no broadcasts
     event_sum += par.samples[m].sample.counters;
     tuple_sum += par.samples[m].sample.result.input_tuples;
   }

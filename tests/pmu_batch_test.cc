@@ -12,7 +12,6 @@
 
 #include "common/prng.h"
 #include "exec/hash_aggregate.h"
-#include "exec/hash_join.h"
 #include "exec/hash_table.h"
 #include "hw/pmu.h"
 
@@ -332,43 +331,6 @@ TEST(PmuBatchTest, HashTableTrafficIdenticalAcrossModes) {
                     "cache counters are not comparable in this run";
   }
   m.ExpectIdentical("hash table probe chains");
-}
-
-TEST(PmuBatchTest, HashJoinIdenticalAcrossModes) {
-  Table build("dim"), probe("fact");
-  Prng prng(11);
-  std::vector<int64_t> keys(3'000), payload(3'000), fks(40'000);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<int64_t>(i) * 5;
-    payload[i] = static_cast<int64_t>(i % 97);
-  }
-  for (int64_t& fk : fks) {
-    fk = static_cast<int64_t>(prng.NextBounded(2 * keys.size())) * 5 / 2;
-  }
-  ASSERT_TRUE(build.AddColumn("key", std::move(keys)).ok());
-  ASSERT_TRUE(build.AddColumn("payload", std::move(payload)).ok());
-  ASSERT_TRUE(probe.AddColumn("fk", std::move(fks)).ok());
-  HashJoinSpec spec{&build, "key", "payload", &probe, "fk"};
-
-  // The two executions run sequentially, so the join's internal hash
-  // table reuses the same freed allocation and the simulated addresses —
-  // hence the cache counters — line up.
-  ModePair m;
-  auto scalar_result = ExecuteHashJoin(spec, &m.scalar);
-  auto batched_result = ExecuteHashJoin(spec, &m.batched);
-  ASSERT_TRUE(scalar_result.ok() && batched_result.ok());
-  EXPECT_EQ(scalar_result.ValueOrDie().matches,
-            batched_result.ValueOrDie().matches);
-  EXPECT_EQ(scalar_result.ValueOrDie().payload_sum,
-            batched_result.ValueOrDie().payload_sum);
-  EXPECT_EQ(scalar_result.ValueOrDie().average_probe_length,
-            batched_result.ValueOrDie().average_probe_length);
-  if (scalar_result.ValueOrDie().table_base !=
-      batched_result.ValueOrDie().table_base) {
-    GTEST_SKIP() << "allocator did not reuse the join table address; "
-                    "cache counters are not comparable in this run";
-  }
-  m.ExpectIdentical("hash join");
 }
 
 TEST(PmuBatchTest, HashAggregateIdenticalAcrossModes) {

@@ -109,6 +109,63 @@ TEST(ProgressiveTest, LastEstimateTracksTruth) {
   EXPECT_NEAR(report.last_estimate[2], 0.8, 0.12);
 }
 
+TEST(ProgressiveTest, EstimateUsesTheScannedColumnShape) {
+  // Plain storage with an int64 predicate column and no payload columns:
+  // the estimator's scan shape describes the columns the pipeline scans.
+  // One optimization, on the last vector, so last_estimate is that
+  // vector's sample in the initial order and the truth is exact.
+  constexpr size_t kVector = 8'192;
+  constexpr size_t kVectors = 4;
+  constexpr size_t n = kVector * kVectors;
+  const double limits[3] = {200, 500, 900};
+  Prng prng(3);
+  std::vector<std::vector<int64_t>> values(3, std::vector<int64_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    for (auto& column : values) {
+      column[i] = static_cast<int64_t>(prng.NextBounded(1000));
+    }
+  }
+  // True conditional selectivities over the last vector, in order a, b, c.
+  std::vector<double> truth;
+  std::vector<size_t> alive;
+  for (size_t i = n - kVector; i < n; ++i) alive.push_back(i);
+  for (size_t k = 0; k < 3; ++k) {
+    std::vector<size_t> passed;
+    for (size_t i : alive) {
+      if (static_cast<double>(values[k][i]) < limits[k]) passed.push_back(i);
+    }
+    truth.push_back(static_cast<double>(passed.size()) /
+                    static_cast<double>(alive.size()));
+    alive = std::move(passed);
+  }
+  auto narrow = [](const std::vector<int64_t>& v) {
+    return std::vector<int32_t>(v.begin(), v.end());
+  };
+  Table table("t");
+  ASSERT_TRUE(table.AddColumn("a", narrow(values[0])).ok());
+  ASSERT_TRUE(table.AddColumn("b", std::move(values[1])).ok());
+  ASSERT_TRUE(table.AddColumn("c", narrow(values[2])).ok());
+  Pmu pmu(HwConfig::ScaledXeon(8));
+  auto exec = PipelineExecutor::Compile(
+      table,
+      {OperatorSpec::Predicate({"a", CompareOp::kLt, limits[0]}),
+       OperatorSpec::Predicate({"b", CompareOp::kLt, limits[1]}),
+       OperatorSpec::Predicate({"c", CompareOp::kLt, limits[2]})},
+      {}, &pmu);
+  ASSERT_TRUE(exec.ok());
+  ProgressiveConfig cfg;
+  cfg.vector_size = kVector;
+  cfg.reopt_interval = kVectors;
+  ProgressiveOptimizer opt(exec.ValueOrDie().get(), cfg);
+  const ProgressiveReport report = opt.Run();
+  ASSERT_EQ(report.num_optimizations, 1u);
+  ASSERT_EQ(report.last_estimate.size(), 3u);
+  for (size_t k = 0; k < 3; ++k) {
+    EXPECT_NEAR(report.last_estimate[k], truth[k], 0.005)
+        << "predicate " << k;
+  }
+}
+
 TEST(ProgressiveTest, ReoptIntervalControlsOptimizationCount) {
   Fixture fx_a(100'000, 0.5, 0.5, 0.5);
   ProgressiveConfig cfg = FastConfig();

@@ -85,6 +85,25 @@ TEST(ReportTest, PrintProgressiveReportIncludesTrace) {
   EXPECT_NE(s.find("reverted"), std::string::npos);
   EXPECT_NE(s.find("final order: 1,0"), std::string::npos);
   EXPECT_NE(s.find("0.25"), std::string::npos);
+  // Forms are unchanged here, so no forms cell is printed.
+  EXPECT_EQ(s.find(" -> "), std::string::npos);
+}
+
+TEST(ReportTest, PrintProgressiveReportShowsFormsOnlyChange) {
+  ProgressiveReport report;
+  report.final_order = {0, 1};
+  PeoChange change;
+  change.vector_index = 9;
+  change.old_order = {0, 1};
+  change.new_order = {0, 1};
+  change.old_forms = {PredicateForm::kBranching, PredicateForm::kBranching};
+  change.new_forms = {PredicateForm::kBranchFree, PredicateForm::kBranching};
+  report.changes.push_back(change);
+  std::ostringstream out;
+  PrintProgressiveReport(report, "prog", out);
+  const std::string s = out.str();
+  EXPECT_NE(s.find("forms"), std::string::npos);
+  EXPECT_NE(s.find("B,B -> F,B"), std::string::npos);
 }
 
 }  // namespace
