@@ -11,11 +11,6 @@
 /// committed repo-root anchor records the AVX2 speedups this machine
 /// achieves; the CI gate checks the smoke `tuples_per_sec_simd` against
 /// it. `--quick` shrinks the workload to CI-smoke size.
-///
-/// The artifact also carries a "crossover" array: the SIMD-aware pricing
-/// model's branching vs branch-free cycles per tuple across the
-/// selectivity grid, and the priced crossover selectivity — the data
-/// behind EXPERIMENTS.md "SIMD kernels".
 
 #include <chrono>
 #include <functional>
@@ -23,9 +18,7 @@
 
 #include "bench_util.h"
 #include "common/prng.h"
-#include "cost/branch_model.h"
 #include "exec/hash_table.h"
-#include "exec/pipeline.h"
 #include "exec/simd.h"
 
 namespace {
@@ -226,15 +219,6 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  // --- SIMD-aware pricing curve on the default simulated machine: the
-  // crossover the progressive optimizer uses to pick predicate forms.
-  const HwConfig hw;
-  const double crossover = ComputeFormCrossover(
-      hw.cycle_model, hw.predictor, LoopCostModel::kCompareInstructions,
-      LoopCostModel::kBranchFreeInstructions, 0.0);
-  std::cout << "priced branching/branch-free crossover selectivity: "
-            << FormatDouble(crossover, 4) << "\n";
-
   if (write_json) {
     JsonValue root = JsonValue::Object();
     root.Add("bench", "simd_kernels");
@@ -254,20 +238,6 @@ int main(int argc, char** argv) {
       arr.Push(c);
     }
     root.Add("configs", arr);
-    JsonValue cross = JsonValue::Array();
-    for (const double s :
-         {0.0, 0.001, 0.01, 0.05, 1.0 / 15.0, 0.1, 0.2, 0.3, 0.5}) {
-      const PredicateFormCosts costs = PricePredicateForms(
-          hw.cycle_model, hw.predictor, s, LoopCostModel::kCompareInstructions,
-          LoopCostModel::kBranchFreeInstructions, 0.0);
-      JsonValue p = JsonValue::Object();
-      p.Add("selectivity", s);
-      p.Add("branching_cycles_per_tuple", costs.branching);
-      p.Add("branch_free_cycles_per_tuple", costs.branch_free);
-      cross.Push(p);
-    }
-    root.Add("crossover", cross);
-    root.Add("crossover_selectivity", crossover);
     WriteJsonArtifact(json_path, root);
   }
   return 0;

@@ -141,12 +141,11 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
 fi
 
 # ThreadSanitizer pass over the concurrency tests: the sharded parallel
-# driver's worker threads, the fault-tolerance layer's parallel
-# cancellation token (which crosses those threads), the SIMD kernel
-# layer, whose forced-level override is process-global state the
-# executors read, and the SIMD-aware pricing suite, whose sharded runs
-# at four workers broadcast (order, forms) plans that every worker
-# applies at morsel boundaries. The workload, contention and
+# driver's worker threads (parallel_driver_test broadcasts an evaluation
+# order that four workers apply at morsel boundaries), the
+# fault-tolerance layer's parallel cancellation token (which crosses
+# those threads), and the SIMD kernel layer, whose forced-level override
+# is process-global state the executors read. The workload, contention and
 # service-mode suites run on one host thread (the workload driver's
 # event loop), so they cannot race; they stay on the list to catch any
 # thread a later change adds to that path. Tests only (no
@@ -158,9 +157,9 @@ if [[ "${NIPO_TSAN:-1}" == "1" ]]; then
   cmake --build "$BUILD_DIR-tsan" -j "$(nproc)" \
       --target parallel_driver_test workload_driver_test \
       workload_contention_test service_mode_test service_faults_test \
-      simd_kernels_test simd_cost_test
+      simd_kernels_test
   (cd "$BUILD_DIR-tsan" && NIPO_TEST_THREADS=8 \
-      ctest -R 'parallel_driver_test|workload_driver_test|workload_contention_test|service_mode_test|service_faults_test|simd_kernels_test|simd_cost_test' \
+      ctest -R 'parallel_driver_test|workload_driver_test|workload_contention_test|service_mode_test|service_faults_test|simd_kernels_test' \
       --output-on-failure)
 fi
 

@@ -204,8 +204,9 @@ namespace {
 /// touched column contributes its line-rounded bytes, split into
 /// streamed (fact columns, scanned once) and reused (dimension tables,
 /// re-referenced per probe), combined into the L3 capacity claim by
-/// EstimateScanFootprint. The work score is the touched-value count — a
-/// relative ordering for SRWF, not a cycle prediction.
+/// EstimateScanFootprint. The work score is the touched-value count — the
+/// relative service-time scale deadline shedding calibrates, not a cycle
+/// prediction.
 void FillScheduleEstimates(const Table& table, const QuerySpec& query,
                            const HwConfig& hw, WorkloadTask* task) {
   ScanCacheModelConfig model;
@@ -264,7 +265,6 @@ Result<WorkloadReport> Engine::Execute(const WorkloadSpec& spec) const {
     task.progressive = q.progressive;
     task.config = q.config;
     task.initial_order = q.initial_order;
-    task.priority = q.priority;
     task.sim_deadline_msec = q.sim_deadline_msec;
     task.sim_cancel_msec = q.sim_cancel_msec;
     auto table = GetTable(q.query.table);

@@ -64,7 +64,11 @@ struct ParallelBaselineReport {
 
 /// \brief One query of a multi-query workload: what to compute
 /// (QuerySpec) plus how to run it (the driver-level WorkloadTask fields;
-/// see exec/workload_driver.h).
+/// see exec/workload_driver.h). The per-query scheduling inputs -- the
+/// work estimate of deadline shedding and the L3 footprint of
+/// kFootprintAware -- are derived automatically from the cost model
+/// (cost/cache_model.h) against the registered tables; see
+/// Engine::Execute(WorkloadSpec).
 struct WorkloadQuery {
   /// Display name for reports (empty -> "q<index>").
   std::string name;
@@ -76,12 +80,6 @@ struct WorkloadQuery {
   ProgressiveConfig config;
   /// Optional initial evaluation order (permutation of query.ops).
   std::optional<std::vector<size_t>> initial_order;
-  /// Static scheduling priority (SchedulePolicy::kPriority): higher
-  /// admits earlier. The other per-query scheduling inputs — the work
-  /// estimate for kSrwf and the L3 footprint for kFootprintAware — are
-  /// derived automatically from the cost model (cost/cache_model.h)
-  /// against the registered tables; see Engine::Execute(WorkloadSpec).
-  int priority = 0;
   /// Simulated deadline relative to arrival (0 = none; see
   /// WorkloadTask::sim_deadline_msec): past it the query is killed
   /// cooperatively at a vector boundary (QueryOutcome::kDeadlineExceeded)
@@ -120,8 +118,8 @@ enum class ExecDriver {
 };
 
 /// \brief Options of the unified Engine::Execute entry point: one struct
-/// selects the mode, the driver and the pricing instead of four
-/// mode-specific method signatures.
+/// selects the mode and the driver instead of four mode-specific method
+/// signatures.
 struct ExecOptions {
   ExecMode mode = ExecMode::kBaseline;
   ExecDriver driver = ExecDriver::kAuto;
@@ -132,8 +130,7 @@ struct ExecOptions {
   /// instead, so their unit matches the optimizer's windows.
   size_t vector_size = 65'536;
   /// Progressive settings -- sampling vector size, re-optimization
-  /// interval, pricing (kUnit / kBranchCycles / kSimdAware), validation
-  /// -- consulted when mode == kProgressive.
+  /// interval, validation -- consulted when mode == kProgressive.
   ProgressiveConfig progressive;
   /// Optional initial evaluation order (permutation of query.ops).
   std::optional<std::vector<size_t>> order;
@@ -191,10 +188,10 @@ class Engine {
   void set_reporting_mode(ReportingMode mode) { reporting_mode_ = mode; }
 
   /// Unified entry point: executes `query` on fresh machines under the
-  /// mode / driver / pricing selected by `options`. `options.order`, if
-  /// given, permutes query.ops before the first vector (the paper's
-  /// "initial PEO" degree of freedom). Sharded progressive runs merge
-  /// per-morsel counter samples in one shared coordinator, whose plan
+  /// mode / driver selected by `options`. `options.order`, if given,
+  /// permutes query.ops before the first vector (the paper's "initial
+  /// PEO" degree of freedom). Sharded progressive runs merge
+  /// per-morsel counter samples in one shared coordinator, whose order
   /// changes are broadcast to all workers at morsel boundaries.
   Result<ExecReport> Execute(const QuerySpec& query,
                              const ExecOptions& options = {}) const;

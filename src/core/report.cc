@@ -36,17 +36,6 @@ std::vector<std::pair<std::string, uint64_t>> CounterRows(
   };
 }
 
-/// Per-operator predicate forms by original operator index, B for
-/// branching and F for branch-free ("B,F").
-std::string FormatForms(const std::vector<PredicateForm>& forms) {
-  std::string out;
-  for (size_t i = 0; i < forms.size(); ++i) {
-    if (i) out += ",";
-    out += forms[i] == PredicateForm::kBranchFree ? "F" : "B";
-  }
-  return out;
-}
-
 }  // namespace
 
 void PrintCounters(const PmuCounters& counters, const std::string& title,
@@ -89,21 +78,14 @@ void PrintProgressiveReport(const ProgressiveReport& report,
                             const std::string& title, std::ostream& out) {
   PrintDriveResult(report.drive, title, out);
   TablePrinter trace(title + " - PEO trace");
-  trace.SetHeader({"vector", "old order", "new order", "forms", "flags"});
+  trace.SetHeader({"vector", "old order", "new order", "flags"});
   for (const PeoChange& change : report.changes) {
-    // Forms print only when they changed: under kSimdAware a change may
-    // switch forms alone, with old and new order equal.
-    const std::string forms =
-        change.old_forms != change.new_forms
-            ? FormatForms(change.old_forms) + " -> " +
-                  FormatForms(change.new_forms)
-            : "";
     std::string flags;
     if (change.exploration) flags += "exploration ";
     if (change.reverted) flags += "reverted";
     trace.AddRow({std::to_string(change.vector_index),
                   FormatOrder(change.old_order),
-                  FormatOrder(change.new_order), forms, flags});
+                  FormatOrder(change.new_order), flags});
   }
   trace.Print(out);
   out << "optimizations: " << report.num_optimizations

@@ -22,8 +22,7 @@ void PrintDriveResult(const DriveResult& drive, const std::string& title,
                       std::ostream& out);
 
 /// \brief Renders a progressive run: drive summary plus the PEO trace
-/// (one line per order or form change, with the old and new forms when
-/// they differ and revert/exploration flags).
+/// (one line per order change, with revert/exploration flags).
 void PrintProgressiveReport(const ProgressiveReport& report,
                             const std::string& title, std::ostream& out);
 

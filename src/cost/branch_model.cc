@@ -1,7 +1,5 @@
 #include "cost/branch_model.h"
 
-#include "common/logging.h"
-
 /// \file branch_model.cc
 /// Per-predicate branch-event estimates: scales the Markov-chain
 /// misprediction probabilities by the tuple counts flowing into each
@@ -26,26 +24,11 @@ BranchEstimate EstimateScanBranches(const PredictorConfig& config,
                                     double input_tuples,
                                     const std::vector<double>& selectivities,
                                     bool include_loop_branch) {
-  return EstimateScanBranches(config, input_tuples, selectivities,
-                              std::vector<bool>(), include_loop_branch);
-}
-
-BranchEstimate EstimateScanBranches(const PredictorConfig& config,
-                                    double input_tuples,
-                                    const std::vector<double>& selectivities,
-                                    const std::vector<bool>& branch_free,
-                                    bool include_loop_branch) {
-  NIPO_CHECK(branch_free.empty() ||
-             branch_free.size() == selectivities.size());
   BranchEstimate total;
   double tuples = input_tuples;
-  for (size_t i = 0; i < selectivities.size(); ++i) {
-    const double p = selectivities[i];
-    const bool is_branch_free = i < branch_free.size() && branch_free[i];
-    if (!is_branch_free) {
-      total += EstimatePredicateBranches(config, tuples, p);
-    }
-    tuples *= p;  // branch-free forms still narrow the stream
+  for (const double p : selectivities) {
+    total += EstimatePredicateBranches(config, tuples, p);
+    tuples *= p;
   }
   if (include_loop_branch) {
     // The back-edge is taken for every tuple; a saturating-counter
@@ -62,56 +45,6 @@ BranchEstimate EstimateScanBranches(const PredictorConfig& config,
 double QualifyingTuplesFromBranchesTaken(double input_tuples,
                                          double branches_taken) {
   return 2.0 * input_tuples - branches_taken;
-}
-
-PredicateFormCosts PricePredicateForms(const CycleModel& cycles,
-                                       const PredictorConfig& predictor,
-                                       double selectivity,
-                                       double compare_instructions,
-                                       double branch_free_instructions,
-                                       double extra_instructions) {
-  const BranchProbabilities probs =
-      ComputeBranchProbabilities(predictor, selectivity);
-  PredicateFormCosts out;
-  out.branching =
-      (compare_instructions + extra_instructions) *
-          cycles.cycles_per_instruction +
-      cycles.branch_cycles + probs.mp * cycles.misprediction_penalty;
-  out.branch_free = (branch_free_instructions + extra_instructions) *
-                    cycles.cycles_per_instruction;
-  return out;
-}
-
-double ComputeFormCrossover(const CycleModel& cycles,
-                            const PredictorConfig& predictor,
-                            double compare_instructions,
-                            double branch_free_instructions,
-                            double extra_instructions) {
-  // The extra instructions cancel; the forms tie at misprediction
-  // probability mp* = ((bf - cmp) * cpi - branch_cycles) / penalty.
-  (void)extra_instructions;
-  const double target_mp =
-      ((branch_free_instructions - compare_instructions) *
-           cycles.cycles_per_instruction -
-       cycles.branch_cycles) /
-      cycles.misprediction_penalty;
-  auto mp_at = [&](double s) {
-    return ComputeBranchProbabilities(predictor, s).mp;
-  };
-  if (target_mp <= mp_at(0.0)) return 0.0;  // branch-free always wins
-  if (target_mp >= mp_at(0.5)) return 1.0;  // branching always wins
-  // mp(s) is monotone increasing on [0, 0.5]; bisect for mp(s) = mp*.
-  double lo = 0.0;
-  double hi = 0.5;
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (mp_at(mid) < target_mp) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
 }
 
 }  // namespace nipo

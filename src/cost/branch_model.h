@@ -1,10 +1,8 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "cost/markov.h"
-#include "hw/pmu.h"
 
 /// \file branch_model.h
 /// Branch-event estimates for multi-selection queries (paper Section 3.2,
@@ -63,70 +61,10 @@ BranchEstimate EstimateScanBranches(const PredictorConfig& config,
                                     const std::vector<double>& selectivities,
                                     bool include_loop_branch = true);
 
-/// \brief Forms-aware overload: positions with `branch_free[i]` true are
-/// simulated as compare-to-mask kernels and contribute *no* branch events
-/// (they still narrow the tuple stream for downstream predicates). An
-/// empty `branch_free` means all-branching. This is what keeps the
-/// counter predictions consistent with the executor once the progressive
-/// optimizer switches predicates to their branch-free form.
-BranchEstimate EstimateScanBranches(const PredictorConfig& config,
-                                    double input_tuples,
-                                    const std::vector<double>& selectivities,
-                                    const std::vector<bool>& branch_free,
-                                    bool include_loop_branch);
-
 /// \brief The paper's qualifying-tuple identity: given the number of input
 /// tuples and sampled branches-taken, returns the number of tuples that
 /// satisfied all predicates (qualified = 2n - branches_taken).
-///
-/// Only valid for all-branching chains: a branch-free predicate's failing
-/// tuples produce no taken branch, so executions with branch-free forms
-/// must take the qualifying count from the executor's result instead
-/// (the progressive driver always does).
 double QualifyingTuplesFromBranchesTaken(double input_tuples,
                                          double branches_taken);
-
-// ---------------------------------------------------------------------------
-// SIMD-aware predicate pricing (DESIGN.md Section 8)
-// ---------------------------------------------------------------------------
-
-/// \brief Simulated cycles per evaluated tuple of the two predicate forms.
-struct PredicateFormCosts {
-  double branching = 0;    ///< compare + branch + expected mp penalty
-  double branch_free = 0;  ///< flat mask-kernel instructions, no branches
-  bool branch_free_cheaper() const { return branch_free < branching; }
-  double cheapest() const {
-    return branch_free < branching ? branch_free : branching;
-  }
-};
-
-/// \brief Prices one predicate of selectivity `selectivity` in simulated
-/// cycles per evaluated tuple, exactly as Pmu::Read() charges the
-/// executor's booking: the branching form pays the compare (+ extra)
-/// instructions at CPI, one predicted-branch cycle, and the Markov-chain
-/// misprediction probability times the flush penalty; the branch-free
-/// form pays only its (higher) instruction count at CPI. Instruction
-/// counts are parameters so the cost layer stays independent of the
-/// executor's LoopCostModel constants (tests pin them to each other).
-PredicateFormCosts PricePredicateForms(const CycleModel& cycles,
-                                       const PredictorConfig& predictor,
-                                       double selectivity,
-                                       double compare_instructions,
-                                       double branch_free_instructions,
-                                       double extra_instructions);
-
-/// \brief The lowest selectivity in [0, 0.5] at which the branch-free
-/// form becomes the cheaper one (the forms tie where the misprediction
-/// probability reaches ((branch_free - compare) * cpi - branch_cycles) /
-/// penalty). Returns 0.0 if branch-free is cheaper everywhere and 1.0 if
-/// branching is cheaper on all of [0, 0.5] (by the predictor's symmetry
-/// in s <-> 1-s, everywhere). Found by bisection on the Markov
-/// misprediction curve, so it is exact for the priced model -- the unit
-/// tests check it against a brute-force sweep of the simulated machine.
-double ComputeFormCrossover(const CycleModel& cycles,
-                            const PredictorConfig& predictor,
-                            double compare_instructions,
-                            double branch_free_instructions,
-                            double extra_instructions);
 
 }  // namespace nipo

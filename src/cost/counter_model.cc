@@ -18,7 +18,7 @@ CounterEstimate PredictCounters(const ScanShape& shape,
   CounterEstimate out;
   const BranchEstimate branches =
       EstimateScanBranches(shape.predictor, shape.num_tuples, selectivities,
-                           shape.branch_free, shape.include_loop_branch);
+                           shape.include_loop_branch);
   out.branches_not_taken = branches.branches_not_taken;
   out.taken_mp = branches.taken_mp;
   out.not_taken_mp = branches.not_taken_mp;

@@ -33,11 +33,6 @@ struct ScanShape {
   ScanCacheModelConfig cache;
   PredictorConfig predictor;
   bool include_loop_branch = true;
-  /// Per-predicate simulated form, in evaluation order: true positions
-  /// run branch-free (compare-to-mask, no branch events). Empty means
-  /// all-branching. Filled from the executor's current forms so counter
-  /// predictions track what the scan actually books.
-  std::vector<bool> branch_free;
 };
 
 /// \brief The four sampled/predicted counters of Equation 10.

@@ -88,10 +88,8 @@ Result<HashAggregateResult> ExecuteHashAggregate(
       args.op = spec.filters[f].op;
       args.value = spec.filters[f].value;
       // The aggregate's filter chain has always booked plain compares
-      // only (no extra_instructions), and its filters stay branching --
-      // the progressive optimizer drives forms on the pipeline executor.
+      // only (no extra_instructions).
       args.extra_instructions = 0.0;
-      args.form = PredicateForm::kBranching;
       EvalPredicateBlock(args, &scratch);
     }
     // No filters: every block row survives (identity selection).

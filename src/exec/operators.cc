@@ -7,28 +7,16 @@
 /// \file operators.cc
 /// The shared blocked-selection primitive: one predicate evaluation over a
 /// block with the full PMU booking sequence (load run, per-tuple
-/// instructions of the simulated form, evaluation through the active SIMD
-/// kernel, branch events for the branching form), used by the pipeline
-/// executor and the hash aggregate's filter chain so the two cannot drift.
+/// instructions, evaluation through the active SIMD kernel, branch
+/// events), used by the pipeline executor and the hash aggregate's filter
+/// chain so the two cannot drift.
 
 namespace nipo {
 
-// The header defaults are documentation; the executors pass LoopCostModel
+// The header default is documentation; the executors pass LoopCostModel
 // explicitly. Keep both in sync.
 static_assert(PredicateEvalArgs{}.compare_instructions ==
               LoopCostModel::kCompareInstructions);
-static_assert(PredicateEvalArgs{}.branch_free_instructions ==
-              LoopCostModel::kBranchFreeInstructions);
-
-std::string_view PredicateFormToString(PredicateForm form) {
-  switch (form) {
-    case PredicateForm::kBranching:
-      return "branching";
-    case PredicateForm::kBranchFree:
-      return "branch-free";
-  }
-  return "?";
-}
 
 size_t EvalPredicateBlock(const PredicateEvalArgs& args,
                           SelectionScratch* scratch) {
@@ -43,15 +31,8 @@ size_t EvalPredicateBlock(const PredicateEvalArgs& args,
   // actually touched (plus decode instructions) for compressed ones.
   const ScanRun run =
       args.column->ScanBlock(pmu, args.block_begin, sel, active, args.decode);
-  if (args.form == PredicateForm::kBranching) {
-    pmu->OnInstructions(static_cast<uint64_t>(args.compare_instructions) *
-                        active);
-  } else {
-    // Branch-free form: the compare-to-mask + compaction kernel costs more
-    // instructions per tuple and books no branch events at this site.
-    pmu->OnInstructions(static_cast<uint64_t>(args.branch_free_instructions) *
-                        active);
-  }
+  pmu->OnInstructions(static_cast<uint64_t>(args.compare_instructions) *
+                      active);
   if (args.extra_instructions > 0) {
     pmu->OnInstructions(static_cast<uint64_t>(args.extra_instructions) *
                         active);
@@ -68,9 +49,7 @@ size_t EvalPredicateBlock(const PredicateEvalArgs& args,
     pmu->OnInstructions(static_cast<uint64_t>(args.post_eval_instructions) *
                         active);
   }
-  if (args.form == PredicateForm::kBranching) {
-    pmu->OnPredicateBranches(args.branch_site, pass, active);
-  }
+  pmu->OnPredicateBranches(args.branch_site, pass, active);
   scratch->Commit(passed);
   return passed;
 }

@@ -85,25 +85,6 @@ struct OperatorSpec {
 /// execution layer, not a tuning knob.
 inline constexpr size_t kSimBlockRows = 1024;
 
-/// \brief Simulated evaluation form of a predicate (DESIGN.md Section 8).
-///
-/// The form decides what the executor *books* on the simulated machine,
-/// not how the host computes -- the host always runs the branch-free
-/// SIMD/scalar kernel of exec/simd.h. A kBranching predicate is simulated
-/// as the paper's one-conditional-branch-per-evaluation loop (compare
-/// instructions + a branch event per tuple at the predicate's site); a
-/// kBranchFree predicate is simulated as a compare-to-mask +
-/// selection-vector compaction kernel: more instructions per tuple
-/// (LoopCostModel::kBranchFreeInstructions) and *no* branch events, hence
-/// no selectivity-dependent misprediction cost -- and no branch-counter
-/// observability at that site (docs/COUNTERS.md "Branch-free booking").
-enum class PredicateForm : int {
-  kBranching = 0,
-  kBranchFree = 1,
-};
-
-std::string_view PredicateFormToString(PredicateForm form);
-
 /// \brief Runs `fn(block_begin, n)` over [begin, end) in kSimBlockRows
 /// blocks -- the outer skeleton shared by every blocked executor.
 template <typename Fn>
@@ -176,9 +157,9 @@ class SelectionScratch {
 
 /// \brief One predicate evaluation over a block, PMU booking included.
 ///
-/// The defaults of compare_instructions / branch_free_instructions mirror
-/// LoopCostModel (enforced by a static_assert in operators.cc); the
-/// executor layers pass their constants explicitly.
+/// The default of compare_instructions mirrors LoopCostModel (enforced
+/// by a static_assert in operators.cc); the executor layers pass their
+/// constants explicitly.
 struct PredicateEvalArgs {
   Pmu* pmu = nullptr;
   size_t branch_site = 0;  ///< PMU site of this predicate position
@@ -192,9 +173,7 @@ struct PredicateEvalArgs {
   CompareOp op = CompareOp::kLe;
   double value = 0.0;
   double extra_instructions = 0.0;
-  PredicateForm form = PredicateForm::kBranching;
-  double compare_instructions = 1.0;      ///< LoopCostModel value
-  double branch_free_instructions = 4.0;  ///< LoopCostModel value
+  double compare_instructions = 1.0;  ///< LoopCostModel value
   /// Booked after evaluation, before branch events (the enumerator-based
   /// instrumentation of pipeline.cc); 0 to skip.
   double post_eval_instructions = 0.0;
@@ -202,10 +181,9 @@ struct PredicateEvalArgs {
 
 /// \brief Evaluates one predicate over the scratch's active rows:
 /// books the column load run (stride-1 while dense, gather otherwise),
-/// the per-tuple instructions of the chosen form, evaluates via the
-/// active SIMD kernel, books the predicate-site branch run (branching
-/// form only), and commits survivors. Returns the number of passing rows
-/// (== scratch->active() afterwards).
+/// the per-tuple compare instructions, evaluates via the active SIMD
+/// kernel, books the predicate-site branch run, and commits survivors.
+/// Returns the number of passing rows (== scratch->active() afterwards).
 size_t EvalPredicateBlock(const PredicateEvalArgs& args,
                           SelectionScratch* scratch);
 

@@ -70,13 +70,13 @@ class MorselQueue {
   std::vector<Range> ranges_;
 };
 
-/// Published plan (order and forms), bumped by each broadcast. Workers
-/// check the atomic version before every morsel and only take the lock (to
-/// apply the plan) when it moved.
+/// Published evaluation order, bumped by each broadcast. Workers check the
+/// atomic version before every morsel and only take the lock (to apply the
+/// order) when it moved.
 struct OrderBroadcast {
   std::atomic<uint64_t> version{0};
   std::mutex mu;
-  PlanBroadcast plan;  // guarded by mu, valid when version > 0
+  std::vector<size_t> order;  // guarded by mu, valid when version > 0
 };
 
 }  // namespace
@@ -163,8 +163,7 @@ Result<ParallelDriveResult> ParallelDriver::Run(
           local_version) {
         std::lock_guard<std::mutex> lock(broadcast.mu);
         local_version = broadcast.version.load(std::memory_order_relaxed);
-        NIPO_CHECK(exec->Reorder(broadcast.plan.order).ok());
-        NIPO_CHECK(exec->SetForms(broadcast.plan.forms).ok());
+        NIPO_CHECK(exec->Reorder(broadcast.order).ok());
       }
       const size_t begin = *morsel * config_.morsel_size;
       const size_t end = std::min(begin + config_.morsel_size, num_rows);
@@ -187,10 +186,10 @@ Result<ParallelDriveResult> ParallelDriver::Run(
         records[*morsel] = record;
         if (hook) {
           std::lock_guard<std::mutex> lock(coordinator_mu);
-          std::optional<PlanBroadcast> new_plan = hook(record);
-          if (new_plan.has_value()) {
+          std::optional<std::vector<size_t>> new_order = hook(record);
+          if (new_order.has_value()) {
             std::lock_guard<std::mutex> plan_lock(broadcast.mu);
-            broadcast.plan = std::move(*new_plan);
+            broadcast.order = std::move(*new_order);
             broadcast.version.fetch_add(1, std::memory_order_release);
           }
         }

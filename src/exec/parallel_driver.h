@@ -51,14 +51,6 @@ struct ParallelConfig {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// \brief A plan the progressive coordinator broadcasts to every worker:
-/// the evaluation order plus the per-operator predicate forms (by
-/// original operator index), applied together at a morsel boundary.
-struct PlanBroadcast {
-  std::vector<size_t> order;
-  std::vector<PredicateForm> forms;
-};
-
 /// \brief One morsel's execution record: the per-morsel sample (with
 /// VectorSample::vector_index holding the *global morsel index*), plus
 /// which worker ran it and under which evaluation-order version.
@@ -113,14 +105,15 @@ class ParallelDriver {
       std::function<Result<std::unique_ptr<PipelineExecutor>>(Pmu*)>;
 
   /// Decision hook, invoked serially (under the coordinator lock) with
-  /// each completed morsel record, in completion order. Returning a plan
-  /// broadcasts it: every worker applies it to its own executor at its
-  /// next morsel boundary (Reorder then SetForms between morsels, never
-  /// mid-morsel). Passing a hook also turns on per-morsel counter
-  /// sampling, charging the kCounterReadCycles read pair per morsel like
-  /// the sampled VectorDriver path.
+  /// each completed morsel record, in completion order. Returning an
+  /// evaluation order (original operator indices) broadcasts it: every
+  /// worker applies it to its own executor at its next morsel boundary
+  /// (Reorder between morsels, never mid-morsel). Passing a hook also
+  /// turns on per-morsel counter sampling, charging the
+  /// kCounterReadCycles read pair per morsel like the sampled
+  /// VectorDriver path.
   using MorselHook =
-      std::function<std::optional<PlanBroadcast>(const MorselRecord&)>;
+      std::function<std::optional<std::vector<size_t>>(const MorselRecord&)>;
 
   /// \param prototype machine configuration donor; every worker machine is
   ///        prototype.CloneFresh() (cold caches, neutral predictor).

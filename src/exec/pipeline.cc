@@ -217,9 +217,7 @@ void PipelineExecutor::ExecuteBlock(size_t block_begin, size_t n,
       args.op = op.op;
       args.value = op.value;
       args.extra_instructions = op.extra_instructions;
-      args.form = op.form;
       args.compare_instructions = LoopCostModel::kCompareInstructions;
-      args.branch_free_instructions = LoopCostModel::kBranchFreeInstructions;
       // Invasive instrumentation: increment an explicit pass counter
       // after each evaluation (Section 5.7's enumerator-based approach).
       args.post_eval_instructions =
@@ -319,37 +317,6 @@ Status PipelineExecutor::Reorder(const std::vector<size_t>& order) {
   // Positions changed meaning; per-position enumerator counts restart.
   std::fill(enum_pass_.begin(), enum_pass_.end(), 0);
   return Status::OK();
-}
-
-Status PipelineExecutor::SetForms(const std::vector<PredicateForm>& forms) {
-  if (forms.size() != all_ops_.size()) {
-    return Status::InvalidArgument("forms size mismatch");
-  }
-  for (size_t i = 0; i < forms.size(); ++i) {
-    if (all_ops_[i].kind == OperatorSpec::Kind::kFkProbe &&
-        forms[i] == PredicateForm::kBranchFree) {
-      return Status::InvalidArgument(
-          "FK probes have no branch-free form (operator " +
-          std::to_string(i) + ")");
-    }
-  }
-  for (size_t i = 0; i < forms.size(); ++i) all_ops_[i].form = forms[i];
-  for (CompiledOp& op : compiled_) {
-    op.form = all_ops_[op.original_index].form;
-  }
-  return Status::OK();
-}
-
-std::vector<PredicateForm> PipelineExecutor::forms() const {
-  std::vector<PredicateForm> out;
-  out.reserve(all_ops_.size());
-  for (const CompiledOp& op : all_ops_) out.push_back(op.form);
-  return out;
-}
-
-PredicateForm PipelineExecutor::FormAt(size_t pos) const {
-  NIPO_CHECK(pos < compiled_.size());
-  return compiled_[pos].form;
 }
 
 const OperatorSpec& PipelineExecutor::OperatorAt(size_t pos) const {

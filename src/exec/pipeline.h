@@ -90,19 +90,6 @@ class PipelineExecutor {
   /// Current evaluation order as original operator indices.
   const std::vector<size_t>& current_order() const { return order_; }
 
-  /// Sets the simulated evaluation form per operator, indexed by
-  /// *original* operator index (forms survive Reorder, like the specs).
-  /// FK probes only support kBranching (their qualify branch is inherent
-  /// to the probe loop); InvalidArgument otherwise. The progressive
-  /// optimizer under CostPricing::kSimdAware drives this.
-  Status SetForms(const std::vector<PredicateForm>& forms);
-
-  /// Current forms, indexed by original operator index.
-  std::vector<PredicateForm> forms() const;
-
-  /// The form of the operator currently evaluated at position `pos`.
-  PredicateForm FormAt(size_t pos) const;
-
   size_t num_operators() const { return compiled_.size(); }
   size_t num_rows() const { return num_rows_; }
 
@@ -139,7 +126,6 @@ class PipelineExecutor {
     CompareOp op = CompareOp::kLe;
     double value = 0.0;
     double extra_instructions = 0.0;
-    PredicateForm form = PredicateForm::kBranching;
     // Predicates: fraction of rows in zone-refuted blocks (0 without
     // zone maps), computed once at Compile.
     double prunable_fraction = 0.0;
@@ -196,11 +182,6 @@ class PipelineExecutor {
 struct LoopCostModel {
   static constexpr double kLoopInstructions = 1.0;   ///< i++ / bounds calc
   static constexpr double kCompareInstructions = 1.0;
-  /// Per-tuple instructions of the branch-free (compare-to-mask +
-  /// selection compaction) predicate form: load-compare plus mask
-  /// extraction, conditional-move append and count update replace the
-  /// single compare+branch of the branching form (DESIGN.md Section 8).
-  static constexpr double kBranchFreeInstructions = 4.0;
   static constexpr double kProbeAddressInstructions = 1.0;
   static constexpr double kAggregateInstructions = 2.0;  ///< mul + add
   /// Enumerator-based instrumentation: increment + store of the explicit

@@ -27,7 +27,7 @@
 /// instrumented hash table applies per key. Simulated PMU booking never
 /// happens here -- executors report the *logical* event stream themselves,
 /// so simulated counters are kernel-independent by construction
-/// (docs/COUNTERS.md "Branch-free booking").
+/// (docs/COUNTERS.md "Kernel-independent booking").
 
 namespace nipo::simd {
 

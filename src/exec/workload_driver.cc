@@ -27,10 +27,6 @@ std::string_view SchedulePolicyToString(SchedulePolicy policy) {
   switch (policy) {
     case SchedulePolicy::kFifo:
       return "fifo";
-    case SchedulePolicy::kSrwf:
-      return "srwf";
-    case SchedulePolicy::kPriority:
-      return "priority";
     case SchedulePolicy::kFootprintAware:
       return "footprint";
   }
@@ -96,10 +92,6 @@ double TaskWork(const SchedulePolicyConfig& cfg, size_t q) {
   return cfg.tasks.empty() ? 0.0 : cfg.tasks[q].work;
 }
 
-int TaskPriority(const SchedulePolicyConfig& cfg, size_t q) {
-  return cfg.tasks.empty() ? 0 : cfg.tasks[q].priority;
-}
-
 /// A query's footprint claim against the L3 budget, capped at capacity:
 /// a query streaming more than the whole L3 can at most occupy the whole
 /// L3, and capping is what lets such a query ever be admitted at all.
@@ -121,24 +113,6 @@ size_t PickNextAdmission(
   switch (cfg.policy) {
     case SchedulePolicy::kFifo:
       return 0;
-    case SchedulePolicy::kSrwf: {
-      size_t best = 0;
-      for (size_t i = 1; i < pending.size(); ++i) {
-        if (TaskWork(cfg, pending[i]) < TaskWork(cfg, pending[best])) {
-          best = i;
-        }
-      }
-      return best;
-    }
-    case SchedulePolicy::kPriority: {
-      size_t best = 0;
-      for (size_t i = 1; i < pending.size(); ++i) {
-        if (TaskPriority(cfg, pending[i]) > TaskPriority(cfg, pending[best])) {
-          best = i;
-        }
-      }
-      return best;
-    }
     case SchedulePolicy::kFootprintAware: {
       if (cfg.l3_capacity_bytes == 0) return 0;
       uint64_t used = 0;
@@ -623,8 +597,7 @@ SchedulePolicyConfig WorkloadDriver::PolicyConfig(
   cfg.l3_capacity_bytes = prototype_.config().l3.capacity_bytes;
   cfg.tasks.reserve(tasks.size());
   for (const WorkloadTask& task : tasks) {
-    cfg.tasks.push_back(
-        {task.priority, task.estimated_work, task.footprint_bytes});
+    cfg.tasks.push_back({task.estimated_work, task.footprint_bytes});
   }
   return cfg;
 }

@@ -86,11 +86,8 @@ struct WorkloadTask {
   ProgressiveConfig config;
   /// Optional initial evaluation order (permutation of the operators).
   std::optional<std::vector<size_t>> initial_order;
-  /// Static priority (SchedulePolicy::kPriority): higher admits earlier;
-  /// ties break in spec order.
-  int priority = 0;
-  /// Relative work estimate (SchedulePolicy::kSrwf): admission prefers
-  /// the smallest. Only the ordering matters, not the unit. The facade
+  /// Relative work estimate: deadline shedding prices a query's service
+  /// time from it (DeadlineShedder in exec/admission.h). The facade
   /// (core/engine.cc) fills it from the cost model.
   double estimated_work = 0;
   /// Estimated L3-resident working set (SchedulePolicy::kFootprintAware):
@@ -114,14 +111,8 @@ struct WorkloadTask {
 /// ready queue of admitted queries stays round-robin in every policy, so
 /// in-flight queries always time-share the simulated cores fairly.
 enum class SchedulePolicy : int {
-  /// Spec order (the PR-4 behaviour and the default).
+  /// Spec order (the default).
   kFifo = 0,
-  /// Shortest-remaining-work-first: admit the pending query with the
-  /// smallest WorkloadTask::estimated_work. Remaining == total at
-  /// admission time, since queries are never preempted back to pending.
-  kSrwf,
-  /// Highest WorkloadTask::priority first; FIFO among equal priorities.
-  kPriority,
   /// Cache-footprint-aware co-scheduling: admit the earliest pending
   /// query whose estimated footprint fits in the shared-L3 budget left
   /// by the in-flight queries (estimates capped at L3 capacity; under
@@ -355,7 +346,6 @@ struct SimSchedule {
 /// \brief Static per-query inputs of a policy-aware schedule replay
 /// (mirrors the WorkloadTask scheduling fields).
 struct ScheduleTaskInfo {
-  int priority = 0;
   double work = 0;
   uint64_t footprint_bytes = 0;
 };

@@ -32,7 +32,7 @@ double EstimationObjective(const ScanShape& shape,
   NIPO_CHECK(selectivities.size() == shape.predicate_widths.size());
   const BranchEstimate predicted =
       EstimateScanBranches(shape.predictor, shape.num_tuples, selectivities,
-                           shape.branch_free, shape.include_loop_branch);
+                           shape.include_loop_branch);
   // Branches-not-taken is the one *exact* counter (paper Section 4.1:
   // "independent of runtime or CPU characteristics and thus exact"), so
   // it carries extra weight against the statistical misprediction and

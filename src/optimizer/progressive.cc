@@ -51,11 +51,6 @@ ScanShape ShapeForOrder(const PipelineExecutor& exec, double num_tuples) {
     shape.predicate_widths.push_back(stats.value_width);
     shape.predicate_packed_bytes.push_back(
         stats.encoded ? stats.scan_bytes_per_value : 0.0);
-    // Predicates currently running branch-free book no branch events; the
-    // counter prediction must mirror that or the estimator would chase
-    // branches the executor never produces.
-    shape.branch_free.push_back(exec.FormAt(pos) ==
-                                PredicateForm::kBranchFree);
   }
   for (size_t i = 0; i < exec.num_payloads(); ++i) {
     const ColumnScanStats stats = exec.PayloadStatsAt(i);
@@ -101,27 +96,14 @@ Result<SelectivityEstimate> EstimateOrderSelectivities(
 /// Ranks the operators of `exec`'s current order by cost-weighted
 /// selectivity (ascending (s-1)/c; for unit costs this is the paper's
 /// ascending-selectivity PEO rule; probe cost is informed by the Section
-/// 5.5-5.6 sortedness detector on the sampled L3 misses). Under
-/// kBranchCycles / kSimdAware pricing, predicate costs come from
-/// PricePredicateForms on the simulated machine's CycleModel. Returns the
-/// proposed order in original operator indices; when `forms_out` is
-/// non-null it receives the per-operator form choice *by original
-/// operator index* (cheapest form under kSimdAware, branching otherwise),
-/// ready for PipelineExecutor::SetForms.
+/// 5.5-5.6 sortedness detector on the sampled L3 misses). Returns the
+/// proposed order in original operator indices.
 std::vector<size_t> RankOrderOperators(
-    const PipelineExecutor& exec, const ProgressiveConfig& config,
-    const VectorSample& sample, const std::vector<double>& selectivities,
-    std::vector<PredicateForm>* forms_out) {
+    const PipelineExecutor& exec, const VectorSample& sample,
+    const std::vector<double>& selectivities) {
   const size_t n = exec.num_operators();
   NIPO_CHECK(selectivities.size() == n);
   const HwConfig& hw = exec.pmu()->config();
-  // Cycle price of a plain, perfectly predicted branching predicate: the
-  // unit the probe term is expressed in, so kBranchCycles/kSimdAware keep
-  // the probe-vs-plain-predicate ratios of the unit rule.
-  const double unit_cycles =
-      LoopCostModel::kCompareInstructions *
-          hw.cycle_model.cycles_per_instruction +
-      hw.cycle_model.branch_cycles;
 
   // Attribute sampled L3 misses to probes for cost weighting. With the
   // (common) single-probe pipelines of the evaluation this is exact
@@ -146,31 +128,12 @@ std::vector<size_t> RankOrderOperators(
       0.0, static_cast<double>(sample.counters.l3_misses) - scan_accesses);
 
   std::vector<double> cost(n, 1.0);
-  std::vector<PredicateForm> form_at(n, PredicateForm::kBranching);
   double reach = 1.0;  // fraction of tuples reaching this position
   for (size_t pos = 0; pos < n; ++pos) {
     const OperatorSpec& op = exec.OperatorAt(pos);
     if (op.kind == OperatorSpec::Kind::kPredicate) {
-      if (config.pricing == CostPricing::kUnit) {
-        cost[pos] = 1.0 + op.predicate.extra_instructions /
-                              LoopCostModel::kCompareInstructions / 3.0;
-      } else {
-        const PredicateFormCosts prices = PricePredicateForms(
-            hw.cycle_model, hw.predictor,
-            std::clamp(selectivities[pos], 0.0, 1.0),
-            LoopCostModel::kCompareInstructions,
-            LoopCostModel::kBranchFreeInstructions,
-            op.predicate.extra_instructions);
-        if (config.pricing == CostPricing::kSimdAware &&
-            prices.branch_free_cheaper()) {
-          cost[pos] = prices.branch_free;
-          form_at[pos] = PredicateForm::kBranchFree;
-        } else {
-          // Ties stay branching: the branching form feeds the branch
-          // counters the estimator learns from.
-          cost[pos] = prices.branching;
-        }
-      }
+      cost[pos] = 1.0 + op.predicate.extra_instructions /
+                            LoopCostModel::kCompareInstructions / 3.0;
       // Zone-map-prunable predicates are cheaper than their per-tuple
       // price suggests when evaluated first: every block they refute is
       // skipped wholesale before any operator runs. Discount their cost
@@ -193,7 +156,6 @@ std::vector<size_t> RankOrderOperators(
       const SortednessVerdict verdict =
           JudgeSortedness(hw.l3, obs, kCoClusterThreshold);
       cost[pos] = kProbeBaseCost + 20.0 * verdict.score;
-      if (config.pricing != CostPricing::kUnit) cost[pos] *= unit_cycles;
     }
     reach *= std::clamp(selectivities[pos], 0.0, 1.0);
   }
@@ -215,12 +177,6 @@ std::vector<size_t> RankOrderOperators(
   std::vector<size_t> proposed;
   proposed.reserve(n);
   for (size_t pos : positions) proposed.push_back(current[pos]);
-  if (forms_out != nullptr) {
-    forms_out->assign(n, PredicateForm::kBranching);
-    for (size_t pos = 0; pos < n; ++pos) {
-      (*forms_out)[current[pos]] = form_at[pos];
-    }
-  }
   return proposed;
 }
 
@@ -251,11 +207,8 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
   }
   report_.last_estimate = estimate.ValueOrDie().selectivities;
 
-  const bool simd_aware = config_.pricing == CostPricing::kSimdAware;
-  std::vector<PredicateForm> proposed_forms;
   std::vector<size_t> proposed = RankOrderOperators(
-      *executor_, config_, sample, estimate.ValueOrDie().selectivities,
-      simd_aware ? &proposed_forms : nullptr);
+      *executor_, sample, estimate.ValueOrDie().selectivities);
   const bool explore =
       config_.explore_period > 0 &&
       optimization_count_ % config_.explore_period == 0 && proposed.size() > 1;
@@ -264,34 +217,22 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
     // to look at data the current order never touches.
     std::swap(proposed[0], proposed[1]);
   }
-  const std::vector<PredicateForm> current_forms = executor_->forms();
-  const bool order_changed = proposed != executor_->current_order();
-  const bool forms_changed = simd_aware && proposed_forms != current_forms;
-  if (!order_changed && !forms_changed) {
-    return;
-  }
+  if (proposed == executor_->current_order()) return;
   if (hysteresis_ttl_ > 0) {
     --hysteresis_ttl_;
-    const bool same_as_reverted =
-        proposed == recently_reverted_ &&
-        (!simd_aware || proposed_forms == recently_reverted_forms_);
-    if (same_as_reverted) {
-      return;  // hysteresis: validation just rejected this configuration
+    if (proposed == recently_reverted_) {
+      return;  // hysteresis: validation just rejected this order
     }
   }
   PendingValidation pending;
   pending.old_order = executor_->current_order();
-  pending.old_forms = current_forms;
   pending.old_cycles_per_tuple = last_cycles_per_tuple_;
   pending.exploration = explore;
-  if (order_changed) NIPO_CHECK(executor_->Reorder(proposed).ok());
-  if (forms_changed) NIPO_CHECK(executor_->SetForms(proposed_forms).ok());
+  NIPO_CHECK(executor_->Reorder(proposed).ok());
   PeoChange change;
   change.vector_index = sample.vector_index;
   change.old_order = pending.old_order;
   change.new_order = proposed;
-  change.old_forms = current_forms;
-  change.new_forms = forms_changed ? proposed_forms : current_forms;
   change.exploration = explore;
   report_.changes.push_back(change);
   if (config_.validate_and_revert) {
@@ -311,12 +252,8 @@ void ProgressiveOptimizer::HandleVector(const VectorSample& sample) {
         cycles_per_tuple >
             pending_->old_cycles_per_tuple * kRevertThreshold) {
       recently_reverted_ = executor_->current_order();
-      recently_reverted_forms_ = executor_->forms();
       hysteresis_ttl_ = 1;  // skip this order for one optimization cycle
       NIPO_CHECK(executor_->Reorder(pending_->old_order).ok());
-      if (!pending_->old_forms.empty()) {
-        NIPO_CHECK(executor_->SetForms(pending_->old_forms).ok());
-      }
       report_.changes.back().reverted = true;
     } else {
       hysteresis_ttl_ = 0;  // a change survived; reopen the space
@@ -334,7 +271,6 @@ void ProgressiveOptimizer::Begin() {
   last_cycles_per_tuple_ = 0;
   optimization_count_ = 0;
   recently_reverted_.clear();
-  recently_reverted_forms_.clear();
   hysteresis_ttl_ = 0;
 }
 
@@ -360,7 +296,7 @@ ParallelProgressiveCoordinator::ParallelProgressiveCoordinator(
   optimizer_.Begin();
 }
 
-std::optional<PlanBroadcast> ParallelProgressiveCoordinator::OnMorsel(
+std::optional<std::vector<size_t>> ParallelProgressiveCoordinator::OnMorsel(
     const MorselRecord& record) {
   if (record.order_version != version_) {
     // The morsel was in flight (under the previous plan) when a broadcast
@@ -373,14 +309,11 @@ std::optional<PlanBroadcast> ParallelProgressiveCoordinator::OnMorsel(
   window_.Add(record.sample);
   if (window_.count() < window_size_) return std::nullopt;
   const std::vector<size_t> order = control_->current_order();
-  const std::vector<PredicateForm> forms = control_->forms();
   optimizer_.OnVector(window_.merged());
   window_.Reset();
-  if (control_->current_order() == order && control_->forms() == forms) {
-    return std::nullopt;
-  }
+  if (control_->current_order() == order) return std::nullopt;
   ++version_;
-  return PlanBroadcast{control_->current_order(), control_->forms()};
+  return control_->current_order();
 }
 
 void ParallelProgressiveCoordinator::FillReport(

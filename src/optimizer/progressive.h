@@ -31,27 +31,10 @@
 /// optimizer: worker morsel samples are merged into windows of
 /// `reopt_interval` same-order morsels (SampleMerger; counter sums over
 /// same-order morsels are sufficient statistics for the estimators), each
-/// window is one decision point, and every resulting (order, forms) change
-/// is broadcast to all workers at morsel boundaries.
+/// window is one decision point, and every resulting order change is
+/// broadcast to all workers at morsel boundaries.
 
 namespace nipo {
-
-/// \brief How RankOrderOperators prices an operator when ranking
-/// (DESIGN.md Section 8, "SIMD-aware pricing").
-enum class CostPricing : int {
-  /// The original unit-cost rule: plain predicates cost 1, expensive
-  /// predicates add their extra instructions, probes their miss-informed
-  /// term. Exactly the pre-SIMD behaviour.
-  kUnit = 0,
-  /// Predicates priced in simulated cycles of their *branching* form
-  /// (compare + branch + Markov misprediction penalty); probes keep the
-  /// unit-rule term, converted to the same cycle scale.
-  kBranchCycles = 1,
-  /// min(branching, branch-free) cycles per predicate; the optimizer also
-  /// switches each predicate to its cheaper form (PipelineExecutor::
-  /// SetForms), so low-selectivity predicates run branch-free.
-  kSimdAware = 2,
-};
 
 /// \brief Driver configuration.
 struct ProgressiveConfig {
@@ -67,21 +50,13 @@ struct ProgressiveConfig {
   /// Every k-th optimization additionally explores a perturbed order to
   /// surface correlation effects (Section 4.5); 0 disables exploration.
   size_t explore_period = 0;
-  /// Operator pricing rule (kUnit reproduces the pre-SIMD behaviour).
-  CostPricing pricing = CostPricing::kUnit;
 };
 
-/// \brief One evaluation-order (and/or predicate-form) change performed
-/// during execution.
+/// \brief One evaluation-order change performed during execution.
 struct PeoChange {
   size_t vector_index = 0;
   std::vector<size_t> old_order;
   std::vector<size_t> new_order;
-  /// Predicate forms by original operator index before/after the change
-  /// (equal to each other unless pricing is kSimdAware; a change may be
-  /// forms-only, with old_order == new_order).
-  std::vector<PredicateForm> old_forms;
-  std::vector<PredicateForm> new_forms;
   bool reverted = false;      ///< validation rolled it back
   bool exploration = false;   ///< came from the correlation explorer
 };
@@ -129,7 +104,6 @@ class ProgressiveOptimizer {
  private:
   struct PendingValidation {
     std::vector<size_t> old_order;
-    std::vector<PredicateForm> old_forms;
     double old_cycles_per_tuple = 0;
     bool exploration = false;
   };
@@ -143,13 +117,11 @@ class ProgressiveOptimizer {
   std::optional<PendingValidation> pending_;
   double last_cycles_per_tuple_ = 0;
   size_t optimization_count_ = 0;
-  /// Hysteresis: an order (+ forms, under kSimdAware) that validation
-  /// just rolled back is not re-proposed for `hysteresis_ttl_`
-  /// optimization cycles, preventing estimate-noise oscillation
-  /// (propose -> revert -> propose -> ...) while still allowing the
-  /// order back in once conditions change.
+  /// Hysteresis: an order that validation just rolled back is not
+  /// re-proposed for `hysteresis_ttl_` optimization cycles, preventing
+  /// estimate-noise oscillation (propose -> revert -> propose -> ...)
+  /// while still allowing the order back in once conditions change.
   std::vector<size_t> recently_reverted_;
-  std::vector<PredicateForm> recently_reverted_forms_;
   int hysteresis_ttl_ = 0;
 };
 
@@ -171,26 +143,26 @@ struct ParallelProgressiveReport {
 /// receives every worker's morsel samples (serialized by ParallelDriver's
 /// hook lock), merges them into windows of `reopt_interval` same-order
 /// morsels, and steps a ProgressiveOptimizer over the windows -- one
-/// decision point per window, so estimate, rank, forms, validate/revert
-/// and hysteresis are exactly the single-threaded driver's.
+/// decision point per window, so estimate, rank, validate/revert and
+/// hysteresis are exactly the single-threaded driver's.
 ///
 /// That optimizer drives a *control* executor: a non-executing pipeline
 /// compiled over the same query that provides operator metadata and
-/// carries the authoritative current order and forms. Whenever a window
-/// changes either, the new plan is returned to the driver for broadcast;
-/// workers apply it at morsel boundaries. The coordinator's broadcast
-/// count equals ParallelDriver's plan version (both start at 0 and
-/// advance once per returned plan), which is how
+/// carries the authoritative current order. Whenever a window changes
+/// it, the new order is returned to the driver for broadcast; workers
+/// apply it at morsel boundaries. The coordinator's broadcast count
+/// equals ParallelDriver's plan version (both start at 0 and advance once
+/// per returned order), which is how
 /// MorselRecord::order_version identifies stale-plan morsels.
 class ParallelProgressiveCoordinator {
  public:
   ParallelProgressiveCoordinator(PipelineExecutor* control,
                                  ProgressiveConfig config);
 
-  /// ParallelDriver::MorselHook entry point. Returns the plan to broadcast
-  /// when a window changes the order or forms (a reorder, a form switch
-  /// or a validation revert).
-  std::optional<PlanBroadcast> OnMorsel(const MorselRecord& record);
+  /// ParallelDriver::MorselHook entry point. Returns the order to
+  /// broadcast when a window changes it (a reorder or a validation
+  /// revert).
+  std::optional<std::vector<size_t>> OnMorsel(const MorselRecord& record);
 
   /// Exports the PEO trace into `report` (call once, after the drive
   /// completes; `drive` is filled by the caller).

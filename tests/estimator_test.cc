@@ -186,7 +186,6 @@ struct PinnedCase {
   const char* name;
   std::vector<double> truth;
   CounterSet counter_set;
-  std::vector<bool> branch_free;
   std::vector<double> predicate_packed_bytes;
   std::vector<double> payload_packed_bytes;
   PredictorConfig predictor;
@@ -195,33 +194,29 @@ struct PinnedCase {
 std::vector<PinnedCase> PinnedCases() {
   const PredictorConfig six = PredictorConfig::Symmetric(6);
   return {
-      {"two_plain_all", {0.3, 0.7}, CounterSet::kAll, {}, {}, {}, six},
-      {"three_plain_all", {0.8, 0.25, 0.6}, CounterSet::kAll, {}, {}, {}, six},
-      {"three_branch_free_mid_branches",
+      {"two_plain_all", {0.3, 0.7}, CounterSet::kAll, {}, {}, six},
+      {"three_plain_all", {0.8, 0.25, 0.6}, CounterSet::kAll, {}, {}, six},
+      {"three_plain_branches",
        {0.45, 0.1, 0.9},
        CounterSet::kBranchesOnly,
-       {false, true, false},
        {},
        {},
        six},
       {"four_packed_all",
        {0.9, 0.55, 0.35, 0.7},
        CounterSet::kAll,
-       {},
        {1.0, 0.5, 0.0, 2.0},
        {1.25, 0.0},
        six},
       {"four_packed_branches",
        {0.2, 0.95, 0.5, 0.4},
        CounterSet::kBranchesOnly,
-       {},
        {0.375, 1.0, 2.0, 0.25},
        {0.0, 1.5},
        six},
-      {"five_branch_free_all",
+      {"five_plain_all",
        {0.6, 0.85, 0.3, 0.95, 0.5},
        CounterSet::kAll,
-       {true, false, false, true, false},
        {},
        {},
        six},
@@ -230,12 +225,10 @@ std::vector<PinnedCase> PinnedCases() {
        CounterSet::kBranchesOnly,
        {},
        {},
-       {},
        six},
-      {"two_packed_branch_free_plus_one_taken",
+      {"two_packed_plus_one_taken",
        {0.65, 0.15},
        CounterSet::kAll,
-       {false, true},
        {0.75, 1.0},
        {2.0, 0.5},
        PredictorConfig::PlusOneTaken(5)},
@@ -252,7 +245,6 @@ std::pair<ScanShape, CounterSample> PinnedSample(const PinnedCase& c) {
   shape.payload_widths = {8, 4};
   shape.predicate_packed_bytes = c.predicate_packed_bytes;
   shape.payload_packed_bytes = c.payload_packed_bytes;
-  shape.branch_free = c.branch_free;
   shape.predictor = c.predictor;
   CounterSample s;
   s.tuples_in = shape.num_tuples;
@@ -281,8 +273,11 @@ std::string HexList(const std::vector<double>& values) {
   return out + "}";
 }
 
-/// Recorded before the objective was made allocation-free; any change here
-/// is a change of simulated results and needs its own justification.
+/// Recorded before the objective was made allocation-free; the
+/// three_plain_branches, five_plain_all and two_packed_plus_one_taken rows
+/// were recorded on the same all-branching code path before the
+/// branch-free predicate form was removed. Any change here is a change of
+/// simulated results and needs its own justification.
 struct PinnedResult {
   std::vector<double> selectivities;
   std::vector<double> access_fractions;
@@ -303,11 +298,11 @@ const std::vector<PinnedResult>& PinnedResults() {
        0x1.e1536af3aaefep-5,
        6,
        260},
-      {{0x1.a84p-2, 0x1.3b4251c4f0c36p-3, 0x1.455b1725778d7p-1},
-       {0x1.a84p-2, 0x1.053a54014fffep-4, 0x1.4cp-5},
-       0x1.d3ceeb57bc8ebp-2,
+      {{0x1.c87861179fep-2, 0x1.f4858f74db839p-4, 0x1.7ced8152324a6p-1},
+       {0x1.c87861179fep-2, 0x1.be3ca1fc18dcbp-5, 0x1.4cp-5},
+       0x1.0acafee8d03e2p-4,
        6,
-       130},
+       252},
       {{0x1.d5705d9824ecap-1, 0x1.145f13808ec01p-1, 0x1.664bfc2399987p-2,
         0x1.66bfd6a6bc3abp-1},
        {0x1.d5705d9824ecap-1, 0x1.facb7d5dd82a6p-2, 0x1.62a77f0ae00acp-3,
@@ -322,13 +317,13 @@ const std::vector<PinnedResult>& PinnedResults() {
        0x1.3d93b7c9adf5p-20,
        8,
        760},
-      {{0x1.bbb07c940d14p-2, 0x1.f4c8dbf7e18e8p-2, 0x1.e1294c04a5dc3p-1,
-        0x1.ae675e97929cdp-1, 0x1.bd0a4e1768055p-2},
-       {0x1.bbb07c940d14p-2, 0x1.b1f869380afeap-3, 0x1.97d4dfac63757p-3,
-        0x1.56d61e8597d6ep-3, 0x1.2ap-4},
-       0x1.8cfc6f56ec0c6p+0,
-       10,
-       1147},
+      {{0x1.a1618efa74be7p-1, 0x1.056f3d0a671b7p-1, 0x1.247b836d2c03ap-2,
+        0x1.394eaf532df24p-1, 0x1p+0},
+       {0x1.a1618efa74be7p-1, 0x1.aa3dd3978c9bp-2, 0x1.e6fc2be0ef13ap-4,
+        0x1.2ap-4, 0x1.2ap-4},
+       0x1.d0d4e5fb1ff6cp-8,
+       9,
+       1294},
       {{0x1.df65ebbd53d1ap-1, 0x1.0ea711850182p-1, 0x1.52a8e757420adp-1,
         0x1.e4b419880ab9fp-1, 0x1.07c42a5259bf1p-2},
        {0x1.df65ebbd53d1ap-1, 0x1.fad65aed4e56ap-2, 0x1.4f3eb55e9567cp-2,
@@ -336,9 +331,9 @@ const std::vector<PinnedResult>& PinnedResults() {
        0x1.616c50f8b4c0ap-20,
        10,
        1372},
-      {{0x1.1e4p-1, 0x1.64d5be446a6cbp-3},
-       {0x1.1e4p-1, 0x1.8fp-4},
-       0x1.20715892b50d8p+0,
+      {{0x1.50ap-1, 0x1.2f6f81c235cep-3},
+       {0x1.50ap-1, 0x1.8fp-4},
+       0x1.013cf5de877bfp-3,
        4,
        0},
   };

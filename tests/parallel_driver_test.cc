@@ -194,7 +194,7 @@ TEST(ParallelDriverTest, SamplesInterleaveDeterministicallyByMorselIndex) {
       config);
   // A hook turns per-morsel sampling on; this one never broadcasts.
   auto result = driver.Run(std::nullopt, [](const MorselRecord&) {
-    return std::optional<PlanBroadcast>{};
+    return std::optional<std::vector<size_t>>{};
   });
   ASSERT_TRUE(result.ok());
   const ParallelDriveResult& par = result.ValueOrDie();
@@ -236,21 +236,17 @@ TEST(ParallelDriverTest, HookBroadcastReachesAllWorkers) {
       config);
   auto result = driver.Run(
       std::nullopt,
-      [&](const MorselRecord& record) -> std::optional<PlanBroadcast> {
+      [&](const MorselRecord& record) -> std::optional<std::vector<size_t>> {
         if (!broadcast_sent && record.sample.vector_index >= 3) {
           broadcast_sent = true;
-          return PlanBroadcast{{2, 1, 0},
-                               {PredicateForm::kBranchFree,
-                                PredicateForm::kBranching,
-                                PredicateForm::kBranchFree}};
+          return std::vector<size_t>{2, 1, 0};
         }
         return std::nullopt;
       });
   ASSERT_TRUE(result.ok());
   const ParallelDriveResult& par = result.ValueOrDie();
   EXPECT_TRUE(broadcast_sent);
-  // Late morsels ran under the broadcast plan (order and forms); results
-  // are unaffected.
+  // Late morsels ran under the broadcast order; results are unaffected.
   uint64_t new_plan_morsels = 0;
   for (const MorselRecord& record : par.samples) {
     if (record.order_version == 1) ++new_plan_morsels;
@@ -301,12 +297,6 @@ TEST(ParallelDriverTest, ProgressiveParallelReordersWorstFirstOrder) {
   ASSERT_FALSE(report.changes.empty());
   ASSERT_EQ(report.final_order.size(), 3u);
   EXPECT_EQ(report.final_order.front(), 2u);  // most selective first
-  // Every change records the forms on both sides, one per operator, as
-  // the solo driver's changes do.
-  for (const PeoChange& change : report.changes) {
-    EXPECT_EQ(change.old_forms.size(), 3u);
-    EXPECT_EQ(change.new_forms.size(), 3u);
-  }
   // Progressive beats the worst-first fixed order on machine time.
   auto base =
       engine.Execute(MakeQuery(), BaselineOptions(ExecDriver::kSolo, 2'048));

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/prng.h"
@@ -9,13 +8,12 @@
 #include "workload_replay.h"
 
 // Coverage for the admission-control policies of the workload scheduler
-// (SchedulePolicy in exec/workload_driver.h): SRWF honors the work
-// estimates, priority orders admission without starving anyone,
-// footprint-aware co-scheduling never pairs queries whose combined
-// estimated footprint exceeds the L3 budget when an alternative pairing
-// exists (and keeps a progress guarantee when nothing fits), and the
-// engine plumbs policy + cost-model estimates end to end without
-// touching any per-query counter.
+// (SchedulePolicy in exec/workload_driver.h): footprint-aware
+// co-scheduling never pairs queries whose combined estimated footprint
+// exceeds the L3 budget when an alternative pairing exists (and keeps a
+// progress guarantee when nothing fits), and the engine plumbs policy +
+// cost-model estimates end to end without touching any per-query
+// counter.
 
 namespace nipo {
 namespace {
@@ -36,56 +34,6 @@ bool Overlaps(const SimSchedule& s, size_t a, size_t b) {
          s.start_msec[b] < s.finish_msec[a];
 }
 
-TEST(SchedulePolicyTest, SrwfAdmitsShortestRemainingWorkFirst) {
-  // One worker, one admission slot: completion order == admission order.
-  const std::vector<std::vector<double>> quanta = {{10.0}, {10.0}, {10.0}};
-  const SimSchedule s = ReplayDurations(
-      quanta, 1, 1,
-      Config(SchedulePolicy::kSrwf, {{0, 3.0, 0}, {0, 1.0, 0}, {0, 2.0, 0}}));
-  EXPECT_EQ(s.start_msec, (std::vector<double>{20.0, 0.0, 10.0}));
-  EXPECT_EQ(s.finish_msec, (std::vector<double>{30.0, 10.0, 20.0}));
-}
-
-TEST(SchedulePolicyTest, SrwfTiesBreakInSpecOrder) {
-  const std::vector<std::vector<double>> quanta = {{5.0}, {5.0}, {5.0}};
-  const SimSchedule s = ReplayDurations(
-      quanta, 1, 1,
-      Config(SchedulePolicy::kSrwf, {{0, 2.0, 0}, {0, 2.0, 0}, {0, 2.0, 0}}));
-  EXPECT_EQ(s.start_msec, (std::vector<double>{0.0, 5.0, 10.0}));
-}
-
-TEST(SchedulePolicyTest, PriorityAdmitsHighestFirstFifoAmongEqual) {
-  const std::vector<std::vector<double>> quanta = {{4.0}, {4.0}, {4.0}, {4.0}};
-  const SimSchedule s = ReplayDurations(
-      quanta, 1, 1,
-      Config(SchedulePolicy::kPriority,
-             {{0, 0, 0}, {5, 0, 0}, {1, 0, 0}, {5, 0, 0}}));
-  // q1 and q3 (priority 5, FIFO among them), then q2 (1), then q0 (0).
-  EXPECT_EQ(s.start_msec, (std::vector<double>{12.0, 0.0, 8.0, 4.0}));
-}
-
-TEST(SchedulePolicyTest, PriorityDoesNotStarveLowPriority) {
-  // The lowest-priority query is first in spec order but admitted last;
-  // it still completes, and once admitted it time-shares round-robin
-  // with whatever is in flight (no in-flight preemption).
-  const std::vector<std::vector<double>> quanta = {
-      {2.0, 2.0, 2.0}, {2.0, 2.0}, {2.0, 2.0}, {2.0, 2.0}};
-  const SimSchedule s = ReplayDurations(
-      quanta, 1, 2,
-      Config(SchedulePolicy::kPriority,
-             {{-1, 0, 0}, {3, 0, 0}, {2, 0, 0}, {1, 0, 0}}));
-  for (size_t q = 0; q < quanta.size(); ++q) {
-    EXPECT_GT(s.finish_msec[q], s.start_msec[q]) << "query " << q;
-    EXPECT_LE(s.finish_msec[q], s.makespan_msec);
-  }
-  // Everyone else started first...
-  for (size_t q = 1; q < quanta.size(); ++q) {
-    EXPECT_LT(s.start_msec[q], s.start_msec[0]);
-  }
-  // ...but the low-priority query still finishes the workload.
-  EXPECT_EQ(s.makespan_msec, s.finish_msec[0]);
-}
-
 TEST(SchedulePolicyTest, FootprintAwareAvoidsOvercapacityPairing) {
   // Footprints {60, 60, 30} against a 100-byte budget, two admission
   // slots, two workers. FIFO co-schedules q0+q1 (120 > 100); the
@@ -93,7 +41,7 @@ TEST(SchedulePolicyTest, FootprintAwareAvoidsOvercapacityPairing) {
   const std::vector<std::vector<double>> quanta = {
       {10.0, 10.0}, {10.0, 10.0}, {10.0, 10.0}};
   const std::vector<ScheduleTaskInfo> tasks = {
-      {0, 0, 60}, {0, 0, 60}, {0, 0, 30}};
+      {0, 60}, {0, 60}, {0, 30}};
   const SimSchedule fifo = ReplayDurations(
       quanta, 2, 2, Config(SchedulePolicy::kFifo, tasks, 100));
   EXPECT_TRUE(Overlaps(fifo, 0, 1));  // the pairing being avoided
@@ -113,7 +61,7 @@ TEST(SchedulePolicyTest, FootprintAwareProgressGuarantee) {
   const std::vector<std::vector<double>> quanta = {{6.0}, {6.0}};
   const SimSchedule s = ReplayDurations(
       quanta, 2, 2,
-      Config(SchedulePolicy::kFootprintAware, {{0, 0, 200}, {0, 0, 150}},
+      Config(SchedulePolicy::kFootprintAware, {{0, 200}, {0, 150}},
              100));
   EXPECT_FALSE(Overlaps(s, 0, 1));
   EXPECT_EQ(s.start_msec[1], s.finish_msec[0]);
@@ -124,7 +72,7 @@ TEST(SchedulePolicyTest, FootprintAwareWithoutBudgetDegeneratesToFifo) {
   const std::vector<std::vector<double>> quanta = {
       {3.0, 3.0}, {3.0}, {3.0, 3.0}, {3.0}};
   const std::vector<ScheduleTaskInfo> tasks = {
-      {0, 0, 64}, {0, 0, 32}, {0, 0, 16}, {0, 0, 8}};
+      {0, 64}, {0, 32}, {0, 16}, {0, 8}};
   const SimSchedule fifo = ReplayDurations(
       quanta, 2, 2, Config(SchedulePolicy::kFifo, tasks, 0));
   const SimSchedule fp = ReplayDurations(
@@ -172,7 +120,7 @@ Engine MakePolicyEngine() {
 
 WorkloadSpec MakePolicyWorkload(const Engine& engine) {
   WorkloadSpec spec;
-  auto add = [&](std::string name, const std::string& table, int priority) {
+  auto add = [&](std::string name, const std::string& table) {
     WorkloadQuery q;
     q.name = std::move(name);
     q.query.table = table;
@@ -182,57 +130,15 @@ WorkloadSpec MakePolicyWorkload(const Engine& engine) {
                         CompareOp::kLt, 40.0})};
     q.query.payload_columns = {"payload"};
     q.config.vector_size = 2'048;
-    q.priority = priority;
     spec.queries.push_back(std::move(q));
   };
-  add("large_0", "large", 0);
-  add("small_0", "small", 0);
-  add("large_1", "large", 0);
-  add("small_1", "small", 7);
+  add("large_0", "large");
+  add("small_0", "small");
+  add("large_1", "large");
+  add("small_1", "small");
   spec.options.num_threads = 1;
   spec.options.max_concurrent = 1;
   return spec;
-}
-
-size_t IndexOf(const WorkloadReport& report, const std::string& name) {
-  for (size_t i = 0; i < report.queries.size(); ++i) {
-    if (report.queries[i].name == name) return i;
-  }
-  ADD_FAILURE() << "no query named " << name;
-  return 0;
-}
-
-TEST(SchedulePolicyTest, EngineSrwfStartsSmallTablesFirst) {
-  Engine engine = MakePolicyEngine();
-  WorkloadSpec spec = MakePolicyWorkload(engine);
-  spec.options.policy = SchedulePolicy::kSrwf;
-  auto result = engine.Execute(spec);
-  ASSERT_TRUE(result.ok());
-  const WorkloadReport& report = result.ValueOrDie();
-  EXPECT_EQ(report.policy, SchedulePolicy::kSrwf);
-  // The cost-model work estimates scale with row count, so both
-  // small-table queries must be admitted (mc=1: fully ordered) before
-  // either large-table query.
-  const double small_last =
-      std::max(report.queries[IndexOf(report, "small_0")].sim_start_msec,
-               report.queries[IndexOf(report, "small_1")].sim_start_msec);
-  const double large_first =
-      std::min(report.queries[IndexOf(report, "large_0")].sim_start_msec,
-               report.queries[IndexOf(report, "large_1")].sim_start_msec);
-  EXPECT_LT(small_last, large_first);
-}
-
-TEST(SchedulePolicyTest, EnginePriorityAdmitsHighestFirst) {
-  Engine engine = MakePolicyEngine();
-  WorkloadSpec spec = MakePolicyWorkload(engine);
-  spec.options.policy = SchedulePolicy::kPriority;
-  auto result = engine.Execute(spec);
-  ASSERT_TRUE(result.ok());
-  const WorkloadReport& report = result.ValueOrDie();
-  EXPECT_EQ(report.queries[IndexOf(report, "small_1")].sim_start_msec, 0.0);
-  for (const WorkloadQueryReport& q : report.queries) {
-    EXPECT_GT(q.sim_finish_msec, q.sim_start_msec) << q.name;  // no one starves
-  }
 }
 
 TEST(SchedulePolicyTest, PoliciesLeaveQueryCountersUntouched) {
@@ -242,24 +148,19 @@ TEST(SchedulePolicyTest, PoliciesLeaveQueryCountersUntouched) {
   spec.options.max_concurrent = 2;
   auto fifo = engine.Execute(spec);
   ASSERT_TRUE(fifo.ok());
-  for (const SchedulePolicy policy :
-       {SchedulePolicy::kSrwf, SchedulePolicy::kPriority,
-        SchedulePolicy::kFootprintAware}) {
-    spec.options.policy = policy;
-    auto result = engine.Execute(spec);
-    ASSERT_TRUE(result.ok());
-    const WorkloadReport& report = result.ValueOrDie();
-    for (size_t i = 0; i < report.queries.size(); ++i) {
-      // Admission order is the only degree of freedom: per-query work is
-      // bit-identical under every policy (private machines, no shared
-      // state).
-      EXPECT_EQ(report.queries[i].drive.total,
-                fifo.ValueOrDie().queries[i].drive.total)
-          << report.queries[i].name << " under "
-          << SchedulePolicyToString(policy);
-      EXPECT_EQ(report.queries[i].drive.aggregate,
-                fifo.ValueOrDie().queries[i].drive.aggregate);
-    }
+  spec.options.policy = SchedulePolicy::kFootprintAware;
+  auto result = engine.Execute(spec);
+  ASSERT_TRUE(result.ok());
+  const WorkloadReport& report = result.ValueOrDie();
+  for (size_t i = 0; i < report.queries.size(); ++i) {
+    // Admission order is the only degree of freedom: per-query work is
+    // bit-identical under every policy (private machines, no shared
+    // state).
+    EXPECT_EQ(report.queries[i].drive.total,
+              fifo.ValueOrDie().queries[i].drive.total)
+        << report.queries[i].name;
+    EXPECT_EQ(report.queries[i].drive.aggregate,
+              fifo.ValueOrDie().queries[i].drive.aggregate);
   }
 }
 

@@ -7,7 +7,7 @@
 /// covers the ForceLevel override and the hash table's batched probe
 /// paths: BatchLookup must book event-for-event like per-key Lookup, at
 /// either kernel level (simulated counters are kernel-independent by
-/// construction — docs/COUNTERS.md "Branch-free booking").
+/// construction — docs/COUNTERS.md "Kernel-independent booking").
 
 #include <gtest/gtest.h>
 

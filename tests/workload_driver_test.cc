@@ -255,10 +255,10 @@ TEST(WorkloadDriverTest, SimulateWorkloadScheduleReplaysAdmissionPolicy) {
 }
 
 /// Runs the mixed workload straight through WorkloadDriver, with task
-/// scheduling inputs that make every SchedulePolicy reorder admission:
-/// distinct priorities, work estimates and L3 footprints (some pairs fit
-/// the L3 together, some do not). Returns the report and, through
-/// `config`, the matching replay configuration.
+/// scheduling inputs that make kFootprintAware reorder admission:
+/// distinct L3 footprints (some pairs fit the L3 together, some do not)
+/// and work estimates. Returns the report and, through `config`, the
+/// matching replay configuration.
 Result<WorkloadReport> RunWithPolicyInputs(const Engine& engine,
                                            const WorkloadSpec& spec,
                                            SchedulePolicyConfig* config) {
@@ -275,11 +275,9 @@ Result<WorkloadReport> RunWithPolicyInputs(const Engine& engine,
     task.progressive = q.progressive;
     task.config = q.config;
     task.initial_order = q.initial_order;
-    task.priority = static_cast<int>((i * 5) % 3);
     task.estimated_work = static_cast<double>((i * 7) % 8);
     task.footprint_bytes = (i % 2 == 0 ? 6 : 3) * (l3 / 10);
-    config->tasks.push_back(
-        {task.priority, task.estimated_work, task.footprint_bytes});
+    config->tasks.push_back({task.estimated_work, task.footprint_bytes});
     tasks.push_back(std::move(task));
   }
   WorkloadDriver driver(
@@ -294,9 +292,8 @@ Result<WorkloadReport> RunWithPolicyInputs(const Engine& engine,
   return driver.Run(tasks);
 }
 
-constexpr SchedulePolicy kAllPolicies[] = {
-    SchedulePolicy::kFifo, SchedulePolicy::kSrwf, SchedulePolicy::kPriority,
-    SchedulePolicy::kFootprintAware};
+constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kFifo,
+                                           SchedulePolicy::kFootprintAware};
 
 TEST(WorkloadDriverTest, ClosedQueueRecordsReplayableQuanta) {
   Engine engine = MakeWorkloadEngine();
