@@ -223,28 +223,6 @@ int main(int argc, char** argv) {
 
   spec.options.num_threads = 2;
   spec.options.contention = true;
-  // Controller tuning for this scale: decide every 12 quanta with no
-  // hysteresis hold — a freshly admitted thrasher needs ~10 quanta to
-  // build its resident footprint, so a shorter epoch would take its
-  // first raise decision before the crowding is visible and co-admit
-  // the partner thrasher (irrevocably: admission cannot preempt). Treat
-  // a few-percent-of-L3 eviction epoch as pressure (a co-running
-  // thrasher pair is far above this, a scan stretch far below); and —
-  // the load-bearing signal — refuse to raise (and shed) while the
-  // in-flight set owns more than 60% of the shared L3. A resident
-  // thrasher dimension is ~83%, a stretch of smalls well under half, so
-  // the guard exactly separates "thrasher in flight: keep it solo" from
-  // "smalls in flight: co-run freely". start_limit=1 (slow-start)
-  // extends that protection to the very first admission, before any
-  // feedback exists.
-  spec.options.admission.epoch_quanta = 12;
-  spec.options.admission.hold_epochs = 0;
-  spec.options.admission.high_eviction_frac = 0.01;
-  spec.options.admission.low_eviction_frac = 0.003;
-  spec.options.admission.high_slowdown = 1.5;
-  spec.options.admission.high_occupancy_frac = 0.6;
-  spec.options.admission.start_limit = 1;
-
   // Calibrate the service capacity mu from a closed-queue contended run
   // at max_concurrent = 2 (full pool, the workload's natural operating
   // point), then sweep the Poisson arrival rate relative to it. The

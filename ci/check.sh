@@ -142,9 +142,11 @@ fi
 
 # ThreadSanitizer pass over the concurrency tests: the sharded parallel
 # driver's worker threads (parallel_driver_test broadcasts an evaluation
-# order that four workers apply at morsel boundaries), the
-# fault-tolerance layer's parallel cancellation token (which crosses
-# those threads), and the SIMD kernel layer, whose forced-level override
+# order that four workers apply at morsel boundaries), the sharded
+# driver's error-abort flag, which one worker raises when its executor
+# latches a data error and every other worker reads at its next morsel
+# boundary (service_faults_test's FkOutOfRangeFailsParallelEntryPoints
+# runs it at eight workers), and the SIMD kernel layer, whose forced-level override
 # is process-global state the executors read. The workload, contention and
 # service-mode suites run on one host thread (the workload driver's
 # event loop), so they cannot race; they stay on the list to catch any

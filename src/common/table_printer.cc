@@ -8,7 +8,7 @@
 
 /// \file table_printer.cc
 /// Column-width measurement, alignment and border drawing for the aligned
-/// text tables, plus CSV escaping and FormatDouble's trailing-zero trim.
+/// text tables, plus FormatDouble's trailing-zero trim.
 
 namespace nipo {
 
@@ -57,18 +57,6 @@ void TablePrinter::Print(std::ostream& out) const {
   out << rule << '\n';
   for (const auto& row : rows_) emit_row(row);
   out << '\n';
-}
-
-void TablePrinter::PrintCsv(std::ostream& out) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ',';
-      out << row[i];
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -6,14 +6,14 @@
 #include <vector>
 
 /// \file table_printer.h
-/// Aligned text tables and CSV emission for the figure-reproduction
-/// benchmarks. Every bench binary prints the series of its paper figure as
-/// one of these tables so the output is directly comparable to the plot.
+/// Aligned text tables for the figure-reproduction benchmarks. Every
+/// bench binary prints the series of its paper figure as one of these
+/// tables so the output is directly comparable to the plot.
 
 namespace nipo {
 
-/// \brief Collects rows of string cells and renders them either as an
-/// aligned, human-readable table or as CSV.
+/// \brief Collects rows of string cells and renders them as an aligned,
+/// human-readable table.
 class TablePrinter {
  public:
   /// \param title Caption printed above the table (e.g. "Figure 12: ...").
@@ -30,9 +30,6 @@ class TablePrinter {
 
   /// Renders the aligned table to `out`.
   void Print(std::ostream& out) const;
-
-  /// Renders as CSV (header + rows) to `out`.
-  void PrintCsv(std::ostream& out) const;
 
   size_t num_rows() const { return rows_.size(); }
 

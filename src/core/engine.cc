@@ -134,7 +134,6 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
   }
   ParallelConfig pcfg;
   pcfg.num_threads = options.num_threads;
-  pcfg.cancel = options.cancel;
   auto factory = [this, &query](Pmu* pmu) {
     return CompileQuery(query, pmu, InstrumentationMode::kPmu);
   };
@@ -150,9 +149,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
     // starts.
     ParallelBaselineReport sub;
     NIPO_ASSIGN_OR_RETURN(sub.drive, pdriver.Run(options.order));
-    // A runtime data error fails the call, like a solo drive;
-    // cooperative cancellation instead returns the partial report with
-    // drive.cancelled set.
+    // A runtime data error fails the call, like a solo drive.
     NIPO_RETURN_NOT_OK(sub.drive.error);
     if (options.order.has_value()) {
       sub.order = *options.order;
@@ -266,7 +263,6 @@ Result<WorkloadReport> Engine::Execute(const WorkloadSpec& spec) const {
     task.config = q.config;
     task.initial_order = q.initial_order;
     task.sim_deadline_msec = q.sim_deadline_msec;
-    task.sim_cancel_msec = q.sim_cancel_msec;
     auto table = GetTable(q.query.table);
     if (table.ok()) {
       FillScheduleEstimates(*table.ValueOrDie(), q.query, hw_, &task);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -85,10 +84,6 @@ struct WorkloadQuery {
   /// cooperatively at a vector boundary (QueryOutcome::kDeadlineExceeded)
   /// or — with WorkloadOptions::shed_deadline — shed at admission.
   double sim_deadline_msec = 0;
-  /// Absolute simulated cancellation instant (0 = none; see
-  /// WorkloadTask::sim_cancel_msec): a user abort in simulated time,
-  /// honoured at the next vector boundary (QueryOutcome::kCancelled).
-  double sim_cancel_msec = 0;
 };
 
 /// \brief A workload: the query queue plus its scheduling options
@@ -134,11 +129,6 @@ struct ExecOptions {
   ProgressiveConfig progressive;
   /// Optional initial evaluation order (permutation of query.ops).
   std::optional<std::vector<size_t>> order;
-  /// Optional cooperative cancellation token for sharded drives (see
-  /// ParallelConfig::cancel): workers stop at the next morsel boundary
-  /// once it reads true and the report comes back with drive.cancelled set
-  /// and partial counts. The pointee must outlive the call.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// \brief Unified execution result: the mode-independent headline numbers
@@ -210,12 +200,12 @@ class Engine {
   /// "Reproducibility").
   ///
   /// Service mode (DESIGN.md Section 7): `spec.options.arrival` switches
-  /// the closed queue to an open arrival stream (uniform / Poisson /
-  /// bursty over the seeded PRNG) with per-query latency decomposed into
-  /// queue wait + in-service span and p50/p95/p99/max tails in the
-  /// report; `spec.options.adaptive_admission` lets the admission limit
-  /// self-tune inside [1, max_concurrent] from simulated interference
-  /// feedback. Both compose with `spec.options.contention`, and every
+  /// the closed queue to an open Poisson arrival stream (over the seeded
+  /// PRNG) with per-query latency decomposed into queue wait +
+  /// in-service span and p50/p95/p99/max tails in the report;
+  /// `spec.options.adaptive_admission` lets the admission limit self-tune
+  /// inside [1, max_concurrent] from simulated interference feedback.
+  /// Both compose with `spec.options.contention`, and every
   /// latency figure stays bit-stable.
   Result<WorkloadReport> Execute(const WorkloadSpec& spec) const;
 

@@ -6,8 +6,8 @@
 
 /// \file report.cc
 /// Rendering of execution reports: PMU counter rows, drive summaries, the
-/// progressive PEO-change trace and the workload schedule, in both
-/// aligned-text and CSV form.
+/// progressive PEO-change trace and the workload schedule, as aligned
+/// text.
 
 namespace nipo {
 
@@ -174,8 +174,7 @@ void PrintWorkloadReport(const WorkloadReport& report,
     out << "outcomes: " << report.queries_ok << " ok, "
         << report.queries_failed << " failed, "
         << report.queries_deadline_exceeded << " deadline, "
-        << report.queries_cancelled << " cancelled, " << report.queries_shed
-        << " shed; retries: " << report.total_retries << " (backoff "
+        << report.queries_shed << " shed; retries: " << report.total_retries << " (backoff "
         << FormatDouble(report.total_backoff_msec, 3) << " msec)\n"
         << "goodput: " << FormatDouble(report.sim_goodput_qps, 1)
         << " ok-queries/sec\n";
@@ -197,13 +196,6 @@ void PrintWorkloadReport(const WorkloadReport& report,
       << "host wall: " << FormatDouble(report.wall_msec, 3) << " msec, "
       << FormatDouble(report.wall_queries_per_sec, 1)
       << " queries/sec (not simulated)\n";
-}
-
-void WriteCountersCsv(const PmuCounters& counters, std::ostream& out) {
-  out << "counter,value\n";
-  for (const auto& [name, value] : CounterRows(counters)) {
-    out << name << "," << value << "\n";
-  }
 }
 
 }  // namespace nipo

@@ -6,7 +6,7 @@
 #include "core/engine.h"
 
 /// \file report.h
-/// Human-readable and CSV rendering of execution reports: counter
+/// Human-readable rendering of execution reports: counter
 /// summaries, PEO traces and baseline/progressive comparisons. Keeps the
 /// examples and downstream tools free of formatting boilerplate.
 
@@ -36,9 +36,5 @@ void PrintWorkloadReport(const WorkloadReport& report,
 
 /// \brief One-line PEO rendering ("3,1,0,2,4").
 std::string FormatOrder(const std::vector<size_t>& order);
-
-/// \brief CSV with one row per counter (name,value); machine-readable
-/// companion to PrintCounters.
-void WriteCountersCsv(const PmuCounters& counters, std::ostream& out);
 
 }  // namespace nipo

@@ -17,21 +17,47 @@ namespace {
 /// Hard floor of the effective limit (the progress guarantee).
 constexpr size_t kMinLimit = 1;
 
+// The controller's tuning for the simulated prototype machine. Decide
+// every 12 quanta with no hysteresis hold: a freshly admitted thrasher
+// needs ~10 quanta to build its resident footprint, so a shorter epoch
+// would take its first raise decision before the crowding is visible and
+// co-admit the partner thrasher (irrevocably: admission cannot preempt).
+// Treat a few-percent-of-L3 eviction epoch as pressure (a co-running
+// thrasher pair is far above this, a scan stretch far below); and — the
+// load-bearing signal — refuse to raise (and step down) while the
+// in-flight set owns 60% or more of the shared L3. A resident thrasher
+// dimension is ~83%, a stretch of small scans well under half, so the
+// guard separates "thrasher in flight: keep it solo" from "small scans
+// in flight: co-run freely". Starting at the floor (slow-start) extends
+// that protection to the very first admission, before any feedback
+// exists.
+
+/// Quanta per decision epoch: feedback is averaged over this many quanta
+/// before the limit may move (smooths single-quantum noise).
+constexpr size_t kEpochQuanta = 12;
+/// Pressure threshold: epoch-mean shared-L3 evictions suffered per
+/// quantum, as a fraction of L3 capacity lines. Above it the limit steps
+/// down.
+constexpr double kHighEvictionFrac = 0.01;
+/// All-clear threshold: below it (and with queries waiting) the limit
+/// steps back up.
+constexpr double kLowEvictionFrac = 0.003;
+/// Latency-inflation threshold: epoch-mean quantum duration relative to
+/// the same query's best-observed quantum. Above it the limit steps down
+/// even without eviction pressure.
+constexpr double kHighSlowdown = 1.5;
+/// Crowding threshold: epoch-max live shared-L3 occupancy (lines owned by
+/// in-flight queries) as a fraction of capacity. At or above it, raises
+/// are blocked and the limit steps down.
+constexpr double kHighOccupancyFrac = 0.6;
+
 }  // namespace
 
 AdmissionController::AdmissionController(size_t num_queries, size_t max_limit,
-                                         uint64_t l3_capacity_lines,
-                                         const AdmissionConfig& config)
-    : config_(config),
-      max_limit_(std::max<size_t>(1, max_limit)),
+                                         uint64_t l3_capacity_lines)
+    : max_limit_(std::max<size_t>(1, max_limit)),
       capacity_lines_(l3_capacity_lines),
-      best_quantum_msec_(num_queries, 0.0) {
-  NIPO_CHECK(config_.epoch_quanta >= 1);
-  limit_ = config_.start_limit == 0
-               ? max_limit_
-               : std::clamp(config_.start_limit, kMinLimit, max_limit_);
-  min_limit_seen_ = limit_;
-}
+      best_quantum_msec_(num_queries, 0.0) {}
 
 void AdmissionController::OnQuantum(size_t query, double duration_msec,
                                     uint64_t evictions_suffered,
@@ -50,7 +76,7 @@ void AdmissionController::OnQuantum(size_t query, double duration_msec,
   // Demand: raising the limit only helps when queries are waiting *and*
   // the limit is what holds them back (not a policy deferral below it).
   epoch_demand_ = epoch_demand_ || (waiting > 0 && in_flight >= limit_);
-  if (++epoch_count_ >= config_.epoch_quanta) Decide();
+  if (++epoch_count_ >= kEpochQuanta) Decide();
 }
 
 void AdmissionController::Decide() {
@@ -71,26 +97,20 @@ void AdmissionController::Decide() {
   epoch_peak_occupancy_ = 0;
   epoch_demand_ = false;
 
-  if (hold_ > 0) {
-    --hold_;
-    return;
-  }
   // Crowding: the in-flight set already claims most of the shared L3, so
   // admitting more queries is what would create the next collision. It
   // both blocks raises and (below) steps the limit down.
-  const bool crowd = peak_occupancy_frac >= config_.high_occupancy_frac;
-  const bool pressure = mean_eviction_frac > config_.high_eviction_frac ||
-                        mean_slowdown > config_.high_slowdown;
-  const bool clear = mean_eviction_frac < config_.low_eviction_frac &&
-                     mean_slowdown <= config_.high_slowdown && !crowd;
+  const bool crowd = peak_occupancy_frac >= kHighOccupancyFrac;
+  const bool pressure = mean_eviction_frac > kHighEvictionFrac ||
+                        mean_slowdown > kHighSlowdown;
+  const bool clear = mean_eviction_frac < kLowEvictionFrac &&
+                     mean_slowdown <= kHighSlowdown && !crowd;
   if ((pressure || crowd) && limit_ > kMinLimit) {
     --limit_;  // multiplicative-ish decrease is overkill at these scales
     ++decreases_;
-    hold_ = config_.hold_epochs;
   } else if (clear && demand && limit_ < max_limit_) {
     ++limit_;
     ++increases_;
-    hold_ = config_.hold_epochs;
   }
   min_limit_seen_ = std::min(min_limit_seen_, limit_);
   NIPO_CHECK(limit_ >= 1);  // the progress guarantee, unconditionally

@@ -29,9 +29,12 @@
 /// while the in-flight set already claims most of the shared L3, raising
 /// the limit is what *creates* the next collision, so raises are blocked
 /// (and crowding steps the limit down) before a second large-footprint
-/// query can slip in. Benches pair this with `start_limit = 1`
-/// (slow-start) so the very first admission window cannot co-schedule
-/// two thrashers either.
+/// query can slip in. The limit starts at one (slow-start), so the very
+/// first admission window cannot co-schedule two thrashers either.
+///
+/// The thresholds and the decision cadence are constants (admission.cc
+/// gives their reasoning), sized for the simulated prototype machine;
+/// benches sweep the controller only through `max_concurrent`.
 ///
 /// The controller is a pure function of the quantum sequence fed to it
 /// (no wall clock, no randomness), so a live contended run and its
@@ -42,40 +45,6 @@
 
 namespace nipo {
 
-/// \brief Thresholds and cadence of the adaptive admission loop. The
-/// defaults are sized for the simulated prototype machine; benches sweep
-/// them only through `max_concurrent`.
-struct AdmissionConfig {
-  /// Quanta per decision epoch: feedback is averaged over this many
-  /// quanta before the limit may move (smooths single-quantum noise).
-  size_t epoch_quanta = 8;
-  /// Epochs to hold the limit after a change before the next decision
-  /// (hysteresis; lets the new concurrency level show up in feedback).
-  size_t hold_epochs = 1;
-  /// Raise-pressure threshold: epoch-mean shared-L3 evictions suffered
-  /// per quantum, as a fraction of L3 capacity lines. Above it the
-  /// limit steps down.
-  double high_eviction_frac = 0.25;
-  /// All-clear threshold: below it (and with queries waiting) the limit
-  /// steps back up.
-  double low_eviction_frac = 0.05;
-  /// Latency-inflation threshold: epoch-mean quantum duration relative
-  /// to the same query's best-observed quantum. Above it the limit
-  /// steps down even without eviction pressure (covers contention-free
-  /// slowdown sources).
-  double high_slowdown = 1.6;
-  /// Crowding threshold: epoch-max live shared-L3 occupancy (lines owned
-  /// by in-flight queries) as a fraction of capacity. At or above it,
-  /// raises are blocked and the limit steps down — the cache is already
-  /// claimed, so added concurrency would only create the next collision.
-  /// >= 1 (the default) disables the signal; so does a zero capacity.
-  double high_occupancy_frac = 1.0;
-  /// Initial effective limit, clamped to [1, max_limit]; 0 (the
-  /// default) starts at max_limit. Benches use 1 (slow-start) so the
-  /// first admission window is as protected as steady state.
-  size_t start_limit = 0;
-};
-
 /// \brief AIMD-style concurrency-limit controller over per-quantum
 /// simulated feedback. One instance per workload run; OnQuantum is fed
 /// every quantum completion in simulated-event order.
@@ -83,13 +52,12 @@ class AdmissionController {
  public:
   /// \param num_queries    workload size (per-query best-quantum state)
   /// \param max_limit      ceiling of the effective limit (the workload's
-  ///                       `max_concurrent`); the initial limit
+  ///                       `max_concurrent`); the limit starts at 1
   /// \param l3_capacity_lines  shared-L3 geometry behind the eviction
-  ///                       fraction; 0 (contention off) disables the
-  ///                       eviction signal, leaving slowdown only
+  ///                       and occupancy fractions; 0 (contention off)
+  ///                       disables both signals, leaving slowdown only
   AdmissionController(size_t num_queries, size_t max_limit,
-                      uint64_t l3_capacity_lines,
-                      const AdmissionConfig& config = AdmissionConfig{});
+                      uint64_t l3_capacity_lines);
 
   /// Current effective concurrency limit, in [1, max_limit]: the floor
   /// of one is the progress guarantee.
@@ -114,9 +82,8 @@ class AdmissionController {
  private:
   void Decide();
 
-  AdmissionConfig config_;
   size_t max_limit_ = 1;
-  size_t limit_ = 1;
+  size_t limit_ = 1;  ///< starts at the floor (slow-start)
   uint64_t capacity_lines_ = 0;
 
   /// Per-query best (smallest positive) quantum duration seen so far;
@@ -129,7 +96,6 @@ class AdmissionController {
   double epoch_slowdown_ = 0;
   uint64_t epoch_peak_occupancy_ = 0;
   bool epoch_demand_ = false;
-  size_t hold_ = 0;
 
   size_t decreases_ = 0;
   size_t increases_ = 0;

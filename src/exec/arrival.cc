@@ -6,9 +6,9 @@
 #include "common/prng.h"
 
 /// \file arrival.cc
-/// Arrival-schedule generation (DESIGN.md "Open-loop service mode"):
-/// deterministic-interval, Poisson, and bursty on/off processes, all
-/// expanded from a seeded Prng so reruns are bit-identical.
+/// Arrival-schedule generation (DESIGN.md "Open-loop service mode"): a
+/// Poisson process expanded from a seeded Prng, so reruns are
+/// bit-identical.
 
 namespace nipo {
 
@@ -16,12 +16,8 @@ std::string_view ArrivalKindToString(ArrivalKind kind) {
   switch (kind) {
     case ArrivalKind::kClosed:
       return "closed";
-    case ArrivalKind::kUniform:
-      return "uniform";
     case ArrivalKind::kPoisson:
       return "poisson";
-    case ArrivalKind::kBursty:
-      return "bursty";
   }
   return "unknown";
 }
@@ -31,7 +27,7 @@ namespace {
 /// Exponential inter-arrival draw of mean `mean_msec`. 1 - NextDouble()
 /// is in (0, 1], so the log argument never hits zero; a mean of exactly
 /// 0 (the rate -> infinity limit) yields 0 regardless of the draw, which
-/// is what collapses every open process to simultaneous arrivals.
+/// is what collapses the open process to simultaneous arrivals.
 double NextExponential(Prng* prng, double mean_msec) {
   return -std::log(1.0 - prng->NextDouble()) * mean_msec;
 }
@@ -43,49 +39,11 @@ std::vector<double> GenerateArrivalTimes(const ArrivalSpec& spec, size_t n) {
   if (spec.kind == ArrivalKind::kClosed || n == 0) return arrivals;
   NIPO_CHECK(spec.rate_qps > 0);
   const double mean_gap_msec = 1e3 / spec.rate_qps;
-  switch (spec.kind) {
-    case ArrivalKind::kClosed:
-      break;
-    case ArrivalKind::kUniform:
-      for (size_t i = 1; i < n; ++i) {
-        arrivals[i] = static_cast<double>(i) * mean_gap_msec;
-      }
-      break;
-    case ArrivalKind::kPoisson: {
-      Prng prng(spec.seed);
-      double t = 0;
-      for (size_t i = 1; i < n; ++i) {
-        t += NextExponential(&prng, mean_gap_msec);
-        arrivals[i] = t;
-      }
-      break;
-    }
-    case ArrivalKind::kBursty: {
-      NIPO_CHECK(spec.burst_len > 0);
-      const double burst_rate =
-          spec.burst_rate_qps > 0 ? spec.burst_rate_qps : 4.0 * spec.rate_qps;
-      NIPO_CHECK(burst_rate > spec.rate_qps);
-      const double burst_gap_msec = 1e3 / burst_rate;
-      // Off-phase gap per completed burst: each period of burst_len
-      // queries spans burst_len gaps, of which burst_len - 1 are
-      // intra-burst draws (mean burst_gap) and one is this off gap — so
-      // the off gap repays the full mean-rate budget and the long-run
-      // rate stays rate_qps whatever the burst shape.
-      const double off_gap_msec =
-          static_cast<double>(spec.burst_len) * mean_gap_msec -
-          static_cast<double>(spec.burst_len - 1) * burst_gap_msec;
-      Prng prng(spec.seed);
-      double t = 0;
-      for (size_t i = 1; i < n; ++i) {
-        if (i % spec.burst_len == 0) {
-          t += off_gap_msec;  // phase boundary: deterministic off gap
-        } else {
-          t += NextExponential(&prng, burst_gap_msec);
-        }
-        arrivals[i] = t;
-      }
-      break;
-    }
+  Prng prng(spec.seed);
+  double t = 0;
+  for (size_t i = 1; i < n; ++i) {
+    t += NextExponential(&prng, mean_gap_msec);
+    arrivals[i] = t;
   }
   return arrivals;
 }

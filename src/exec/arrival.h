@@ -25,18 +25,9 @@ enum class ArrivalKind : int {
   /// Closed queue: every query available at t = 0 (the PR-4 behaviour
   /// and the default; no arrival schedule is generated).
   kClosed = 0,
-  /// Deterministic intervals: query i arrives at i / rate (no
-  /// randomness; the D/…/k baseline of the sweep benches).
-  kUniform,
   /// Poisson process: exponential inter-arrival times of mean 1 / rate,
   /// sampled from Prng(seed).
   kPoisson,
-  /// Bursty on/off process: bursts of `burst_len` queries arrive as a
-  /// Poisson stream at `burst_rate_qps`, separated by off-phase gaps
-  /// sized so the long-run mean rate is `rate_qps`. Phases alternate
-  /// deterministically every `burst_len` queries; the intra-burst
-  /// jitter comes from Prng(seed).
-  kBursty,
 };
 
 std::string_view ArrivalKindToString(ArrivalKind kind);
@@ -45,17 +36,12 @@ std::string_view ArrivalKindToString(ArrivalKind kind);
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::kClosed;
   /// Mean arrival rate in queries per simulated second. Must be positive
-  /// for every open kind; +infinity collapses every arrival to t = 0
-  /// exactly (the "simultaneous arrival" limit the differential tests
-  /// compare against the closed queue).
+  /// for kPoisson; +infinity collapses every arrival to t = 0 exactly
+  /// (the "simultaneous arrival" limit the differential tests compare
+  /// against the closed queue).
   double rate_qps = 0;
-  /// Seed of the Prng behind kPoisson / kBursty draws.
+  /// Seed of the Prng behind the kPoisson draws.
   uint64_t seed = 42;
-  /// kBursty: queries per on-phase burst (>= 1).
-  size_t burst_len = 8;
-  /// kBursty: arrival rate inside a burst; 0 means 4 * rate_qps. Must
-  /// exceed rate_qps, otherwise the off-phase gap would be negative.
-  double burst_rate_qps = 0;
 };
 
 /// \brief Expands `spec` into `n` non-decreasing arrival instants in

@@ -40,8 +40,6 @@ std::string_view QueryOutcomeToString(QueryOutcome outcome) {
       return "ok";
     case QueryOutcome::kDeadlineExceeded:
       return "deadline";
-    case QueryOutcome::kCancelled:
-      return "cancelled";
     case QueryOutcome::kFailed:
       return "failed";
     case QueryOutcome::kShed:
@@ -50,17 +48,9 @@ std::string_view QueryOutcomeToString(QueryOutcome outcome) {
   return "unknown";
 }
 
-bool FaultPlan::IsPoisoned(size_t query) const {
-  return std::find(poison_queries.begin(), poison_queries.end(), query) !=
-         poison_queries.end();
-}
-
 FaultDraw DrawFault(const FaultPlan& plan, size_t query, size_t attempt,
                     size_t quantum) {
   FaultDraw draw;
-  if (plan.IsPoisoned(query) && quantum >= plan.poison_quantum) {
-    draw.poison = true;
-  }
   if (plan.transient_fault_rate > 0 &&
       HashToUnit(plan.seed, kTransientStream, query, attempt, quantum) <
           plan.transient_fault_rate) {

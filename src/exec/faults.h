@@ -3,19 +3,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 /// \file faults.h
 /// Deterministic fault injection for workload execution (DESIGN.md
 /// Section 9 "Fault-tolerant service").
 ///
-/// A production service sees slow workers, transient failures and poison
-/// queries; the FaultPlan injects all three into the workload driver's
-/// simulated schedule, reproducibly. Every fault event is a *pure
-/// function* of (plan seed, query index, attempt, quantum index) — a
-/// stateless splitmix64 hash rather than a shared PRNG stream — so the
-/// injected schedule does not depend on how quanta interleave across
-/// queries. Two consequences the tests pin down
+/// A production service sees slow workers and transient failures; the
+/// FaultPlan injects both into the workload driver's simulated schedule,
+/// reproducibly. Every fault event is a *pure function* of (plan seed,
+/// query index, attempt, quantum index) — a stateless splitmix64 hash
+/// rather than a shared PRNG stream — so the injected schedule does not
+/// depend on how quanta interleave across queries. Two consequences the tests pin down
 /// (tests/service_faults_test.cc):
 ///
 ///  - Reruns, simulated worker counts and `max_concurrent` settings all
@@ -37,16 +35,18 @@
 ///    multiplied by `stall_factor` in the schedule. Machine counters are
 ///    untouched (the work itself did not change; the worker was slow),
 ///    so stalls inflate latency without perturbing per-query counters.
-///  - *Poison*: a deterministic hard failure: the listed queries fail
-///    non-retryably at quantum index `poison_quantum` of every attempt.
+///
+/// Hard (non-retryable) failures are not injected: they come from a
+/// runtime data error the query's executor latches, such as an
+/// out-of-range foreign key.
 
 namespace nipo {
 
-/// \brief Terminal state of one workload query (docs/COUNTERS.md).
+/// \brief Terminal state of one workload query (docs/COUNTERS.md). The
+/// numeric values are stable: benchmarks fingerprint them.
 enum class QueryOutcome : int {
   kOk = 0,                ///< ran to completion
   kDeadlineExceeded = 1,  ///< killed at a vector boundary past its deadline
-  kCancelled = 2,         ///< killed at a vector boundary past its cancel point
   kFailed = 3,            ///< hard fault, or retryable faults exhausted retry
   kShed = 4,              ///< rejected at admission (deadline-aware shedding)
 };
@@ -66,16 +66,8 @@ struct FaultPlan {
   double stall_rate = 0;
   /// Duration multiplier of a stalled quantum (> 1).
   double stall_factor = 4.0;
-  /// Queries that fail hard (non-retryably), by index.
-  std::vector<size_t> poison_queries;
-  /// Quantum index (within an attempt) at which a poison query fails.
-  size_t poison_quantum = 0;
 
-  bool enabled() const {
-    return transient_fault_rate > 0 || stall_rate > 0 ||
-           !poison_queries.empty();
-  }
-  bool IsPoisoned(size_t query) const;
+  bool enabled() const { return transient_fault_rate > 0 || stall_rate > 0; }
 };
 
 /// \brief Retry policy for transient (retryable) failures, in simulated
@@ -94,7 +86,6 @@ struct RetryPolicy {
 struct FaultDraw {
   bool transient = false;  ///< retryable failure at the quantum's end
   bool stall = false;      ///< duration multiplied by plan.stall_factor
-  bool poison = false;     ///< hard failure at the quantum's end
 };
 
 /// \brief Draws the fault events of one quantum: a pure, stateless

@@ -100,7 +100,6 @@ Result<ParallelDriveResult> ParallelDriver::Run(
     return Status::InvalidArgument("morsel_size must be positive");
   }
   const size_t num_workers = config_.num_threads;
-  const bool sampling = hook != nullptr;
 
   // Build every worker's private machine and thread-local executor up
   // front, so factory errors surface before any thread starts.
@@ -129,16 +128,13 @@ Result<ParallelDriveResult> ParallelDriver::Run(
   // Per-morsel slots: each is written by exactly one worker (the one that
   // claimed the morsel) and read only after join.
   std::vector<VectorResult> results(num_morsels);
-  std::vector<MorselRecord> records(sampling ? num_morsels : 0);
 
   MorselQueue queue(num_morsels, num_workers);
   OrderBroadcast broadcast;
   std::mutex coordinator_mu;  // serializes hook invocations
-  // Stop signals checked at morsel boundaries: the caller's cooperative
-  // cancellation token, and the internal abort raised when any worker's
+  // Stop signal checked at morsel boundaries: raised when any worker's
   // executor latches a runtime data error (no point finishing the scan
   // once the query has failed).
-  std::atomic<bool> saw_cancel{false};
   std::atomic<bool> abort{false};
 
   auto worker_main = [&](size_t worker_id) {
@@ -149,11 +145,6 @@ Result<ParallelDriveResult> ParallelDriver::Run(
     uint64_t local_version = 0;
     std::optional<size_t> morsel;
     for (;;) {
-      if (config_.cancel != nullptr &&
-          config_.cancel->load(std::memory_order_acquire)) {
-        saw_cancel.store(true, std::memory_order_relaxed);
-        break;
-      }
       if (abort.load(std::memory_order_acquire)) break;
       if (!(morsel = queue.Next(worker_id, &stats.steals)).has_value()) {
         break;
@@ -167,31 +158,20 @@ Result<ParallelDriveResult> ParallelDriver::Run(
       }
       const size_t begin = *morsel * config_.morsel_size;
       const size_t end = std::min(begin + config_.morsel_size, num_rows);
-      if (!sampling) {
+      if (!hook) {
         results[*morsel] = exec->ExecuteRange(begin, end);
       } else {
-        // Counter read pair around the morsel, exactly like the sampled
-        // VectorDriver path (and PAPI_read around a morsel).
-        pmu->ChargeCycles(kCounterReadCycles);
-        const PmuCounters before = pmu->Read();
-        const VectorResult r = exec->ExecuteRange(begin, end);
-        pmu->ChargeCycles(kCounterReadCycles);
         MorselRecord record;
-        record.sample.vector_index = *morsel;
-        record.sample.result = r;
-        record.sample.counters = pmu->Read() - before;
+        record.sample = SampleRange(exec, begin, end, *morsel);
         record.worker_id = worker_id;
         record.order_version = local_version;
-        results[*morsel] = r;
-        records[*morsel] = record;
-        if (hook) {
-          std::lock_guard<std::mutex> lock(coordinator_mu);
-          std::optional<std::vector<size_t>> new_order = hook(record);
-          if (new_order.has_value()) {
-            std::lock_guard<std::mutex> plan_lock(broadcast.mu);
-            broadcast.order = std::move(*new_order);
-            broadcast.version.fetch_add(1, std::memory_order_release);
-          }
+        results[*morsel] = record.sample.result;
+        std::lock_guard<std::mutex> lock(coordinator_mu);
+        std::optional<std::vector<size_t>> new_order = hook(record);
+        if (new_order.has_value()) {
+          std::lock_guard<std::mutex> plan_lock(broadcast.mu);
+          broadcast.order = std::move(*new_order);
+          broadcast.version.fetch_add(1, std::memory_order_release);
         }
       }
       ++stats.morsels;
@@ -230,8 +210,8 @@ Result<ParallelDriveResult> ParallelDriver::Run(
     out.merged.zone_skipped_tuples += results[m].zone_skipped;
     out.merged.aggregate += results[m].aggregate;
   }
-  // Executed morsels, not the table's morsel count: a cancelled or
-  // aborted run merges only what actually ran (equal on a full run).
+  // Executed morsels, not the table's morsel count: an aborted run
+  // merges only what actually ran (equal on a full run).
   out.merged.num_vectors = 0;
   for (const WorkerStats& w : out.workers) {
     out.merged.num_vectors += w.morsels;
@@ -239,8 +219,6 @@ Result<ParallelDriveResult> ParallelDriver::Run(
     out.merged.simulated_msec =
         std::max(out.merged.simulated_msec, w.simulated_msec);
   }
-  out.samples = std::move(records);
-  out.cancelled = saw_cancel.load(std::memory_order_relaxed);
   // Surface the first latched data error by worker index (only the shard
   // holding the bad row latches, so the pick is deterministic in
   // practice).

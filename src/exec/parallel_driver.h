@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -43,12 +42,6 @@ struct ParallelConfig {
   /// Tuples per morsel; plays the role of VectorDriver's vector_size and
   /// is the counter-sampling unit under progressive optimization.
   size_t morsel_size = 65'536;
-  /// Optional cooperative cancellation token (DESIGN.md Section 9): when
-  /// non-null, every worker checks it before claiming each morsel and
-  /// stops once it reads true. The run then returns with
-  /// ParallelDriveResult::cancelled set and the partial merge of the
-  /// morsels that completed. The pointee must outlive Run().
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// \brief One morsel's execution record: the per-morsel sample (with
@@ -79,16 +72,10 @@ struct ParallelDriveResult {
   /// time — not the counter sum (cores run concurrently).
   DriveResult merged;
   std::vector<WorkerStats> workers;
-  /// Per-morsel records interleaved deterministically by morsel index
-  /// (empty unless Run() was given a hook).
-  std::vector<MorselRecord> samples;
   size_t num_morsels = 0;
   /// Real host wall-clock of the parallel region, for the thread-scaling
   /// bench (bench/scale_threads.cc). Not simulated and not deterministic.
   double wall_msec = 0;
-  /// True iff the run stopped early because ParallelConfig::cancel read
-  /// true; `merged` then holds the partial counts of completed morsels.
-  bool cancelled = false;
   /// First runtime data error latched by any worker's executor
   /// (PipelineExecutor::error(); OK when none). All workers stop at the
   /// next morsel boundary once one latches; `merged` holds the partial
@@ -109,9 +96,8 @@ class ParallelDriver {
   /// evaluation order (original operator indices) broadcasts it: every
   /// worker applies it to its own executor at its next morsel boundary
   /// (Reorder between morsels, never mid-morsel). Passing a hook also
-  /// turns on per-morsel counter sampling, charging the
-  /// kCounterReadCycles read pair per morsel like the sampled
-  /// VectorDriver path.
+  /// turns on per-morsel counter sampling through SampleRange, the same
+  /// charged read pair as the sampled VectorDriver path.
   using MorselHook =
       std::function<std::optional<std::vector<size_t>>(const MorselRecord&)>;
 

@@ -352,8 +352,4 @@ ColumnScanStats PipelineExecutor::PayloadStatsAt(size_t i) const {
   return StatsOf(payloads_[i].column);
 }
 
-void PipelineExecutor::ResetEnumeratorCounts() {
-  std::fill(enum_pass_.begin(), enum_pass_.end(), 0);
-}
-
 }  // namespace nipo

@@ -97,11 +97,10 @@ class PipelineExecutor {
   const OperatorSpec& OperatorAt(size_t pos) const;
 
   /// Enumerator mode only: tuples that passed the operator currently at
-  /// each position, cumulatively since ResetEnumeratorCounts().
+  /// each position, cumulatively since compilation.
   const std::vector<uint64_t>& enumerator_pass_counts() const {
     return enum_pass_;
   }
-  void ResetEnumeratorCounts();
 
   Pmu* pmu() const { return pmu_; }
 

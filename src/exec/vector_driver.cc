@@ -17,30 +17,36 @@ VectorDriver::VectorDriver(PipelineExecutor* executor, size_t vector_size)
   NIPO_CHECK(vector_size_ > 0);
 }
 
+VectorSample SampleRange(PipelineExecutor* executor, size_t begin, size_t end,
+                         size_t vector_index) {
+  // Reading the counters around the vector costs a (tiny) fixed amount,
+  // exactly like a PAPI_read pair on real hardware.
+  Pmu* pmu = executor->pmu();
+  pmu->ChargeCycles(kCounterReadCycles);
+  const PmuCounters before = pmu->Read();
+  VectorSample sample;
+  sample.vector_index = vector_index;
+  sample.result = executor->ExecuteRange(begin, end);
+  pmu->ChargeCycles(kCounterReadCycles);
+  sample.counters = pmu->Read() - before;
+  return sample;
+}
+
 void DriveVector(PipelineExecutor* executor, size_t begin, size_t end,
                  size_t vector_index, const VectorHook& hook,
                  DriveResult* drive) {
-  Pmu* pmu = executor->pmu();
-  PmuCounters before;
+  VectorSample sample;
   if (hook) {
-    // Reading the counters around the vector costs a (tiny) fixed
-    // amount, exactly like a PAPI_read pair on real hardware.
-    pmu->ChargeCycles(kCounterReadCycles);
-    before = pmu->Read();
+    sample = SampleRange(executor, begin, end, vector_index);
+  } else {
+    sample.result = executor->ExecuteRange(begin, end);
   }
-  const VectorResult r = executor->ExecuteRange(begin, end);
+  const VectorResult& r = sample.result;
   drive->input_tuples += r.input_tuples;
   drive->qualifying_tuples += r.qualifying_tuples;
   drive->zone_skipped_tuples += r.zone_skipped;
   drive->aggregate += r.aggregate;
-  if (hook) {
-    pmu->ChargeCycles(kCounterReadCycles);
-    VectorSample sample;
-    sample.vector_index = vector_index;
-    sample.result = r;
-    sample.counters = pmu->Read() - before;
-    hook(sample);
-  }
+  if (hook) hook(sample);
 }
 
 size_t VectorDriver::num_vectors() const {

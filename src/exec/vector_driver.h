@@ -39,15 +39,22 @@ struct DriveResult {
 /// read; Figure 16 shows this to be negligible relative to vector work.
 inline constexpr double kCounterReadCycles = 200.0;
 
+/// \brief Executes rows [begin, end) between a charged counter-read pair
+/// (kCounterReadCycles on each side, like a PAPI_read pair around a
+/// vector) and returns the vector's sample. The sampled solo step
+/// (DriveVector) and the sharded driver's per-morsel sampling both read
+/// their counters through this one sequence.
+VectorSample SampleRange(PipelineExecutor* executor, size_t begin, size_t end,
+                         size_t vector_index);
+
 /// \brief Hook invoked after each vector with its sample. May call
 /// executor->Reorder() to change the evaluation order for subsequent
 /// vectors.
 using VectorHook = std::function<void(const VectorSample&)>;
 
 /// \brief One step of the vector loop: executes rows [begin, end) and
-/// folds the result into `drive`. With a `hook`, the vector is sampled:
-/// a charged counter read on each side of it (kCounterReadCycles each,
-/// like a PAPI_read pair) and the hook gets the sample. VectorDriver::Run
+/// folds the result into `drive`. With a `hook`, the vector is sampled
+/// (SampleRange) and the hook gets the sample. VectorDriver::Run
 /// and the workload driver both step through this, which is what keeps a
 /// workload query bit-identical to its solo run.
 void DriveVector(PipelineExecutor* executor, size_t begin, size_t end,

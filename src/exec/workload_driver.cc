@@ -387,10 +387,6 @@ SimSchedule RunEventSchedule(
         complete = true;
         outcome = QueryOutcome::kDeadlineExceeded;
         break;
-      case QuantumFate::kCancel:
-        complete = true;
-        outcome = QueryOutcome::kCancelled;
-        break;
     }
     if (complete) {
       schedule.finish_msec[event.query] = event.time;
@@ -525,9 +521,6 @@ void ApplySchedule(const SimSchedule& schedule, WorkloadReport* report) {
       case QueryOutcome::kDeadlineExceeded:
         ++report->queries_deadline_exceeded;
         break;
-      case QueryOutcome::kCancelled:
-        ++report->queries_cancelled;
-        break;
       case QueryOutcome::kFailed:
         ++report->queries_failed;
         break;
@@ -558,7 +551,7 @@ SimSchedule SimulateWorkloadSchedule(
   std::unique_ptr<AdmissionController> controller;
   if (adaptive != nullptr) {
     controller = std::make_unique<AdmissionController>(
-        n, max_concurrent, adaptive->l3_capacity_lines, adaptive->config);
+        n, max_concurrent, adaptive->l3_capacity_lines);
   }
   std::vector<size_t> next_quantum(n, 0);
   auto run_quantum = [&](size_t q, double /*start_msec*/) {
@@ -624,25 +617,9 @@ Result<WorkloadReport> WorkloadDriver::Run(
       return Status::InvalidArgument("reopt_interval must be positive");
     }
   }
-  if (options_.arrival.kind != ArrivalKind::kClosed) {
-    if (!(options_.arrival.rate_qps > 0)) {
-      return Status::InvalidArgument("arrival rate_qps must be positive");
-    }
-    if (options_.arrival.kind == ArrivalKind::kBursty) {
-      if (options_.arrival.burst_len == 0) {
-        return Status::InvalidArgument("burst_len must be positive");
-      }
-      const double burst_rate = options_.arrival.burst_rate_qps > 0
-                                    ? options_.arrival.burst_rate_qps
-                                    : 4.0 * options_.arrival.rate_qps;
-      if (!(burst_rate > options_.arrival.rate_qps)) {
-        return Status::InvalidArgument(
-            "burst_rate_qps must exceed rate_qps");
-      }
-    }
-  }
-  if (options_.adaptive_admission && options_.admission.epoch_quanta == 0) {
-    return Status::InvalidArgument("admission epoch_quanta must be positive");
+  if (options_.arrival.kind != ArrivalKind::kClosed &&
+      !(options_.arrival.rate_qps > 0)) {
+    return Status::InvalidArgument("arrival rate_qps must be positive");
   }
   if (options_.faults.transient_fault_rate < 0 ||
       options_.faults.transient_fault_rate > 1) {
@@ -669,9 +646,6 @@ Result<WorkloadReport> WorkloadDriver::Run(
   for (const WorkloadTask& task : tasks) {
     if (task.sim_deadline_msec < 0) {
       return Status::InvalidArgument("sim_deadline_msec must be >= 0");
-    }
-    if (task.sim_cancel_msec < 0) {
-      return Status::InvalidArgument("sim_cancel_msec must be >= 0");
     }
   }
 
@@ -721,7 +695,7 @@ Result<WorkloadReport> WorkloadDriver::Run(
   if (options_.adaptive_admission) {
     controller = std::make_unique<AdmissionController>(
         n, options_.max_concurrent,
-        domain != nullptr ? domain->capacity_lines() : 0, options_.admission);
+        domain != nullptr ? domain->capacity_lines() : 0);
   }
   // Fault handling (DESIGN.md Section 9): the spec handed to the event
   // loop (retry budget, deadlines, shedding switch) plus the live
@@ -812,25 +786,17 @@ Result<WorkloadReport> WorkloadDriver::Run(
     const double deadline_at = tasks[index].sim_deadline_msec > 0
                                    ? arrival + tasks[index].sim_deadline_msec
                                    : kNoKill;
-    const double cancel_at =
-        tasks[index].sim_cancel_msec > 0 ? tasks[index].sim_cancel_msec
-                                         : kNoKill;
-    // Cooperative kill checks at every vector boundary, against
+    // Cooperative deadline check at every vector boundary, against
     // *scheduled* time: the quantum's dispatch instant plus the
     // (stall-scaled) simulated time of the vectors run so far. Without a
-    // deadline or cancel point they never fire, and the per-vector
-    // windows only read counters, so the whole-quantum window still
-    // yields the exact duration.
+    // deadline it never fires, and the per-vector windows only read
+    // counters, so the whole-quantum window still yields the exact
+    // duration.
     const CounterWindow quantum(run.pmu.get());
     double elapsed = 0;
     for (size_t b = 0; b < options_.burst_vectors && run.next_row < rows;
          ++b) {
-      const double now = start + elapsed;
-      if (now >= cancel_at) {
-        out.fate = QuantumFate::kCancel;
-        break;
-      }
-      if (now >= deadline_at) {
+      if (start + elapsed >= deadline_at) {
         out.fate = QuantumFate::kDeadline;
         break;
       }
@@ -841,16 +807,13 @@ Result<WorkloadReport> WorkloadDriver::Run(
       if (draw.stall) vec_msec *= options_.faults.stall_factor;
       elapsed += vec_msec;
     }
-    // Resolve the quantum's fate, in precedence order: a kill check
-    // above, else a latched runtime error, else the injected faults
-    // (poison over transient).
+    // Resolve the quantum's fate, in precedence order: the deadline kill
+    // above, else a latched runtime error, else an injected transient
+    // fault.
     if (out.fate == QuantumFate::kNormal) {
       if (!run.exec->error().ok()) {
         out.fate = QuantumFate::kHardFault;
         run.error = run.exec->error();
-      } else if (draw.poison) {
-        out.fate = QuantumFate::kHardFault;
-        run.error = Status::Internal("fault injection: poison query");
       } else if (draw.transient) {
         out.fate = QuantumFate::kTransientFault;
         if (attempt_no[index] + 1 >= max_attempts) {
@@ -881,14 +844,13 @@ Result<WorkloadReport> WorkloadDriver::Run(
     ++quantum_in_attempt[index];
     out.done = run.next_row >= rows;
     // The full-run counter window closes when the query leaves the
-    // machine for good: normal completion, any kill or hard fault, or a
-    // transient fault with no retry budget left. (A retried attempt
-    // instead restarts on a fresh machine in hooks.on_retry.)
+    // machine for good: normal completion, a deadline kill or hard
+    // fault, or a transient fault with no retry budget left. (A retried
+    // attempt instead restarts on a fresh machine in hooks.on_retry.)
     const bool terminal =
         (out.fate == QuantumFate::kNormal && out.done) ||
         out.fate == QuantumFate::kHardFault ||
         out.fate == QuantumFate::kDeadline ||
-        out.fate == QuantumFate::kCancel ||
         (out.fate == QuantumFate::kTransientFault &&
          attempt_no[index] + 1 >= max_attempts);
     if (terminal) {

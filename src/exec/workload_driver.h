@@ -100,10 +100,6 @@ struct WorkloadTask {
   /// kept; with WorkloadOptions::shed_deadline it may instead be shed at
   /// admission.
   double sim_deadline_msec = 0;
-  /// Absolute simulated cancellation instant (0 = none): the query is
-  /// killed cooperatively at the first vector boundary at or past this
-  /// time (QueryOutcome::kCancelled) — a user abort in simulated time.
-  double sim_cancel_msec = 0;
 };
 
 /// \brief Admission-control policy of the workload scheduler. Policies
@@ -156,18 +152,16 @@ struct WorkloadOptions {
   /// Costs a full L3 scan per quantum; tests enable it, benches do not.
   bool audit_contention = false;
   /// Arrival process of the workload (exec/arrival.h). kClosed (default)
-  /// is the PR-4/5 closed queue; any open kind enqueues query i only at
-  /// its generated simulated arrival instant and reports per-query
-  /// latency = queue wait + in-service span.
+  /// is the closed queue; kPoisson enqueues query i only at its generated
+  /// simulated arrival instant and reports per-query latency = queue wait
+  /// + in-service span.
   ArrivalSpec arrival;
   /// Adaptive admission (exec/admission.h): tune the effective
   /// concurrency limit within [1, max_concurrent] from per-quantum
   /// interference feedback instead of pinning it at max_concurrent.
-  /// Composes with `contention` (eviction feedback) and any arrival
-  /// kind.
+  /// Composes with `contention` (eviction and occupancy feedback) and
+  /// either arrival kind.
   bool adaptive_admission = false;
-  /// Thresholds and cadence of the adaptive controller.
-  AdmissionConfig admission;
   /// Seeded fault injection (exec/faults.h; DESIGN.md Section 9). The
   /// default plan injects nothing; an enabled plan's fault timing is part
   /// of the deterministic schedule.
@@ -191,9 +185,8 @@ struct WorkloadOptions {
 enum class QuantumFate : uint8_t {
   kNormal = 0,          ///< ran its burst (or finished the query)
   kTransientFault = 1,  ///< retryable failure at the quantum's end
-  kHardFault = 2,       ///< non-retryable failure (poison / runtime error)
+  kHardFault = 2,       ///< non-retryable failure (latched runtime error)
   kDeadline = 3,        ///< killed at a vector boundary past the deadline
-  kCancel = 4,          ///< killed at a vector boundary past the cancel point
 };
 
 /// \brief Per-query outcome of a workload execution.
@@ -312,7 +305,6 @@ struct WorkloadReport {
   size_t queries_ok = 0;
   size_t queries_failed = 0;
   size_t queries_deadline_exceeded = 0;
-  size_t queries_cancelled = 0;
   size_t queries_shed = 0;
   double sim_goodput_qps = 0;
   /// Retry totals: attempts beyond each query's first, and the summed
@@ -376,11 +368,10 @@ struct QuantumTrace {
   QuantumFate fate = QuantumFate::kNormal;
 };
 
-/// \brief Adaptive-admission inputs of a schedule replay: the controller
-/// thresholds plus the shared-L3 geometry behind its eviction-fraction
-/// signal (0 when contention=off).
+/// \brief Adaptive-admission input of a schedule replay: the shared-L3
+/// geometry behind the controller's eviction and occupancy signals (0
+/// when contention=off).
 struct AdaptiveAdmissionSpec {
-  AdmissionConfig config;
   uint64_t l3_capacity_lines = 0;
 };
 

@@ -232,12 +232,6 @@ class BranchPredictor {
   /// Raw state, exposed for tests.
   int state(size_t site) const { return states_[site]; }
 
-  /// Resets all sites to the initial state (models a predictor that lost
-  /// its history, e.g. after JIT-compiling a fresh binary).
-  void Reset() {
-    for (int& s : states_) s = config_.not_taken_states;
-  }
-
  private:
   PredictorConfig config_;
   const BranchStepTable* step_table_ = nullptr;

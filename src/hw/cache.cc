@@ -321,14 +321,4 @@ bool CacheHierarchy::AccessL3(uint64_t line_addr) {
   return l3_.AccessFill(line_addr);
 }
 
-void CacheHierarchy::Clear() {
-  l1_.Clear();
-  l2_.Clear();
-  l3_.Clear();
-  l1_.ResetStats();
-  l2_.ResetStats();
-  l3_.ResetStats();
-  stats_ = CacheStats{};
-}
-
 }  // namespace nipo

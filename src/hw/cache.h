@@ -233,10 +233,6 @@ class CacheHierarchy {
   }
 
   const CacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = CacheStats{}; }
-
-  /// Drops all cached contents and statistics.
-  void Clear();
 
   uint32_t line_size() const { return l1_.geometry().line_size; }
 

@@ -165,15 +165,6 @@ void Pmu::ResetCounters() {
   }
 }
 
-void Pmu::ResetMachine() {
-  ResetCounters();
-  predictor_.Reset();
-  // Clears the private hierarchy only; a shared domain belongs to the
-  // workload, not to one machine, and is cleared by its owner.
-  caches_.Clear();
-  cache_baseline_ = CacheStats{};
-}
-
 void Pmu::AttachSharedL3(SharedCacheDomain* domain, uint32_t owner) {
   caches_.AttachSharedL3(domain, owner);
   shared_l3_ = domain;

@@ -129,8 +129,7 @@ class Pmu {
   /// mode: cold caches, neutral predictor, zero counters. This is the
   /// per-worker machine construction path of the parallel driver
   /// (exec/parallel_driver.h): every worker thread gets an identically
-  /// configured private core. ResetMachine() is the in-place equivalent
-  /// for a machine that is reused rather than cloned.
+  /// configured private core.
   Pmu CloneFresh() const {
     Pmu fresh(config_);
     fresh.reporting_mode_ = reporting_mode_;
@@ -220,9 +219,6 @@ class Pmu {
   /// Clears counters and cycle accumulation; keeps predictor/cache state
   /// (a real PMU reset does not flush the caches either).
   void ResetCounters();
-
-  /// Full machine reset: counters, predictor history, cache contents.
-  void ResetMachine();
 
   /// Simulated wall-clock milliseconds for `counters`.
   double ToMilliseconds(const PmuCounters& counters) const;

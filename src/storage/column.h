@@ -84,7 +84,6 @@ class Column : public ColumnBase {
   size_t size() const override { return values_.size(); }
   const void* data() const override { return values_.data(); }
 
-  void Reserve(size_t n) { values_.reserve(n); }
   void Append(T value) { values_.push_back(value); }
   void Resize(size_t n) { values_.resize(n); }
 

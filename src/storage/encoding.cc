@@ -290,18 +290,6 @@ double DecodeInstructionsFor(BlockEncoding encoding) {
 
 }  // namespace
 
-std::string_view BlockEncodingToString(BlockEncoding encoding) {
-  switch (encoding) {
-    case BlockEncoding::kPlain:
-      return "plain";
-    case BlockEncoding::kDictionary:
-      return "dictionary";
-    case BlockEncoding::kBitPacked:
-      return "bit-packed";
-  }
-  return "?";
-}
-
 bool ZoneRefutes(const ZoneMapEntry& zone, CompareOp op, double value) {
   // NaN values pass only kNe; min/max cover the non-NaN rows. An empty
   // non-NaN set (min > max) refutes every op except kNe-with-NaN-present.

@@ -42,8 +42,6 @@ namespace nipo {
 /// Per-block physical encoding chosen by EncodedColumn::Encode.
 enum class BlockEncoding : int { kPlain, kDictionary, kBitPacked };
 
-std::string_view BlockEncodingToString(BlockEncoding encoding);
-
 /// \brief Knobs of EncodedColumn::Encode. Defaults match the benches.
 struct EncodingOptions {
   /// Values per storage block (and zone-map granularity).

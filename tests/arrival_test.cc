@@ -9,10 +9,7 @@
 //  - identical specs (same seed) generate bit-identical schedules;
 //  - Poisson inter-arrival sample mean lands near 1/lambda under a
 //    fixed seed;
-//  - the bursty process alternates on/off phases deterministically and
-//    keeps the configured long-run rate;
-//  - deterministic-interval arrivals are exact multiples of the gap;
-//  - the rate -> infinity limit collapses every open process to
+//  - the rate -> infinity limit collapses the Poisson process to
 //    simultaneous arrivals at t = 0.
 
 namespace nipo {
@@ -33,30 +30,16 @@ void ExpectNonDecreasing(const std::vector<double>& arrivals) {
 }
 
 TEST(ArrivalProcessTest, IdenticalSeedsYieldIdenticalSchedules) {
-  for (const ArrivalKind kind :
-       {ArrivalKind::kUniform, ArrivalKind::kPoisson, ArrivalKind::kBursty}) {
-    const std::vector<double> a = GenerateArrivalTimes(Spec(kind, 50.0), 500);
-    const std::vector<double> b = GenerateArrivalTimes(Spec(kind, 50.0), 500);
-    EXPECT_EQ(a, b);  // bitwise, every instant
-    ExpectNonDecreasing(a);
-    EXPECT_EQ(a.front(), 0.0);
-  }
-  // Different seeds move the random processes (and only those).
+  const std::vector<double> a =
+      GenerateArrivalTimes(Spec(ArrivalKind::kPoisson, 50.0), 500);
+  const std::vector<double> b =
+      GenerateArrivalTimes(Spec(ArrivalKind::kPoisson, 50.0), 500);
+  EXPECT_EQ(a, b);  // bitwise, every instant
+  ExpectNonDecreasing(a);
+  EXPECT_EQ(a.front(), 0.0);
+  // Different seeds move the schedule.
   EXPECT_NE(GenerateArrivalTimes(Spec(ArrivalKind::kPoisson, 50.0, 1), 500),
             GenerateArrivalTimes(Spec(ArrivalKind::kPoisson, 50.0, 2), 500));
-  EXPECT_NE(GenerateArrivalTimes(Spec(ArrivalKind::kBursty, 50.0, 1), 500),
-            GenerateArrivalTimes(Spec(ArrivalKind::kBursty, 50.0, 2), 500));
-  EXPECT_EQ(GenerateArrivalTimes(Spec(ArrivalKind::kUniform, 50.0, 1), 500),
-            GenerateArrivalTimes(Spec(ArrivalKind::kUniform, 50.0, 2), 500));
-}
-
-TEST(ArrivalProcessTest, UniformIsExactMultiplesOfTheGap) {
-  const double rate = 40.0;  // 25 msec gap
-  const std::vector<double> arrivals =
-      GenerateArrivalTimes(Spec(ArrivalKind::kUniform, rate), 100);
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    EXPECT_EQ(arrivals[i], static_cast<double>(i) * 25.0);
-  }
 }
 
 TEST(ArrivalProcessTest, PoissonSampleMeanApproximatesOneOverLambda) {
@@ -77,42 +60,11 @@ TEST(ArrivalProcessTest, PoissonSampleMeanApproximatesOneOverLambda) {
   EXPECT_NEAR(frac_below, 0.632, 0.02);
 }
 
-TEST(ArrivalProcessTest, BurstyAlternatesPhasesDeterministically) {
-  ArrivalSpec spec = Spec(ArrivalKind::kBursty, 50.0);
-  spec.burst_len = 8;  // default burst rate: 4x -> 200 qps inside bursts
-  const size_t n = 4'000;
-  const std::vector<double> arrivals = GenerateArrivalTimes(spec, n);
-  ExpectNonDecreasing(arrivals);
-  // Every burst boundary (i % burst_len == 0) inserts the exact same
-  // deterministic off-phase gap: burst_len * mean_gap minus the
-  // (burst_len - 1) intra-burst budgets = 8 * 20 - 7 * 5 = 125 msec.
-  // (NEAR, not EQ: the gap is exact when generated, but reading it back
-  // off the cumulative schedule costs an ulp at these magnitudes.)
-  for (size_t i = spec.burst_len; i < n; i += spec.burst_len) {
-    EXPECT_NEAR(arrivals[i] - arrivals[i - 1], 125.0, 1e-9) << "index " << i;
-  }
-  // Intra-burst gaps are strictly smaller (exponential of mean 5 msec
-  // never, at these sample sizes, reaches the 125 msec off gap).
-  for (size_t i = 1; i < n; ++i) {
-    if (i % spec.burst_len != 0) {
-      EXPECT_LT(arrivals[i] - arrivals[i - 1], 125.0) << "index " << i;
-    }
-  }
-  // The long-run rate stays the configured mean rate: the off gaps
-  // deterministically repay the burst-rate budget, leaving only the
-  // exponential jitter of the on-phases (~3% at this sample size).
-  const double mean_gap = arrivals.back() / static_cast<double>(n - 1);
-  EXPECT_NEAR(mean_gap, 20.0, 0.6);
-}
-
 TEST(ArrivalProcessTest, InfiniteRateCollapsesToSimultaneousArrivals) {
   const double inf = std::numeric_limits<double>::infinity();
-  for (const ArrivalKind kind :
-       {ArrivalKind::kUniform, ArrivalKind::kPoisson}) {
-    const std::vector<double> arrivals =
-        GenerateArrivalTimes(Spec(kind, inf), 64);
-    for (const double t : arrivals) EXPECT_EQ(t, 0.0);
-  }
+  const std::vector<double> arrivals =
+      GenerateArrivalTimes(Spec(ArrivalKind::kPoisson, inf), 64);
+  for (const double t : arrivals) EXPECT_EQ(t, 0.0);
 }
 
 TEST(ArrivalProcessTest, ClosedKindGeneratesAllZeros) {

@@ -87,14 +87,6 @@ TEST(BranchPredictorTest, EnsureSitesGrowsWithoutClobbering) {
   EXPECT_EQ(bp.state(1), 2);               // new sites start weakly taken
 }
 
-TEST(BranchPredictorTest, ResetRestoresInitialState) {
-  BranchPredictor bp(PredictorConfig::Symmetric(6));
-  bp.EnsureSites(1);
-  for (int i = 0; i < 10; ++i) bp.Observe(0, false);
-  bp.Reset();
-  EXPECT_EQ(bp.state(0), 3);
-}
-
 TEST(BranchPredictorTest, AlternatingPatternOnTwoStatePredictor) {
   // Alternating T/NT on a 2-state predictor mispredicts every branch once
   // warmed up -- the classic worst case.

@@ -212,14 +212,6 @@ TEST(CacheStatsTest, SubtractionWindows) {
   EXPECT_EQ(delta.l3_misses, 1u);
 }
 
-TEST(CacheHierarchyTest, ClearResetsEverything) {
-  CacheHierarchy h = SmallHierarchy(true);
-  h.Access(0, 4);
-  h.Clear();
-  EXPECT_EQ(h.stats().l1_accesses, 0u);
-  EXPECT_EQ(h.Access(0, 4), MemoryLevel::kMemory);
-}
-
 TEST(MemoryLevelTest, Names) {
   EXPECT_EQ(MemoryLevelToString(MemoryLevel::kL1), "L1");
   EXPECT_EQ(MemoryLevelToString(MemoryLevel::kMemory), "memory");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -15,7 +16,8 @@
 //  - num_threads in {2, 4, 8} agree with the single-threaded result on
 //    qualifying_tuples and the (bitwise) aggregate, run after run, under
 //    work-stealing schedules;
-//  - the merge interleaves per-morsel samples deterministically by index.
+//  - every morsel is sampled exactly once, under its global index, and
+//    the per-morsel samples sum to the merged totals.
 // ci/check.sh runs this suite twice, with NIPO_TEST_THREADS=1 and =8; the
 // env var *replaces* the default sweep below, so the two CI passes
 // exercise genuinely different configurations (single-shard only, then
@@ -192,21 +194,29 @@ TEST(ParallelDriverTest, SamplesInterleaveDeterministicallyByMorselIndex) {
                                          query.payload_columns, pmu);
       },
       config);
-  // A hook turns per-morsel sampling on; this one never broadcasts.
-  auto result = driver.Run(std::nullopt, [](const MorselRecord&) {
+  // A hook turns per-morsel sampling on; this one records every morsel
+  // (hooks run serially, under the coordinator lock) and never
+  // broadcasts.
+  std::vector<MorselRecord> records;
+  auto result = driver.Run(std::nullopt, [&records](const MorselRecord& r) {
+    records.push_back(r);
     return std::optional<std::vector<size_t>>{};
   });
   ASSERT_TRUE(result.ok());
   const ParallelDriveResult& par = result.ValueOrDie();
-  ASSERT_EQ(par.samples.size(), par.num_morsels);
+  ASSERT_EQ(records.size(), par.num_morsels);
+  std::sort(records.begin(), records.end(),
+            [](const MorselRecord& a, const MorselRecord& b) {
+              return a.sample.vector_index < b.sample.vector_index;
+            });
   PmuCounters event_sum;
   uint64_t tuple_sum = 0;
-  for (size_t m = 0; m < par.samples.size(); ++m) {
-    EXPECT_EQ(par.samples[m].sample.vector_index, m);
-    EXPECT_LT(par.samples[m].worker_id, config.num_threads);
-    EXPECT_EQ(par.samples[m].order_version, 0u);  // no broadcasts
-    event_sum += par.samples[m].sample.counters;
-    tuple_sum += par.samples[m].sample.result.input_tuples;
+  for (size_t m = 0; m < records.size(); ++m) {
+    EXPECT_EQ(records[m].sample.vector_index, m);
+    EXPECT_LT(records[m].worker_id, config.num_threads);
+    EXPECT_EQ(records[m].order_version, 0u);  // no broadcasts
+    event_sum += records[m].sample.counters;
+    tuple_sum += records[m].sample.result.input_tuples;
   }
   EXPECT_EQ(tuple_sum, 30'000u);
   // Event counters (not cycles: the read-pair charges land partly outside
@@ -227,6 +237,7 @@ TEST(ParallelDriverTest, HookBroadcastReachesAllWorkers) {
   config.num_threads = 4;
   config.morsel_size = 1'024;
   bool broadcast_sent = false;
+  uint64_t new_plan_morsels = 0;
   ParallelDriver driver(
       engine.NewMachine(),
       [&](Pmu* pmu) {
@@ -237,6 +248,7 @@ TEST(ParallelDriverTest, HookBroadcastReachesAllWorkers) {
   auto result = driver.Run(
       std::nullopt,
       [&](const MorselRecord& record) -> std::optional<std::vector<size_t>> {
+        if (record.order_version == 1) ++new_plan_morsels;
         if (!broadcast_sent && record.sample.vector_index >= 3) {
           broadcast_sent = true;
           return std::vector<size_t>{2, 1, 0};
@@ -247,10 +259,6 @@ TEST(ParallelDriverTest, HookBroadcastReachesAllWorkers) {
   const ParallelDriveResult& par = result.ValueOrDie();
   EXPECT_TRUE(broadcast_sent);
   // Late morsels ran under the broadcast order; results are unaffected.
-  uint64_t new_plan_morsels = 0;
-  for (const MorselRecord& record : par.samples) {
-    if (record.order_version == 1) ++new_plan_morsels;
-  }
   EXPECT_GT(new_plan_morsels, 0u);
   auto base =
       engine.Execute(MakeQuery(), BaselineOptions(ExecDriver::kSolo, 1'024));

@@ -175,8 +175,6 @@ TEST(PipelineTest, EnumeratorCountsPerPosition) {
   // Position 1 pass count equals the final qualifying count.
   EXPECT_EQ(counts[1], r.qualifying_tuples);
   EXPECT_GE(counts[0], counts[1]);
-  exec.ValueOrDie()->ResetEnumeratorCounts();
-  EXPECT_EQ(exec.ValueOrDie()->enumerator_pass_counts()[0], 0u);
 }
 
 TEST(PipelineTest, EnumeratorModeCostsMoreCycles) {

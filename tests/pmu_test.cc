@@ -96,14 +96,6 @@ TEST(PmuTest, ResetCountersKeepsMachineState) {
   EXPECT_EQ(pmu.Read().l1_misses, 0u);
 }
 
-TEST(PmuTest, ResetMachineColdensCaches) {
-  Pmu pmu;
-  std::vector<int32_t> data(16, 0);
-  pmu.OnLoad(data.data(), 4);
-  pmu.ResetMachine();
-  EXPECT_EQ(pmu.OnLoad(data.data(), 4), MemoryLevel::kMemory);
-}
-
 TEST(PmuTest, SnapshotSubtraction) {
   Pmu pmu;
   pmu.EnsureBranchSites(1);

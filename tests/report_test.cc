@@ -30,18 +30,6 @@ TEST(ReportTest, PrintCountersListsEveryCounter) {
   EXPECT_NE(s.find("cycles"), std::string::npos);
 }
 
-TEST(ReportTest, CountersCsvRoundTrip) {
-  std::ostringstream out;
-  WriteCountersCsv(SampleCounters(), out);
-  const std::string s = out.str();
-  EXPECT_NE(s.find("counter,value\n"), std::string::npos);
-  EXPECT_NE(s.find("mispredictions,12\n"), std::string::npos);
-  EXPECT_NE(s.find("cycles,5000\n"), std::string::npos);
-  EXPECT_NE(s.find("l3_evictions_suffered,"), std::string::npos);
-  // 17 counters + header.
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 18);
-}
-
 TEST(ReportTest, FormatOrder) {
   EXPECT_EQ(FormatOrder({3, 1, 0, 2}), "3,1,0,2");
   EXPECT_EQ(FormatOrder({}), "");
