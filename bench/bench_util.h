@@ -12,7 +12,11 @@
 /// paper; the *shapes* (who wins, crossovers, robustness factors) are the
 /// reproduction target (see EXPERIMENTS.md).
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <numeric>
@@ -23,6 +27,7 @@
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "core/engine.h"
+#include "exec/simd.h"
 #include "tpch/distributions.h"
 #include "tpch/q6.h"
 #include "tpch/tpch_gen.h"
@@ -210,6 +215,34 @@ inline bool ParseJsonFlag(int argc, char** argv,
     }
   }
   return false;
+}
+
+/// The host a measurement ran on, for trajectory anchors: online CPUs,
+/// compiler, the SIMD level the kernels and cache walks run at, and the
+/// commit of the working tree (`git describe --always --dirty`, run from
+/// the current directory; "unknown" outside a git checkout).
+inline JsonValue HostMetadata() {
+  JsonValue host = JsonValue::Object();
+  host.Add("nproc", static_cast<uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
+#if defined(__clang__)
+  host.Add("compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+  host.Add("compiler", "gcc " __VERSION__);
+#endif
+  host.Add("simd", std::string(simd::SimdLevelName(simd::ActiveLevel())));
+  std::string commit;
+  if (FILE* git = popen(
+          "git describe --always --dirty --abbrev=12 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, git) != nullptr) commit += buf;
+    pclose(git);
+  }
+  while (!commit.empty() && std::isspace(static_cast<unsigned char>(
+                                commit.back()))) {
+    commit.pop_back();
+  }
+  host.Add("commit", commit.empty() ? "unknown" : commit);
+  return host;
 }
 
 /// Writes `value` to `path` (with a trailing newline) and reports where.

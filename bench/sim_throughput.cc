@@ -172,6 +172,7 @@ int main(int argc, char** argv) {
     JsonValue root = JsonValue::Object();
     root.Add("bench", "sim_throughput");
     root.Add("quick", quick);
+    root.Add("host", HostMetadata());
     root.Add("rows", rows);
     root.Add("vector_size", kVectorSize);
     root.Add("geomean_speedup_vs_scalar_replay", geomean);

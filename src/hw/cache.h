@@ -40,39 +40,64 @@ struct CacheGeometry {
   uint64_t num_sets() const { return num_lines() / associativity; }
 };
 
+/// \brief A line address together with its set-index hash.
+///
+/// Every level maps a line to a set by masking the same splitmix64 hash
+/// (set counts are powers of two, see CacheLevel), so the hierarchy
+/// hashes each line once and hands the pair to every level it walks.
+/// Implicitly constructible from a bare line address for callers that
+/// touch a single level. The all-ones line address is reserved: it marks
+/// an empty way.
+struct HashedLine {
+  HashedLine(uint64_t line_addr)  // NOLINT(google-explicit-constructor)
+      : line(line_addr), hash(Hash(line_addr)) {}
+
+  /// splitmix64 finalizer. Plain modulo mapping makes equally-aligned
+  /// column allocations -- page-aligned vectors all place row i in the
+  /// same set -- thrash any set once the stream count exceeds the
+  /// associativity ("4K aliasing"). Real LLCs hash the set index for the
+  /// same reason; hashing also decouples the simulation from accidental
+  /// heap-layout choices.
+  static uint64_t Hash(uint64_t line_addr) {
+    uint64_t z = line_addr + 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+
+  uint64_t line;
+  uint64_t hash;
+};
+
 /// \brief One set-associative, true-LRU cache level, tracked at line
 /// granularity.
+///
+/// Each set keeps its tags contiguous, padded with empty tags to a stride
+/// of 16 ways (32 when the normalized way count exceeds 16), so a tag
+/// match is a few 4-lane compares. Recency is a per-way 8-bit rank: 0 is
+/// the most recent way, `ways - 1` the LRU victim (DESIGN.md Section 4,
+/// "One hash per line, rank-LRU set walks"). The AVX2 or scalar kernels
+/// are chosen once, at construction, from simd::ActiveLevel(); both give
+/// identical results.
 class CacheLevel {
  public:
   explicit CacheLevel(CacheGeometry geometry);
 
   const CacheGeometry& geometry() const { return geometry_; }
 
-  /// Looks up the line; on hit refreshes LRU and returns true.
-  bool Lookup(uint64_t line_addr);
+  /// Demand-path probe-and-fill in one set walk: on hit refreshes LRU,
+  /// counts the hit, optionally consumes the prefetched mark into
+  /// `*was_prefetched`, and returns true; on miss counts it, installs the
+  /// line over the first-empty-else-LRU victim, and returns false.
+  bool AccessFill(HashedLine line, bool* was_prefetched = nullptr);
 
-  /// Inserts the line (evicting the set's LRU victim if needed).
-  /// `prefetched` marks the line as brought in by the prefetcher; the
-  /// first demand hit consumes the mark (AccessFill's `was_prefetched`).
-  void Insert(uint64_t line_addr, bool prefetched = false);
-
-  /// Demand-path fusion of Lookup + (on miss) Insert in one set walk:
-  /// on hit refreshes LRU, counts the hit, optionally consumes the
-  /// prefetched mark into `*was_prefetched`, and returns true; on miss
-  /// counts it, installs the line over the first-empty-else-LRU victim,
-  /// and returns false. Counter- and LRU-identical to the unfused call
-  /// sequence — a level's stamp clock only advances on its own
-  /// operations, and nothing touches the level between its probe and its
-  /// fill — it just resolves the set once instead of twice.
-  bool AccessFill(uint64_t line_addr, bool* was_prefetched = nullptr);
-
-  /// Prefetch-path fusion of Contains + (if absent) Insert(prefetched):
-  /// returns true and does nothing when the line is resident (the
-  /// hardware squashes the request; deliberately no LRU refresh, like
-  /// Contains); otherwise installs the line with the prefetched mark and
-  /// returns false. Touches no hit/miss counters, like the calls it
-  /// fuses.
-  bool FillIfAbsent(uint64_t line_addr);
+  /// Prefetch-path probe-and-fill: returns true and does nothing when the
+  /// line is resident (the hardware squashes the request; deliberately no
+  /// LRU refresh, like Contains); otherwise installs the line with the
+  /// prefetched mark -- the first demand hit consumes it (AccessFill's
+  /// `was_prefetched`) -- and returns false. Touches no hit/miss
+  /// counters.
+  bool FillIfAbsent(HashedLine line);
 
   /// What an owner-tagged access observed (shared levels only; see
   /// SharedCacheDomain).
@@ -91,30 +116,32 @@ class CacheLevel {
   /// single owner this is hit/miss- and LRU-identical to AccessFill
   /// (same set walk, same victim choice) — the contention=off
   /// bit-equality gates rely on that.
-  OwnedAccess AccessFillOwned(uint64_t line_addr, uint32_t owner);
+  OwnedAccess AccessFillOwned(HashedLine line, uint32_t owner);
 
   /// Number of currently resident lines (full scan; audit/test use).
   uint64_t occupied_lines() const;
 
-  /// True iff the line is currently resident (no LRU update; for tests and
-  /// for prefetch-avoidance checks).
-  bool Contains(uint64_t line_addr) const;
+  /// True iff the line is currently resident (no LRU update; audit/test
+  /// use).
+  bool Contains(HashedLine line) const;
 
   /// Drops all contents.
   void Clear();
 
   /// The set a line maps to. Exposed so tests can construct colliding
   /// and non-colliding line addresses.
-  size_t SetOf(uint64_t line_addr) const { return SetIndex(line_addr); }
+  size_t SetOf(uint64_t line_addr) const {
+    return SetIndex(HashedLine::Hash(line_addr));
+  }
 
   /// Credits `n` coalesced same-line touches as hits without re-running
-  /// Lookup. Exact by construction: the batched reporting layer only
-  /// coalesces touches of the line accessed immediately before, which a
-  /// replayed Lookup would classify as a hit with certainty (the line was
-  /// just installed/refreshed and nothing intervened; see DESIGN.md
-  /// "Batched simulation"). Skipping the LRU refresh is equally safe:
-  /// the line is already the most recent in its set, so the relative
-  /// stamp order — the only thing eviction decisions read — is unchanged.
+  /// the set walk. Exact by construction: the batched reporting layer
+  /// only coalesces touches of the line accessed immediately before,
+  /// which a replayed walk would classify as a hit with certainty (the
+  /// line was just installed/refreshed and nothing intervened; see
+  /// DESIGN.md "Batched simulation"). Skipping the LRU refresh is equally
+  /// exact: the line already holds rank 0, and refreshing a rank-0 way
+  /// changes no rank.
   void AddCoalescedHits(uint64_t n) { hits_ += n; }
 
   /// Number of sets after power-of-two normalization (see constructor).
@@ -126,40 +153,47 @@ class CacheLevel {
   uint64_t accesses() const { return hits_ + misses_; }
   void ResetStats() { hits_ = misses_ = 0; }
 
- private:
-  struct Way {
-    uint64_t tag = kEmptyTag;
-    uint64_t lru_stamp = 0;
-    bool prefetched = false;
-    uint32_t owner = 0;  ///< owner id in shared levels; unused otherwise
+  /// Largest normalized way count a level supports (the wide stride).
+  static constexpr uint32_t kMaxWays = 32;
+
+  /// One set walk's outcome (see WalkSet).
+  struct Walk {
+    uint32_t way;
+    bool hit;
   };
+
+ private:
   static constexpr uint64_t kEmptyTag = ~uint64_t{0};
 
-  /// Hashed set mapping (splitmix64 finalizer). Plain modulo mapping
-  /// makes equally-aligned column allocations -- page-aligned vectors all
-  /// place row i in the same set -- thrash any set once the stream count
-  /// exceeds the associativity ("4K aliasing"). Real LLCs hash the set
-  /// index for the same reason; hashing also decouples the simulation
-  /// from accidental heap-layout choices. The set count is normalized to
-  /// a power of two at construction, so the reduction is a mask rather
-  /// than the `%` that used to dominate Lookup profiles.
-  size_t SetIndex(uint64_t line_addr) const {
-    uint64_t z = line_addr + 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    z ^= z >> 31;
-    return static_cast<size_t>(z & set_mask_);
+  /// Set index of a line hash. The set count is a power of two (see the
+  /// constructor), so the reduction is a mask.
+  size_t SetIndex(uint64_t hash) const {
+    return static_cast<size_t>(hash & set_mask_);
+  }
+
+  /// Resolves `line` in `set`. On a hit returns the line's way and
+  /// makes it the most recent iff `refresh_hit`; on a miss returns the
+  /// first-empty-else-LRU victim's way, already made the most recent (the
+  /// caller installs the tag).
+  Walk WalkSet(size_t set, uint64_t line, bool refresh_hit) {
+    return walk_(&tags_[set * stride_], &ranks_[set * stride_], line,
+                 oldest_rank_, refresh_hit);
   }
 
   CacheGeometry geometry_;
   uint64_t num_sets_;
   uint64_t set_mask_;
   uint32_t ways_;
-  std::vector<Way> slots_;  // num_sets_ * ways_, row-major by set
-  // Most-recently-touched way per set: Lookup probes it first, so the
-  // dominant hot-line hit costs one compare instead of a way scan.
-  std::vector<uint32_t> mru_;
-  uint64_t tick_ = 0;
+  uint32_t stride_;      ///< tag/rank slots per set: 16 or 32
+  int8_t oldest_rank_;   ///< ways_ - 1, the victim's rank
+  Walk (*walk_)(const uint64_t* tags, int8_t* ranks, uint64_t line,
+                int8_t oldest, bool refresh_hit);
+  std::vector<uint64_t> tags_;  // num_sets_ * stride_, pads hold kEmptyTag
+  std::vector<int8_t> ranks_;   // num_sets_ * stride_, see Clear()
+  std::vector<uint32_t> prefetched_;  // per set: bit w = way w's mark
+  // Owner id per slot; sized by the first AccessFillOwned, so private
+  // levels never allocate it.
+  std::vector<uint32_t> owners_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };
@@ -242,13 +276,13 @@ class CacheHierarchy {
 
  private:
   /// Demand path for one line; fills all levels (inclusive).
-  MemoryLevel DemandAccess(uint64_t line_addr);
+  MemoryLevel DemandAccess(HashedLine line);
   /// Prefetch path: brings the line into L2+L3 (not L1), counting an L3
   /// access (and miss, if absent).
-  void Prefetch(uint64_t line_addr);
+  void Prefetch(HashedLine line);
   /// L3 probe-and-fill: private level, or the shared domain if attached.
   /// Returns true on hit.
-  bool AccessL3(uint64_t line_addr);
+  bool AccessL3(HashedLine line);
 
   CacheLevel l1_;
   CacheLevel l2_;

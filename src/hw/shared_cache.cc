@@ -18,9 +18,9 @@ uint32_t SharedCacheDomain::RegisterOwner(std::string name) {
   return id;
 }
 
-bool SharedCacheDomain::AccessFill(uint32_t owner, uint64_t line_addr) {
+bool SharedCacheDomain::AccessFill(uint32_t owner, HashedLine line) {
   NIPO_DCHECK(owner < owners_.size());
-  const CacheLevel::OwnedAccess r = level_.AccessFillOwned(line_addr, owner);
+  const CacheLevel::OwnedAccess r = level_.AccessFillOwned(line, owner);
   OwnerStats& s = owners_[owner];
   if (r.hit) {
     ++s.hits;

@@ -54,7 +54,7 @@ class SharedCacheDomain {
   /// charged); a miss that displaces another owner's line charges one
   /// eviction to the aggressor (`evictions_caused`) and one to the
   /// victim (`evictions_suffered`).
-  bool AccessFill(uint32_t owner, uint64_t line_addr);
+  bool AccessFill(uint32_t owner, HashedLine line);
 
   size_t num_owners() const { return owners_.size(); }
   const OwnerStats& stats(uint32_t owner) const {

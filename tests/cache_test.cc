@@ -19,9 +19,8 @@ TEST(CacheGeometryTest, DerivedQuantities) {
 
 TEST(CacheLevelTest, MissThenHit) {
   CacheLevel level(Tiny(1024, 2));  // 16 lines, 8 sets
-  EXPECT_FALSE(level.Lookup(5));
-  level.Insert(5);
-  EXPECT_TRUE(level.Lookup(5));
+  EXPECT_FALSE(level.AccessFill(5));  // miss installs the line
+  EXPECT_TRUE(level.AccessFill(5));
   EXPECT_EQ(level.hits(), 1u);
   EXPECT_EQ(level.misses(), 1u);
 }
@@ -40,22 +39,22 @@ std::vector<uint64_t> CollidingLines(const CacheLevel& level,
 TEST(CacheLevelTest, LruEvictionWithinSet) {
   CacheLevel level(Tiny(1024, 2));  // 8 sets, 2 ways
   const auto lines = CollidingLines(level, 0, 3);
-  level.Insert(lines[0]);
-  level.Insert(lines[1]);
-  EXPECT_TRUE(level.Lookup(lines[0]));  // lines[0] becomes MRU
-  level.Insert(lines[2]);               // evicts lines[1] (LRU)
+  EXPECT_FALSE(level.AccessFill(lines[0]));
+  EXPECT_FALSE(level.AccessFill(lines[1]));
+  EXPECT_TRUE(level.AccessFill(lines[0]));   // lines[0] becomes MRU
+  EXPECT_FALSE(level.AccessFill(lines[2]));  // evicts lines[1] (LRU)
   EXPECT_TRUE(level.Contains(lines[0]));
   EXPECT_FALSE(level.Contains(lines[1]));
   EXPECT_TRUE(level.Contains(lines[2]));
 }
 
-TEST(CacheLevelTest, InsertExistingRefreshesInsteadOfDuplicating) {
+TEST(CacheLevelTest, FillIfAbsentOnResidentLineDoesNotDuplicate) {
   CacheLevel level(Tiny(1024, 2));
   const auto lines = CollidingLines(level, 0, 3);
-  level.Insert(lines[0]);
-  level.Insert(lines[0]);
-  level.Insert(lines[1]);
-  level.Insert(lines[2]);  // one line evicted, none present twice
+  EXPECT_FALSE(level.FillIfAbsent(lines[0]));
+  EXPECT_TRUE(level.FillIfAbsent(lines[0]));  // resident: squashed
+  EXPECT_FALSE(level.FillIfAbsent(lines[1]));
+  EXPECT_FALSE(level.FillIfAbsent(lines[2]));  // one line evicted
   int resident = level.Contains(lines[0]) + level.Contains(lines[1]) +
                  level.Contains(lines[2]);
   EXPECT_EQ(resident, 2);
@@ -73,7 +72,7 @@ TEST(CacheLevelTest, DifferentSetsDoNotInterfere) {
       lines.push_back(line);
     }
   }
-  for (uint64_t line : lines) level.Insert(line);
+  for (uint64_t line : lines) level.FillIfAbsent(line);
   for (uint64_t line : lines) {
     EXPECT_TRUE(level.Contains(line));
   }
@@ -81,7 +80,7 @@ TEST(CacheLevelTest, DifferentSetsDoNotInterfere) {
 
 TEST(CacheLevelTest, ClearDropsContents) {
   CacheLevel level(Tiny(1024, 2));
-  level.Insert(3);
+  level.AccessFill(3);
   level.Clear();
   EXPECT_FALSE(level.Contains(3));
 }

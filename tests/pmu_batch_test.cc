@@ -380,7 +380,7 @@ TEST(CacheNormalizationTest, NonPowerOfTwoSetCountKeepsCapacity) {
   // Set indices must stay in range and the level must behave.
   for (uint64_t line = 0; line < 1'000; ++line) {
     EXPECT_LT(level.SetOf(line), level.num_sets());
-    level.Insert(line);
+    level.AccessFill(line);
     EXPECT_TRUE(level.Contains(line));
   }
 }
@@ -404,19 +404,23 @@ TEST(CacheNormalizationTest, IndivisibleLineCountKeepsMostRetentiveShape) {
   }
 }
 
-TEST(CacheMruTest, RepeatedLookupsCountHitsExactly) {
+TEST(CacheHitCountTest, RepeatedAccessesCountHitsExactly) {
   CacheLevel level(CacheGeometry{1024, 2, 64});
-  level.Insert(3);
-  level.Insert(4);
+  EXPECT_FALSE(level.AccessFill(3));
+  EXPECT_FALSE(level.AccessFill(4));
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(level.Lookup(3));  // MRU fast path after the first
+    EXPECT_TRUE(level.AccessFill(3));
   }
-  EXPECT_TRUE(level.Lookup(4));  // scan path refreshes the MRU way
-  EXPECT_TRUE(level.Lookup(4));  // now the fast path again
+  EXPECT_TRUE(level.AccessFill(4));
+  EXPECT_TRUE(level.AccessFill(4));
   EXPECT_EQ(level.hits(), 12u);
-  EXPECT_EQ(level.misses(), 0u);
-  EXPECT_FALSE(level.Lookup(1'000'000));
-  EXPECT_EQ(level.misses(), 1u);
+  EXPECT_EQ(level.misses(), 2u);
+  // Prefetch fills and residency probes count neither hits nor misses.
+  EXPECT_TRUE(level.FillIfAbsent(3));
+  EXPECT_TRUE(level.Contains(4));
+  EXPECT_EQ(level.accesses(), 14u);
+  EXPECT_FALSE(level.AccessFill(1'000'000));
+  EXPECT_EQ(level.misses(), 3u);
 }
 
 TEST(HashTableStatsTest, WindowsSubtractLikePmuCounters) {
