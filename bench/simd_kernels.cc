@@ -1,10 +1,9 @@
 /// \file simd_kernels.cc
 /// SIMD kernel bench: host wall-clock throughput of the executor's hot
-/// kernels (DESIGN.md Section 8) — compare-to-mask selection, splitmix64
-/// key hashing, and hash-table probing — AVX2 versus the branch-free
-/// scalar fallback (and batched+prefetched versus dependent per-key
-/// probing), with bit-identity between the two kernel levels enforced on
-/// every configuration.
+/// kernel (DESIGN.md Section 8) — compare-to-mask selection over double
+/// and int32 columns — AVX2 versus the branch-free scalar fallback, with
+/// bit-identity between the two kernel levels enforced on every
+/// configuration.
 ///
 /// This is the perf-trajectory anchor for the SIMD layer: run with
 /// `--json` (ci/check.sh does) to write BENCH_simd_kernels.json. The
@@ -18,7 +17,6 @@
 
 #include "bench_util.h"
 #include "common/prng.h"
-#include "exec/hash_table.h"
 #include "exec/simd.h"
 
 namespace {
@@ -63,7 +61,7 @@ int main(int argc, char** argv) {
   // Best-of-2 even in quick mode: the first iteration absorbs process
   // warmup, which best-of-1 would hand to the perf gate as noise.
   const int reps = quick ? 2 : 3;
-  // Selection/hash working set: 64k elements (0.5 MB of doubles) stays
+  // Selection working set: 64k elements (0.5 MB of doubles) stays
   // resident in the host's caches across the `iters` sweeps, so the
   // measurement is of the kernel, not of DRAM bandwidth. kSimBlockRows-
   // sized calls would measure call overhead instead; 64k amortizes it the
@@ -74,11 +72,9 @@ int main(int argc, char** argv) {
   Prng prng(42);
   std::vector<double> doubles(n);
   std::vector<int32_t> int32s(n);
-  std::vector<int64_t> keys(n);
   for (size_t i = 0; i < n; ++i) {
     doubles[i] = prng.NextDouble();
     int32s[i] = static_cast<int32_t>(prng.NextBounded(1'000'000));
-    keys[i] = static_cast<int64_t>(prng.Next() >> 1);
   }
 
   std::vector<ConfigResult> results;
@@ -142,66 +138,6 @@ int main(int argc, char** argv) {
   };
   select_config("select_double", DataType::kDouble, doubles.data(), 0.5);
   select_config("select_int32", DataType::kInt32, int32s.data(), 500'000.0);
-
-  // --- hashing: the splitmix64 finalizer over int64 keys.
-  std::vector<uint64_t> hash_a(n), hash_b(n);
-  run_levels(
-      "hash_int64", n * iters,
-      [&](simd::SimdLevel level, bool simd_pass) {
-        for (size_t it = 0; it < iters; ++it) {
-          simd::HashKeys(level, keys.data(), n,
-                         (simd_pass ? hash_b : hash_a).data());
-        }
-      },
-      [&] { return hash_a == hash_b; });
-
-  // --- probing: raw chain walks (no simulated booking) over a table far
-  // larger than the host caches; the batched path hides the slot misses
-  // behind SIMD hashing + prefetch, the scalar path walks dependently.
-  {
-    const size_t build = quick ? (1u << 16) : (1u << 21);
-    const size_t probes = quick ? (1u << 19) : (1u << 23);
-    Pmu pmu;  // setup-only booking; ProbeKernel itself books nothing
-    InstrumentedHashTable table(build, &pmu);
-    for (size_t i = 0; i < build; ++i) {
-      const Status st =
-          table.Insert(static_cast<int64_t>(prng.NextBounded(2 * build)),
-                       static_cast<int64_t>(i));
-      // Random keys collide; duplicates keep the first value.
-      NIPO_CHECK(st.ok() || st.code() == StatusCode::kAlreadyExists);
-    }
-    std::vector<int64_t> probe_keys(probes);
-    for (size_t i = 0; i < probes; ++i) {
-      probe_keys[i] = static_cast<int64_t>(prng.NextBounded(2 * build));
-    }
-    std::vector<uint8_t> hits_a(probes), hits_b(probes);
-    std::vector<int64_t> vals_a(probes, 0), vals_b(probes, 0);
-    size_t hits_scalar = 0, hits_batched = 0;
-    ConfigResult out;
-    out.name = "probe_hash_table";
-    out.rows = probes;
-    out.wall_msec_scalar = WallMsec(
-        [&] {
-          hits_scalar = table.ProbeKernel(probe_keys.data(), probes,
-                                          vals_a.data(), hits_a.data(),
-                                          /*batched=*/false);
-        },
-        reps);
-    out.wall_msec_simd = WallMsec(
-        [&] {
-          hits_batched = table.ProbeKernel(probe_keys.data(), probes,
-                                           vals_b.data(), hits_b.data(),
-                                           /*batched=*/true);
-        },
-        reps);
-    out.identical =
-        hits_scalar == hits_batched && hits_a == hits_b && vals_a == vals_b;
-    NIPO_CHECK(out.identical);
-    out.tuples_per_sec_simd =
-        static_cast<double>(probes) / (out.wall_msec_simd / 1e3);
-    out.speedup = out.wall_msec_scalar / out.wall_msec_simd;
-    results.push_back(out);
-  }
 
   TablePrinter table("SIMD kernel throughput, " +
                      std::string(avx2 ? "AVX2" : "scalar-only host") +

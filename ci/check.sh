@@ -38,10 +38,10 @@ if [[ "${NIPO_LINT:-1}" == "1" ]]; then
   # to Column<T> — raw access bypasses zone maps, encoded-byte PMU
   # booking, and the encodings-off bit-identity guarantee (DESIGN.md
   # Section 10). bench/ and tests/ may still use typed columns to build
-  # fixtures; the executor tree and the Q1/Q6 reference oracles may not.
+  # fixtures; the executor tree and the Q6 reference oracle may not.
   echo "== lint: no raw column access outside storage =="
   if grep -RnE 'AsColumn<|->values\(\)|\.values\(\)|GetTypedColumn<|->data\(\)' \
-      src/exec src/tpch/q1.cc src/tpch/q6.cc; then
+      src/exec src/tpch/q6.cc; then
     echo "lint: raw Column<T> access in the executor/reference tree" >&2
     echo "lint: scan through ColumnView instead (storage/column_view.h)" >&2
     exit 1

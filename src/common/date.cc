@@ -3,22 +3,10 @@
 #include <cstdio>
 
 /// \file date.cc
-/// Proleptic-Gregorian calendar arithmetic behind date.h: leap-year and
-/// month-length rules plus the Hinnant days-from-civil / civil-from-days
-/// round trip and ISO formatting.
+/// Proleptic-Gregorian calendar arithmetic behind date.h: Hinnant's
+/// days-from-civil and ISO formatting.
 
 namespace nipo {
-
-bool IsLeapYear(int32_t year) {
-  return year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
-}
-
-int32_t DaysInMonth(int32_t year, int32_t month) {
-  static constexpr int32_t kDays[12] = {31, 28, 31, 30, 31, 30,
-                                        31, 31, 30, 31, 30, 31};
-  if (month == 2 && IsLeapYear(year)) return 29;
-  return kDays[month - 1];
-}
 
 DayNumber DateToDayNumber(const Date& date) {
   // Hinnant's days_from_civil.
@@ -32,42 +20,6 @@ DayNumber DateToDayNumber(const Date& date) {
       static_cast<uint32_t>((153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + d - 1);
   const uint32_t doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;          // [0,146096]
   return era * 146097 + static_cast<int32_t>(doe) - 719468;
-}
-
-Date DayNumberToDate(DayNumber days) {
-  // Hinnant's civil_from_days.
-  int32_t z = days + 719468;
-  const int32_t era = (z >= 0 ? z : z - 146096) / 146097;
-  const uint32_t doe = static_cast<uint32_t>(z - era * 146097);        // [0,146096]
-  const uint32_t yoe =
-      (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;           // [0,399]
-  const int32_t y = static_cast<int32_t>(yoe) + era * 400;
-  const uint32_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);        // [0,365]
-  const uint32_t mp = (5 * doy + 2) / 153;                             // [0,11]
-  const uint32_t d = doy - (153 * mp + 2) / 5 + 1;                     // [1,31]
-  const uint32_t m = mp + (mp < 10 ? 3 : static_cast<uint32_t>(-9));   // [1,12]
-  Date out;
-  out.year = y + (m <= 2);
-  out.month = static_cast<int32_t>(m);
-  out.day = static_cast<int32_t>(d);
-  return out;
-}
-
-Result<Date> ParseDate(const std::string& text) {
-  int year = 0, month = 0, day = 0;
-  char trailing = '\0';
-  const int matched =
-      std::sscanf(text.c_str(), "%d-%d-%d%c", &year, &month, &day, &trailing);
-  if (matched != 3) {
-    return Status::InvalidArgument("expected YYYY-MM-DD, got '" + text + "'");
-  }
-  if (month < 1 || month > 12) {
-    return Status::InvalidArgument("month out of range in '" + text + "'");
-  }
-  if (day < 1 || day > DaysInMonth(year, month)) {
-    return Status::InvalidArgument("day out of range in '" + text + "'");
-  }
-  return Date{year, month, day};
 }
 
 std::string FormatDate(const Date& date) {

@@ -3,10 +3,8 @@
 #include <cstdint>
 #include <string>
 
-#include "common/result.h"
-
 /// \file date.h
-/// Calendar date <-> day-number conversion.
+/// Calendar date to day-number conversion.
 ///
 /// The paper (Section 2.1) converts the TPC-H shipdate column from a date
 /// string to an integer timestamp so the predicate becomes a cheap integer
@@ -32,21 +30,8 @@ struct Date {
 /// Valid for the whole proleptic Gregorian calendar range used here.
 DayNumber DateToDayNumber(const Date& date);
 
-/// \brief Converts days since 1970-01-01 back to a calendar date.
-Date DayNumberToDate(DayNumber days);
-
-/// \brief Parses "YYYY-MM-DD". Returns InvalidArgument on malformed input
-/// or out-of-range month/day.
-Result<Date> ParseDate(const std::string& text);
-
 /// \brief Formats as "YYYY-MM-DD".
 std::string FormatDate(const Date& date);
-
-/// \brief True iff `year` is a Gregorian leap year.
-bool IsLeapYear(int32_t year);
-
-/// \brief Number of days in the given month of the given year.
-int32_t DaysInMonth(int32_t year, int32_t month);
 
 /// TPC-H date domain: orders/lineitem dates fall in [1992-01-01,
 /// 1998-12-31] (shipdate extends ~4 months beyond orderdate's end but we

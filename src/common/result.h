@@ -60,12 +60,6 @@ class Result {
   const T* operator->() const { return &ValueOrDie(); }
   T* operator->() { return &ValueOrDie(); }
 
-  /// Returns the value if ok, otherwise `fallback`.
-  T ValueOr(T fallback) const {
-    if (ok()) return std::get<T>(state_);
-    return fallback;
-  }
-
  private:
   std::variant<Status, T> state_;
 };

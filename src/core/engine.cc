@@ -43,10 +43,10 @@ Result<Table*> Engine::GetMutableTable(const std::string& name) {
 }
 
 Result<std::unique_ptr<PipelineExecutor>> Engine::CompileQuery(
-    const QuerySpec& query, Pmu* pmu, InstrumentationMode mode) const {
+    const QuerySpec& query, Pmu* pmu) const {
   NIPO_ASSIGN_OR_RETURN(const Table* table, GetTable(query.table));
   return PipelineExecutor::Compile(*table, query.ops, query.payload_columns,
-                                   pmu, mode);
+                                   pmu);
 }
 
 namespace {
@@ -98,9 +98,8 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
         return Status::InvalidArgument("vector_size must be positive");
       }
       Pmu pmu = NewMachine();
-      NIPO_ASSIGN_OR_RETURN(
-          std::unique_ptr<PipelineExecutor> exec,
-          CompileQuery(query, &pmu, InstrumentationMode::kPmu));
+      NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> exec,
+                            CompileQuery(query, &pmu));
       NIPO_RETURN_NOT_OK(ApplyOrder(exec.get(), options.order));
       BaselineReport sub;
       sub.order = exec->current_order();
@@ -116,9 +115,8 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
     }
     NIPO_RETURN_NOT_OK(ValidateProgressive(options.progressive));
     Pmu pmu = NewMachine();
-    NIPO_ASSIGN_OR_RETURN(
-        std::unique_ptr<PipelineExecutor> exec,
-        CompileQuery(query, &pmu, InstrumentationMode::kPmu));
+    NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> exec,
+                          CompileQuery(query, &pmu));
     NIPO_RETURN_NOT_OK(ApplyOrder(exec.get(), options.order));
     ProgressiveOptimizer optimizer(exec.get(), options.progressive);
     ProgressiveReport sub = optimizer.Run();
@@ -135,7 +133,7 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
   ParallelConfig pcfg;
   pcfg.num_threads = options.num_threads;
   auto factory = [this, &query](Pmu* pmu) {
-    return CompileQuery(query, pmu, InstrumentationMode::kPmu);
+    return CompileQuery(query, pmu);
   };
 
   if (options.mode == ExecMode::kBaseline) {
@@ -167,9 +165,8 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
   // The coordinator's control pipeline: never executed, provides operator
   // metadata and carries the authoritative current order.
   Pmu control_pmu = NewMachine();
-  NIPO_ASSIGN_OR_RETURN(
-      std::unique_ptr<PipelineExecutor> control,
-      CompileQuery(query, &control_pmu, InstrumentationMode::kPmu));
+  NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> control,
+                        CompileQuery(query, &control_pmu));
   NIPO_RETURN_NOT_OK(ApplyOrder(control.get(), options.order));
   ParallelProgressiveCoordinator coordinator(control.get(),
                                              options.progressive);
@@ -272,8 +269,7 @@ Result<WorkloadReport> Engine::Execute(const WorkloadSpec& spec) const {
   WorkloadDriver driver(
       NewMachine(),
       [this, &spec](size_t index, Pmu* pmu) {
-        return CompileQuery(spec.queries[index].query, pmu,
-                            InstrumentationMode::kPmu);
+        return CompileQuery(spec.queries[index].query, pmu);
       },
       spec.options);
   return driver.Run(tasks);

@@ -230,7 +230,7 @@ class Engine {
 
  private:
   Result<std::unique_ptr<PipelineExecutor>> CompileQuery(
-      const QuerySpec& query, Pmu* pmu, InstrumentationMode mode) const;
+      const QuerySpec& query, Pmu* pmu) const;
 
   HwConfig hw_;
   ReportingMode reporting_mode_ = ReportingMode::kBatched;

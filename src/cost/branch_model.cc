@@ -22,29 +22,21 @@ BranchEstimate EstimatePredicateBranches(const PredictorConfig& config,
 
 BranchEstimate EstimateScanBranches(const PredictorConfig& config,
                                     double input_tuples,
-                                    const std::vector<double>& selectivities,
-                                    bool include_loop_branch) {
+                                    const std::vector<double>& selectivities) {
   BranchEstimate total;
   double tuples = input_tuples;
   for (const double p : selectivities) {
     total += EstimatePredicateBranches(config, tuples, p);
     tuples *= p;
   }
-  if (include_loop_branch) {
-    // The back-edge is taken for every tuple; a saturating-counter
-    // predictor predicts it perfectly in steady state (selectivity 0 from
-    // the chain's point of view: never "not taken").
-    BranchEstimate loop;
-    loop.branches = input_tuples;
-    loop.branches_taken = input_tuples;
-    total += loop;
-  }
+  // The back-edge is taken for every tuple; a saturating-counter
+  // predictor predicts it perfectly in steady state (selectivity 0 from
+  // the chain's point of view: never "not taken").
+  BranchEstimate loop;
+  loop.branches = input_tuples;
+  loop.branches_taken = input_tuples;
+  total += loop;
   return total;
-}
-
-double QualifyingTuplesFromBranchesTaken(double input_tuples,
-                                         double branches_taken) {
-  return 2.0 * input_tuples - branches_taken;
 }
 
 }  // namespace nipo

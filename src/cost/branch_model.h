@@ -50,21 +50,13 @@ BranchEstimate EstimatePredicateBranches(const PredictorConfig& config,
                                          double input_tuples, double p);
 
 /// \brief Branch events for the whole scan loop: the predicate chain in
-/// evaluation order plus the loop back-edge.
+/// evaluation order plus the loop back-edge (always taken, perfectly
+/// predicted in steady state), one per tuple.
 ///
 /// \param selectivities per-predicate selectivities in evaluation order;
 ///        predicate i sees input_tuples * prod_{j<i} selectivities[j].
-/// \param include_loop_branch whether to add the (always-taken, perfectly
-///        predicted in steady state) back-edge branch per tuple.
 BranchEstimate EstimateScanBranches(const PredictorConfig& config,
                                     double input_tuples,
-                                    const std::vector<double>& selectivities,
-                                    bool include_loop_branch = true);
-
-/// \brief The paper's qualifying-tuple identity: given the number of input
-/// tuples and sampled branches-taken, returns the number of tuples that
-/// satisfied all predicates (qualified = 2n - branches_taken).
-double QualifyingTuplesFromBranchesTaken(double input_tuples,
-                                         double branches_taken);
+                                    const std::vector<double>& selectivities);
 
 }  // namespace nipo

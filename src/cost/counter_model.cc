@@ -1,7 +1,6 @@
 #include "cost/counter_model.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 
@@ -17,8 +16,7 @@ CounterEstimate PredictCounters(const ScanShape& shape,
   NIPO_CHECK(selectivities.size() == shape.predicate_widths.size());
   CounterEstimate out;
   const BranchEstimate branches =
-      EstimateScanBranches(shape.predictor, shape.num_tuples, selectivities,
-                           shape.include_loop_branch);
+      EstimateScanBranches(shape.predictor, shape.num_tuples, selectivities);
   out.branches_not_taken = branches.branches_not_taken;
   out.taken_mp = branches.taken_mp;
   out.not_taken_mp = branches.not_taken_mp;
@@ -55,17 +53,6 @@ double PredictScanL3Accesses(const ScanShape& shape,
                        : shape.payload_packed_bytes[i]);
   }
   return total;
-}
-
-double CounterDistance(const CounterEstimate& sampled,
-                       const CounterEstimate& predicted) {
-  auto term = [](double s, double e) {
-    return std::abs(s - e) / std::max(std::abs(s), 1.0);
-  };
-  return term(sampled.branches_not_taken, predicted.branches_not_taken) +
-         term(sampled.taken_mp, predicted.taken_mp) +
-         term(sampled.not_taken_mp, predicted.not_taken_mp) +
-         term(sampled.l3_accesses, predicted.l3_accesses);
 }
 
 }  // namespace nipo

@@ -32,7 +32,6 @@ struct ScanShape {
   std::vector<double> payload_packed_bytes;
   ScanCacheModelConfig cache;
   PredictorConfig predictor;
-  bool include_loop_branch = true;
 };
 
 /// \brief The four sampled/predicted counters of Equation 10.
@@ -55,15 +54,5 @@ CounterEstimate PredictCounters(const ScanShape& shape,
 /// it once per candidate point.
 double PredictScanL3Accesses(const ScanShape& shape,
                              const std::vector<double>& selectivities);
-
-/// \brief Relative distance between a sampled counter vector and a
-/// prediction: sum over the four counters of |sampled - predicted| /
-/// max(sampled, 1). This is the implemented form of the paper's
-/// minimization function (Equation 10); the paper prints a sum of signed
-/// differences, which cannot serve as a minimization objective -- the
-/// absolute/relative form is the evident intent (differences of zero in
-/// every counter minimize it).
-double CounterDistance(const CounterEstimate& sampled,
-                       const CounterEstimate& predicted);
 
 }  // namespace nipo

@@ -40,19 +40,4 @@ double ExpectedRandomMisses(const JoinRelationSpec& relation,
   return num_accesses * (1.0 - resident_fraction);
 }
 
-double ExpectedSequentialMisses(const JoinRelationSpec& relation,
-                                const CacheGeometry& cache) {
-  const double relation_bytes = relation.num_tuples * relation.tuple_width;
-  return relation_bytes / static_cast<double>(cache.line_size);
-}
-
-double CoClusterednessScore(const JoinRelationSpec& relation,
-                            const CacheGeometry& cache, double num_accesses,
-                            double sampled_misses) {
-  const double predicted =
-      ExpectedRandomMisses(relation, cache, num_accesses);
-  if (predicted <= 0.0) return 0.0;
-  return std::clamp(sampled_misses / predicted, 0.0, 10.0);
-}
-
 }  // namespace nipo

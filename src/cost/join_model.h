@@ -44,19 +44,4 @@ double ExpectedDistinctLines(double total_lines, double num_accesses);
 double ExpectedRandomMisses(const JoinRelationSpec& relation,
                             const CacheGeometry& cache, double num_accesses);
 
-/// \brief Expected misses for a *sequential* pass over the relation
-/// (original Manegold sequential pattern): one miss per line, independent
-/// of cache capacity for a single cold pass.
-double ExpectedSequentialMisses(const JoinRelationSpec& relation,
-                                const CacheGeometry& cache);
-
-/// \brief Sortedness / co-clusteredness score: sampled misses divided by
-/// the random-pattern prediction. Values near 1 mean the probe pattern is
-/// effectively random; values near 0 mean the pattern is local
-/// (co-clustered), so the join is much cheaper than a cost model assuming
-/// randomness would claim.
-double CoClusterednessScore(const JoinRelationSpec& relation,
-                            const CacheGeometry& cache, double num_accesses,
-                            double sampled_misses);
-
 }  // namespace nipo

@@ -8,21 +8,14 @@
 /// \file latency.cc
 /// Exact nearest-rank latency percentiles over the full sample set.
 /// Every statistic is computed over the *sorted* samples, making each a
-/// pure function of the sample multiset: merging two accumulators is
-/// bit-identical to feeding one accumulator the concatenated stream, in
-/// any order (the property tests pin this down).
+/// pure function of the sample multiset, whatever order the samples
+/// arrived in (the property tests pin this down).
 
 namespace nipo {
 
 void LatencyDistribution::Add(double msec) {
   samples_.push_back(msec);
   sorted_ = false;
-}
-
-void LatencyDistribution::Merge(const LatencyDistribution& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = samples_.empty();
 }
 
 void LatencyDistribution::EnsureSorted() const {
@@ -42,7 +35,7 @@ double LatencyDistribution::mean_msec() const {
   if (samples_.empty()) return 0;
   EnsureSorted();
   // Summed in sorted order so the floating-point result depends only on
-  // the multiset, not on insertion or merge order.
+  // the multiset, not on insertion order.
   double sum = 0;
   for (const double s : samples_) sum += s;
   return sum / static_cast<double>(samples_.size());

@@ -30,18 +30,16 @@ struct LatencySummary {
   bool operator==(const LatencySummary& other) const = default;
 };
 
-/// \brief Exact latency accumulator: add samples (or merge accumulators,
-/// e.g. per-worker or per-sweep-cell partials), then read nearest-rank
+/// \brief Exact latency accumulator: add samples, then read nearest-rank
 /// percentiles.
 ///
-/// Merge is exactly concatenation: Percentile() over a merge of two
-/// accumulators equals Percentile() over one accumulator fed both sample
-/// streams, bit-for-bit (the property tests in tests/latency_test.cc
-/// pin this down).
+/// Every statistic is a pure function of the sample multiset: the order
+/// of Add() calls, and reads interleaved with them, change nothing
+/// bit-for-bit (the property tests in tests/latency_test.cc pin this
+/// down).
 class LatencyDistribution {
  public:
   void Add(double msec);
-  void Merge(const LatencyDistribution& other);
 
   size_t count() const { return samples_.size(); }
   double max_msec() const;
@@ -58,9 +56,9 @@ class LatencyDistribution {
  private:
   void EnsureSorted() const;
 
-  /// Sorted lazily by the statistic reads; Add/Merge just append. Every
+  /// Sorted lazily by the statistic reads; Add just appends. Every
   /// statistic is computed over the sorted samples so it is a pure
-  /// function of the multiset (merge order cannot perturb a ulp).
+  /// function of the multiset (insertion order cannot perturb a ulp).
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };

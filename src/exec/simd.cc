@@ -235,42 +235,6 @@ __attribute__((target("avx2"))) size_t Avx2CompareSelect(
   return count;
 }
 
-/// Low 64 bits of a 64x64 multiply from 32-bit pieces
-/// (a*b = lo(a)*lo(b) + ((lo(a)*hi(b) + hi(a)*lo(b)) << 32)).
-__attribute__((target("avx2"))) inline __m256i Mul64(__m256i a, __m256i b) {
-  const __m256i bswap = _mm256_shuffle_epi32(b, 0xB1);
-  const __m256i prodlh = _mm256_mullo_epi32(a, bswap);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i prodlh2 = _mm256_hadd_epi32(prodlh, zero);
-  const __m256i prodlh3 = _mm256_shuffle_epi32(prodlh2, 0x73);
-  const __m256i prodll = _mm256_mul_epu32(a, b);
-  return _mm256_add_epi64(prodll, prodlh3);
-}
-
-__attribute__((target("avx2"))) void HashKeysAvx2(const int64_t* keys,
-                                                  size_t n,
-                                                  uint64_t* hashes) {
-  const __m256i c0 =
-      _mm256_set1_epi64x(static_cast<long long>(0x9E3779B97F4A7C15ull));
-  const __m256i m1 =
-      _mm256_set1_epi64x(static_cast<long long>(0xBF58476D1CE4E5B9ull));
-  const __m256i m2 =
-      _mm256_set1_epi64x(static_cast<long long>(0x94D049BB133111EBull));
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256i z =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j));
-    z = _mm256_add_epi64(z, c0);
-    z = Mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), m1);
-    z = Mul64(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), m2);
-    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hashes + j), z);
-  }
-  for (; j < n; ++j) {
-    hashes[j] = SplitMix64(static_cast<uint64_t>(keys[j]));
-  }
-}
-
 #endif  // NIPO_SIMD_AVX2
 
 template <typename T>
@@ -391,21 +355,6 @@ size_t CompareSelect(SimdLevel level, DataType type, const uint8_t* data,
           ids, n, op, value, pass, out_sel);
   }
   return 0;
-}
-
-void HashKeys(SimdLevel level, const int64_t* keys, size_t n,
-              uint64_t* hashes) {
-#if defined(NIPO_SIMD_AVX2)
-  if (level == SimdLevel::kAvx2 && Avx2Available()) {
-    HashKeysAvx2(keys, n, hashes);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  for (size_t j = 0; j < n; ++j) {
-    hashes[j] = SplitMix64(static_cast<uint64_t>(keys[j]));
-  }
 }
 
 }  // namespace nipo::simd

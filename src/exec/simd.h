@@ -19,15 +19,14 @@
 ///
 /// The contract that makes the executor's differential gates work: for
 /// identical inputs, both paths produce bit-identical outputs -- the same
-/// pass flags, the same compacted selection vector, the same hashes. The
-/// comparison kernels evaluate `EvaluateCompare(double(element), op,
-/// constant)` exactly (int32/int64 elements are converted with correctly
-/// rounded casts; the AVX2 int64 conversion uses an exact full-range
-/// sequence), and the hash kernel is the same splitmix64 finalizer the
-/// instrumented hash table applies per key. Simulated PMU booking never
-/// happens here -- executors report the *logical* event stream themselves,
-/// so simulated counters are kernel-independent by construction
-/// (docs/COUNTERS.md "Kernel-independent booking").
+/// pass flags and the same compacted selection vector. The comparison
+/// kernels evaluate `EvaluateCompare(double(element), op, constant)`
+/// exactly (int32/int64 elements are converted with correctly rounded
+/// casts; the AVX2 int64 conversion uses an exact full-range sequence).
+/// Simulated PMU booking never happens here -- executors report the
+/// *logical* event stream themselves, so simulated counters are
+/// kernel-independent by construction (docs/COUNTERS.md
+/// "Kernel-independent booking").
 
 namespace nipo::simd {
 
@@ -42,7 +41,7 @@ std::string_view SimdLevelName(SimdLevel level);
 /// True iff AVX2 kernels were compiled in and the host CPU supports them.
 bool Avx2Available();
 
-/// The level CompareSelect/HashKeys run at: a ForceLevel() override if one
+/// The level CompareSelect runs at: a ForceLevel() override if one
 /// is active, else the best available level. Forcing kAvx2 on a host
 /// without AVX2 is ignored (detection wins; kernels would fault).
 SimdLevel ActiveLevel();
@@ -77,24 +76,6 @@ inline size_t CompareSelect(DataType type, const uint8_t* data,
                             size_t n, uint8_t* pass, uint32_t* out_sel) {
   return CompareSelect(ActiveLevel(), type, data, base_row, op, value, gather,
                        ids, n, pass, out_sel);
-}
-
-/// \brief The splitmix64 finalizer -- the hash function of
-/// InstrumentedHashTable (its IndexOf masks this to the capacity).
-inline uint64_t SplitMix64(uint64_t key) {
-  uint64_t z = key + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-/// \brief Hashes `n` int64 keys with SplitMix64 into `hashes` (pre-mask;
-/// callers mask to their table capacity).
-void HashKeys(SimdLevel level, const int64_t* keys, size_t n,
-              uint64_t* hashes);
-
-inline void HashKeys(const int64_t* keys, size_t n, uint64_t* hashes) {
-  HashKeys(ActiveLevel(), keys, n, hashes);
 }
 
 }  // namespace nipo::simd

@@ -19,20 +19,6 @@
 
 namespace nipo {
 
-std::string_view MemoryLevelToString(MemoryLevel level) {
-  switch (level) {
-    case MemoryLevel::kL1:
-      return "L1";
-    case MemoryLevel::kL2:
-      return "L2";
-    case MemoryLevel::kL3:
-      return "L3";
-    case MemoryLevel::kMemory:
-      return "memory";
-  }
-  return "unknown";
-}
-
 namespace {
 
 constexpr uint64_t kEmptyTag = ~uint64_t{0};

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -27,8 +26,6 @@ enum class MemoryLevel : int {
   kL3 = 2,
   kMemory = 3,
 };
-
-std::string_view MemoryLevelToString(MemoryLevel level);
 
 /// \brief Geometry of one cache level.
 struct CacheGeometry {

@@ -71,20 +71,6 @@ std::string PmuCounters::ToString() const {
   return out.str();
 }
 
-double CycleModel::LoadCycles(MemoryLevel level) const {
-  switch (level) {
-    case MemoryLevel::kL1:
-      return l1_hit_cycles;
-    case MemoryLevel::kL2:
-      return l2_hit_cycles;
-    case MemoryLevel::kL3:
-      return l3_hit_cycles;
-    case MemoryLevel::kMemory:
-      return memory_cycles;
-  }
-  return memory_cycles;
-}
-
 HwConfig HwConfig::XeonE5_2630v2() { return HwConfig{}; }
 
 HwConfig HwConfig::ScaledXeon(uint64_t divisor) {
@@ -212,9 +198,10 @@ void Pmu::OnPredicateBranches(size_t site, const uint8_t* pass_flags,
 
 void Pmu::OnSequentialLoads(const void* base, uint32_t width,
                             uint64_t count) {
-  if (count == 0) return;
-  NIPO_DCHECK(width > 0);
   const uint64_t addr = reinterpret_cast<uint64_t>(base);
+  NIPO_DCHECK(width > 0);
+  NIPO_CHECK(line_size_ % width == 0 && addr % width == 0);
+  if (count == 0) return;
   if (reporting_mode_ == ReportingMode::kScalar) {
     for (uint64_t i = 0; i < count; ++i) {
       OnLoadAddr(addr + i * width, width);
@@ -222,53 +209,27 @@ void Pmu::OnSequentialLoads(const void* base, uint32_t width,
     return;
   }
   counters_.instructions += count;
-  if (line_size_ % width == 0 && addr % width == 0) {
-    // Aligned elements never straddle lines: the run touches each line in
-    // [first, last] in a contiguous burst. The first touch of a line runs
-    // the hierarchy; every further touch of the same line is the certain
-    // L1 hit a scalar replay would produce (nothing intervenes between
-    // the touches), so it is booked arithmetically.
-    const uint64_t first = LineOf(addr);
-    const uint64_t last = LineOf(addr + count * width - 1);
-    for (uint64_t l = first; l <= last; ++l) {
-      ++loads_served_[static_cast<int>(caches_.AccessLine(l))];
-    }
-    const uint64_t coalesced = count - (last - first + 1);
-    loads_served_[static_cast<int>(MemoryLevel::kL1)] += coalesced;
-    caches_.CountCoalescedL1Hits(coalesced);
-    return;
+  // Aligned elements never straddle lines: the run touches each line in
+  // [first, last] in a contiguous burst. The first touch of a line runs
+  // the hierarchy; every further touch of the same line is the certain
+  // L1 hit a scalar replay would produce (nothing intervenes between the
+  // touches), so it is booked arithmetically.
+  const uint64_t first = LineOf(addr);
+  const uint64_t last = LineOf(addr + count * width - 1);
+  for (uint64_t l = first; l <= last; ++l) {
+    ++loads_served_[static_cast<int>(caches_.AccessLine(l))];
   }
-  // Unaligned / line-straddling elements (e.g. 24-byte hash-table slots):
-  // walk the touched lines per element, still skipping the hierarchy for
-  // immediate same-line repeats. Matching the scalar path, only an
-  // element's *first* line prices its load; continuation lines of a
-  // straddling element update cache statistics but cost no load cycles
-  // (CacheHierarchy::Access returns the first line's serving level).
-  uint64_t prev_line = ~uint64_t{0};
-  uint64_t coalesced = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t a = addr + i * width;
-    const uint64_t first = LineOf(a);
-    const uint64_t last = LineOf(a + width - 1);
-    if (first == prev_line) {
-      ++coalesced;
-      ++loads_served_[static_cast<int>(MemoryLevel::kL1)];
-    } else {
-      ++loads_served_[static_cast<int>(caches_.AccessLine(first))];
-    }
-    for (uint64_t l = first + 1; l <= last; ++l) {
-      caches_.AccessLine(l);
-    }
-    prev_line = last;
-  }
+  const uint64_t coalesced = count - (last - first + 1);
+  loads_served_[static_cast<int>(MemoryLevel::kL1)] += coalesced;
   caches_.CountCoalescedL1Hits(coalesced);
 }
 
 void Pmu::OnGatherLoads(const void* base, uint32_t width,
                         const uint32_t* indices, size_t count) {
-  if (count == 0) return;
-  NIPO_DCHECK(width > 0);
   const uint64_t addr = reinterpret_cast<uint64_t>(base);
+  NIPO_DCHECK(width > 0);
+  NIPO_CHECK(line_size_ % width == 0 && addr % width == 0);
+  if (count == 0) return;
   if (reporting_mode_ == ReportingMode::kScalar) {
     for (size_t i = 0; i < count; ++i) {
       OnLoadAddr(addr + static_cast<uint64_t>(indices[i]) * width, width);
@@ -276,42 +237,20 @@ void Pmu::OnGatherLoads(const void* base, uint32_t width,
     return;
   }
   counters_.instructions += count;
-  // Width-dividing-line gathers (every column type) cannot straddle, so
-  // the inner loop reduces to one line check per element.
-  if (line_size_ % width == 0 && addr % width == 0) {
-    uint64_t prev_line = ~uint64_t{0};
-    uint64_t coalesced = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const uint64_t l =
-          LineOf(addr + static_cast<uint64_t>(indices[i]) * width);
-      if (l == prev_line) {
-        ++coalesced;
-      } else {
-        ++loads_served_[static_cast<int>(caches_.AccessLine(l))];
-        prev_line = l;
-      }
-    }
-    loads_served_[static_cast<int>(MemoryLevel::kL1)] += coalesced;
-    caches_.CountCoalescedL1Hits(coalesced);
-    return;
-  }
+  // Aligned elements cannot straddle, so each element is one line check.
   uint64_t prev_line = ~uint64_t{0};
   uint64_t coalesced = 0;
   for (size_t i = 0; i < count; ++i) {
-    const uint64_t a = addr + static_cast<uint64_t>(indices[i]) * width;
-    const uint64_t first = LineOf(a);
-    const uint64_t last = LineOf(a + width - 1);
-    if (first == prev_line) {
+    const uint64_t l =
+        LineOf(addr + static_cast<uint64_t>(indices[i]) * width);
+    if (l == prev_line) {
       ++coalesced;
-      ++loads_served_[static_cast<int>(MemoryLevel::kL1)];
     } else {
-      ++loads_served_[static_cast<int>(caches_.AccessLine(first))];
+      ++loads_served_[static_cast<int>(caches_.AccessLine(l))];
+      prev_line = l;
     }
-    for (uint64_t l = first + 1; l <= last; ++l) {
-      caches_.AccessLine(l);
-    }
-    prev_line = last;
   }
+  loads_served_[static_cast<int>(MemoryLevel::kL1)] += coalesced;
   caches_.CountCoalescedL1Hits(coalesced);
 }
 

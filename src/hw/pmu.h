@@ -74,9 +74,6 @@ struct CycleModel {
   double l3_hit_cycles = 30.0;
   double memory_cycles = 90.0;  ///< effective (bandwidth-amortized) miss cost
   double frequency_ghz = 2.6;   ///< Xeon E5-2630 v2
-
-  /// Cycle cost of a load served at `level`.
-  double LoadCycles(MemoryLevel level) const;
 };
 
 /// \brief Full description of the simulated machine.
@@ -184,9 +181,6 @@ class Pmu {
 
   /// Reports a demand load of `width` bytes at `addr`; runs the cache
   /// hierarchy and charges cycles for the serving level.
-  MemoryLevel OnLoad(const void* addr, uint32_t width) {
-    return OnLoadAddr(reinterpret_cast<uint64_t>(addr), width);
-  }
   MemoryLevel OnLoadAddr(uint64_t addr, uint32_t width) {
     ++counters_.instructions;
     const MemoryLevel level = caches_.Access(addr, width);
@@ -199,13 +193,18 @@ class Pmu {
   /// loop produces. The batched mode touches the hierarchy once per
   /// distinct cache line and books the remaining same-line touches as
   /// the L1 hits a scalar replay would certainly produce.
+  ///
+  /// Precondition of both bulk forms, in both reporting modes (checked):
+  /// `width` divides the line size and `base` is `width`-aligned, so no
+  /// element straddles a line. Every column width (1, 2, 4, 8 bytes)
+  /// meets it.
   void OnSequentialLoads(const void* base, uint32_t width, uint64_t count);
 
   /// Reports `count` loads of `width`-byte elements at rows
   /// `indices[0..count)` of the array starting at `base` (a gather over a
   /// selection vector or probe-key list). Consecutive touches of the same
   /// line — adjacent surviving rows, clustered keys — coalesce exactly
-  /// like the sequential form.
+  /// like the sequential form. Same precondition as OnSequentialLoads.
   void OnGatherLoads(const void* base, uint32_t width,
                      const uint32_t* indices, size_t count);
 

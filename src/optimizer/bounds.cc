@@ -5,8 +5,8 @@
 
 /// \file bounds.cc
 /// Derivation of the per-position access-count bounds (Equations 6-9)
-/// from a counter sample, and clamping of candidate points into the
-/// resulting feasible box.
+/// from a counter sample, and the access-count to selectivity
+/// conversion.
 
 namespace nipo {
 
@@ -16,13 +16,6 @@ bool SearchBounds::Feasible() const {
     if (lower[i] > upper[i] + 1e-9) return false;
   }
   return true;
-}
-
-void SearchBounds::Clamp(std::vector<double>* accesses) const {
-  const size_t n = std::min(accesses->size(), lower.size());
-  for (size_t i = 0; i < n; ++i) {
-    (*accesses)[i] = std::clamp((*accesses)[i], lower[i], upper[i]);
-  }
 }
 
 namespace {
@@ -136,17 +129,6 @@ void AccessesToSelectivities(double tupsin, const std::vector<double>& acc,
     }
     prev = acc[i];
   }
-}
-
-std::vector<double> SelectivitiesToAccesses(
-    double tupsin, const std::vector<double>& selectivities) {
-  std::vector<double> acc(selectivities.size());
-  double running = tupsin;
-  for (size_t i = 0; i < selectivities.size(); ++i) {
-    running *= std::clamp(selectivities[i], 0.0, 1.0);
-    acc[i] = running;
-  }
-  return acc;
 }
 
 }  // namespace nipo

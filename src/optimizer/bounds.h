@@ -43,9 +43,6 @@ struct SearchBounds {
 
   /// True iff every interval is non-empty (lower <= upper).
   bool Feasible() const;
-
-  /// Clamps `accesses` into the bounds, in place.
-  void Clamp(std::vector<double>* accesses) const;
 };
 
 /// \brief Equations 6-7: bounds from input/output cardinalities alone.
@@ -79,9 +76,5 @@ std::vector<double> AccessesToSelectivities(double tupsin,
 /// once `out` has the capacity.
 void AccessesToSelectivities(double tupsin, const std::vector<double>& acc,
                              std::vector<double>* out);
-
-/// \brief Converts per-predicate selectivities to access counts.
-std::vector<double> SelectivitiesToAccesses(
-    double tupsin, const std::vector<double>& selectivities);
 
 }  // namespace nipo

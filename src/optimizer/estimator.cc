@@ -19,6 +19,11 @@ namespace {
 /// Weight of the monotonicity-violation penalty in the objective.
 constexpr double kMonotonicityPenalty = 100.0;
 
+/// One counter's term of the Equation 10 objective: |sampled - predicted|
+/// / max(sampled, 1). The paper prints a sum of signed differences, which
+/// cannot serve as a minimization objective; the absolute/relative form
+/// is the evident intent (differences of zero in every counter minimize
+/// it).
 double RelativeTerm(double sampled, double predicted) {
   return std::abs(sampled - predicted) / std::max(std::abs(sampled), 1.0);
 }
@@ -31,8 +36,7 @@ double EstimationObjective(const ScanShape& shape,
                            CounterSet counter_set) {
   NIPO_CHECK(selectivities.size() == shape.predicate_widths.size());
   const BranchEstimate predicted =
-      EstimateScanBranches(shape.predictor, shape.num_tuples, selectivities,
-                           shape.include_loop_branch);
+      EstimateScanBranches(shape.predictor, shape.num_tuples, selectivities);
   // Branches-not-taken is the one *exact* counter (paper Section 4.1:
   // "independent of runtime or CPU characteristics and thus exact"), so
   // it carries extra weight against the statistical misprediction and

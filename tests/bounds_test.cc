@@ -108,24 +108,11 @@ TEST(BoundsTest, RestrictSearchSpaceTightensTupleBounds) {
   EXPECT_LT(restricted_volume, tuple_volume * 0.2);
 }
 
-TEST(BoundsTest, ClampProjectsIntoBox) {
-  SearchBounds b{{10, 10}, {50, 20}};
-  std::vector<double> x{5, 100};
-  b.Clamp(&x);
-  EXPECT_DOUBLE_EQ(x[0], 10.0);
-  EXPECT_DOUBLE_EQ(x[1], 20.0);
-}
-
-TEST(BoundsTest, AccessSelectivityRoundTrip) {
-  const std::vector<double> sel{0.8, 0.5, 0.25};
-  const auto acc = SelectivitiesToAccesses(1000.0, sel);
-  EXPECT_DOUBLE_EQ(acc[0], 800.0);
-  EXPECT_DOUBLE_EQ(acc[1], 400.0);
-  EXPECT_DOUBLE_EQ(acc[2], 100.0);
-  const auto back = AccessesToSelectivities(1000.0, acc);
-  for (size_t i = 0; i < sel.size(); ++i) {
-    EXPECT_NEAR(back[i], sel[i], 1e-12);
-  }
+TEST(BoundsTest, AccessesToSelectivitiesDividesByPredecessor) {
+  const auto sel = AccessesToSelectivities(1000.0, {800.0, 400.0, 100.0});
+  EXPECT_NEAR(sel[0], 0.8, 1e-12);
+  EXPECT_NEAR(sel[1], 0.5, 1e-12);
+  EXPECT_NEAR(sel[2], 0.25, 1e-12);
 }
 
 TEST(BoundsTest, AccessesToSelectivitiesHandlesZeroPredecessor) {

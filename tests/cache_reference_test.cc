@@ -378,7 +378,7 @@ const void* FixedAddress(uint64_t addr) {
 /// Q6-shaped load streams at fabricated column addresses (nothing is
 /// dereferenced): a sequential int32 date scan per vector, gathers of
 /// three double columns over a shrinking selection vector, and a
-/// 24-byte-slot probe gather whose elements straddle lines.
+/// random-row 8-byte probe gather into a dimension column.
 TEST_P(SimdLevelTest, PmuCountersMatchAtFixedAddresses) {
   for (const uint64_t divisor : {16ull, 128ull}) {
     for (const ReportingMode mode :
@@ -393,7 +393,7 @@ TEST_P(SimdLevelTest, PmuCountersMatchAtFixedAddresses) {
       const uint64_t column_base[3] = {0x7f20'0000'0040ull,
                                        0x7f30'0000'1000ull,
                                        0x7f40'0000'0008ull};
-      const uint64_t slot_base = 0x7f50'0000'0010ull;
+      const uint64_t probe_base = 0x7f50'0000'0010ull;
       std::vector<uint32_t> sel;
       for (uint64_t v = 0; v < 24; ++v) {
         const uint64_t dates = date_base + v * kRows * 4;
@@ -415,14 +415,14 @@ TEST_P(SimdLevelTest, PmuCountersMatchAtFixedAddresses) {
                                    }),
                     sel.end());
         }
-        std::vector<uint32_t> slots(sel.size());
-        for (uint32_t& s : slots) {
-          s = static_cast<uint32_t>(prng.NextBounded(1 << 16));
+        std::vector<uint32_t> rows(sel.size());
+        for (uint32_t& r : rows) {
+          r = static_cast<uint32_t>(prng.NextBounded(1 << 16));
         }
-        pmu.OnGatherLoads(FixedAddress(slot_base), 24, slots.data(),
-                          slots.size());
-        for (const uint32_t s : slots) {
-          ref.Load(slot_base + uint64_t{s} * 24, 24);
+        pmu.OnGatherLoads(FixedAddress(probe_base), 8, rows.data(),
+                          rows.size());
+        for (const uint32_t r : rows) {
+          ref.Load(probe_base + uint64_t{r} * 8, 8);
         }
         ASSERT_EQ(pmu.Read(), ref.Counters())
             << "divisor=" << divisor << " vector=" << v << "\npmu: "

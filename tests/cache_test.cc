@@ -211,10 +211,5 @@ TEST(CacheStatsTest, SubtractionWindows) {
   EXPECT_EQ(delta.l3_misses, 1u);
 }
 
-TEST(MemoryLevelTest, Names) {
-  EXPECT_EQ(MemoryLevelToString(MemoryLevel::kL1), "L1");
-  EXPECT_EQ(MemoryLevelToString(MemoryLevel::kMemory), "memory");
-}
-
 }  // namespace
 }  // namespace nipo

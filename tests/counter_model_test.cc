@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "optimizer/estimator.h"
+
 namespace nipo {
 namespace {
 
@@ -74,19 +76,24 @@ TEST(CounterModelTest, PayloadContributesToL3Only) {
   EXPECT_LT(a.l3_accesses, b.l3_accesses);
 }
 
+// The distance tests run the estimator's Equation 10 objective, the one
+// consumer of these predictions.
+double Distance(const ScanShape& shape, const CounterEstimate& sampled,
+                const std::vector<double>& candidate) {
+  return EstimationObjective(shape, sampled, candidate, CounterSet::kAll);
+}
+
 TEST(CounterModelTest, DistanceZeroForIdenticalVectors) {
   const ScanShape shape = MakeShape(1e6, 3);
   const CounterEstimate e = PredictCounters(shape, {0.9, 0.5, 0.1});
-  EXPECT_DOUBLE_EQ(CounterDistance(e, e), 0.0);
+  EXPECT_DOUBLE_EQ(Distance(shape, e, {0.9, 0.5, 0.1}), 0.0);
 }
 
 TEST(CounterModelTest, DistanceGrowsWithSelectivityGap) {
   const ScanShape shape = MakeShape(1e6, 2);
   const CounterEstimate sampled = PredictCounters(shape, {0.5, 0.5});
-  const double near_d =
-      CounterDistance(sampled, PredictCounters(shape, {0.52, 0.5}));
-  const double far_d =
-      CounterDistance(sampled, PredictCounters(shape, {0.9, 0.5}));
+  const double near_d = Distance(shape, sampled, {0.52, 0.5});
+  const double far_d = Distance(shape, sampled, {0.9, 0.5});
   EXPECT_LT(near_d, far_d);
   EXPECT_GT(near_d, 0.0);
 }
@@ -95,10 +102,10 @@ TEST(CounterModelTest, DistanceIsSymmetricEnough) {
   const ScanShape shape = MakeShape(1e5, 2);
   const CounterEstimate a = PredictCounters(shape, {0.3, 0.6});
   const CounterEstimate b = PredictCounters(shape, {0.6, 0.3});
-  // Not exactly symmetric (normalization is by the first argument), but
+  // Not exactly symmetric (normalization is by the sampled side), but
   // both directions must be strictly positive.
-  EXPECT_GT(CounterDistance(a, b), 0.0);
-  EXPECT_GT(CounterDistance(b, a), 0.0);
+  EXPECT_GT(Distance(shape, a, {0.6, 0.3}), 0.0);
+  EXPECT_GT(Distance(shape, b, {0.3, 0.6}), 0.0);
 }
 
 class CounterModelSweep
@@ -112,12 +119,10 @@ TEST_P(CounterModelSweep, SelfDistanceIsGlobalMinimumOnGrid) {
   const double s2 = std::get<1>(GetParam());
   const ScanShape shape = MakeShape(1e6, 2);
   const CounterEstimate sampled = PredictCounters(shape, {s1, s2});
-  const double at_truth =
-      CounterDistance(sampled, PredictCounters(shape, {s1, s2}));
+  const double at_truth = Distance(shape, sampled, {s1, s2});
   for (double c1 : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     for (double c2 : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-      const double d =
-          CounterDistance(sampled, PredictCounters(shape, {c1, c2}));
+      const double d = Distance(shape, sampled, {c1, c2});
       EXPECT_GE(d + 1e-12, at_truth)
           << "truth=(" << s1 << "," << s2 << ") cand=(" << c1 << "," << c2
           << ")";

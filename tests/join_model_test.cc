@@ -73,38 +73,13 @@ TEST(JoinModelTest, MissesNeverExceedProbesInThrashRegime) {
   EXPECT_GT(misses, 0.97e5);  // nearly every probe misses
 }
 
-TEST(JoinModelTest, SequentialMissesOnePerLine) {
-  JoinRelationSpec rel{16'000.0, 4.0};
-  EXPECT_NEAR(ExpectedSequentialMisses(rel, kL3), 1000.0, 1e-9);
-}
-
 TEST(JoinModelTest, SequentialFarCheaperThanRandomWhenThrashing) {
   JoinRelationSpec rel{4'194'304.0, 4.0};  // 16 MiB
   const double probes = 4'194'304.0;       // one probe per tuple
   const double random = ExpectedRandomMisses(rel, kL3, probes);
-  const double sequential = ExpectedSequentialMisses(rel, kL3);
+  // A sequential pass misses once per line.
+  const double sequential = rel.num_tuples * rel.tuple_width / kL3.line_size;
   EXPECT_GT(random / sequential, 10.0);
-}
-
-TEST(JoinModelTest, CoClusterednessScore) {
-  JoinRelationSpec rel{2'097'152.0, 4.0};
-  const double probes = 1e6;
-  const double predicted = ExpectedRandomMisses(rel, kL3, probes);
-  // Sampled like random: score ~ 1.
-  EXPECT_NEAR(CoClusterednessScore(rel, kL3, probes, predicted), 1.0, 1e-9);
-  // Sampled like sequential: well below the 0.5 co-cluster threshold
-  // (ratio = lines / thrash-misses ~ 0.15 at these parameters).
-  EXPECT_LT(CoClusterednessScore(rel, kL3, probes,
-                                 ExpectedSequentialMisses(rel, kL3)),
-            0.2);
-  // Clamped at 10 for pathological samples.
-  EXPECT_DOUBLE_EQ(CoClusterednessScore(rel, kL3, probes, predicted * 100),
-                   10.0);
-}
-
-TEST(JoinModelTest, ZeroProbesScoreZero) {
-  JoinRelationSpec rel{1000.0, 4.0};
-  EXPECT_DOUBLE_EQ(CoClusterednessScore(rel, kL3, 0.0, 0.0), 0.0);
 }
 
 }  // namespace

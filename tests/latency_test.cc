@@ -12,8 +12,8 @@
 // "Open-loop service mode"):
 //  - nearest-rank percentiles match an independent sort-based reference
 //    on randomized inputs, for randomized p;
-//  - merging accumulators is bit-identical to one accumulator over the
-//    concatenated sample stream, in any merge order and split;
+//  - every statistic is bit-identical under any insertion order, with
+//    reads interleaved between the adds;
 //  - empty / single-sample edge cases.
 
 namespace nipo {
@@ -70,34 +70,27 @@ TEST(LatencyDistributionTest, PercentilesMatchSortBasedReference) {
   }
 }
 
-TEST(LatencyDistributionTest, MergeEqualsConcatenation) {
+TEST(LatencyDistributionTest, StatisticsIndependentOfInsertionOrder) {
   Prng prng(11);
   for (int round = 0; round < 20; ++round) {
     const size_t n = 1 + prng.NextBounded(300);
     const std::vector<double> samples = RandomSamples(&prng, n);
+
+    LatencyDistribution forward;
+    for (const double s : samples) forward.Add(s);
+    LatencyDistribution backward;
+    for (size_t i = n; i > 0; --i) backward.Add(samples[i - 1]);
+    // Interleaving reads (forcing sorts) with adds must not change
+    // anything either.
+    LatencyDistribution interleaved;
     const size_t split = prng.NextBounded(n + 1);
-
-    LatencyDistribution whole;
-    for (const double s : samples) whole.Add(s);
-
-    LatencyDistribution left;
-    LatencyDistribution right;
     for (size_t i = 0; i < n; ++i) {
-      (i < split ? left : right).Add(samples[i]);
+      if (i == split) (void)interleaved.Summary();
+      interleaved.Add(samples[i]);
     }
-    LatencyDistribution merged_lr = left;
-    merged_lr.Merge(right);
-    LatencyDistribution merged_rl = right;
-    merged_rl.Merge(left);  // merge order must not matter either
 
-    EXPECT_EQ(merged_lr.Summary(), whole.Summary()) << "round " << round;
-    EXPECT_EQ(merged_rl.Summary(), whole.Summary()) << "round " << round;
-    // Interleaving reads (forcing sorts) with merges must not change
-    // anything.
-    LatencyDistribution interleaved = left;
-    (void)interleaved.Summary();
-    interleaved.Merge(right);
-    EXPECT_EQ(interleaved.Summary(), whole.Summary()) << "round " << round;
+    EXPECT_EQ(backward.Summary(), forward.Summary()) << "round " << round;
+    EXPECT_EQ(interleaved.Summary(), forward.Summary()) << "round " << round;
   }
 }
 
@@ -112,14 +105,6 @@ TEST(LatencyDistributionTest, EmptyAccumulator) {
   const LatencySummary s = dist.Summary();
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.p99_msec, 0.0);
-  // Merging an empty accumulator is the identity.
-  LatencyDistribution other;
-  other.Add(3.5);
-  LatencyDistribution merged = other;
-  merged.Merge(dist);
-  EXPECT_EQ(merged.Summary(), other.Summary());
-  dist.Merge(other);
-  EXPECT_EQ(dist.Summary(), other.Summary());
 }
 
 TEST(LatencyDistributionTest, SingleSample) {

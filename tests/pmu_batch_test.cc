@@ -3,16 +3,15 @@
 /// "Batched simulation"): for every run-reporting API and for whole
 /// executors, the kScalar and kBatched modes of otherwise identical
 /// machines must produce bit-identical PmuCounters. Also covers the
-/// closed-form BranchPredictor::ObserveRun, the power-of-two set-count
-/// normalization, the MRU lookup fast path, and HashTableStats windows.
+/// closed-form BranchPredictor::ObserveRun, the bulk-load alignment
+/// precondition, the power-of-two set-count normalization, and exact
+/// per-level hit counts.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/prng.h"
-#include "exec/hash_aggregate.h"
-#include "exec/hash_table.h"
 #include "hw/pmu.h"
 
 namespace nipo {
@@ -183,10 +182,9 @@ TEST(PmuBatchTest, BranchRunsIdenticalAcrossModes) {
 }
 
 TEST(PmuBatchTest, SequentialLoadsIdenticalAcrossModes) {
-  // Aligned 4- and 8-byte elements (the column fast path) and 24-byte
-  // line-straddling elements (the hash-slot path), cold and warm.
+  // Aligned 4- and 8-byte elements (the column widths), cold and warm.
   std::vector<int64_t> data(1 << 16);
-  for (const uint32_t width : {4u, 8u, 24u}) {
+  for (const uint32_t width : {4u, 8u}) {
     ModePair m;
     for (int pass = 0; pass < 2; ++pass) {
       m.scalar.OnSequentialLoads(data.data(), width,
@@ -198,13 +196,20 @@ TEST(PmuBatchTest, SequentialLoadsIdenticalAcrossModes) {
   }
 }
 
-TEST(PmuBatchTest, UnalignedBaseSequentialLoadsIdenticalAcrossModes) {
+TEST(PmuBatchDeathTest, LineStraddlingLoadsRejectedInBothModes) {
+  // The bulk forms book only elements that cannot straddle a line: a
+  // width that does not divide the line size, or a base not aligned to
+  // the width, aborts in either reporting mode.
   std::vector<int64_t> data(1 << 12);
+  const uint8_t* base = reinterpret_cast<const uint8_t*>(data.data());
+  const uint32_t rows[] = {0, 1, 2};
   ModePair m;
-  const uint8_t* base = reinterpret_cast<const uint8_t*>(data.data()) + 2;
-  m.scalar.OnSequentialLoads(base, 4, 2'000);
-  m.batched.OnSequentialLoads(base, 4, 2'000);
-  m.ExpectIdentical("unaligned-base sequential loads");
+  for (Pmu* pmu : {&m.scalar, &m.batched}) {
+    EXPECT_DEATH(pmu->OnSequentialLoads(base + 2, 4, 2'000), "NIPO_CHECK");
+    EXPECT_DEATH(pmu->OnSequentialLoads(base, 24, 100), "NIPO_CHECK");
+    EXPECT_DEATH(pmu->OnGatherLoads(base + 2, 4, rows, 3), "NIPO_CHECK");
+    EXPECT_DEATH(pmu->OnGatherLoads(base, 24, rows, 3), "NIPO_CHECK");
+  }
 }
 
 TEST(PmuBatchTest, GatherLoadsIdenticalAcrossModes) {
@@ -244,7 +249,7 @@ TEST(PmuBatchTest, InterleavedTrafficIdenticalAcrossModes) {
     const uint64_t stray = prng.NextBounded(b.size());
     for (Pmu* pmu : {&m.scalar, &m.batched}) {
       pmu->OnSequentialLoads(a.data() + offset, 4, n);
-      pmu->OnLoad(b.data() + stray, 4);
+      pmu->OnLoadAddr(reinterpret_cast<uint64_t>(b.data() + stray), 4);
       pmu->OnBranchRun(i % 2, i % 3 == 0, 1 + i % 5);
       pmu->OnInstructions(3);
     }
@@ -262,113 +267,6 @@ TEST(PmuBatchTest, CounterWindowsIdenticalAcrossModes) {
   }
   m.ExpectIdentical("post-reset warm window");
   EXPECT_EQ(m.scalar.Read().l1_accesses, 10'000u);
-}
-
-TEST(PmuBatchTest, HashTableSlotRunsIdenticalAcrossModes) {
-  // Probe-chain-shaped traffic over a shared buffer: short sequential
-  // runs of 24-byte line-straddling elements at random offsets — exactly
-  // what ReportChain emits — must coalesce without counter drift.
-  struct FakeSlot {
-    int64_t key, value;
-    bool occupied;
-  };
-  static_assert(sizeof(FakeSlot) == 24);
-  std::vector<FakeSlot> slots(4'096);
-  ModePair m;
-  Prng prng(5);
-  for (int i = 0; i < 20'000; ++i) {
-    const size_t index = prng.NextBounded(slots.size());
-    const size_t length =
-        std::min(1 + prng.NextBounded(6), slots.size() - index);
-    m.scalar.OnSequentialLoads(&slots[index], sizeof(FakeSlot), length);
-    m.batched.OnSequentialLoads(&slots[index], sizeof(FakeSlot), length);
-  }
-  m.ExpectIdentical("hash-slot chain runs");
-}
-
-TEST(PmuBatchTest, HashTableTrafficIdenticalAcrossModes) {
-  // The simulated cache hashes real addresses, so the two tables must
-  // occupy the same memory for their counter streams to be comparable:
-  // run them scoped and sequentially (the allocator reuses the freed
-  // block) and skip — rather than fail spuriously — if it does not.
-  Prng op_prng(5);
-  struct Op {
-    int kind;
-    int64_t key;
-  };
-  std::vector<Op> ops(3'000);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    ops[i] = {static_cast<int>(op_prng.NextBounded(3)),
-              static_cast<int64_t>(op_prng.NextBounded(4'000))};
-  }
-  ModePair m;
-  auto run = [&ops](Pmu* pmu, const void** base) {
-    InstrumentedHashTable table(2'000, pmu);
-    *base = table.slots_base();
-    int64_t i = 0, v = 0;
-    for (const Op& op : ops) {
-      switch (op.kind) {
-        case 0:
-          (void)table.Insert(op.key, i++);
-          break;
-        case 1:
-          (void)table.Lookup(op.key, &v);
-          break;
-        default:
-          (void)table.Accumulate(op.key, 1);
-      }
-    }
-    return table.stats();
-  };
-  const void* scalar_base = nullptr;
-  const void* batched_base = nullptr;
-  const HashTableStats scalar_stats = run(&m.scalar, &scalar_base);
-  const HashTableStats batched_stats = run(&m.batched, &batched_base);
-  EXPECT_EQ(scalar_stats.slot_touches, batched_stats.slot_touches);
-  EXPECT_EQ(scalar_stats.operations, batched_stats.operations);
-  if (scalar_base != batched_base) {
-    GTEST_SKIP() << "allocator did not reuse the slot array address; "
-                    "cache counters are not comparable in this run";
-  }
-  m.ExpectIdentical("hash table probe chains");
-}
-
-TEST(PmuBatchTest, HashAggregateIdenticalAcrossModes) {
-  Table t("t");
-  Prng prng(17);
-  std::vector<int32_t> g(30'000), f(30'000), v(30'000);
-  for (size_t i = 0; i < g.size(); ++i) {
-    g[i] = static_cast<int32_t>(prng.NextBounded(24));
-    f[i] = static_cast<int32_t>(prng.NextBounded(100));
-    v[i] = static_cast<int32_t>(prng.NextBounded(1'000));
-  }
-  ASSERT_TRUE(t.AddColumn("g", std::move(g)).ok());
-  ASSERT_TRUE(t.AddColumn("f", std::move(f)).ok());
-  ASSERT_TRUE(t.AddColumn("v", std::move(v)).ok());
-  HashAggregateSpec spec;
-  spec.table = &t;
-  spec.group_column = "g";
-  spec.filters = {{"f", CompareOp::kLt, 60.0}};
-  spec.aggregates = {{"v"}};
-
-  ModePair m;
-  auto scalar_result = ExecuteHashAggregate(spec, &m.scalar);
-  auto batched_result = ExecuteHashAggregate(spec, &m.batched);
-  ASSERT_TRUE(scalar_result.ok() && batched_result.ok());
-  ASSERT_EQ(scalar_result.ValueOrDie().groups.size(),
-            batched_result.ValueOrDie().groups.size());
-  for (size_t i = 0; i < scalar_result.ValueOrDie().groups.size(); ++i) {
-    EXPECT_EQ(scalar_result.ValueOrDie().groups[i].count,
-              batched_result.ValueOrDie().groups[i].count);
-    EXPECT_EQ(scalar_result.ValueOrDie().groups[i].sums,
-              batched_result.ValueOrDie().groups[i].sums);
-  }
-  if (scalar_result.ValueOrDie().table_base !=
-      batched_result.ValueOrDie().table_base) {
-    GTEST_SKIP() << "allocator did not reuse the group table address; "
-                    "cache counters are not comparable in this run";
-  }
-  m.ExpectIdentical("hash aggregate");
 }
 
 TEST(CacheNormalizationTest, NonPowerOfTwoSetCountKeepsCapacity) {
@@ -421,26 +319,6 @@ TEST(CacheHitCountTest, RepeatedAccessesCountHitsExactly) {
   EXPECT_EQ(level.accesses(), 14u);
   EXPECT_FALSE(level.AccessFill(1'000'000));
   EXPECT_EQ(level.misses(), 3u);
-}
-
-TEST(HashTableStatsTest, WindowsSubtractLikePmuCounters) {
-  Pmu pmu;
-  InstrumentedHashTable table(1'000, &pmu);
-  for (int k = 0; k < 500; ++k) {
-    ASSERT_TRUE(table.Insert(k * 31, k).ok());
-  }
-  const HashTableStats build = table.stats();
-  EXPECT_EQ(build.operations, 500u);
-  EXPECT_GE(build.slot_touches, 500u);
-  int64_t v = 0;
-  for (int k = 0; k < 200; ++k) {
-    (void)table.Lookup(k * 31, &v);
-  }
-  const HashTableStats probe_window = table.stats() - build;
-  EXPECT_EQ(probe_window.operations, 200u);
-  EXPECT_GE(probe_window.average_probe_length(), 1.0);
-  // The lifetime average still covers everything.
-  EXPECT_EQ(table.stats().operations, 700u);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace nipo {
 namespace {
 
@@ -32,10 +30,9 @@ TEST(HwConfigTest, ScaledXeonFloorsAtOneWayGroup) {
 
 TEST(CycleModelTest, LoadCostsOrdered) {
   CycleModel m;
-  EXPECT_LT(m.LoadCycles(MemoryLevel::kL1), m.LoadCycles(MemoryLevel::kL2));
-  EXPECT_LT(m.LoadCycles(MemoryLevel::kL2), m.LoadCycles(MemoryLevel::kL3));
-  EXPECT_LT(m.LoadCycles(MemoryLevel::kL3),
-            m.LoadCycles(MemoryLevel::kMemory));
+  EXPECT_LT(m.l1_hit_cycles, m.l2_hit_cycles);
+  EXPECT_LT(m.l2_hit_cycles, m.l3_hit_cycles);
+  EXPECT_LT(m.l3_hit_cycles, m.memory_cycles);
 }
 
 TEST(PmuTest, CountsInstructions) {
@@ -75,9 +72,8 @@ TEST(PmuTest, MispredictionChargesPenalty) {
 
 TEST(PmuTest, LoadsRunThroughCaches) {
   Pmu pmu;
-  std::vector<int32_t> data(1024, 0);
-  EXPECT_EQ(pmu.OnLoad(data.data(), 4), MemoryLevel::kMemory);
-  EXPECT_EQ(pmu.OnLoad(data.data(), 4), MemoryLevel::kL1);
+  EXPECT_EQ(pmu.OnLoadAddr(0x1000, 4), MemoryLevel::kMemory);
+  EXPECT_EQ(pmu.OnLoadAddr(0x1000, 4), MemoryLevel::kL1);
   const PmuCounters c = pmu.Read();
   EXPECT_EQ(c.l1_accesses, 2u);
   EXPECT_EQ(c.l1_misses, 1u);
@@ -86,13 +82,12 @@ TEST(PmuTest, LoadsRunThroughCaches) {
 
 TEST(PmuTest, ResetCountersKeepsMachineState) {
   Pmu pmu;
-  std::vector<int32_t> data(16, 0);
-  pmu.OnLoad(data.data(), 4);
+  pmu.OnLoadAddr(0x1000, 4);
   pmu.ResetCounters();
   EXPECT_EQ(pmu.Read().l1_accesses, 0u);
   EXPECT_EQ(pmu.Read().cycles, 0u);
   // The line is still cached: the next access hits L1.
-  EXPECT_EQ(pmu.OnLoad(data.data(), 4), MemoryLevel::kL1);
+  EXPECT_EQ(pmu.OnLoadAddr(0x1000, 4), MemoryLevel::kL1);
   EXPECT_EQ(pmu.Read().l1_misses, 0u);
 }
 

@@ -1,13 +1,10 @@
 /// \file simd_kernels_test.cc
 /// Differential tests of the portable SIMD kernel layer (DESIGN.md
 /// Section 8): the AVX2 and branch-free scalar paths of CompareSelect
-/// and HashKeys must be bit-identical on every input — all comparators,
-/// all element types, dense and gathered access, special floating-point
-/// values, and full-range int64 (the exact-conversion sequence). Also
-/// covers the ForceLevel override and the hash table's batched probe
-/// paths: BatchLookup must book event-for-event like per-key Lookup, at
-/// either kernel level (simulated counters are kernel-independent by
-/// construction — docs/COUNTERS.md "Kernel-independent booking").
+/// must be bit-identical on every input — all comparators, all element
+/// types, dense and gathered access, special floating-point values, and
+/// full-range int64 (the exact-conversion sequence). Also covers the
+/// ForceLevel override.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +14,7 @@
 #include <vector>
 
 #include "common/prng.h"
-#include "exec/hash_table.h"
 #include "exec/simd.h"
-#include "hw/pmu.h"
 
 namespace nipo {
 namespace {
@@ -181,150 +176,6 @@ TEST(SimdCompareSelectTest, Int64FullRangeExactConversion) {
                             data.size());
     }
   }
-}
-
-TEST(SimdHashKeysTest, LevelsBitIdenticalAndMatchSplitMix64) {
-  if (!simd::Avx2Available()) GTEST_SKIP() << "host lacks AVX2";
-  Prng prng(17);
-  std::vector<int64_t> keys = {0, 1, -1, std::numeric_limits<int64_t>::max(),
-                               std::numeric_limits<int64_t>::min()};
-  for (int i = 0; i < 1000; ++i) {
-    keys.push_back(static_cast<int64_t>(prng.Next()));
-  }
-  std::vector<uint64_t> scalar(keys.size()), avx2(keys.size());
-  simd::HashKeys(simd::SimdLevel::kScalar, keys.data(), keys.size(),
-                 scalar.data());
-  simd::HashKeys(simd::SimdLevel::kAvx2, keys.data(), keys.size(),
-                 avx2.data());
-  EXPECT_EQ(scalar, avx2);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(scalar[i],
-              simd::SplitMix64(static_cast<uint64_t>(keys[i])))
-        << "key=" << keys[i];
-  }
-}
-
-/// Builds a table with `build` random keys and a probe stream mixing
-/// hits and misses.
-struct ProbeFixture {
-  explicit ProbeFixture(Pmu* pmu) : table(4'096, pmu) {
-    Prng prng(23);
-    for (size_t i = 0; i < 4'096; ++i) {
-      const Status st =
-          table.Insert(static_cast<int64_t>(prng.NextBounded(8'192)),
-                       static_cast<int64_t>(i));
-      NIPO_CHECK(st.ok() || st.code() == StatusCode::kAlreadyExists);
-    }
-    probe_keys.resize(10'000);
-    for (int64_t& k : probe_keys) {
-      k = static_cast<int64_t>(prng.NextBounded(16'384));
-    }
-  }
-  InstrumentedHashTable table;
-  std::vector<int64_t> probe_keys;
-};
-
-TEST(SimdBatchLookupTest, BooksIdenticallyToPerKeyLookups) {
-  // One table, one machine: a warm pass drives the caches to their
-  // steady state for this probe sequence, then each probe mode runs from
-  // that same state in its own counter window — the booked streams (and
-  // so the windows) must be bit-equal, per docs/COUNTERS.md.
-  Pmu pmu(HwConfig::ScaledXeon(32));
-  ProbeFixture f(&pmu);
-  const size_t n = f.probe_keys.size();
-  std::vector<int64_t> vals_a(n, -1), vals_b(n, -1);
-  std::vector<uint8_t> hits_a(n, 0xee), hits_b(n, 0xff);
-
-  auto per_key = [&] {
-    for (size_t i = 0; i < n; ++i) {
-      hits_a[i] = static_cast<uint8_t>(
-          f.table.Lookup(f.probe_keys[i], &vals_a[i]));
-      if (!hits_a[i]) vals_a[i] = -1;
-    }
-  };
-  per_key();  // warm pass: both measured windows start from this state
-
-  pmu.ResetCounters();
-  const HashTableStats stats_before_a = f.table.stats();
-  per_key();
-  const PmuCounters counters_a = pmu.Read();
-  const HashTableStats stats_a = f.table.stats() - stats_before_a;
-
-  pmu.ResetCounters();
-  const HashTableStats stats_before_b = f.table.stats();
-  f.table.BatchLookup(f.probe_keys.data(), n, vals_b.data(), hits_b.data());
-  const PmuCounters counters_b = pmu.Read();
-  const HashTableStats stats_b = f.table.stats() - stats_before_b;
-
-  EXPECT_EQ(hits_a, hits_b);
-  for (size_t i = 0; i < n; ++i) {
-    if (hits_a[i]) {
-      ASSERT_EQ(vals_a[i], vals_b[i]) << "i=" << i;
-    }
-  }
-  EXPECT_EQ(counters_a, counters_b)
-      << "per-key: " << counters_a.ToString()
-      << "\nbatched: " << counters_b.ToString();
-  EXPECT_EQ(stats_a.slot_touches, stats_b.slot_touches);
-  EXPECT_EQ(stats_a.operations, stats_b.operations);
-}
-
-TEST(SimdBatchLookupTest, CountersIndependentOfKernelLevel) {
-  // Simulated booking never happens inside the kernels, so forcing the
-  // scalar fallback must leave BatchLookup's counter window bit-equal to
-  // the best-level run (and the results too).
-  ForcedLevelGuard guard;
-  Pmu pmu(HwConfig::ScaledXeon(32));
-  ProbeFixture f(&pmu);
-  const size_t n = f.probe_keys.size();
-  std::vector<uint8_t> hits[2];
-  std::vector<int64_t> vals[2];
-  PmuCounters counters[2];
-  int which = 0;
-  for (const simd::SimdLevel level :
-       {simd::SimdLevel::kScalar, simd::SimdLevel::kAvx2}) {
-    simd::ForceLevel(level);
-    hits[which].assign(n, 0);
-    vals[which].assign(n, -1);
-    f.table.BatchLookup(f.probe_keys.data(), n, vals[which].data(),
-                        hits[which].data());  // warm pass
-    pmu.ResetCounters();
-    f.table.BatchLookup(f.probe_keys.data(), n, vals[which].data(),
-                        hits[which].data());
-    counters[which] = pmu.Read();
-    ++which;
-  }
-  EXPECT_EQ(hits[0], hits[1]);
-  EXPECT_EQ(vals[0], vals[1]);
-  EXPECT_EQ(counters[0], counters[1])
-      << "scalar: " << counters[0].ToString()
-      << "\nbest:   " << counters[1].ToString();
-}
-
-TEST(SimdProbeKernelTest, BatchedAndScalarPathsAgreeWithBatchLookup) {
-  Pmu pmu(HwConfig::ScaledXeon(32));
-  ProbeFixture f(&pmu);
-  const size_t n = f.probe_keys.size();
-  std::vector<uint8_t> hits_ref(n), hits_a(n), hits_b(n);
-  std::vector<int64_t> vals_ref(n, -1), vals_a(n, -1), vals_b(n, -1);
-  f.table.BatchLookup(f.probe_keys.data(), n, vals_ref.data(),
-                      hits_ref.data());
-  const size_t count_a = f.table.ProbeKernel(
-      f.probe_keys.data(), n, vals_a.data(), hits_a.data(), /*batched=*/false);
-  const size_t count_b = f.table.ProbeKernel(
-      f.probe_keys.data(), n, vals_b.data(), hits_b.data(), /*batched=*/true);
-  EXPECT_EQ(count_a, count_b);
-  EXPECT_EQ(hits_a, hits_ref);
-  EXPECT_EQ(hits_b, hits_ref);
-  size_t ref_count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    ref_count += hits_ref[i];
-    if (hits_ref[i]) {
-      ASSERT_EQ(vals_a[i], vals_ref[i]);
-      ASSERT_EQ(vals_b[i], vals_ref[i]);
-    }
-  }
-  EXPECT_EQ(count_a, ref_count);
 }
 
 }  // namespace

@@ -71,12 +71,6 @@ TEST(ResultTest, HoldsError) {
   Result<int> r = Status::NotFound("nothing here");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(r.ValueOr(-1), -1);
-}
-
-TEST(ResultTest, ValueOrReturnsValueWhenOk) {
-  Result<int> r = 7;
-  EXPECT_EQ(r.ValueOr(-1), 7);
 }
 
 TEST(ResultTest, ConstructingFromOkStatusDegradesToInternal) {

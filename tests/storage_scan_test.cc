@@ -9,16 +9,14 @@
 ///  2. Scans over encoded columns return exactly the plain-storage
 ///     results, with zone maps skipping whole blocks on selective
 ///     predicates over clustered data.
-///  3. FK probes, payload sums, the out-of-range FK latch and the Q1
-///     hash aggregate all work over encoded storage.
+///  3. FK probes, payload sums and the out-of-range FK latch all work
+///     over encoded storage.
 ///  4. A progressive run over encoded storage sees the zone-skip signal
 ///     (zone_skipped_tuples flows through its windows).
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "exec/hash_aggregate.h"
-#include "tpch/q1.h"
 #include "tpch/q6.h"
 #include "tpch/tpch_gen.h"
 
@@ -241,29 +239,6 @@ TEST(StorageScanTest, OutOfRangeFkLatchesOverEncodedStorage) {
     auto run = engine.Execute(query, {});
     ASSERT_FALSE(run.ok()) << "encode=" << encode;
     EXPECT_EQ(run.status().code(), StatusCode::kOutOfRange);
-  }
-}
-
-TEST(StorageScanTest, Q1HashAggregateOverEncodedStorage) {
-  Engine engine = MakeEngine(SmallTpch(), /*encoded=*/false);
-  Table* lineitem = engine.GetMutableTable("lineitem").ValueOrDie();
-  ASSERT_TRUE(AddQ1GroupColumn(lineitem).ok());
-  auto reference = ComputeQ1Reference(*lineitem, 90);
-  ASSERT_TRUE(reference.ok());
-
-  ASSERT_TRUE(engine.EncodeTable("lineitem").ok());
-  Pmu pmu(engine.hw_config());
-  auto result = ExecuteHashAggregate(MakeQ1Spec(*lineitem, 90), &pmu);
-  ASSERT_TRUE(result.ok());
-
-  const HashAggregateResult& ref = reference.ValueOrDie();
-  const HashAggregateResult& got = result.ValueOrDie();
-  EXPECT_EQ(got.passed_filter, ref.passed_filter);
-  ASSERT_EQ(got.groups.size(), ref.groups.size());
-  for (size_t g = 0; g < ref.groups.size(); ++g) {
-    EXPECT_EQ(got.groups[g].group, ref.groups[g].group);
-    EXPECT_EQ(got.groups[g].count, ref.groups[g].count);
-    EXPECT_EQ(got.groups[g].sums, ref.groups[g].sums);
   }
 }
 
