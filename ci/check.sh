@@ -99,9 +99,16 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
   echo "== perf smoke: service_faults =="
   "$BUILD_DIR"/bench/service_faults --quick \
       --json="$BUILD_DIR"/BENCH_service_faults.json
-  echo "== perf smoke: simd_kernels =="
-  "$BUILD_DIR"/bench/simd_kernels --quick \
-      --json="$BUILD_DIR"/BENCH_simd_kernels.json
+  # simd_kernels reads wall-clock kernel throughput, which is bimodal on
+  # small shared VMs (a low mode near half the anchor); three runs let the
+  # gate judge the per-config median instead of one draw.
+  SIMD_SMOKES=()
+  for run in 1 2 3; do
+    echo "== perf smoke: simd_kernels (run $run of 3) =="
+    "$BUILD_DIR"/bench/simd_kernels --quick \
+        --json="$BUILD_DIR"/BENCH_simd_kernels.$run.json
+    SIMD_SMOKES+=("$BUILD_DIR"/BENCH_simd_kernels.$run.json)
+  done
   echo "== perf smoke: storage_scan =="
   "$BUILD_DIR"/bench/storage_scan --quick \
       --json="$BUILD_DIR"/BENCH_storage_scan.json
@@ -110,7 +117,8 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
   # pair: smoke throughput must stay within a generous factor of the
   # committed anchors (see ci/perf_gate.py). The workload-throughput and
   # workload-contention gates read simulated queries/sec, one config per
-  # admission setting. The service-latency gate
+  # admission setting. The SIMD-kernel gate judges the median of its
+  # three smoke runs. The service-latency gate
   # metric is open-loop throughput at the lowest swept rate — p99 tails
   # are load-shape measurements, not simulator-health ones. The
   # service-faults gate metric is goodput at fault rate zero — the
@@ -130,7 +138,8 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
         --gate "BENCH_storage_scan.json:$BUILD_DIR/BENCH_storage_scan.json:sim_tuples_per_sec"
       )
       if [[ "$NIPO_SIMD" != "OFF" ]]; then
-        GATES+=(--gate "BENCH_simd_kernels.json:$BUILD_DIR/BENCH_simd_kernels.json:tuples_per_sec_simd")
+        SIMD_SMOKE_LIST=$(IFS=,; echo "${SIMD_SMOKES[*]}")
+        GATES+=(--gate "BENCH_simd_kernels.json:$SIMD_SMOKE_LIST:tuples_per_sec_simd")
       fi
       python3 ci/perf_gate.py --min-ratio "${NIPO_PERF_GATE_MIN:-0.5}" \
           "${GATES[@]}"

@@ -24,7 +24,10 @@ Two invocation forms:
 
       perf_gate.py --anchor A --smoke S [--metric M] [--min-ratio R]
 
-METRIC defaults to tuples_per_sec_batched either way.
+METRIC defaults to tuples_per_sec_batched either way. SMOKE may list
+several comma-separated artifacts of repeated runs of one bench; the gate
+then judges each config's median across them, so one run in a slow mode
+of a bimodal wall-clock bench does not fail it on its own.
 
 Exit status: 0 = all gates pass, 1 = regression, 2 = usage/input error.
 Wired as an opt-out step in ci/check.sh (NIPO_PERF_GATE=0 skips).
@@ -32,6 +35,7 @@ Wired as an opt-out step in ci/check.sh (NIPO_PERF_GATE=0 skips).
 
 import argparse
 import json
+import statistics
 import sys
 
 DEFAULT_METRIC = "tuples_per_sec_batched"
@@ -69,11 +73,8 @@ def format_rate(value):
     return f"{value:8.1f} "
 
 
-def run_gate(anchor_path, smoke_path, metric, min_ratio):
-    """Runs one (anchor, smoke, metric) gate; returns the failure count."""
-    anchor = load_configs(anchor_path, metric)
-    smoke = load_configs(smoke_path, metric)
-    shared = sorted(set(anchor) & set(smoke))
+def check_same_configs(anchor_path, anchor, smoke_path, smoke):
+    """Exits 2 unless both artifacts hold the same config names."""
     mismatched = sorted(set(anchor) ^ set(smoke))
     if mismatched:
         # Renaming/adding/removing a bench config must come with a
@@ -84,29 +85,44 @@ def run_gate(anchor_path, smoke_path, metric, min_ratio):
               f"anchor with a full --json run", file=sys.stderr)
         sys.exit(2)
 
+
+def run_gate(anchor_path, smoke_paths, metric, min_ratio):
+    """Runs one (anchor, smokes, metric) gate; returns the failure count.
+
+    Each config's smoke value is its median over the smoke artifacts.
+    """
+    anchor = load_configs(anchor_path, metric)
+    runs = []
+    for smoke_path in smoke_paths:
+        run = load_configs(smoke_path, metric)
+        check_same_configs(anchor_path, anchor, smoke_path, run)
+        runs.append(run)
+    smoke = {name: statistics.median(run[name] for run in runs)
+             for name in anchor}
+    label = "smoke" if len(runs) == 1 else f"median of {len(runs)}"
+
     failures = 0
-    width = max(len(name) for name in shared)
-    for name in shared:
+    width = max(len(name) for name in anchor)
+    for name in sorted(anchor):
         ratio = smoke[name] / anchor[name]
         verdict = "ok" if ratio >= min_ratio else "REGRESSION"
         if verdict != "ok":
             failures += 1
         print(f"perf_gate: {name:<{width}}  "
               f"anchor {format_rate(anchor[name])}  "
-              f"smoke {format_rate(smoke[name])}  "
+              f"{label} {format_rate(smoke[name])}  "
               f"ratio {ratio:5.2f}  {verdict}")
-    return failures, len(shared)
+    return failures, len(anchor)
 
 
 def parse_gate_spec(spec):
-    """Splits ANCHOR:SMOKE[:METRIC] into its parts."""
+    """Splits ANCHOR:SMOKE[,SMOKE...][:METRIC] into its parts."""
     parts = spec.split(":")
-    if len(parts) == 2:
-        return parts[0], parts[1], DEFAULT_METRIC
-    if len(parts) == 3:
-        return parts[0], parts[1], parts[2]
+    if len(parts) in (2, 3) and all(parts[1].split(",")):
+        metric = parts[2] if len(parts) == 3 else DEFAULT_METRIC
+        return parts[0], parts[1].split(","), metric
     print(f"perf_gate: bad --gate spec {spec!r} "
-          f"(want ANCHOR:SMOKE[:METRIC])", file=sys.stderr)
+          f"(want ANCHOR:SMOKE[,SMOKE...][:METRIC])", file=sys.stderr)
     sys.exit(2)
 
 
@@ -115,9 +131,10 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--gate", action="append", default=[],
-                        metavar="ANCHOR:SMOKE[:METRIC]",
-                        help="one (anchor, smoke, metric) comparison; "
-                             "repeatable")
+                        metavar="ANCHOR:SMOKE[,SMOKE...][:METRIC]",
+                        help="one (anchor, smoke, metric) comparison, "
+                             "judged on the per-config median of the "
+                             "smokes; repeatable")
     parser.add_argument("--anchor", help="committed BENCH_*.json "
                         "(single-gate form)")
     parser.add_argument("--smoke", help="fresh smoke-run artifact to judge "
@@ -136,7 +153,7 @@ def main():
             print("perf_gate: --anchor and --smoke go together",
                   file=sys.stderr)
             sys.exit(2)
-        gates.append((args.anchor, args.smoke, args.metric))
+        gates.append((args.anchor, [args.smoke], args.metric))
     if not gates:
         print("perf_gate: no gates given (use --gate or --anchor/--smoke)",
               file=sys.stderr)
@@ -144,8 +161,8 @@ def main():
 
     failures = 0
     total = 0
-    for anchor_path, smoke_path, metric in gates:
-        gate_failures, gate_total = run_gate(anchor_path, smoke_path, metric,
+    for anchor_path, smoke_paths, metric in gates:
+        gate_failures, gate_total = run_gate(anchor_path, smoke_paths, metric,
                                              args.min_ratio)
         failures += gate_failures
         total += gate_total

@@ -12,6 +12,22 @@
 
 namespace nipo {
 
+namespace {
+
+/// x^n for n >= 1 by binary powering: one squaring per bit below the top
+/// one and one multiply per set bit (four squarings for 16 values/line).
+double PowInt(double x, uint32_t n) {
+  double result = 1.0;
+  while (true) {
+    if (n & 1) result *= x;
+    n >>= 1;
+    if (n == 0) return result;
+    x *= x;
+  }
+}
+
+}  // namespace
+
 ColumnCacheEstimate EstimateColumnCache(const ScanCacheModelConfig& config,
                                         double num_tuples,
                                         const ScanColumnSpec& column) {
@@ -28,8 +44,15 @@ ColumnCacheEstimate EstimateColumnCache(const ScanCacheModelConfig& config,
       static_cast<double>(config.line_size) / scan_bytes;
   out.lines_total = num_tuples / values_per_line;
   const double rho = std::clamp(column.access_fraction, 0.0, 1.0);
-  // Probability that a line contains at least one accessed value.
-  const double p_untouched = std::pow(1.0 - rho, values_per_line);
+  // Probability that a line contains at least one accessed value. A plain
+  // column packs a whole number of values per line; only a packed width
+  // needs the general power.
+  const bool whole_values = column.packed_bytes_per_value == 0.0 &&
+                            config.line_size % column.value_width == 0;
+  const double p_untouched =
+      whole_values
+          ? PowInt(1.0 - rho, config.line_size / column.value_width)
+          : std::pow(1.0 - rho, values_per_line);
   const double p_accessed = 1.0 - p_untouched;
   out.lines_accessed = out.lines_total * p_accessed;
   // A line is a "random miss" when it is accessed but its predecessor line

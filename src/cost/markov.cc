@@ -1,50 +1,38 @@
 #include "cost/markov.h"
 
 #include <algorithm>
-#include <cmath>
 
 /// \file markov.cc
 /// Closed-form stationary distribution of the saturating-counter
 /// birth-death chain and the misprediction probabilities derived from it
-/// (Equations 4a-4g and 5a-5f), with care at the p=0, p=1 and p=0.5
-/// boundary cases.
+/// (Equations 4a-4g and 5a-5f), computed with multiplications only.
 
 namespace nipo {
 
 namespace {
 
-/// Writes the closed-form stationary distribution into pi[0, num_states).
-void StationaryDistributionInto(const PredictorConfig& config, double p,
-                                double* pi) {
+/// Calls visit(i, w_i) once for every state i of the chain, where
+/// w_i = q^i * p^(N-1-i) / max(p, q)^(N-1) is state i's unnormalized
+/// stationary weight (q = 1 - p). After the division by max(p, q) one of
+/// the two factors is exactly 1, so the weights are one geometric
+/// sequence that starts at exactly 1 at the heavier end and only shrinks:
+/// no overflow, underflow only of negligible mass, and 0^0 = 1 gives the
+/// point masses at p = 0 and p = 1.
+template <typename Visit>
+void VisitStationaryWeights(const PredictorConfig& config, double p,
+                            Visit&& visit) {
   NIPO_CHECK(config.Valid());
   const int n = config.num_states;
-  std::fill(pi, pi + n, 0.0);
   p = std::clamp(p, 0.0, 1.0);
-  if (p == 0.0) {
-    pi[n - 1] = 1.0;  // every branch taken
-    return;
+  const double q = 1.0 - p;
+  double w = 1.0;
+  if (p >= q) {
+    const double ratio = q / p;  // w_i = ratio^i, heaviest at state 0
+    for (int i = 0; i < n; ++i, w *= ratio) visit(i, w);
+  } else {
+    const double ratio = p / q;  // w_i = ratio^(N-1-i), heaviest at N-1
+    for (int i = n - 1; i >= 0; --i, w *= ratio) visit(i, w);
   }
-  if (p == 1.0) {
-    pi[0] = 1.0;  // every branch not taken
-    return;
-  }
-  const double r = (1.0 - p) / p;
-  // pi[i] = r^i / sum_j r^j. Compute in a numerically stable way by
-  // normalizing against the largest term; pi holds the log-weights, then
-  // the weights, then the distribution.
-  double max_log = -1e300;
-  const double log_r = std::log(r);
-  for (int i = 0; i < n; ++i) {
-    const double lw = i * log_r;
-    pi[i] = lw;
-    max_log = std::max(max_log, lw);
-  }
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    pi[i] = std::exp(pi[i] - max_log);
-    sum += pi[i];
-  }
-  for (int i = 0; i < n; ++i) pi[i] /= sum;
 }
 
 }  // namespace
@@ -53,7 +41,12 @@ std::vector<double> MarkovStationaryDistribution(const PredictorConfig& config,
                                                  double p) {
   NIPO_CHECK(config.Valid());
   std::vector<double> pi(static_cast<size_t>(config.num_states));
-  StationaryDistributionInto(config, p, pi.data());
+  double sum = 0.0;
+  VisitStationaryWeights(config, p, [&](int i, double w) {
+    pi[static_cast<size_t>(i)] = w;
+    sum += w;
+  });
+  for (double& mass : pi) mass /= sum;
   return pi;
 }
 
@@ -85,25 +78,17 @@ std::vector<double> MarkovStationaryByIteration(const PredictorConfig& config,
 BranchProbabilities ComputeBranchProbabilities(const PredictorConfig& config,
                                                double p) {
   p = std::clamp(p, 0.0, 1.0);
-  // The estimator evaluates this per predicate per objective call: keep
-  // the distribution on the stack for every predictor the paper models.
-  constexpr int kStackStates = 32;
-  double stack_pi[kStackStates];
-  std::vector<double> heap_pi;
-  double* pi = stack_pi;
-  if (config.num_states > kStackStates) {
-    heap_pi.resize(static_cast<size_t>(config.num_states));
-    pi = heap_pi.data();
-  }
-  StationaryDistributionInto(config, p, pi);
+  // The estimator evaluates this per predicate per objective call, so the
+  // weights go straight into the two predicted-direction sums.
+  double not_taken_weight = 0.0;
+  double taken_weight = 0.0;
+  VisitStationaryWeights(config, p, [&](int i, double w) {
+    (i < config.not_taken_states ? not_taken_weight : taken_weight) += w;
+  });
   BranchProbabilities out;
-  for (int i = 0; i < config.num_states; ++i) {
-    if (i < config.not_taken_states) {
-      out.predict_not_taken += pi[i];
-    } else {
-      out.predict_taken += pi[i];
-    }
-  }
+  const double sum = not_taken_weight + taken_weight;
+  out.predict_not_taken = not_taken_weight / sum;
+  out.predict_taken = taken_weight / sum;
   const double q = 1.0 - p;
   out.taken_mp = q * out.predict_not_taken;
   out.taken_rp = q * out.predict_taken;

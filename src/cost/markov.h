@@ -31,9 +31,12 @@ namespace nipo {
 /// \brief Stationary distribution of the N-state chain at selectivity p.
 ///
 /// For a birth-death chain with constant step probabilities the stationary
-/// mass satisfies pi[i+1]/pi[i] = (1-p)/p, i.e. pi[i] ~ r^i with
-/// r = (1-p)/p, normalized. p = 0 and p = 1 degenerate to point masses at
-/// the taken / not-taken end respectively.
+/// mass satisfies pi[i+1]/pi[i] = (1-p)/p = q/p, i.e. pi[i] ~ (q/p)^i.
+/// Scaled by p^(N-1) and divided by max(p, q)^(N-1), the weights become
+/// w_i = q^i p^(N-1-i) / max(p, q)^(N-1): the largest is exactly 1 for
+/// any N, and they are products of one ratio, with no log or exp. p = 0
+/// and p = 1 give the point masses at the taken / not-taken end
+/// (0^0 = 1).
 std::vector<double> MarkovStationaryDistribution(const PredictorConfig& config,
                                                  double p);
 
@@ -58,7 +61,8 @@ struct BranchProbabilities {
 };
 
 /// \brief Evaluates Equations 5a-5f for the given predictor at
-/// selectivity p.
+/// selectivity p. Sums the same weights straight into the two
+/// predicted-direction masses; allocation-free for any state count.
 BranchProbabilities ComputeBranchProbabilities(const PredictorConfig& config,
                                                double p);
 

@@ -51,7 +51,7 @@ double EstimationObjective(const ScanShape& shape,
     cost += RelativeTerm(sampled.not_taken_mp, predicted.not_taken_mp);
   }
   // Only kAll reads the cache counter; the other sets skip its model
-  // (one std::pow per column).
+  // (one power per column).
   if (counter_set == CounterSet::kAll) {
     cost += RelativeTerm(sampled.l3_accesses,
                          PredictScanL3Accesses(shape, selectivities));
@@ -110,7 +110,9 @@ Result<SelectivityEstimate> EstimateSelectivities(
     AccessesToSelectivities(sample.tuples_in, acc, &sel);
   };
 
+  int evaluations = 0;
   auto objective = [&](const std::vector<double>& pi) {
+    ++evaluations;
     // Monotonicity penalty: pi must be non-increasing and >= overall.
     double penalty = 0.0;
     double prev = 1.0;
@@ -170,6 +172,7 @@ Result<SelectivityEstimate> EstimateSelectivities(
   best.objective = best_value;
   best.starts_used = starts_used;
   best.total_nm_iterations = total_iters;
+  best.objective_evaluations = evaluations;
   return best;
 }
 

@@ -70,6 +70,7 @@ struct SelectivityEstimate {
   double objective = 0.0;  ///< final Equation 10 value
   int starts_used = 0;
   int total_nm_iterations = 0;
+  int objective_evaluations = 0;  ///< Equation 10 calls over all starts
 };
 
 /// \brief Runs the Section 4.2 learning algorithm.

@@ -63,17 +63,13 @@ ScanShape ShapeForOrder(const PipelineExecutor& exec, double num_tuples) {
 
 /// Runs the Section 4.2 learning algorithm on `sample` (one vector, or a
 /// SampleMerger-merged window of same-order morsels) against the current
-/// evaluation order of `exec`. Errors for inconsistent samples.
+/// evaluation order of `exec`, whose shape is `shape`. Errors for
+/// inconsistent samples.
 Result<SelectivityEstimate> EstimateOrderSelectivities(
-    const PipelineExecutor& exec, const ProgressiveConfig& config,
-    const VectorSample& sample) {
+    const PipelineExecutor& exec, const ScanShape& shape,
+    const ProgressiveConfig& config, const VectorSample& sample) {
   CounterSample cs;
-  // Tuples pruned by zone maps never reached per-tuple work, so the
-  // sampled branch/cache counters describe only the surviving tuples --
-  // feed the estimator that population or it would infer selectivities
-  // against work that never happened.
-  cs.tuples_in = static_cast<double>(sample.result.input_tuples -
-                                     sample.result.zone_skipped);
+  cs.tuples_in = shape.num_tuples;
   cs.tuples_out = static_cast<double>(sample.result.qualifying_tuples);
   cs.counters.branches_not_taken =
       static_cast<double>(sample.counters.branches_not_taken);
@@ -89,7 +85,6 @@ Result<SelectivityEstimate> EstimateOrderSelectivities(
     // the (cache-independent) branch counters for selectivities.
     est.counter_set = CounterSet::kBranchesOnly;
   }
-  const ScanShape shape = ShapeForOrder(exec, cs.tuples_in);
   return EstimateSelectivities(shape, cs, est);
 }
 
@@ -97,10 +92,11 @@ Result<SelectivityEstimate> EstimateOrderSelectivities(
 /// selectivity (ascending (s-1)/c; for unit costs this is the paper's
 /// ascending-selectivity PEO rule; probe cost is informed by the Section
 /// 5.5-5.6 sortedness detector on the sampled L3 misses). Returns the
-/// proposed order in original operator indices.
+/// proposed order in original operator indices. `shape` is the current
+/// order's shape.
 std::vector<size_t> RankOrderOperators(
-    const PipelineExecutor& exec, const VectorSample& sample,
-    const std::vector<double>& selectivities) {
+    const PipelineExecutor& exec, const ScanShape& shape,
+    const VectorSample& sample, const std::vector<double>& selectivities) {
   const size_t n = exec.num_operators();
   NIPO_CHECK(selectivities.size() == n);
   const HwConfig& hw = exec.pmu()->config();
@@ -117,13 +113,8 @@ std::vector<size_t> RankOrderOperators(
 
   // Misses attributable to probes: the sampled total minus what the fact-
   // side scan is predicted to cost (cold columns miss once per fetched
-  // line, so scan misses ~ scan accesses). Zone-skipped tuples did no
-  // per-tuple work, so they are excluded from the scanned population.
-  const double surviving_tuples = static_cast<double>(
-      sample.result.input_tuples - sample.result.zone_skipped);
-  const ScanShape shape = ShapeForOrder(exec, surviving_tuples);
-  const double scan_accesses =
-      PredictCounters(shape, selectivities).l3_accesses;
+  // line, so scan misses ~ scan accesses).
+  const double scan_accesses = PredictScanL3Accesses(shape, selectivities);
   const double probe_misses = std::max(
       0.0, static_cast<double>(sample.counters.l3_misses) - scan_accesses);
 
@@ -150,7 +141,7 @@ std::vector<size_t> RankOrderOperators(
       obs.relation.num_tuples =
           static_cast<double>(op.probe.dimension->num_rows());
       obs.relation.tuple_width = 8.0;
-      obs.num_probes = reach * surviving_tuples;
+      obs.num_probes = reach * shape.num_tuples;
       obs.sampled_l3_misses =
           probe_misses / static_cast<double>(std::max<size_t>(1, probe_count));
       const SortednessVerdict verdict =
@@ -201,14 +192,22 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
   ++report_.num_optimizations;
   if (sample.result.input_tuples == 0) return;
 
-  auto estimate = EstimateOrderSelectivities(*executor_, config_, sample);
+  // Tuples pruned by zone maps never reached per-tuple work, so the
+  // sampled branch/cache counters describe only the surviving tuples --
+  // the estimate and the ranking take that population, or they would
+  // infer selectivities against work that never happened.
+  const ScanShape shape = ShapeForOrder(
+      *executor_, static_cast<double>(sample.result.input_tuples -
+                                      sample.result.zone_skipped));
+  auto estimate =
+      EstimateOrderSelectivities(*executor_, shape, config_, sample);
   if (!estimate.ok()) {
     return;  // inconsistent sample (e.g. empty vector); skip this cycle
   }
   report_.last_estimate = estimate.ValueOrDie().selectivities;
 
   std::vector<size_t> proposed = RankOrderOperators(
-      *executor_, sample, estimate.ValueOrDie().selectivities);
+      *executor_, shape, sample, estimate.ValueOrDie().selectivities);
   const bool explore =
       config_.explore_period > 0 &&
       optimization_count_ % config_.explore_period == 0 && proposed.size() > 1;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/prng.h"
 #include "hw/cache.h"
 
@@ -68,6 +70,58 @@ TEST(CacheModelTest, WiderValuesTouchMoreLines) {
   const double wide =
       EstimateColumnCache(kCfg, 1e6, ScanColumnSpec{8, 1.0}).l3_accesses;
   EXPECT_NEAR(wide / narrow, 2.0, 1e-9);
+}
+
+TEST(CacheModelTest, WholeValuesPerLineMatchPow) {
+  // Plain columns raise (1 - rho) to an integral values-per-line by binary
+  // powering; it must agree with std::pow to within a few roundings. The
+  // differences are taken relative to the column's line count: at tiny rho
+  // the accessed share 1 - (1-rho)^t cancels, so both forms carry ~1e-9
+  // relative error in it, while their (1-rho)^t differ by a few ulps.
+  for (uint32_t width : {1u, 2u, 4u, 8u}) {
+    for (double rho : {0.0, 1e-9, 0.3, 0.5, 1.0}) {
+      const double tuples = 1e6;
+      const ColumnCacheEstimate got =
+          EstimateColumnCache(kCfg, tuples, ScanColumnSpec{width, rho});
+      const double values_per_line = 64.0 / width;
+      const double lines = tuples / values_per_line;
+      const double untouched = std::pow(1.0 - rho, values_per_line);
+      const double accessed = 1.0 - untouched;
+      const std::pair<double, double> fields[] = {
+          {got.lines_total, lines},
+          {got.lines_accessed, lines * accessed},
+          {got.random_lines, lines * accessed * untouched},
+          {got.l3_accesses,
+           lines * accessed + lines * accessed * untouched},
+      };
+      for (const auto& [have, want] : fields) {
+        EXPECT_LE(std::abs(have - want), 1e-14 * lines)
+            << "width=" << width << " rho=" << rho << " have=" << have
+            << " want=" << want;
+      }
+    }
+  }
+}
+
+TEST(CacheModelTest, PackedWidthKeepsPowFormula) {
+  // A fractional packed width has a fractional values-per-line and keeps
+  // the general power, bit for bit.
+  for (double packed : {0.375, 1.25}) {
+    for (double rho : {1e-9, 0.01, 0.3, 0.5}) {
+      const double tuples = 123'456;
+      const ColumnCacheEstimate got = EstimateColumnCache(
+          kCfg, tuples, ScanColumnSpec{4, rho, packed});
+      const double values_per_line = 64.0 / packed;
+      const double lines = tuples / values_per_line;
+      const double untouched = std::pow(1.0 - rho, values_per_line);
+      const double accessed = 1.0 - untouched;
+      EXPECT_EQ(got.lines_total, lines);
+      EXPECT_EQ(got.lines_accessed, lines * accessed);
+      EXPECT_EQ(got.random_lines, lines * accessed * untouched);
+      EXPECT_EQ(got.l3_accesses,
+                lines * accessed + lines * accessed * untouched);
+    }
+  }
 }
 
 // Cross-validation against the simulated hierarchy: the analytic scan

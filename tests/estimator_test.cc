@@ -276,66 +276,80 @@ std::string HexList(const std::vector<double>& values) {
 /// Recorded before the objective was made allocation-free; the
 /// three_plain_branches, five_plain_all and two_packed_plus_one_taken rows
 /// were recorded on the same all-branching code path before the
-/// branch-free predicate form was removed. Any change here is a change of
-/// simulated results and needs its own justification.
+/// branch-free predicate form was removed. The objective values were
+/// re-recorded, and the evaluation counts added, when the Markov model
+/// and the plain-column cache term dropped log, exp and pow: those moved
+/// the objective in its last places only, and every selectivity, access
+/// fraction, start and iteration count stayed as recorded. Any other
+/// change here is a change of simulated results and needs its own
+/// justification.
 struct PinnedResult {
   std::vector<double> selectivities;
   std::vector<double> access_fractions;
   double objective;
   int starts_used;
   int total_nm_iterations;
+  int objective_evaluations;
 };
 
 const std::vector<PinnedResult>& PinnedResults() {
   static const std::vector<PinnedResult> results = {
       {{0x1.388p-2, 0x1.604189374bc6ap-1},
        {0x1.388p-2, 0x1.aep-3},
-       0x1.12c497ec6786fp-3,
+       0x1.12c497ec67876p-3,
        4,
-       0},
+       0,
+       8},
       {{0x1.9bfe711cc3778p-1, 0x1.068b5ea1fd28p-2, 0x1.2a17c03be7f5cp-1},
        {0x1.9bfe711cc3778p-1, 0x1.a686b336faa3p-3, 0x1.ecp-4},
-       0x1.e1536af3aaefep-5,
+       0x1.e1536af3aaf2p-5,
        6,
-       260},
+       260,
+       506},
       {{0x1.c87861179fep-2, 0x1.f4858f74db839p-4, 0x1.7ced8152324a6p-1},
        {0x1.c87861179fep-2, 0x1.be3ca1fc18dcbp-5, 0x1.4cp-5},
-       0x1.0acafee8d03e2p-4,
+       0x1.0acafee8d03ecp-4,
        6,
-       252},
+       252,
+       478},
       {{0x1.d5705d9824ecap-1, 0x1.145f13808ec01p-1, 0x1.664bfc2399987p-2,
         0x1.66bfd6a6bc3abp-1},
        {0x1.d5705d9824ecap-1, 0x1.facb7d5dd82a6p-2, 0x1.62a77f0ae00acp-3,
         0x1.f1p-4},
-       0x1.47b75a318ee9fp-6,
+       0x1.47b75a318eecdp-6,
        8,
-       809},
+       809,
+       1496},
       {{0x1.e29de380c243p-3, 0x1.b2b6c1eb0d2c1p-1, 0x1.16edec8487132p-2,
         0x1.65cb8633d4567p-1},
        {0x1.e29de380c243p-3, 0x1.99c41ac217946p-3, 0x1.be77ca307548cp-5,
         0x1.38p-5},
        0x1.3d93b7c9adf5p-20,
        8,
-       760},
+       760,
+       1389},
       {{0x1.a1618efa74be7p-1, 0x1.056f3d0a671b7p-1, 0x1.247b836d2c03ap-2,
         0x1.394eaf532df24p-1, 0x1p+0},
        {0x1.a1618efa74be7p-1, 0x1.aa3dd3978c9bp-2, 0x1.e6fc2be0ef13ap-4,
         0x1.2ap-4, 0x1.2ap-4},
-       0x1.d0d4e5fb1ff6cp-8,
+       0x1.d0d4e5fb2014ap-8,
        9,
-       1294},
+       1294,
+       2293},
       {{0x1.df65ebbd53d1ap-1, 0x1.0ea711850182p-1, 0x1.52a8e757420adp-1,
         0x1.e4b419880ab9fp-1, 0x1.07c42a5259bf1p-2},
        {0x1.df65ebbd53d1ap-1, 0x1.fad65aed4e56ap-2, 0x1.4f3eb55e9567cp-2,
         0x1.3d5f3436d005ep-2, 0x1.47p-4},
-       0x1.616c50f8b4c0ap-20,
+       0x1.616c50f8fb283p-20,
        10,
-       1372},
+       1372,
+       2423},
       {{0x1.50ap-1, 0x1.2f6f81c235cep-3},
        {0x1.50ap-1, 0x1.8fp-4},
        0x1.013cf5de877bfp-3,
        4,
-       0},
+       0,
+       8},
   };
   return results;
 }
@@ -361,6 +375,8 @@ TEST(EstimatorPinTest, EstimatesAreBitIdenticalToRecorded) {
     EXPECT_EQ(Hex(got.objective), Hex(want.objective)) << c.name;
     EXPECT_EQ(got.starts_used, want.starts_used) << c.name;
     EXPECT_EQ(got.total_nm_iterations, want.total_nm_iterations) << c.name;
+    EXPECT_EQ(got.objective_evaluations, want.objective_evaluations)
+        << c.name;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/prng.h"
 
@@ -123,6 +128,124 @@ TEST(MarkovTest, MarkovExceedsZeuchBaselineNearFifty) {
               ZeuchMispredictionFraction(0.0), 1e-12);
   EXPECT_NEAR(ComputeBranchProbabilities(cfg, 1.0).mp,
               ZeuchMispredictionFraction(1.0), 1e-12);
+}
+
+// --- The log/exp form the closed form replaced ---------------------------
+//
+// pi[i] = exp(i log r - max_j j log r) / sum, r = (1-p)/p, with the point
+// masses special-cased: the form ComputeBranchProbabilities used before it
+// summed the weights q^i p^(N-1-i) directly.
+
+BranchProbabilities LogExpBranchProbabilities(const PredictorConfig& config,
+                                              double p) {
+  const int n = config.num_states;
+  std::vector<double> pi(static_cast<size_t>(n), 0.0);
+  if (p == 0.0) {
+    pi[static_cast<size_t>(n - 1)] = 1.0;
+  } else if (p == 1.0) {
+    pi[0] = 1.0;
+  } else {
+    const double log_r = std::log((1.0 - p) / p);
+    double max_log = -1e300;
+    for (int i = 0; i < n; ++i) {
+      pi[static_cast<size_t>(i)] = i * log_r;
+      max_log = std::max(max_log, i * log_r);
+    }
+    double sum = 0.0;
+    for (double& w : pi) {
+      w = std::exp(w - max_log);
+      sum += w;
+    }
+    for (double& w : pi) w /= sum;
+  }
+  BranchProbabilities out;
+  for (int i = 0; i < n; ++i) {
+    (i < config.not_taken_states ? out.predict_not_taken
+                                 : out.predict_taken) +=
+        pi[static_cast<size_t>(i)];
+  }
+  const double q = 1.0 - p;
+  out.taken_mp = q * out.predict_not_taken;
+  out.taken_rp = q * out.predict_taken;
+  out.not_taken_mp = p * out.predict_taken;
+  out.not_taken_rp = p * out.predict_not_taken;
+  out.mp = out.taken_mp + out.not_taken_mp;
+  out.rp = out.taken_rp + out.not_taken_rp;
+  return out;
+}
+
+double RelativeDifference(double a, double b) {
+  if (a == b) return 0.0;
+  return std::abs(a - b) / std::max(std::abs(a), std::abs(b));
+}
+
+TEST(MarkovTest, MatchesLogExpForm) {
+  std::vector<PredictorConfig> configs;
+  for (int states = 2; states <= 32; states += 2) {
+    configs.push_back(PredictorConfig::Symmetric(states));
+  }
+  for (int states : {5, 7}) {
+    configs.push_back(PredictorConfig::PlusOneTaken(states));
+    configs.push_back(PredictorConfig::PlusOneNotTaken(states));
+  }
+  const double kOneMinusUlp = 1.0 - 0x1p-53;
+  const std::vector<double> grid = {0.0,  1e-300, 1e-10, 1e-3, 0.05,
+                                    0.2,  0.3,    0.45,  0.5,  0.55,
+                                    0.7,  0.8,    0.95,  0.999,
+                                    kOneMinusUlp, 1.0};
+  for (const PredictorConfig& cfg : configs) {
+    for (const double p : grid) {
+      const BranchProbabilities got = ComputeBranchProbabilities(cfg, p);
+      const BranchProbabilities want = LogExpBranchProbabilities(cfg, p);
+      const std::pair<double, double> fields[] = {
+          {got.predict_taken, want.predict_taken},
+          {got.predict_not_taken, want.predict_not_taken},
+          {got.taken_mp, want.taken_mp},
+          {got.taken_rp, want.taken_rp},
+          {got.not_taken_mp, want.not_taken_mp},
+          {got.not_taken_rp, want.not_taken_rp},
+          {got.mp, want.mp},
+          {got.rp, want.rp},
+      };
+      for (size_t f = 0; f < std::size(fields); ++f) {
+        EXPECT_LE(RelativeDifference(fields[f].first, fields[f].second),
+                  1e-13)
+            << "states=" << cfg.num_states << " nt=" << cfg.not_taken_states
+            << " p=" << p << " field=" << f << " got=" << fields[f].first
+            << " want=" << fields[f].second;
+      }
+    }
+  }
+}
+
+TEST(MarkovTest, ManyStatesStayFiniteAndNormalized) {
+  // Far past any predictor the paper models: the geometric weights start
+  // at exactly 1 and only shrink, so no state count overflows them.
+  for (int states : {64, 2048}) {
+    const PredictorConfig cfg = PredictorConfig::Symmetric(states);
+    for (double p : {0.5, 1e-3}) {
+      const auto pi = MarkovStationaryDistribution(cfg, p);
+      ASSERT_EQ(pi.size(), static_cast<size_t>(states));
+      for (double mass : pi) {
+        ASSERT_TRUE(std::isfinite(mass)) << "states=" << states << " p=" << p;
+        ASSERT_GE(mass, 0.0);
+      }
+      EXPECT_NEAR(std::accumulate(pi.begin(), pi.end(), 0.0), 1.0, 1e-12)
+          << "states=" << states << " p=" << p;
+      const BranchProbabilities probs = ComputeBranchProbabilities(cfg, p);
+      for (double v : {probs.predict_taken, probs.predict_not_taken,
+                       probs.taken_mp, probs.not_taken_mp, probs.mp,
+                       probs.rp}) {
+        EXPECT_TRUE(std::isfinite(v)) << "states=" << states << " p=" << p;
+      }
+      EXPECT_NEAR(probs.predict_taken + probs.predict_not_taken, 1.0, 1e-12);
+      EXPECT_NEAR(probs.mp + probs.rp, 1.0, 1e-12);
+    }
+  }
+  // At p = 0.5 every state weighs exactly 1.
+  const auto uniform =
+      MarkovStationaryDistribution(PredictorConfig::Symmetric(2048), 0.5);
+  for (double mass : uniform) EXPECT_EQ(mass, 1.0 / 2048);
 }
 
 class MarkovVsSimulationTest
