@@ -112,6 +112,7 @@ int main(int argc, char** argv) {
   if (write_json) {
     JsonValue root = JsonValue::Object();
     root.Add("bench", "scale_threads");
+    root.Add("host", HostMetadata());
     root.Add("morsel_size", kMorselSize);
     root.Add("baseline_sweep", sweep);
     WriteJsonArtifact(json_path, root);

@@ -400,6 +400,7 @@ int main(int argc, char** argv) {
         JsonValue::Object()
             .Add("bench", "service_latency")
             .Add("quick", quick)
+            .Add("host", HostMetadata())
             .Add("num_queries", static_cast<uint64_t>(num_queries))
             .Add("num_threads", static_cast<uint64_t>(spec.options.num_threads))
             .Add("service_capacity_mu_qps", mu_qps)

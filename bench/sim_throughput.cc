@@ -1,6 +1,7 @@
 /// \file sim_throughput.cc
 /// Simulator throughput bench: host wall-clock tuples/sec of the PMU
-/// simulation on Q6-shaped pipelines, batched vs scalar event reporting
+/// simulation on Q6-shaped pipelines and random FK probes, batched vs
+/// scalar event reporting
 /// (DESIGN.md "Batched simulation"), with the counter-invariance
 /// correctness gate enforced on every configuration.
 ///
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
 
   // Q6-shaped configurations: the full five-predicate Q6 plus intro-Q6
   // single-predicate scans across the selectivity range (the regimes the
-  // figure benches sweep).
+  // figure benches sweep), and one FK-probe pipeline over as many rows.
   struct Config {
     std::string name;
     QuerySpec query;
@@ -100,9 +101,42 @@ int main(int argc, char** argv) {
       configs.push_back(std::move(c));
     }
   }
+  // FK probes into a dimension column near the simulated L3's size: 100K
+  // 8-byte values (800 KB) against ScaledXeon(16)'s 960 KB L3, at random
+  // rows -- the pattern of nipobench join_sharded's probes into part.
+  // Each probe is one gather element and a walk of the hierarchy.
+  {
+    constexpr uint32_t kDimRows = 100'000;
+    Prng prng(7);
+    auto dim = std::make_unique<Table>("dim");
+    std::vector<int64_t> values(kDimRows);
+    for (int64_t& v : values) {
+      v = static_cast<int64_t>(prng.NextBounded(1'000'000));
+    }
+    NIPO_CHECK(dim->AddColumn("d_value", std::move(values)).ok());
+    auto fact = std::make_unique<Table>("fk_fact");
+    std::vector<int32_t> keys(rows);
+    std::vector<int64_t> payload(rows);
+    for (uint64_t i = 0; i < rows; ++i) {
+      keys[i] = static_cast<int32_t>(prng.NextBounded(kDimRows));
+      payload[i] = static_cast<int64_t>(prng.NextBounded(100));
+    }
+    NIPO_CHECK(fact->AddColumn("f_dimkey", std::move(keys)).ok());
+    NIPO_CHECK(fact->AddColumn("f_value", std::move(payload)).ok());
+    NIPO_CHECK(engine.RegisterTable(std::move(dim)).ok());
+    NIPO_CHECK(engine.RegisterTable(std::move(fact)).ok());
+    Config c;
+    c.name = "fk_probe_random";
+    c.query.table = "fk_fact";
+    c.query.ops = {OperatorSpec::FkProbe(
+        {"f_dimkey", engine.GetTable("dim").ValueOrDie(), "d_value",
+         CompareOp::kLe, 500'000.0})};
+    c.query.payload_columns = {"f_value"};
+    configs.push_back(std::move(c));
+  }
 
   TablePrinter table("Simulator throughput, batched vs scalar reporting (" +
-                     std::to_string(rows) + " lineitems, best of " +
+                     std::to_string(rows) + " rows per pipeline, best of " +
                      std::to_string(reps) + ")");
   table.SetHeader({"pipeline", "Mtuples/s batched", "Mtuples/s scalar",
                    "speedup", "sim msec", "counters"});

@@ -159,6 +159,7 @@ int main(int argc, char** argv) {
     JsonValue root = JsonValue::Object();
     root.Add("bench", "simd_kernels");
     root.Add("quick", quick);
+    root.Add("host", HostMetadata());
     root.Add("avx2_available", avx2);
     root.Add("rows", static_cast<uint64_t>(n));
     JsonValue arr = JsonValue::Array();

@@ -176,6 +176,7 @@ int main(int argc, char** argv) {
                       JsonValue::Object()
                           .Add("bench", "storage_scan")
                           .Add("quick", quick)
+                          .Add("host", HostMetadata())
                           .Add("rows", rows)
                           .Add("vector_size", kVectorSize)
                           .Add("results_identical", true)

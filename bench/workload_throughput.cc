@@ -195,6 +195,7 @@ int main(int argc, char** argv) {
         JsonValue::Object()
             .Add("bench", "workload_throughput")
             .Add("quick", quick)
+            .Add("host", HostMetadata())
             .Add("rows", rows)
             .Add("num_queries", static_cast<uint64_t>(num_queries))
             .Add("num_threads", static_cast<uint64_t>(spec.options.num_threads))

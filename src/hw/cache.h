@@ -48,6 +48,11 @@ struct CacheGeometry {
 struct HashedLine {
   HashedLine(uint64_t line_addr)  // NOLINT(google-explicit-constructor)
       : line(line_addr), hash(Hash(line_addr)) {}
+  /// A pair whose hash is already known; `line_hash` must be
+  /// Hash(line_addr) (the hierarchy carries a prefetched line's hash into
+  /// its next demand).
+  HashedLine(uint64_t line_addr, uint64_t line_hash)
+      : line(line_addr), hash(line_hash) {}
 
   /// splitmix64 finalizer. Plain modulo mapping makes equally-aligned
   /// column allocations -- page-aligned vectors all place row i in the
@@ -73,9 +78,9 @@ struct HashedLine {
 /// of 16 ways (32 when the normalized way count exceeds 16), so a tag
 /// match is a few 4-lane compares. Recency is a per-way 8-bit rank: 0 is
 /// the most recent way, `ways - 1` the LRU victim (DESIGN.md Section 4,
-/// "One hash per line, rank-LRU set walks"). The AVX2 or scalar kernels
-/// are chosen once, at construction, from simd::ActiveLevel(); both give
-/// identical results.
+/// "One hash per line, rank-LRU set walks, one demand path per ISA"). The
+/// AVX2 or scalar set walk is chosen once, at construction, from
+/// simd::ActiveLevel(); both give identical results.
 class CacheLevel {
  public:
   explicit CacheLevel(CacheGeometry geometry);
@@ -139,60 +144,55 @@ class CacheLevel {
   /// DESIGN.md "Batched simulation"). Skipping the LRU refresh is equally
   /// exact: the line already holds rank 0, and refreshing a rank-0 way
   /// changes no rank.
-  void AddCoalescedHits(uint64_t n) { hits_ += n; }
+  void AddCoalescedHits(uint64_t n) { state_.hits += n; }
 
   /// Number of sets after power-of-two normalization (see constructor).
   uint64_t num_sets() const { return num_sets_; }
   uint32_t ways() const { return ways_; }
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t accesses() const { return hits_ + misses_; }
-  void ResetStats() { hits_ = misses_ = 0; }
+  uint64_t hits() const { return state_.hits; }
+  uint64_t misses() const { return state_.misses; }
+  uint64_t accesses() const { return state_.hits + state_.misses; }
+  void ResetStats() { state_.hits = state_.misses = 0; }
 
   /// Largest normalized way count a level supports (the wide stride).
   static constexpr uint32_t kMaxWays = 32;
 
-  /// One set walk's outcome (see WalkSet).
-  struct Walk {
-    uint32_t way;
-    bool hit;
+  /// Everything a level's set walks read and write: the set arrays, the
+  /// shape, and the hit/miss counts. The walks in cache.cc take it by
+  /// reference and load a field only where they use it, so a hierarchy
+  /// walk that ends in L1 reads nothing of L2 and L3.
+  struct State {
+    std::vector<uint64_t> tags;  ///< num_sets * stride; pads hold the empty tag
+    std::vector<int8_t> ranks;   ///< num_sets * stride; see Clear()
+    std::vector<uint32_t> prefetched;  ///< per set: bit w = way w's mark
+    uint64_t set_mask = 0;
+    uint32_t stride = 0;      ///< tag/rank slots per set: 16 or 32
+    uint32_t match_ways = 0;  ///< slots the AVX2 tag match covers: 8, 16 or 32
+    int8_t oldest_rank = 0;   ///< ways - 1, the victim's rank
+    uint64_t hits = 0;
+    uint64_t misses = 0;
   };
 
  private:
+  friend class CacheHierarchy;
+
   static constexpr uint64_t kEmptyTag = ~uint64_t{0};
 
   /// Set index of a line hash. The set count is a power of two (see the
   /// constructor), so the reduction is a mask.
   size_t SetIndex(uint64_t hash) const {
-    return static_cast<size_t>(hash & set_mask_);
-  }
-
-  /// Resolves `line` in `set`. On a hit returns the line's way and
-  /// makes it the most recent iff `refresh_hit`; on a miss returns the
-  /// first-empty-else-LRU victim's way, already made the most recent (the
-  /// caller installs the tag).
-  Walk WalkSet(size_t set, uint64_t line, bool refresh_hit) {
-    return walk_(&tags_[set * stride_], &ranks_[set * stride_], line,
-                 oldest_rank_, refresh_hit);
+    return static_cast<size_t>(hash & state_.set_mask);
   }
 
   CacheGeometry geometry_;
   uint64_t num_sets_;
-  uint64_t set_mask_;
   uint32_t ways_;
-  uint32_t stride_;      ///< tag/rank slots per set: 16 or 32
-  int8_t oldest_rank_;   ///< ways_ - 1, the victim's rank
-  Walk (*walk_)(const uint64_t* tags, int8_t* ranks, uint64_t line,
-                int8_t oldest, bool refresh_hit);
-  std::vector<uint64_t> tags_;  // num_sets_ * stride_, pads hold kEmptyTag
-  std::vector<int8_t> ranks_;   // num_sets_ * stride_, see Clear()
-  std::vector<uint32_t> prefetched_;  // per set: bit w = way w's mark
+  bool avx2_;  ///< set walk chosen at construction
+  State state_;
   // Owner id per slot; sized by the first AccessFillOwned, so private
   // levels never allocate it.
   std::vector<uint32_t> owners_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 /// \brief Counters accumulated by the hierarchy. "L3 accesses" follows the
@@ -249,9 +249,22 @@ class CacheHierarchy {
   /// that had to be consulted for the first touched line.
   MemoryLevel Access(uint64_t addr, uint32_t width);
 
-  /// Line-granularity access used by the executor (addresses are already
-  /// line-aligned by the caller).
+  /// Demand load of one line (a line index, not a byte address).
   MemoryLevel AccessLine(uint64_t line_addr);
+
+  /// Demand loads of the lines `first_line..last_line`, in order, adding
+  /// one to `served[level]` per line for the level that served it.
+  void AccessRun(uint64_t first_line, uint64_t last_line, uint64_t served[4]);
+
+  /// Demand loads of the `width`-byte elements at `addr + indices[i] *
+  /// width`, in order, adding to `served` like AccessRun. A touch of the
+  /// line touched immediately before is not walked; returns the number
+  /// of such coalesced touches, which the caller books as L1 hits
+  /// (CountCoalescedL1Hits). The elements must not straddle lines:
+  /// `width` divides the line size and `addr` is `width`-aligned.
+  uint64_t AccessGather(uint64_t addr, uint32_t width,
+                        const uint32_t* indices, size_t count,
+                        uint64_t served[4]);
 
   /// Books `n` coalesced touches of the line accessed immediately before:
   /// counts them as L1 accesses served by L1 hits without walking the
@@ -267,27 +280,36 @@ class CacheHierarchy {
 
   uint32_t line_size() const { return l1_.geometry().line_size; }
 
+  /// Line index of a byte address; a shift for the (universal)
+  /// power-of-two line sizes, a division otherwise.
+  uint64_t LineOf(uint64_t addr) const {
+    return line_shift_ >= 0 ? addr >> line_shift_ : addr / line_size();
+  }
+
   const CacheLevel& l1() const { return l1_; }
   const CacheLevel& l2() const { return l2_; }
   const CacheLevel& l3() const { return l3_; }
 
  private:
-  /// Demand path for one line; fills all levels (inclusive).
-  MemoryLevel DemandAccess(HashedLine line);
-  /// Prefetch path: brings the line into L2+L3 (not L1), counting an L3
-  /// access (and miss, if absent).
-  void Prefetch(HashedLine line);
-  /// L3 probe-and-fill: private level, or the shared domain if attached.
-  /// Returns true on hit.
-  bool AccessL3(HashedLine line);
+  /// Returns `fn(isa, walk)` run on the demand path of the ISA chosen at
+  /// construction (defined in cache.cc, its only user).
+  template <class Fn>
+  auto Walk(const Fn& fn);
 
   CacheLevel l1_;
   CacheLevel l2_;
   CacheLevel l3_;
   bool prefetcher_enabled_;
+  bool avx2_;       ///< demand path chosen at construction
+  int line_shift_;  ///< log2(line size), or -1 if not a power of two
   CacheStats stats_;
   SharedCacheDomain* shared_l3_ = nullptr;
   uint32_t shared_owner_ = 0;
+  // The line the last prefetch requested and its hash, which the next
+  // demand reuses when it is for that line (a pure function of the line,
+  // so it never goes stale). The all-ones line is never demanded.
+  uint64_t prefetched_line_ = ~uint64_t{0};
+  uint64_t prefetched_hash_ = 0;
 };
 
 }  // namespace nipo

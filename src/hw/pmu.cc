@@ -1,6 +1,5 @@
 #include "hw/pmu.h"
 
-#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -60,13 +59,17 @@ PmuCounters& PmuCounters::operator+=(const PmuCounters& other) {
 std::string PmuCounters::ToString() const {
   std::ostringstream out;
   out << "instructions=" << instructions << " branches=" << branches
-      << " taken=" << branches_taken << " not_taken=" << branches_not_taken
+      << " branches_taken=" << branches_taken
+      << " branches_not_taken=" << branches_not_taken
       << " mispredictions=" << mispredictions
-      << " (taken=" << taken_mispredictions
-      << ", not_taken=" << not_taken_mispredictions << ")"
-      << " L3_accesses=" << l3_accesses << " L3_misses=" << l3_misses
-      << " L3_evictions_caused=" << l3_evictions_caused
-      << " L3_evictions_suffered=" << l3_evictions_suffered
+      << " taken_mispredictions=" << taken_mispredictions
+      << " not_taken_mispredictions=" << not_taken_mispredictions
+      << " l1_accesses=" << l1_accesses << " l1_misses=" << l1_misses
+      << " l2_accesses=" << l2_accesses << " l2_misses=" << l2_misses
+      << " l3_accesses=" << l3_accesses << " l3_misses=" << l3_misses
+      << " prefetch_requests=" << prefetch_requests
+      << " l3_evictions_caused=" << l3_evictions_caused
+      << " l3_evictions_suffered=" << l3_evictions_suffered
       << " cycles=" << cycles;
   return out.str();
 }
@@ -93,12 +96,7 @@ HwConfig HwConfig::ScaledXeon(uint64_t divisor) {
 Pmu::Pmu(HwConfig config)
     : config_(config),
       predictor_(config.predictor),
-      caches_(config.l1, config.l2, config.l3, config.prefetcher) {
-  line_size_ = caches_.line_size();
-  line_shift_ = std::has_single_bit(line_size_)
-                    ? std::countr_zero(line_size_)
-                    : -1;
-}
+      caches_(config.l1, config.l2, config.l3, config.prefetcher) {}
 
 void Pmu::SyncCacheStats(PmuCounters* c) const {
   const CacheStats delta = caches_.stats() - cache_baseline_;
@@ -200,7 +198,7 @@ void Pmu::OnSequentialLoads(const void* base, uint32_t width,
                             uint64_t count) {
   const uint64_t addr = reinterpret_cast<uint64_t>(base);
   NIPO_DCHECK(width > 0);
-  NIPO_CHECK(line_size_ % width == 0 && addr % width == 0);
+  NIPO_CHECK(caches_.line_size() % width == 0 && addr % width == 0);
   if (count == 0) return;
   if (reporting_mode_ == ReportingMode::kScalar) {
     for (uint64_t i = 0; i < count; ++i) {
@@ -214,11 +212,9 @@ void Pmu::OnSequentialLoads(const void* base, uint32_t width,
   // the hierarchy; every further touch of the same line is the certain
   // L1 hit a scalar replay would produce (nothing intervenes between the
   // touches), so it is booked arithmetically.
-  const uint64_t first = LineOf(addr);
-  const uint64_t last = LineOf(addr + count * width - 1);
-  for (uint64_t l = first; l <= last; ++l) {
-    ++loads_served_[static_cast<int>(caches_.AccessLine(l))];
-  }
+  const uint64_t first = caches_.LineOf(addr);
+  const uint64_t last = caches_.LineOf(addr + count * width - 1);
+  caches_.AccessRun(first, last, loads_served_);
   const uint64_t coalesced = count - (last - first + 1);
   loads_served_[static_cast<int>(MemoryLevel::kL1)] += coalesced;
   caches_.CountCoalescedL1Hits(coalesced);
@@ -228,7 +224,7 @@ void Pmu::OnGatherLoads(const void* base, uint32_t width,
                         const uint32_t* indices, size_t count) {
   const uint64_t addr = reinterpret_cast<uint64_t>(base);
   NIPO_DCHECK(width > 0);
-  NIPO_CHECK(line_size_ % width == 0 && addr % width == 0);
+  NIPO_CHECK(caches_.line_size() % width == 0 && addr % width == 0);
   if (count == 0) return;
   if (reporting_mode_ == ReportingMode::kScalar) {
     for (size_t i = 0; i < count; ++i) {
@@ -237,19 +233,11 @@ void Pmu::OnGatherLoads(const void* base, uint32_t width,
     return;
   }
   counters_.instructions += count;
-  // Aligned elements cannot straddle, so each element is one line check.
-  uint64_t prev_line = ~uint64_t{0};
-  uint64_t coalesced = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t l =
-        LineOf(addr + static_cast<uint64_t>(indices[i]) * width);
-    if (l == prev_line) {
-      ++coalesced;
-    } else {
-      ++loads_served_[static_cast<int>(caches_.AccessLine(l))];
-      prev_line = l;
-    }
-  }
+  // Aligned elements cannot straddle, so each element is one line check;
+  // a touch of the line touched just before coalesces as in the
+  // sequential form.
+  const uint64_t coalesced =
+      caches_.AccessGather(addr, width, indices, count, loads_served_);
   loads_served_[static_cast<int>(MemoryLevel::kL1)] += coalesced;
   caches_.CountCoalescedL1Hits(coalesced);
 }

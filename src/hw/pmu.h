@@ -244,12 +244,6 @@ class Pmu {
  private:
   void SyncCacheStats(PmuCounters* c) const;
 
-  /// Cache-line index of a byte address; shift-based for the (universal)
-  /// power-of-two line sizes, division otherwise.
-  uint64_t LineOf(uint64_t addr) const {
-    return line_shift_ >= 0 ? addr >> line_shift_ : addr / line_size_;
-  }
-
   /// Books `n` same-direction branches of which `mispredicted` were
   /// mispredicted (shared by the scalar and batched paths).
   void BookBranches(bool taken, uint64_t n, uint64_t mispredicted) {
@@ -279,8 +273,6 @@ class Pmu {
   uint64_t plain_instructions_ = 0;  ///< OnInstructions units (CPI-priced)
   uint64_t loads_served_[4] = {0, 0, 0, 0};  ///< demand loads per level
   double charged_cycles_ = 0.0;              ///< raw ChargeCycles sum
-  uint32_t line_size_ = 64;                  ///< hierarchy line size
-  int line_shift_ = 6;  ///< log2(line_size_), or -1 if not a power of two
   // Cache stats baseline at last ResetCounters(), so counter windows
   // subtract correctly while the hierarchy keeps warm state.
   CacheStats cache_baseline_;

@@ -8,7 +8,7 @@
 /// every geometry the repository builds and both SIMD levels must agree
 /// with it access for access, and a Pmu replaying Q6-shaped load streams
 /// at fixed (never dereferenced) addresses must produce the reference's
-/// PmuCounters field for field.
+/// PmuCounters field for field, also with two machines sharing one L3.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "exec/simd.h"
 #include "hw/cache.h"
 #include "hw/pmu.h"
+#include "hw/shared_cache.h"
 
 namespace nipo {
 namespace {
@@ -287,12 +288,39 @@ TEST_P(SimdLevelTest, EveryEntryPointMatchesStampModel) {
   }
 }
 
+/// The stamp model of a SharedCacheDomain: one owner-tagged level and
+/// the cross-owner eviction counts Pmu::Read reports.
+struct ReferenceDomain {
+  ReferenceDomain(uint64_t num_sets, uint32_t ways, size_t owners)
+      : level(num_sets, ways), caused(owners), suffered(owners) {}
+
+  bool AccessFill(uint64_t line, uint32_t owner) {
+    const CacheLevel::OwnedAccess r = level.AccessFillOwned(line, owner);
+    if (r.displaced && r.victim_owner != owner) {
+      ++caused[owner];
+      ++suffered[r.victim_owner];
+    }
+    return r.hit;
+  }
+
+  ReferenceLevel level;
+  std::vector<uint64_t> caused;
+  std::vector<uint64_t> suffered;
+};
+
 /// The stamp-model hierarchy: the demand and prefetch paths of
-/// CacheHierarchy over reference levels.
+/// CacheHierarchy over reference levels, with the L3 private or, when
+/// `shared` is given, the shared domain under `owner`.
 class ReferenceHierarchy {
  public:
-  explicit ReferenceHierarchy(const HwConfig& cfg)
-      : l1_(Make(cfg.l1)), l2_(Make(cfg.l2)), l3_(Make(cfg.l3)) {}
+  explicit ReferenceHierarchy(const HwConfig& cfg,
+                              ReferenceDomain* shared = nullptr,
+                              uint32_t owner = 0)
+      : l1_(Make(cfg.l1)),
+        l2_(Make(cfg.l2)),
+        l3_(Make(cfg.l3)),
+        shared_(shared),
+        owner_(owner) {}
 
   MemoryLevel Demand(uint64_t line, CacheStats* s) {
     ++s->l1_accesses;
@@ -307,7 +335,7 @@ class ReferenceHierarchy {
     ++s->l2_misses;
     ++s->l3_accesses;
     MemoryLevel served = MemoryLevel::kL3;
-    if (!l3_.AccessFill(line)) {
+    if (!AccessL3(line)) {
       ++s->l3_misses;
       served = MemoryLevel::kMemory;
     }
@@ -321,20 +349,33 @@ class ReferenceHierarchy {
     return ReferenceLevel(shape.num_sets(), shape.ways());
   }
 
+  bool AccessL3(uint64_t line) {
+    return shared_ != nullptr ? shared_->AccessFill(line, owner_)
+                              : l3_.AccessFill(line);
+  }
+
   void Prefetch(uint64_t line, CacheStats* s) {
     if (l2_.FillIfAbsent(line)) return;
     ++s->prefetch_requests;
     ++s->l3_accesses;
-    if (!l3_.AccessFill(line)) ++s->l3_misses;
+    if (!AccessL3(line)) ++s->l3_misses;
   }
 
   ReferenceLevel l1_, l2_, l3_;
+  ReferenceDomain* shared_;
+  uint32_t owner_;
 };
 
 /// One-load-at-a-time reference of the Pmu's load booking.
 class ReferenceMachine {
  public:
-  explicit ReferenceMachine(const HwConfig& cfg) : cfg_(cfg), caches_(cfg) {}
+  explicit ReferenceMachine(const HwConfig& cfg,
+                            ReferenceDomain* shared = nullptr,
+                            uint32_t owner = 0)
+      : cfg_(cfg),
+        caches_(cfg, shared, owner),
+        shared_(shared),
+        owner_(owner) {}
 
   void Load(uint64_t addr, uint32_t width) {
     ++instructions_;
@@ -354,6 +395,10 @@ class ReferenceMachine {
     c.l3_accesses = stats_.l3_accesses;
     c.l3_misses = stats_.l3_misses;
     c.prefetch_requests = stats_.prefetch_requests;
+    if (shared_ != nullptr) {
+      c.l3_evictions_caused = shared_->caused[owner_];
+      c.l3_evictions_suffered = shared_->suffered[owner_];
+    }
     const CycleModel& m = cfg_.cycle_model;
     c.cycles = static_cast<uint64_t>(std::llround(
         m.l1_hit_cycles * static_cast<double>(served_[0]) +
@@ -366,6 +411,8 @@ class ReferenceMachine {
  private:
   HwConfig cfg_;
   ReferenceHierarchy caches_;
+  ReferenceDomain* shared_;
+  uint32_t owner_;
   CacheStats stats_;
   uint64_t instructions_ = 0;
   uint64_t served_[4] = {0, 0, 0, 0};
@@ -428,6 +475,60 @@ TEST_P(SimdLevelTest, PmuCountersMatchAtFixedAddresses) {
             << "divisor=" << divisor << " vector=" << v << "\npmu: "
             << pmu.Read().ToString() << "\nref: " << ref.Counters().ToString();
       }
+    }
+  }
+}
+
+/// Two machines sharing one L3 (SharedCacheDomain) at fixed addresses:
+/// owner 0 streams an int32 column sequentially while owner 1 gathers
+/// random rows of an 8-byte dimension about the L3's size, vector by
+/// vector in turn, so the owners keep evicting each other's lines. Both
+/// machines must match a reference whose L3 is the stamp model's
+/// owner-tagged level, eviction counters included, after every vector.
+TEST_P(SimdLevelTest, SharedL3CountersMatchAtFixedAddresses) {
+  for (const uint64_t divisor : {16ull, 128ull}) {
+    for (const ReportingMode mode :
+         {ReportingMode::kBatched, ReportingMode::kScalar}) {
+      const HwConfig cfg = HwConfig::ScaledXeon(divisor);
+      SharedCacheDomain domain(cfg.l3);
+      Pmu scan(cfg), probe(cfg);
+      scan.set_reporting_mode(mode);
+      probe.set_reporting_mode(mode);
+      scan.AttachSharedL3(&domain, domain.RegisterOwner("scan"));
+      probe.AttachSharedL3(&domain, domain.RegisterOwner("probe"));
+      const CacheLevel l3_shape(cfg.l3);
+      ReferenceDomain ref_domain(l3_shape.num_sets(), l3_shape.ways(), 2);
+      ReferenceMachine ref_scan(cfg, &ref_domain, 0);
+      ReferenceMachine ref_probe(cfg, &ref_domain, 1);
+      Prng prng(divisor + 7);
+      constexpr uint64_t kRows = 4'096;
+      const uint64_t scan_base = 0x7f60'0000'0000ull;
+      const uint64_t dim_base = 0x7f70'0000'0040ull;
+      // Dimension rows spanning about the L3's capacity in 8-byte values.
+      const uint64_t dim_rows = l3_shape.num_sets() * l3_shape.ways() * 8;
+      std::vector<uint32_t> rows(kRows / 4);
+      for (uint64_t v = 0; v < 16; ++v) {
+        const uint64_t col = scan_base + v * kRows * 4;
+        scan.OnSequentialLoads(FixedAddress(col), 4, kRows);
+        for (uint64_t i = 0; i < kRows; ++i) ref_scan.Load(col + i * 4, 4);
+        for (uint32_t& r : rows) {
+          r = static_cast<uint32_t>(prng.NextBounded(dim_rows));
+        }
+        probe.OnGatherLoads(FixedAddress(dim_base), 8, rows.data(),
+                            rows.size());
+        for (const uint32_t r : rows) ref_probe.Load(dim_base + r * 8ull, 8);
+        ASSERT_EQ(scan.Read(), ref_scan.Counters())
+            << "divisor=" << divisor << " vector=" << v << "\npmu: "
+            << scan.Read().ToString()
+            << "\nref: " << ref_scan.Counters().ToString();
+        ASSERT_EQ(probe.Read(), ref_probe.Counters())
+            << "divisor=" << divisor << " vector=" << v << "\npmu: "
+            << probe.Read().ToString()
+            << "\nref: " << ref_probe.Counters().ToString();
+      }
+      // The streams did contend: each owner evicted the other's lines.
+      EXPECT_GT(scan.Read().l3_evictions_caused, 0u);
+      EXPECT_GT(probe.Read().l3_evictions_caused, 0u);
     }
   }
 }

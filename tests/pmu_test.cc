@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 namespace nipo {
 namespace {
 
@@ -134,7 +137,23 @@ TEST(PmuTest, ToStringMentionsKeyCounters) {
   pmu.OnInstructions(1);
   const std::string s = pmu.Read().ToString();
   EXPECT_NE(s.find("instructions=1"), std::string::npos);
-  EXPECT_NE(s.find("L3_accesses"), std::string::npos);
+  // Every field, once, in declaration order, under its own name: a
+  // failing counter comparison prints two strings that differ wherever
+  // the counters do.
+  std::string keys;
+  std::istringstream tokens(s);
+  for (std::string token; tokens >> token;) {
+    keys += token.substr(0, token.find('=')) + " ";
+  }
+  EXPECT_EQ(keys,
+            "instructions branches branches_taken branches_not_taken "
+            "mispredictions taken_mispredictions not_taken_mispredictions "
+            "l1_accesses l1_misses l2_accesses l2_misses l3_accesses "
+            "l3_misses prefetch_requests l3_evictions_caused "
+            "l3_evictions_suffered cycles ")
+      << s;
+  static_assert(sizeof(PmuCounters) == 17 * sizeof(uint64_t),
+                "a new PmuCounters field needs a ToString entry");
 }
 
 }  // namespace
