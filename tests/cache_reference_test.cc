@@ -424,8 +424,9 @@ const void* FixedAddress(uint64_t addr) {
 
 /// Q6-shaped load streams at fabricated column addresses (nothing is
 /// dereferenced): a sequential int32 date scan per vector, gathers of
-/// three double columns over a shrinking selection vector, and a
-/// random-row 8-byte probe gather into a dimension column.
+/// three double columns over a shrinking selection vector, and
+/// random-row 8-byte probe gathers into a dimension column, at small row
+/// indices and near 2^32.
 TEST_P(SimdLevelTest, PmuCountersMatchAtFixedAddresses) {
   for (const uint64_t divisor : {16ull, 128ull}) {
     for (const ReportingMode mode :
@@ -465,6 +466,15 @@ TEST_P(SimdLevelTest, PmuCountersMatchAtFixedAddresses) {
         std::vector<uint32_t> rows(sel.size());
         for (uint32_t& r : rows) {
           r = static_cast<uint32_t>(prng.NextBounded(1 << 16));
+        }
+        pmu.OnGatherLoads(FixedAddress(probe_base), 8, rows.data(),
+                          rows.size());
+        for (const uint32_t r : rows) {
+          ref.Load(probe_base + uint64_t{r} * 8, 8);
+        }
+        // Rows near 2^32, whose byte offsets a 32-bit product would wrap.
+        for (uint32_t& r : rows) {
+          r = ~uint32_t{0} - static_cast<uint32_t>(prng.NextBounded(1 << 12));
         }
         pmu.OnGatherLoads(FixedAddress(probe_base), 8, rows.data(),
                           rows.size());
