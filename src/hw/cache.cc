@@ -260,8 +260,8 @@ __attribute__((target("avx2"))) size_t WalkNewLines(
 // One body per level operation and for the hierarchy's demand path,
 // templated on the ISA tag and entered through Run: the AVX2 entry is a
 // target("avx2") function that flattens every walk it reaches into
-// itself, so the AVX2 instantiation is one function and no shared inline
-// or template symbol is compiled for AVX2.
+// itself, so each AVX2 entry is one function and no shared inline or
+// template symbol is compiled for AVX2.
 // ---------------------------------------------------------------------------
 
 // The entries take `fn` by reference: a closure passed by value is
