@@ -5,13 +5,13 @@ Compares fresh smoke runs of the benches (--quick --json) against their
 committed repo-root BENCH_*.json anchors: for every configuration present
 in both, the smoke value of the gate's metric (batched tuples/sec for
 bench/sim_throughput, simulated queries/sec for the workload benches,
-SIMD-kernel tuples/sec for bench/simd_kernels) must stay above
-``min_ratio`` times the anchor value. The tolerance is deliberately
-generous (default 0.5x) because the smoke run is smaller than the anchor
-run and CI machines differ from the machine that recorded the anchor; the
-gate exists to catch order-of-magnitude regressions (an
-accidentally-scalar hot loop, a per-tuple hierarchy walk creeping back),
-not single-digit-percent noise.
+SIMD-kernel tuples/sec and speedup over scalar for bench/simd_kernels)
+must stay above ``min_ratio`` times the anchor value. The tolerance is
+deliberately generous (default 0.5x) because the smoke run is smaller
+than the anchor run and CI machines differ from the machine that
+recorded the anchor; the gate exists to catch order-of-magnitude
+regressions (an accidentally-scalar hot loop, a per-tuple hierarchy walk
+creeping back), not single-digit-percent noise.
 
 Two invocation forms:
 

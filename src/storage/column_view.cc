@@ -187,7 +187,8 @@ void ColumnView::DecodeDensePiece(Pmu* pmu, const EncodedBlock& block,
           block.code_width, count);
       scratch->index_b.resize(count);
       for (size_t i = 0; i < count; ++i) {
-        scratch->index_b[i] = DecodeCode(block, local_begin + i);
+        scratch->index_b[i] =
+            ReadCode(block.codes.data(), block.code_width, local_begin + i);
       }
       pmu->OnGatherLoads(block.dict.data(), width_, scratch->index_b.data(),
                          count);
@@ -239,7 +240,8 @@ void ColumnView::DecodeGatherPiece(Pmu* pmu, const EncodedBlock& block,
                          count);
       scratch->index_b.resize(count);
       for (size_t i = 0; i < count; ++i) {
-        scratch->index_b[i] = DecodeCode(block, local_rows[i]);
+        scratch->index_b[i] =
+            ReadCode(block.codes.data(), block.code_width, local_rows[i]);
       }
       pmu->OnGatherLoads(block.dict.data(), width_, scratch->index_b.data(),
                          count);
@@ -264,25 +266,6 @@ void ColumnView::DecodeGatherPiece(Pmu* pmu, const EncodedBlock& block,
           count);
       UnpackValues(block, 0, local_rows, count, out);
       return;
-    }
-  }
-}
-
-uint32_t ColumnView::DecodeCode(const EncodedBlock& block, size_t local_row) {
-  const uint8_t* p = block.codes.data() +
-                     static_cast<uint64_t>(local_row) * block.code_width;
-  switch (block.code_width) {
-    case 1:
-      return *p;
-    case 2: {
-      uint16_t v;
-      std::memcpy(&v, p, 2);
-      return v;
-    }
-    default: {
-      uint32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
     }
   }
 }

@@ -165,7 +165,6 @@ class ColumnView {
                          const uint32_t* local_rows, size_t count,
                          DecodeScratch* scratch, size_t out_begin) const;
 
-  static uint32_t DecodeCode(const EncodedBlock& block, size_t local_row);
   void CopyDictValues(const EncodedBlock& block, const uint32_t* codes,
                       size_t count, uint8_t* out) const;
   void UnpackValues(const EncodedBlock& block, size_t local_begin,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "storage/table.h"
@@ -52,125 +53,158 @@ inline double AsDouble(T v) {
   return static_cast<double>(v);
 }
 
-constexpr bool IsIntegerType(DataType type) {
-  return type == DataType::kInt32 || type == DataType::kInt64;
-}
-
 uint32_t CodeWidthFor(size_t dict_size) {
-  if (dict_size <= (size_t{1} << 8)) return 1;
-  if (dict_size <= (size_t{1} << 16)) return 2;
-  return 4;
-}
-
-inline uint32_t ReadCode(const uint8_t* codes, uint32_t code_width,
-                         size_t index) {
-  const uint8_t* p = codes + static_cast<uint64_t>(index) * code_width;
-  switch (code_width) {
-    case 1:
-      return *p;
-    case 2: {
-      uint16_t v;
-      std::memcpy(&v, p, 2);
-      return v;
-    }
-    default: {
-      uint32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-  }
+  static_assert(kMaxDictionaryValues <= (size_t{1} << 16),
+                "dictionary codes are at most 2 bytes wide");
+  return dict_size <= (size_t{1} << 8) ? 1 : 2;
 }
 
 inline void WriteCode(uint8_t* codes, uint32_t code_width, size_t index,
                       uint32_t code) {
   uint8_t* p = codes + static_cast<uint64_t>(index) * code_width;
-  switch (code_width) {
-    case 1:
-      *p = static_cast<uint8_t>(code);
-      return;
-    case 2: {
-      const uint16_t v = static_cast<uint16_t>(code);
-      std::memcpy(p, &v, 2);
-      return;
-    }
-    default:
-      std::memcpy(p, &code, 4);
-      return;
+  if (code_width == 1) {
+    *p = static_cast<uint8_t>(code);
+    return;
   }
+  const uint16_t v = static_cast<uint16_t>(code);
+  std::memcpy(p, &v, 2);
 }
 
-/// Encodes one block of `n` values starting at `src`, choosing the
+/// Bytes of a `distinct`-value dictionary block of `n` values; SIZE_MAX
+/// above kMaxDictionaryValues, where no dictionary is built. Monotone in
+/// `distinct`, so counting can stop at the first value that makes it lose.
+size_t DictionaryBytes(size_t n, size_t distinct, size_t width) {
+  if (distinct > kMaxDictionaryValues) return SIZE_MAX;
+  return n * CodeWidthFor(distinct) + distinct * width;
+}
+
+/// The distinct bit patterns of one block: an open-addressing set of at
+/// most kMaxDictionaryValues entries (half-full at most), reused across a
+/// column's blocks. It counts the dictionary candidate, then ranks the
+/// patterns and hands out each value's code.
+class PatternSet {
+ public:
+  PatternSet() : keys_(kSlots), codes_(kSlots, kEmpty) {}
+
+  /// Inserts the patterns of src[0..n) and returns true, unless a new
+  /// distinct pattern makes `fits(distinct)` false: then it stops there
+  /// and returns false.
+  template <typename T, typename Fits>
+  bool Count(const T* src, size_t n, Fits fits) {
+    for (const uint32_t slot : used_) codes_[slot] = kEmpty;
+    used_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t pattern = PatternOf(src[i]);
+      const uint32_t slot = SlotOf(pattern);
+      if (codes_[slot] != kEmpty) continue;
+      if (!fits(used_.size() + 1)) return false;
+      keys_[slot] = pattern;
+      codes_[slot] = 0;
+      used_.push_back(slot);
+    }
+    return true;
+  }
+
+  /// Ranks the counted patterns in ascending order: pattern(i) is the
+  /// i-th smallest and CodeOf() returns the rank.
+  void AssignCodes() {
+    std::sort(used_.begin(), used_.end(),
+              [this](uint32_t a, uint32_t b) { return keys_[a] < keys_[b]; });
+    for (size_t i = 0; i < used_.size(); ++i) {
+      codes_[used_[i]] = static_cast<uint16_t>(i);
+    }
+  }
+
+  size_t size() const { return used_.size(); }
+  uint64_t pattern(size_t rank) const { return keys_[used_[rank]]; }
+  /// Code of a counted pattern, after AssignCodes().
+  uint16_t CodeOf(uint64_t pattern) const { return codes_[SlotOf(pattern)]; }
+
+ private:
+  static constexpr int kSlotBits = 13;
+  static constexpr uint32_t kSlots = uint32_t{1} << kSlotBits;
+  static_assert(kSlots >= 2 * kMaxDictionaryValues);
+  static constexpr uint16_t kEmpty = 0xFFFF;
+
+  /// The slot holding `pattern`, or the empty slot where it would go
+  /// (Fibonacci hashing, linear probing).
+  uint32_t SlotOf(uint64_t pattern) const {
+    uint32_t slot = static_cast<uint32_t>(
+        (pattern * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits));
+    while (codes_[slot] != kEmpty && keys_[slot] != pattern) {
+      slot = (slot + 1) & (kSlots - 1);
+    }
+    return slot;
+  }
+
+  std::vector<uint64_t> keys_;
+  std::vector<uint16_t> codes_;  // kEmpty marks a free slot
+  std::vector<uint32_t> used_;   // occupied slots
+};
+
+/// Encodes one block of `n >= 1` values starting at `src`, choosing the
 /// smallest representation, and fills the zone map over the double-cast
 /// values (the domain the selection kernels compare in).
+///
+/// Size ties go to the earlier of plain, dictionary, bit-packing: a
+/// dictionary must be strictly smaller than plain, a packing strictly
+/// smaller than both. The packing is priced first, so distinct values
+/// are counted only while a dictionary can still win under those rules.
 template <typename T>
-void EncodeBlock(const T* src, size_t row_begin, size_t n,
-                 const EncodingOptions& options, EncodedBlock* block,
-                 ZoneMapEntry* zone) {
+void EncodeBlock(const T* src, size_t row_begin, size_t n, PatternSet* set,
+                 EncodedBlock* block, ZoneMapEntry* zone) {
   constexpr size_t kWidth = sizeof(T);
+  NIPO_DCHECK(n > 0);
   block->row_begin = row_begin;
   block->row_count = n;
   zone->row_begin = row_begin;
   zone->row_count = n;
-  for (size_t i = 0; i < n; ++i) {
-    const double d = AsDouble(src[i]);
-    if (std::isnan(d)) {
-      zone->has_nan = true;
-      continue;
-    }
-    zone->min = std::min(zone->min, d);
-    zone->max = std::max(zone->max, d);
-  }
 
-  const size_t plain_bytes = n * kWidth;
-
-  // Dictionary candidate: sorted unique bit patterns.
-  std::vector<uint64_t> patterns;
-  size_t dict_bytes = 0;
-  bool dict_ok = false;
-  if (options.enable_dictionary) {
-    patterns.reserve(std::min(n, kMaxDictionaryValues + 1));
-    for (size_t i = 0; i < n; ++i) patterns.push_back(PatternOf(src[i]));
-    std::sort(patterns.begin(), patterns.end());
-    patterns.erase(std::unique(patterns.begin(), patterns.end()),
-                   patterns.end());
-    if (patterns.size() <= kMaxDictionaryValues) {
-      dict_bytes = n * CodeWidthFor(patterns.size()) +
-                   patterns.size() * kWidth;
-      dict_ok = true;
-    }
-  }
-
-  // Frame-of-reference bit-packing candidate (integers only). The range
-  // is computed in uint64 so int64 extremes wrap correctly; a range
+  // Frame-of-reference bit-packing candidate (integers only). One pass
+  // finds the range and the zone map: the int -> double cast is monotone,
+  // so the double-domain extremes are the cast integer extremes. The
+  // range is computed in uint64 so int64 extremes wrap correctly; a range
   // needing the full native width never beats plain by size.
   uint32_t bit_width = 0;
   int64_t frame_base = 0;
   size_t pack_bytes = 0;
   bool pack_ok = false;
-  if (IsIntegerType(DataTypeOf<T>::value) && n > 0) {
-    int64_t lo = static_cast<int64_t>(src[0]);
-    int64_t hi = lo;
+  if constexpr (std::is_integral_v<T>) {
+    T lo = src[0];
+    T hi = lo;
     for (size_t i = 1; i < n; ++i) {
-      const int64_t v = static_cast<int64_t>(src[i]);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
+      lo = std::min(lo, src[i]);
+      hi = std::max(hi, src[i]);
     }
-    const uint64_t range =
-        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    zone->min = AsDouble(lo);
+    zone->max = AsDouble(hi);
+    const uint64_t range = static_cast<uint64_t>(static_cast<int64_t>(hi)) -
+                           static_cast<uint64_t>(static_cast<int64_t>(lo));
     bit_width = static_cast<uint32_t>(std::bit_width(range));
     frame_base = lo;
     pack_bytes = ((n * static_cast<size_t>(bit_width) + 63) / 64) * 8;
     pack_ok = true;
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const double d = AsDouble(src[i]);
+      if (std::isnan(d)) {
+        zone->has_nan = true;
+        continue;
+      }
+      zone->min = std::min(zone->min, d);
+      zone->max = std::max(zone->max, d);
+    }
   }
 
-  size_t best_bytes = plain_bytes;
+  const size_t plain_bytes = n * kWidth;
+  const auto dict_fits = [&](size_t distinct) {
+    const size_t dict_bytes = DictionaryBytes(n, distinct, kWidth);
+    return dict_bytes < plain_bytes && !(pack_ok && pack_bytes < dict_bytes);
+  };
   BlockEncoding encoding = BlockEncoding::kPlain;
-  if (dict_ok && dict_bytes < best_bytes) {
-    best_bytes = dict_bytes;
+  if (dict_fits(1) && set->Count(src, n, dict_fits)) {
     encoding = BlockEncoding::kDictionary;
-  }
-  if (pack_ok && pack_bytes < best_bytes) {
-    best_bytes = pack_bytes;
+  } else if (pack_ok && pack_bytes < plain_bytes) {
     encoding = BlockEncoding::kBitPacked;
   }
 
@@ -182,35 +216,44 @@ void EncodeBlock(const T* src, size_t row_begin, size_t n,
       return;
     }
     case BlockEncoding::kDictionary: {
-      block->code_width = CodeWidthFor(patterns.size());
-      block->dict_size = patterns.size();
-      block->dict.resize(patterns.size() * kWidth);
-      for (size_t i = 0; i < patterns.size(); ++i) {
-        const T v = FromPattern<T>(patterns[i]);
+      set->AssignCodes();
+      block->code_width = CodeWidthFor(set->size());
+      block->dict_size = set->size();
+      block->dict.resize(set->size() * kWidth);
+      for (size_t i = 0; i < set->size(); ++i) {
+        const T v = FromPattern<T>(set->pattern(i));
         std::memcpy(block->dict.data() + i * kWidth, &v, kWidth);
       }
       block->codes.resize(n * block->code_width);
       for (size_t i = 0; i < n; ++i) {
-        const auto it = std::lower_bound(patterns.begin(), patterns.end(),
-                                         PatternOf(src[i]));
         WriteCode(block->codes.data(), block->code_width, i,
-                  static_cast<uint32_t>(it - patterns.begin()));
+                  set->CodeOf(PatternOf(src[i])));
       }
       return;
     }
     case BlockEncoding::kBitPacked: {
       block->bit_width = bit_width;
       block->frame_base = frame_base;
-      if (bit_width > 0) {
-        block->words.assign(
-            (n * static_cast<size_t>(bit_width) + 63) / 64, 0);
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t offset =
-              static_cast<uint64_t>(static_cast<int64_t>(src[i])) -
-              static_cast<uint64_t>(frame_base);
-          PackBits(block->words.data(), i, bit_width, offset);
+      if (bit_width == 0) return;
+      // Little-endian bit stream (the layout ExtractBits reads): offsets
+      // collect in a register and each word is stored once.
+      block->words.resize((n * static_cast<size_t>(bit_width) + 63) / 64);
+      uint64_t* out = block->words.data();
+      uint64_t acc = 0;
+      uint32_t filled = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t offset =
+            static_cast<uint64_t>(static_cast<int64_t>(src[i])) -
+            static_cast<uint64_t>(frame_base);
+        acc |= offset << filled;
+        filled += bit_width;
+        if (filled >= 64) {
+          *out++ = acc;
+          filled -= 64;
+          acc = filled == 0 ? 0 : offset >> (bit_width - filled);
         }
       }
+      if (filled > 0) *out = acc;
       return;
     }
   }
@@ -346,23 +389,24 @@ Result<std::unique_ptr<EncodedColumn>> EncodedColumn::Encode(
   encoded->blocks_.resize(num_blocks);
   encoded->zones_.resize(num_blocks);
   double decode_instructions = 0.0;
+  PatternSet patterns;
   for (size_t b = 0; b < num_blocks; ++b) {
     const size_t begin = b * options.block_values;
     const size_t count = std::min(options.block_values, n - begin);
     switch (source.type()) {
       case DataType::kInt32:
         EncodeBlock(static_cast<const int32_t*>(source.data()) + begin, begin,
-                    count, options, &encoded->blocks_[b],
+                    count, &patterns, &encoded->blocks_[b],
                     &encoded->zones_[b]);
         break;
       case DataType::kInt64:
         EncodeBlock(static_cast<const int64_t*>(source.data()) + begin, begin,
-                    count, options, &encoded->blocks_[b],
+                    count, &patterns, &encoded->blocks_[b],
                     &encoded->zones_[b]);
         break;
       case DataType::kDouble:
         EncodeBlock(static_cast<const double*>(source.data()) + begin, begin,
-                    count, options, &encoded->blocks_[b],
+                    count, &patterns, &encoded->blocks_[b],
                     &encoded->zones_[b]);
         break;
     }

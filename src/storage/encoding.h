@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -46,7 +47,6 @@ enum class BlockEncoding : int { kPlain, kDictionary, kBitPacked };
 struct EncodingOptions {
   /// Values per storage block (and zone-map granularity).
   size_t block_values = 65536;
-  bool enable_dictionary = true;
 };
 
 /// \brief Min/max statistics of one block, in the double domain the
@@ -79,16 +79,16 @@ inline uint64_t ExtractBits(const uint64_t* words, size_t index,
   return v;
 }
 
-/// \brief Writes value `index` of a `bits`-wide little-endian packed
-/// stream (the buffer must be zero-initialized; values are OR-ed in).
-inline void PackBits(uint64_t* words, size_t index, uint32_t bits,
-                     uint64_t value) {
-  const uint64_t bit_pos = static_cast<uint64_t>(index) * bits;
-  const size_t word = static_cast<size_t>(bit_pos >> 6);
-  const uint32_t off = static_cast<uint32_t>(bit_pos & 63);
-  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
-  words[word] |= value << off;
-  if (off + bits > 64) words[word + 1] |= value >> (64 - off);
+/// \brief Reads code `index` of a dictionary block's code stream:
+/// `code_width`-byte little-endian codes, 1 or 2 bytes (a block
+/// dictionary holds at most 4096 values).
+inline uint32_t ReadCode(const uint8_t* codes, uint32_t code_width,
+                         size_t index) {
+  const uint8_t* p = codes + static_cast<uint64_t>(index) * code_width;
+  if (code_width == 1) return *p;
+  uint16_t v;
+  std::memcpy(&v, p, 2);
+  return v;
 }
 
 /// \brief One encoded block. Exactly one payload is populated, selected
@@ -101,9 +101,9 @@ struct EncodedBlock {
   /// kPlain: row_count native-width values.
   std::vector<uint8_t> plain;
 
-  /// kDictionary: row_count codes of code_width bytes (1/2/4,
-  /// little-endian) indexing a deterministic sorted dictionary of
-  /// dict_size native-width values.
+  /// kDictionary: row_count codes of code_width bytes (1 or 2,
+  /// little-endian; see ReadCode) indexing a deterministic sorted
+  /// dictionary of dict_size native-width values.
   std::vector<uint8_t> codes;
   uint32_t code_width = 0;
   std::vector<uint8_t> dict;
@@ -133,7 +133,9 @@ class EncodedColumn : public ColumnBase {
   /// Encodes `source` (a plain column) block by block. The choice per
   /// block is by encoded byte size: dictionary when the block has few
   /// distinct values, frame-of-reference bit-packing for integers,
-  /// otherwise a plain copy.
+  /// otherwise a plain copy. The packing is priced first; distinct
+  /// values are counted only while a dictionary could still be the
+  /// smallest (DESIGN.md Section 10).
   static Result<std::unique_ptr<EncodedColumn>> Encode(
       const ColumnBase& source, const EncodingOptions& options = {});
 

@@ -111,21 +111,41 @@ TEST(EncodingTest, SingleDistinctDoubleUsesDictionary) {
 
 TEST(EncodingTest, MaxBitWidthAndInt64Extremes) {
   // INT64_MIN..INT64_MAX in one block: the frame-of-reference range
-  // wraps uint64, forcing the full 64-bit width -- values must still
-  // round-trip exactly.
-  std::vector<int64_t> values = {std::numeric_limits<int64_t>::min(),
-                                 std::numeric_limits<int64_t>::max(),
-                                 0,
-                                 -1,
-                                 1,
-                                 std::numeric_limits<int64_t>::min() + 1,
-                                 std::numeric_limits<int64_t>::max() - 1,
-                                 -123456789012345678};
-  EncodingOptions options = SmallBlocks();
-  options.enable_dictionary = false;  // force the bit-packing path
-  auto col = RoundTrip(values, options);
-  for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(col->ValueAsInt64(i), values[i]);
+  // wraps uint64 and needs the full 64-bit width, so the packing (64 B)
+  // only ties plain (64 B) and the block stays plain; the 8-entry
+  // dictionary (72 B) loses to both.
+  std::vector<int64_t> extremes = {std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max(),
+                                   0,
+                                   -1,
+                                   1,
+                                   std::numeric_limits<int64_t>::min() + 1,
+                                   std::numeric_limits<int64_t>::max() - 1,
+                                   -123456789012345678};
+  auto col = RoundTrip(extremes, SmallBlocks());
+  ASSERT_EQ(col->num_blocks(), 1u);
+  EXPECT_EQ(col->block(0).encoding, BlockEncoding::kPlain);
+  for (size_t i = 0; i < extremes.size(); ++i) {
+    EXPECT_EQ(col->ValueAsInt64(i), extremes[i]);
+  }
+
+  // A range in [2^62, 2^63) -- here -2^62 .. 2^62 - 1 -- packs at width
+  // 63 (504 B < plain's 512 B), so values straddle words; 64 distinct
+  // values make the dictionary (576 B) lose.
+  constexpr int64_t kQuarter = int64_t{1} << 62;
+  Prng prng(3);
+  std::vector<int64_t> wide(64);
+  for (auto& v : wide) {
+    v = static_cast<int64_t>(prng.Next() >> 1) - kQuarter;
+  }
+  wide[0] = -kQuarter;
+  wide[1] = kQuarter - 1;
+  col = RoundTrip(wide, SmallBlocks());
+  ASSERT_EQ(col->num_blocks(), 1u);
+  EXPECT_EQ(col->block(0).encoding, BlockEncoding::kBitPacked);
+  EXPECT_EQ(col->block(0).bit_width, 63u);
+  for (size_t i = 0; i < wide.size(); ++i) {
+    EXPECT_EQ(col->ValueAsInt64(i), wide[i]);
   }
 }
 
