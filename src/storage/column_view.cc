@@ -109,29 +109,7 @@ ScanRun ColumnView::ScanBlock(Pmu* pmu, size_t block_begin,
     return ScanRun{scratch->values.data(), width_, type_, 0, nullptr};
   }
 
-  // Selected rows block_begin + sel[j] (sel is in row order): group by
-  // storage block, gather the encoded payload per group, decode each
-  // element to output position j so the run is dense over j.
-  scratch->values.resize(active * static_cast<size_t>(width_));
-  size_t j = 0;
-  while (j < active) {
-    const size_t row = block_begin + sel[j];
-    const size_t b = encoded_->BlockIndexOf(row);
-    const EncodedBlock& block = encoded_->block(b);
-    size_t k = j + 1;
-    while (k < active &&
-           encoded_->BlockIndexOf(block_begin + sel[k]) == b) {
-      ++k;
-    }
-    scratch->index_a.resize(k - j);
-    for (size_t i = j; i < k; ++i) {
-      scratch->index_a[i - j] =
-          static_cast<uint32_t>(block_begin + sel[i] - block.row_begin);
-    }
-    DecodeGatherPiece(pmu, block, scratch->index_a.data(), k - j, scratch, j);
-    j = k;
-  }
-  return ScanRun{scratch->values.data(), width_, type_, 0, nullptr};
+  return DecodeRows(pmu, block_begin, sel, active, scratch);
 }
 
 ScanRun ColumnView::GatherRows(Pmu* pmu, const uint32_t* rows, size_t count,
@@ -142,19 +120,38 @@ ScanRun ColumnView::GatherRows(Pmu* pmu, const uint32_t* rows, size_t count,
     pmu->OnGatherLoads(plain_data_, width_, rows, count);
     return ScanRun{plain_data_, width_, type_, 0, rows};
   }
+  return DecodeRows(pmu, 0, rows, count, scratch);
+}
+
+ScanRun ColumnView::DecodeRows(Pmu* pmu, size_t base_row,
+                               const uint32_t* rows, size_t count,
+                               DecodeScratch* scratch) const {
+  // Groups maximal runs of rows in one storage block. Each row is rebased
+  // to the group's block with one add; a row outside the block wraps to at
+  // least row_count, so one compare ends the group on either side. The
+  // same pass computes the packed word each element reads, which the
+  // gather booking needs.
   scratch->values.resize(count * static_cast<size_t>(width_));
+  scratch->index_a.resize(count);
+  scratch->index_b.resize(count);
+  uint32_t* local_rows = scratch->index_a.data();
+  uint32_t* aux = scratch->index_b.data();
   size_t j = 0;
   while (j < count) {
-    const size_t b = encoded_->BlockIndexOf(rows[j]);
-    const EncodedBlock& block = encoded_->block(b);
-    size_t k = j + 1;
-    while (k < count && encoded_->BlockIndexOf(rows[k]) == b) ++k;
-    scratch->index_a.resize(k - j);
-    for (size_t i = j; i < k; ++i) {
-      scratch->index_a[i - j] =
-          static_cast<uint32_t>(rows[i] - block.row_begin);
+    const EncodedBlock& block =
+        encoded_->block(encoded_->BlockIndexOf(base_row + rows[j]));
+    const size_t rebase = base_row - block.row_begin;
+    const size_t bits = block.encoding == BlockEncoding::kBitPacked
+                            ? block.bit_width
+                            : 0;
+    size_t k = j;
+    for (; k < count; ++k) {
+      const size_t local = rows[k] + rebase;
+      if (local >= block.row_count) break;
+      local_rows[k] = static_cast<uint32_t>(local);
+      aux[k] = static_cast<uint32_t>(local * bits / 64);
     }
-    DecodeGatherPiece(pmu, block, scratch->index_a.data(), k - j, scratch, j);
+    DecodeGatherPiece(pmu, block, local_rows + j, aux + j, k - j, scratch, j);
     j = k;
   }
   return ScanRun{scratch->values.data(), width_, type_, 0, nullptr};
@@ -219,8 +216,8 @@ void ColumnView::DecodeDensePiece(Pmu* pmu, const EncodedBlock& block,
 }
 
 void ColumnView::DecodeGatherPiece(Pmu* pmu, const EncodedBlock& block,
-                                   const uint32_t* local_rows, size_t count,
-                                   DecodeScratch* scratch,
+                                   const uint32_t* local_rows, uint32_t* aux,
+                                   size_t count, DecodeScratch* scratch,
                                    size_t out_begin) const {
   uint8_t* out =
       scratch->values.data() + out_begin * static_cast<size_t>(width_);
@@ -238,28 +235,19 @@ void ColumnView::DecodeGatherPiece(Pmu* pmu, const EncodedBlock& block,
     case BlockEncoding::kDictionary: {
       pmu->OnGatherLoads(block.codes.data(), block.code_width, local_rows,
                          count);
-      scratch->index_b.resize(count);
       for (size_t i = 0; i < count; ++i) {
-        scratch->index_b[i] =
-            ReadCode(block.codes.data(), block.code_width, local_rows[i]);
+        aux[i] = ReadCode(block.codes.data(), block.code_width, local_rows[i]);
       }
-      pmu->OnGatherLoads(block.dict.data(), width_, scratch->index_b.data(),
-                         count);
+      pmu->OnGatherLoads(block.dict.data(), width_, aux, count);
       pmu->OnInstructions(
           static_cast<uint64_t>(StorageCostModel::kDictDecodeInstructions) *
           count);
-      CopyDictValues(block, scratch->index_b.data(), count, out);
+      CopyDictValues(block, aux, count, out);
       return;
     }
     case BlockEncoding::kBitPacked: {
       if (block.bit_width > 0) {
-        scratch->index_b.resize(count);
-        for (size_t i = 0; i < count; ++i) {
-          scratch->index_b[i] = static_cast<uint32_t>(
-              static_cast<size_t>(local_rows[i]) * block.bit_width / 64);
-        }
-        pmu->OnGatherLoads(block.words.data(), sizeof(uint64_t),
-                           scratch->index_b.data(), count);
+        pmu->OnGatherLoads(block.words.data(), sizeof(uint64_t), aux, count);
       }
       pmu->OnInstructions(
           static_cast<uint64_t>(StorageCostModel::kPackDecodeInstructions) *
@@ -283,23 +271,12 @@ void ColumnView::CopyDictValues(const EncodedBlock& block,
 void ColumnView::UnpackValues(const EncodedBlock& block, size_t local_begin,
                               const uint32_t* local_rows, size_t count,
                               uint8_t* out) const {
-  auto offset_at = [&](size_t i) -> uint64_t {
-    if (block.bit_width == 0) return 0;
-    const size_t local = local_rows ? local_rows[i] : local_begin + i;
-    return ExtractBits(block.words.data(), local, block.bit_width);
-  };
   if (type_ == DataType::kInt32) {
-    int32_t* dst = reinterpret_cast<int32_t*>(out);
-    for (size_t i = 0; i < count; ++i) {
-      dst[i] = static_cast<int32_t>(static_cast<int64_t>(
-          static_cast<uint64_t>(block.frame_base) + offset_at(i)));
-    }
+    UnpackBits(block, local_begin, local_rows, count,
+               reinterpret_cast<int32_t*>(out));
   } else {
-    int64_t* dst = reinterpret_cast<int64_t*>(out);
-    for (size_t i = 0; i < count; ++i) {
-      dst[i] = static_cast<int64_t>(static_cast<uint64_t>(block.frame_base) +
-                                    offset_at(i));
-    }
+    UnpackBits(block, local_begin, local_rows, count,
+               reinterpret_cast<int64_t*>(out));
   }
 }
 

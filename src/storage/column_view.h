@@ -159,11 +159,19 @@ class ColumnView {
                         size_t local_begin, size_t count,
                         DecodeScratch* scratch, size_t out_begin) const;
 
+  /// Decodes rows `base_row + rows[j]` of an encoded column, grouped by
+  /// storage block, into a dense run over scratch->values.
+  ScanRun DecodeRows(Pmu* pmu, size_t base_row, const uint32_t* rows,
+                     size_t count, DecodeScratch* scratch) const;
+
   /// Decodes block-relative rows `local_rows[0..count)` into
   /// scratch->values at element position out_begin, booking gathers.
+  /// `aux[i]` holds the packed word of row i for bit-packed blocks and
+  /// receives its code for dictionary blocks.
   void DecodeGatherPiece(Pmu* pmu, const EncodedBlock& block,
-                         const uint32_t* local_rows, size_t count,
-                         DecodeScratch* scratch, size_t out_begin) const;
+                         const uint32_t* local_rows, uint32_t* aux,
+                         size_t count, DecodeScratch* scratch,
+                         size_t out_begin) const;
 
   void CopyDictValues(const EncodedBlock& block, const uint32_t* codes,
                       size_t count, uint8_t* out) const;

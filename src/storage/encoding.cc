@@ -302,20 +302,9 @@ void DecodeBlockRange(const EncodedBlock& block, size_t local_begin,
       }
       return;
     }
-    case BlockEncoding::kBitPacked: {
-      if (block.bit_width == 0) {
-        const T v = static_cast<T>(block.frame_base);
-        for (size_t i = 0; i < count; ++i) out[i] = v;
-        return;
-      }
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t offset =
-            ExtractBits(block.words.data(), local_begin + i, block.bit_width);
-        out[i] = static_cast<T>(static_cast<int64_t>(
-            static_cast<uint64_t>(block.frame_base) + offset));
-      }
+    case BlockEncoding::kBitPacked:
+      UnpackBits(block, local_begin, nullptr, count, out);
       return;
-    }
   }
 }
 

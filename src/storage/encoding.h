@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -120,6 +122,61 @@ struct EncodedBlock {
   /// dictionary counts too -- it is data a scan must touch).
   size_t encoded_bytes() const;
 };
+
+/// Widest packed value one unaligned 8-byte window always holds: the
+/// window starts at the value's first byte, so at most 7 bits precede it.
+inline constexpr uint32_t kWindowMaxBits = 64 - 7;
+
+/// \brief Decodes `count` values of a bit-packed block into `out`:
+/// element i is frame_base plus the packed offset at block row
+/// `rows ? rows[i] : begin + i`. Widths up to kWindowMaxBits read one
+/// unaligned little-endian 8-byte window per value while the window lies
+/// inside `words`; the rows past that point, and wider values, go through
+/// ExtractBits, which stays the reference.
+template <typename T>
+void UnpackBits(const EncodedBlock& block, size_t begin, const uint32_t* rows,
+                size_t count, T* out) {
+  static_assert(std::endian::native == std::endian::little);
+  const uint64_t base = static_cast<uint64_t>(block.frame_base);
+  const uint32_t bits = block.bit_width;
+  if (bits == 0) {
+    std::fill_n(out, count, static_cast<T>(block.frame_base));
+    return;
+  }
+  const uint64_t* words = block.words.data();
+  auto decode = [base](uint64_t offset) {
+    return static_cast<T>(static_cast<int64_t>(base + offset));
+  };
+  // Rows below window_rows start at byte (row * bits) >> 3 <= the last
+  // word's first byte, so their 8-byte window ends inside `words`.
+  size_t window_rows = 0;
+  if (bits <= kWindowMaxBits && !block.words.empty()) {
+    window_rows = ((block.words.size() - 1) * 64 + 7) / bits + 1;
+  }
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(words);
+  const uint64_t mask = bits < 64 ? (uint64_t{1} << bits) - 1 : ~uint64_t{0};
+  auto window = [bytes, mask](uint64_t pos) {
+    uint64_t w;
+    std::memcpy(&w, bytes + (pos >> 3), sizeof w);
+    return (w >> (pos & 7)) & mask;
+  };
+  if (rows == nullptr) {
+    const size_t fast =
+        std::min(count, window_rows > begin ? window_rows - begin : 0);
+    uint64_t pos = static_cast<uint64_t>(begin) * bits;
+    for (size_t i = 0; i < fast; ++i, pos += bits) out[i] = decode(window(pos));
+    for (size_t i = fast; i < count; ++i) {
+      out[i] = decode(ExtractBits(words, begin + i, bits));
+    }
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const size_t row = rows[i];
+    out[i] = decode(row < window_rows
+                        ? window(static_cast<uint64_t>(row) * bits)
+                        : ExtractBits(words, row, bits));
+  }
+}
 
 /// \brief A column stored in per-block compressed form with zone maps.
 ///
