@@ -19,10 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -136,19 +134,6 @@ TEST(DecodeReferenceTest, KernelMatchesExtractBitsAtEveryWidth) {
       CheckKernelAtWidth<int64_t>(&prng, bits, base);
     }
   }
-}
-
-TEST(DecodeReferenceTest, WindowBoundIsExact) {
-  // A kWindowMaxBits-wide value at bit offset 7 fills its window to the
-  // last bit; the packed stream is all ones, so any bit lost or gained
-  // by the shift or the mask shows.
-  EncodedBlock block;
-  block.encoding = BlockEncoding::kBitPacked;
-  block.bit_width = kWindowMaxBits;
-  block.row_count = 64;
-  block.words.assign((block.row_count * block.bit_width + 63) / 64,
-                     ~uint64_t{0});
-  ExpectDenseMatches<int64_t>(block, 0);
 }
 
 // --- ScanBlock / GatherRows against the replaced grouping ----------------
