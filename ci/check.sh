@@ -12,8 +12,9 @@
 # Opt-outs (all default on): NIPO_LINT=0, NIPO_PERF_SMOKE=0 (also skips
 # the gate), NIPO_PERF_GATE=0, NIPO_TSAN=0, NIPO_ASAN=0.
 # NIPO_SIMD=OFF builds without the AVX2 kernels (scalar fallback only;
-# the CI matrix runs one such leg) and drops the SIMD-kernel perf gates,
-# whose anchor records AVX2 throughput and speedup.
+# the CI matrix runs one such leg), drops the SIMD-kernel perf gates,
+# whose anchor records AVX2 throughput and speedup, and gates
+# sim_throughput against the anchor a scalar build recorded.
 # Usage: ci/check.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -129,11 +130,18 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
   # host state that makes the absolute rate bimodal (a build that loses
   # its AVX2 path reads about 1x against the anchor's 2.4-2.7x). Both are
   # dropped under NIPO_SIMD=OFF: the scalar-only build reaches neither.
+  # The sim_throughput anchor depends on the build too: its kernels and
+  # cache walks run scalar under NIPO_SIMD=OFF, so that leg is gated
+  # against BENCH_sim_throughput_scalar.json, recorded by a scalar build.
   if [[ "${NIPO_PERF_GATE:-1}" == "1" ]]; then
     if command -v python3 >/dev/null; then
       echo "== perf gate: smoke vs committed anchors =="
+      SIM_ANCHOR=BENCH_sim_throughput.json
+      if [[ "$NIPO_SIMD" == "OFF" ]]; then
+        SIM_ANCHOR=BENCH_sim_throughput_scalar.json
+      fi
       GATES=(
-        --gate "BENCH_sim_throughput.json:$BUILD_DIR/BENCH_sim_throughput.json"
+        --gate "$SIM_ANCHOR:$BUILD_DIR/BENCH_sim_throughput.json"
         --gate "BENCH_workload_throughput.json:$BUILD_DIR/BENCH_workload_throughput.json:sim_queries_per_sec"
         --gate "BENCH_workload_contention.json:$BUILD_DIR/BENCH_workload_contention.json:sim_queries_per_sec"
         --gate "BENCH_service_latency.json:$BUILD_DIR/BENCH_service_latency.json:sim_queries_per_sec"

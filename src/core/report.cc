@@ -80,12 +80,10 @@ void PrintProgressiveReport(const ProgressiveReport& report,
   TablePrinter trace(title + " - PEO trace");
   trace.SetHeader({"vector", "old order", "new order", "flags"});
   for (const PeoChange& change : report.changes) {
-    std::string flags;
-    if (change.exploration) flags += "exploration ";
-    if (change.reverted) flags += "reverted";
     trace.AddRow({std::to_string(change.vector_index),
                   FormatOrder(change.old_order),
-                  FormatOrder(change.new_order), flags});
+                  FormatOrder(change.new_order),
+                  change.reverted ? "reverted" : ""});
   }
   trace.Print(out);
   out << "optimizations: " << report.num_optimizations

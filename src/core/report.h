@@ -22,7 +22,7 @@ void PrintDriveResult(const DriveResult& drive, const std::string& title,
                       std::ostream& out);
 
 /// \brief Renders a progressive run: drive summary plus the PEO trace
-/// (one line per order change, with revert/exploration flags).
+/// (one line per order change, flagged when validation reverted it).
 void PrintProgressiveReport(const ProgressiveReport& report,
                             const std::string& title, std::ostream& out);
 

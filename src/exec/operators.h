@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/compare.h"
-#include "hw/pmu.h"
-#include "storage/column_view.h"
 #include "storage/table.h"
 
 /// \file operators.h
@@ -75,18 +73,19 @@ struct OperatorSpec {
   std::string ToString() const;
 };
 
-/// \brief Rows per execution block of every blocked operator-at-a-time
-/// loop (PipelineExecutor, hash join, hash aggregate). Chosen like
-/// Vectorwise's vector size: small enough that a block's working set (a
-/// few KB per touched column) stays cache-resident on the *simulated*
-/// machine, large enough to amortize per-block bookkeeping on the host.
+/// \brief Rows per execution block of the blocked operator-at-a-time
+/// loop (PipelineExecutor). Chosen like Vectorwise's vector size: small
+/// enough that a block's working set (a few KB per touched column) stays
+/// cache-resident on the *simulated* machine, large enough to amortize
+/// per-block bookkeeping on the host.
 /// Simulated counters depend on this constant (it fixes the interleaving
 /// of column touches), so it is a fixed compile-time property of the
 /// execution layer, not a tuning knob.
 inline constexpr size_t kSimBlockRows = 1024;
 
 /// \brief Runs `fn(block_begin, n)` over [begin, end) in kSimBlockRows
-/// blocks -- the outer skeleton shared by every blocked executor.
+/// blocks -- the outer skeleton of the executor and of every bench or
+/// probe that replays its column touches.
 template <typename Fn>
 void ForEachSimBlock(size_t begin, size_t end, Fn&& fn) {
   for (size_t block = begin; block < end; block += kSimBlockRows) {
@@ -94,11 +93,10 @@ void ForEachSimBlock(size_t begin, size_t end, Fn&& fn) {
   }
 }
 
-/// \brief The blocked selection-vector scaffolding shared by
-/// PipelineExecutor, the hash aggregate's filter chain, and any future
-/// filtering operator: dense-first semantics (the first operator of a
-/// block runs without a materialized selection vector), a pass-flag
-/// buffer for branch booking, and double-buffered survivor compaction.
+/// \brief The blocked selection-vector scaffolding of PipelineExecutor:
+/// dense-first semantics (the first operator of a block runs without a
+/// materialized selection vector), a pass-flag buffer for branch
+/// booking, and double-buffered survivor compaction.
 ///
 /// Per block: BeginBlock(n); then per operator obtain pass()/next_sel(),
 /// evaluate, and Commit(passed); MaterializeDense() converts a
@@ -154,38 +152,6 @@ class SelectionScratch {
   bool dense_ = true;
   size_t active_ = 0;
 };
-
-/// \brief One predicate evaluation over a block, PMU booking included.
-///
-/// The default of compare_instructions mirrors LoopCostModel (enforced
-/// by a static_assert in operators.cc); the executor layers pass their
-/// constants explicitly.
-struct PredicateEvalArgs {
-  Pmu* pmu = nullptr;
-  size_t branch_site = 0;  ///< PMU site of this predicate position
-  /// The column scanned, through the storage view API; the view books
-  /// the loads (encoded bytes for compressed columns) and hands back the
-  /// run the SIMD kernel evaluates.
-  const ColumnView* column = nullptr;
-  /// Decode buffers for encoded columns (untouched for plain ones).
-  DecodeScratch* decode = nullptr;
-  size_t block_begin = 0;  ///< first row of the block
-  CompareOp op = CompareOp::kLe;
-  double value = 0.0;
-  double extra_instructions = 0.0;
-  double compare_instructions = 1.0;  ///< LoopCostModel value
-  /// Booked after evaluation, before branch events (the enumerator-based
-  /// instrumentation of pipeline.cc); 0 to skip.
-  double post_eval_instructions = 0.0;
-};
-
-/// \brief Evaluates one predicate over the scratch's active rows:
-/// books the column load run (stride-1 while dense, gather otherwise),
-/// the per-tuple compare instructions, evaluates via the active SIMD
-/// kernel, books the predicate-site branch run, and commits survivors.
-/// Returns the number of passing rows (== scratch->active() afterwards).
-size_t EvalPredicateBlock(const PredicateEvalArgs& args,
-                          SelectionScratch* scratch);
 
 /// \brief How the executor exposes per-operator statistics.
 enum class InstrumentationMode : int {

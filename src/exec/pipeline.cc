@@ -9,10 +9,10 @@
 /// The instrumented blocked operator-at-a-time scan loop: operator-chain
 /// evaluation in a configurable order, every load/compare/branch reported
 /// to the Pmu as per-block runs (coalesced by its batched reporting
-/// layer). Predicate blocks run through the shared EvalPredicateBlock
-/// primitive (exec/operators.cc), whose host-side evaluation is the
-/// runtime-selected SIMD kernel of exec/simd.h; FK probes gather their
-/// dimension values through the same kernel layer.
+/// layer). A predicate compares its column's run, an FK probe the
+/// dimension values gathered at its keys; both runs go through one
+/// compare-and-book step whose host-side evaluation is the
+/// runtime-selected SIMD kernel of exec/simd.h.
 
 namespace nipo {
 
@@ -100,22 +100,16 @@ Result<std::unique_ptr<PipelineExecutor>> PipelineExecutor::Compile(
     return Status::InvalidArgument("pipeline needs at least one operator");
   }
   auto exec = std::unique_ptr<PipelineExecutor>(new PipelineExecutor());
-  exec->specs_ = std::move(ops);
   exec->num_rows_ = table.num_rows();
   exec->pmu_ = pmu;
   exec->mode_ = mode;
 
-  for (size_t i = 0; i < exec->specs_.size(); ++i) {
-    const OperatorSpec& spec = exec->specs_[i];
+  for (OperatorSpec& spec : ops) {
     CompiledOp c;
-    c.kind = spec.kind;
-    c.original_index = i;
     if (spec.kind == OperatorSpec::Kind::kPredicate) {
       NIPO_RETURN_NOT_OK(BindColumn(table, spec.predicate.column, &c.column));
-      c.op = spec.predicate.op;
-      c.value = spec.predicate.value;
-      c.extra_instructions = spec.predicate.extra_instructions;
-      c.prunable_fraction = c.column.ZonePrunableFraction(c.op, c.value);
+      c.prunable_fraction = c.column.ZonePrunableFraction(
+          spec.predicate.op, spec.predicate.value);
     } else {
       if (spec.probe.dimension == nullptr) {
         return Status::InvalidArgument("FK probe without dimension table");
@@ -127,17 +121,15 @@ Result<std::unique_ptr<PipelineExecutor>> PipelineExecutor::Compile(
       }
       NIPO_RETURN_NOT_OK(BindColumn(*spec.probe.dimension,
                                     spec.probe.filter_column, &c.dim_column));
-      c.op = spec.probe.op;
-      c.value = spec.probe.value;
-      c.dim_rows = c.dim_column.size();
       // 2^31 (not 2^32): AVX2 gathers sign-extend their 32-bit indices,
       // so probe keys must stay in the non-negative int32 range.
-      if (c.dim_rows > (uint64_t{1} << 31)) {
+      if (c.dim_column.size() > (uint64_t{1} << 31)) {
         return Status::InvalidArgument(
             "dimension table exceeds the 2^31-row probe-key range");
       }
     }
-    exec->all_ops_.push_back(c);
+    c.spec = std::move(spec);
+    exec->ops_.push_back(std::move(c));
   }
 
   for (const std::string& name : payload_columns) {
@@ -146,13 +138,12 @@ Result<std::unique_ptr<PipelineExecutor>> PipelineExecutor::Compile(
     exec->payloads_.push_back(p);
   }
 
-  exec->compiled_ = exec->all_ops_;
-  exec->order_.resize(exec->all_ops_.size());
+  exec->order_.resize(exec->ops_.size());
   for (size_t i = 0; i < exec->order_.size(); ++i) exec->order_[i] = i;
-  exec->enum_pass_.assign(exec->all_ops_.size(), 0);
+  exec->enum_pass_.assign(exec->ops_.size(), 0);
   // One branch site per evaluation position plus the loop back-edge.
-  exec->loop_site_ = exec->all_ops_.size();
-  pmu->EnsureBranchSites(exec->all_ops_.size() + 1);
+  exec->loop_site_ = exec->ops_.size();
+  pmu->EnsureBranchSites(exec->ops_.size() + 1);
   return exec;
 }
 
@@ -176,23 +167,58 @@ bool PipelineExecutor::ZoneSkipBlock(size_t block_begin, size_t n) {
   // StorageCostModel::kZoneCheckInstructions. Plain columns have no
   // zone maps, so this books nothing and skips nothing -- the
   // encodings-off counter stream is untouched.
-  for (const CompiledOp& op : compiled_) {
-    if (op.kind != OperatorSpec::Kind::kPredicate) continue;
+  for (size_t idx : order_) {
+    const CompiledOp& op = ops_[idx];
+    if (op.spec.kind != OperatorSpec::Kind::kPredicate) continue;
     if (!op.column.has_zone_maps()) continue;
     const size_t checks = op.column.ZoneChecksForRange(block_begin, n);
     pmu_->OnInstructions(
         static_cast<uint64_t>(StorageCostModel::kZoneCheckInstructions) *
         checks);
-    if (op.column.ZoneRefutesRange(block_begin, n, op.op, op.value)) {
+    if (op.column.ZoneRefutesRange(block_begin, n, op.spec.predicate.op,
+                                   op.spec.predicate.value)) {
       return true;
     }
   }
   return false;
 }
 
+bool PipelineExecutor::ProbeRun(const CompiledOp& op, size_t block_begin,
+                                ScanRun* run) {
+  // FK columns are validated int32 at Compile time. The key run is read
+  // from a local copy: a store to keys_ could alias *run's fields, which
+  // would make the compiler reload them for every key.
+  const ScanRun fk_run = *run;
+  const size_t active = scratch_.active();
+  const uint32_t* sel = scratch_.sel();
+  pmu_->OnInstructions(
+      static_cast<uint64_t>(LoopCostModel::kProbeAddressInstructions) *
+      active);
+  const uint64_t dim_rows = op.dim_column.size();
+  keys_.resize(active);
+  for (size_t j = 0; j < active; ++j) {
+    const int64_t fk_value = ScanRunValueAsInt64(fk_run, j);
+    const uint64_t key = static_cast<uint64_t>(fk_value);
+    if (key >= dim_rows) {
+      // Data-dependent and only discoverable here: latch instead of
+      // aborting, before anything dereferences the dimension column at
+      // the bad key. The drivers turn the latch into a failed query; the
+      // block's partial work stays accounted.
+      const uint32_t offset = sel ? sel[j] : static_cast<uint32_t>(j);
+      error_ = Status::OutOfRange(
+          "FK value " + std::to_string(fk_value) + " at row " +
+          std::to_string(block_begin + offset) + " outside dimension (" +
+          std::to_string(dim_rows) + " rows)");
+      return false;
+    }
+    keys_[j] = static_cast<uint32_t>(key);
+  }
+  *run = op.dim_column.GatherRows(pmu_, keys_.data(), active, &decode_dim_);
+  return true;
+}
+
 void PipelineExecutor::ExecuteBlock(size_t block_begin, size_t n,
                                     VectorResult* result) {
-  const size_t num_ops = compiled_.size();
   const bool enumerator = mode_ == InstrumentationMode::kEnumerator;
   if (ZoneSkipBlock(block_begin, n)) {
     result->zone_skipped += n;
@@ -205,76 +231,49 @@ void PipelineExecutor::ExecuteBlock(size_t block_begin, size_t n,
   // first operator runs dense over the whole block without materializing
   // a selection vector.
   scratch_.BeginBlock(n);
-  for (size_t pos = 0; pos < num_ops && scratch_.active() > 0; ++pos) {
-    const CompiledOp& op = compiled_[pos];
-    if (op.kind == OperatorSpec::Kind::kPredicate) {
-      PredicateEvalArgs args;
-      args.pmu = pmu_;
-      args.branch_site = pos;
-      args.column = &op.column;
-      args.decode = &decode_fact_;
-      args.block_begin = block_begin;
-      args.op = op.op;
-      args.value = op.value;
-      args.extra_instructions = op.extra_instructions;
-      args.compare_instructions = LoopCostModel::kCompareInstructions;
+  for (size_t pos = 0; pos < order_.size() && scratch_.active() > 0; ++pos) {
+    const CompiledOp& op = ops_[order_[pos]];
+    const size_t active = scratch_.active();
+    const uint32_t* sel = scratch_.sel();
+    // Each operator produces the run it compares. The view books the
+    // fact-side column loads (the encoded bytes for compressed columns);
+    // a probe then swaps in the dimension values gathered at its keys.
+    const bool predicate = op.spec.kind == OperatorSpec::Kind::kPredicate;
+    ScanRun run =
+        op.column.ScanBlock(pmu_, block_begin, sel, active, &decode_fact_);
+    if (!predicate && !ProbeRun(op, block_begin, &run)) return;
+    const CompareOp cmp = predicate ? op.spec.predicate.op : op.spec.probe.op;
+    const double value =
+        predicate ? op.spec.predicate.value : op.spec.probe.value;
+    const double extra_instructions =
+        predicate ? op.spec.predicate.extra_instructions : 0.0;
+
+    pmu_->OnInstructions(
+        static_cast<uint64_t>(LoopCostModel::kCompareInstructions) * active);
+    if (extra_instructions > 0) {
+      pmu_->OnInstructions(static_cast<uint64_t>(extra_instructions) *
+                           active);
+    }
+    // The kernel reads element j at run.base_row + (run.gather ?
+    // run.gather[j] : j); survivor ids stay `sel` so committed offsets
+    // remain block-relative rows even when the run is a decoded buffer.
+    uint8_t* pass = scratch_.pass();
+    uint32_t* next_sel = scratch_.next_sel();
+    const size_t passed =
+        simd::CompareSelect(run.type, run.data, run.base_row, cmp, value,
+                            run.gather, sel, active, pass, next_sel);
+    if (enumerator) {
       // Invasive instrumentation: increment an explicit pass counter
       // after each evaluation (Section 5.7's enumerator-based approach).
-      args.post_eval_instructions =
-          enumerator ? LoopCostModel::kEnumeratorInstructions : 0.0;
-      const size_t passed = EvalPredicateBlock(args, &scratch_);
-      if (enumerator) enum_pass_[pos] += passed;
-    } else {
-      // FK probe: the key gather feeds a dimension-side gather evaluated
-      // through the same SIMD kernel. FK columns are validated int32 at
-      // Compile time; probes are always branching (the qualify branch is
-      // inherent to the probe loop).
-      const size_t active = scratch_.active();
-      const uint32_t* sel = scratch_.sel();
-      const ScanRun fk_run =
-          op.column.ScanBlock(pmu_, block_begin, sel, active, &decode_fact_);
       pmu_->OnInstructions(
-          static_cast<uint64_t>(LoopCostModel::kProbeAddressInstructions) *
+          static_cast<uint64_t>(LoopCostModel::kEnumeratorInstructions) *
           active);
-      keys_.resize(active);
-      for (size_t j = 0; j < active; ++j) {
-        const int64_t fk_value = ScanRunValueAsInt64(fk_run, j);
-        const uint64_t key = static_cast<uint64_t>(fk_value);
-        if (key >= op.dim_rows) {
-          // Data-dependent and only discoverable here: latch instead of
-          // aborting, before anything dereferences the dimension column
-          // at the bad key. The drivers turn the latch into a failed
-          // query; the block's partial work stays accounted.
-          const uint32_t offset = sel ? sel[j] : static_cast<uint32_t>(j);
-          error_ = Status::OutOfRange(
-              "FK value " + std::to_string(fk_value) + " at row " +
-              std::to_string(block_begin + offset) + " outside dimension (" +
-              std::to_string(op.dim_rows) + " rows)");
-          return;
-        }
-        keys_[j] = static_cast<uint32_t>(key);
-      }
-      const ScanRun dim_run =
-          op.dim_column.GatherRows(pmu_, keys_.data(), active, &decode_dim_);
-      pmu_->OnInstructions(
-          static_cast<uint64_t>(LoopCostModel::kCompareInstructions) *
-          active);
-      uint8_t* pass = scratch_.pass();
-      uint32_t* next_sel = scratch_.next_sel();
-      const size_t passed = simd::CompareSelect(
-          dim_run.type, dim_run.data, dim_run.base_row, op.op, op.value,
-          dim_run.gather, sel, active, pass, next_sel);
-      if (enumerator) {
-        pmu_->OnInstructions(
-            static_cast<uint64_t>(LoopCostModel::kEnumeratorInstructions) *
-            active);
-        enum_pass_[pos] += passed;
-      }
-      // Probe qualify branch per evaluated row, NOT taken when the tuple
-      // qualifies, in row order as a tuple-at-a-time loop would emit it.
-      pmu_->OnPredicateBranches(pos, pass, active);
-      scratch_.Commit(passed);
+      enum_pass_[pos] += passed;
     }
+    // One branch per evaluated row, NOT taken when the tuple qualifies,
+    // in row order as a tuple-at-a-time loop would emit it.
+    pmu_->OnPredicateBranches(pos, pass, active);
+    scratch_.Commit(passed);
   }
 
   const size_t active = scratch_.active();
@@ -299,20 +298,16 @@ void PipelineExecutor::ExecuteBlock(size_t block_begin, size_t n,
 }
 
 Status PipelineExecutor::Reorder(const std::vector<size_t>& order) {
-  if (order.size() != all_ops_.size()) {
+  if (order.size() != ops_.size()) {
     return Status::InvalidArgument("order size mismatch");
   }
-  std::vector<bool> seen(all_ops_.size(), false);
+  std::vector<bool> seen(ops_.size(), false);
   for (size_t idx : order) {
-    if (idx >= all_ops_.size() || seen[idx]) {
+    if (idx >= ops_.size() || seen[idx]) {
       return Status::InvalidArgument("order is not a permutation");
     }
     seen[idx] = true;
   }
-  std::vector<CompiledOp> next;
-  next.reserve(all_ops_.size());
-  for (size_t idx : order) next.push_back(all_ops_[idx]);
-  compiled_ = std::move(next);
   order_ = order;
   // Positions changed meaning; per-position enumerator counts restart.
   std::fill(enum_pass_.begin(), enum_pass_.end(), 0);
@@ -320,13 +315,13 @@ Status PipelineExecutor::Reorder(const std::vector<size_t>& order) {
 }
 
 const OperatorSpec& PipelineExecutor::OperatorAt(size_t pos) const {
-  NIPO_CHECK(pos < compiled_.size());
-  return specs_[compiled_[pos].original_index];
+  NIPO_CHECK(pos < order_.size());
+  return ops_[order_[pos]].spec;
 }
 
 double PipelineExecutor::ZonePrunableFractionAt(size_t pos) const {
-  NIPO_CHECK(pos < compiled_.size());
-  return compiled_[pos].prunable_fraction;
+  NIPO_CHECK(pos < order_.size());
+  return ops_[order_[pos]].prunable_fraction;
 }
 
 namespace {
@@ -335,7 +330,6 @@ ColumnScanStats StatsOf(const ColumnView& view) {
   ColumnScanStats stats;
   stats.value_width = view.value_width();
   stats.scan_bytes_per_value = view.scan_bytes_per_value();
-  stats.decode_instructions = view.decode_instructions_per_value();
   stats.encoded = view.encoded();
   return stats;
 }
@@ -343,8 +337,8 @@ ColumnScanStats StatsOf(const ColumnView& view) {
 }  // namespace
 
 ColumnScanStats PipelineExecutor::ColumnStatsAt(size_t pos) const {
-  NIPO_CHECK(pos < compiled_.size());
-  return StatsOf(compiled_[pos].column);
+  NIPO_CHECK(pos < order_.size());
+  return StatsOf(ops_[order_[pos]].column);
 }
 
 ColumnScanStats PipelineExecutor::PayloadStatsAt(size_t i) const {

@@ -7,6 +7,7 @@
 
 #include "exec/operators.h"
 #include "hw/pmu.h"
+#include "storage/column_view.h"
 #include "storage/table.h"
 
 /// \file pipeline.h
@@ -51,7 +52,6 @@ struct VectorResult {
 struct ColumnScanStats {
   uint32_t value_width = 0;            ///< native (decoded) width
   double scan_bytes_per_value = 0.0;   ///< encoded bytes a scan touches
-  double decode_instructions = 0.0;    ///< per decoded value
   bool encoded = false;
 };
 
@@ -90,7 +90,7 @@ class PipelineExecutor {
   /// Current evaluation order as original operator indices.
   const std::vector<size_t>& current_order() const { return order_; }
 
-  size_t num_operators() const { return compiled_.size(); }
+  size_t num_operators() const { return ops_.size(); }
   size_t num_rows() const { return num_rows_; }
 
   /// The operator currently evaluated at position `pos`.
@@ -119,21 +119,15 @@ class PipelineExecutor {
 
  private:
   struct CompiledOp {
-    OperatorSpec::Kind kind;
-    // Fact-side column, scanned through the storage view API.
+    OperatorSpec spec;
+    // Fact-side column (the predicate's column or the probe's FK column),
+    // scanned through the storage view API.
     ColumnView column;
-    CompareOp op = CompareOp::kLe;
-    double value = 0.0;
-    double extra_instructions = 0.0;
     // Predicates: fraction of rows in zone-refuted blocks (0 without
     // zone maps), computed once at Compile.
     double prunable_fraction = 0.0;
     // FK probe: dimension-side column.
     ColumnView dim_column;
-    uint64_t dim_rows = 0;
-    // Original index in the spec list (identifies the operator across
-    // reorders).
-    size_t original_index = 0;
   };
   struct CompiledPayload {
     ColumnView column;
@@ -145,14 +139,18 @@ class PipelineExecutor {
   /// `result`.
   void ExecuteBlock(size_t block_begin, size_t n, VectorResult* result);
 
+  /// FK probe step of a block: books the address arithmetic, checks the
+  /// keys in `*run` (the FK column's run) and replaces it with the
+  /// dimension gather at those keys. False when a key is out of range
+  /// (error_ latched).
+  bool ProbeRun(const CompiledOp& op, size_t block_begin, ScanRun* run);
+
   /// Zone-map prologue of a block: true if some predicate's zone maps
   /// refute it entirely (the caller then skips all per-tuple work).
   bool ZoneSkipBlock(size_t block_begin, size_t n);
 
-  std::vector<OperatorSpec> specs_;       // original order
-  std::vector<CompiledOp> all_ops_;       // original order
-  std::vector<CompiledOp> compiled_;      // current evaluation order
-  std::vector<size_t> order_;             // current order (original indices)
+  std::vector<CompiledOp> ops_;  // original order
+  std::vector<size_t> order_;    // current order (original indices)
   std::vector<CompiledPayload> payloads_;
   std::vector<uint64_t> enum_pass_;
   Status error_;  ///< runtime data-error latch (see error())

@@ -188,7 +188,6 @@ ProgressiveOptimizer::ProgressiveOptimizer(PipelineExecutor* executor,
 }
 
 void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
-  ++optimization_count_;
   ++report_.num_optimizations;
   if (sample.result.input_tuples == 0) return;
 
@@ -206,16 +205,8 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
   }
   report_.last_estimate = estimate.ValueOrDie().selectivities;
 
-  std::vector<size_t> proposed = RankOrderOperators(
+  const std::vector<size_t> proposed = RankOrderOperators(
       *executor_, shape, sample, estimate.ValueOrDie().selectivities);
-  const bool explore =
-      config_.explore_period > 0 &&
-      optimization_count_ % config_.explore_period == 0 && proposed.size() > 1;
-  if (explore && proposed == executor_->current_order()) {
-    // Correlation probe (Section 4.5): try the nearest alternative order
-    // to look at data the current order never touches.
-    std::swap(proposed[0], proposed[1]);
-  }
   if (proposed == executor_->current_order()) return;
   if (hysteresis_ttl_ > 0) {
     --hysteresis_ttl_;
@@ -226,13 +217,11 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
   PendingValidation pending;
   pending.old_order = executor_->current_order();
   pending.old_cycles_per_tuple = last_cycles_per_tuple_;
-  pending.exploration = explore;
   NIPO_CHECK(executor_->Reorder(proposed).ok());
   PeoChange change;
   change.vector_index = sample.vector_index;
   change.old_order = pending.old_order;
   change.new_order = proposed;
-  change.exploration = explore;
   report_.changes.push_back(change);
   if (config_.validate_and_revert) {
     pending_ = std::move(pending);
@@ -268,7 +257,6 @@ void ProgressiveOptimizer::Begin() {
   report_ = ProgressiveReport{};
   pending_.reset();
   last_cycles_per_tuple_ = 0;
-  optimization_count_ = 0;
   recently_reverted_.clear();
   hysteresis_ttl_ = 0;
 }

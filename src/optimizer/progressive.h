@@ -47,9 +47,6 @@ struct ProgressiveConfig {
   /// cycles-per-tuple regress past a fixed factor (kRevertThreshold in
   /// progressive.cc).
   bool validate_and_revert = true;
-  /// Every k-th optimization additionally explores a perturbed order to
-  /// surface correlation effects (Section 4.5); 0 disables exploration.
-  size_t explore_period = 0;
 };
 
 /// \brief One evaluation-order change performed during execution.
@@ -57,8 +54,7 @@ struct PeoChange {
   size_t vector_index = 0;
   std::vector<size_t> old_order;
   std::vector<size_t> new_order;
-  bool reverted = false;      ///< validation rolled it back
-  bool exploration = false;   ///< came from the correlation explorer
+  bool reverted = false;  ///< validation rolled it back
 };
 
 /// \brief Outcome of a progressively optimized execution.
@@ -105,7 +101,6 @@ class ProgressiveOptimizer {
   struct PendingValidation {
     std::vector<size_t> old_order;
     double old_cycles_per_tuple = 0;
-    bool exploration = false;
   };
 
   void HandleVector(const VectorSample& sample);
@@ -116,7 +111,6 @@ class ProgressiveOptimizer {
   ProgressiveReport report_;
   std::optional<PendingValidation> pending_;
   double last_cycles_per_tuple_ = 0;
-  size_t optimization_count_ = 0;
   /// Hysteresis: an order that validation just rolled back is not
   /// re-proposed for `hysteresis_ttl_` optimization cycles, preventing
   /// estimate-noise oscillation (propose -> revert -> propose -> ...)

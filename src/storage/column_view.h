@@ -39,22 +39,6 @@ struct ScanRun {
   const uint32_t* gather = nullptr;
 };
 
-/// \brief Reads element `j` of a run as double (unbooked; reference
-/// paths and scalar consumers).
-inline double ScanRunValueAsDouble(const ScanRun& run, size_t j) {
-  const size_t row = run.base_row + (run.gather ? run.gather[j] : j);
-  const uint8_t* addr = run.data + static_cast<uint64_t>(row) * run.width;
-  switch (run.type) {
-    case DataType::kInt32:
-      return static_cast<double>(*reinterpret_cast<const int32_t*>(addr));
-    case DataType::kInt64:
-      return static_cast<double>(*reinterpret_cast<const int64_t*>(addr));
-    case DataType::kDouble:
-      return *reinterpret_cast<const double*>(addr);
-  }
-  return 0.0;
-}
-
 /// \brief Reads element `j` of a run as int64 (unbooked).
 inline int64_t ScanRunValueAsInt64(const ScanRun& run, size_t j) {
   const size_t row = run.base_row + (run.gather ? run.gather[j] : j);
@@ -106,12 +90,6 @@ class ColumnView {
   double scan_bytes_per_value() const {
     return encoded_ != nullptr ? encoded_->scan_bytes_per_value()
                                : static_cast<double>(width_);
-  }
-
-  /// Average per-value decode instructions (0 for plain columns).
-  double decode_instructions_per_value() const {
-    return encoded_ != nullptr ? encoded_->decode_instructions_per_value()
-                               : 0.0;
   }
 
   /// True iff the zone maps prove no row of [row_begin, row_begin+count)

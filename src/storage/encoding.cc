@@ -308,18 +308,6 @@ void DecodeBlockRange(const EncodedBlock& block, size_t local_begin,
   }
 }
 
-double DecodeInstructionsFor(BlockEncoding encoding) {
-  switch (encoding) {
-    case BlockEncoding::kPlain:
-      return 0.0;
-    case BlockEncoding::kDictionary:
-      return StorageCostModel::kDictDecodeInstructions;
-    case BlockEncoding::kBitPacked:
-      return StorageCostModel::kPackDecodeInstructions;
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 bool ZoneRefutes(const ZoneMapEntry& zone, CompareOp op, double value) {
@@ -377,7 +365,6 @@ Result<std::unique_ptr<EncodedColumn>> EncodedColumn::Encode(
       n == 0 ? 0 : (n + options.block_values - 1) / options.block_values;
   encoded->blocks_.resize(num_blocks);
   encoded->zones_.resize(num_blocks);
-  double decode_instructions = 0.0;
   PatternSet patterns;
   for (size_t b = 0; b < num_blocks; ++b) {
     const size_t begin = b * options.block_values;
@@ -400,12 +387,7 @@ Result<std::unique_ptr<EncodedColumn>> EncodedColumn::Encode(
         break;
     }
     encoded->total_encoded_bytes_ += encoded->blocks_[b].encoded_bytes();
-    decode_instructions +=
-        DecodeInstructionsFor(encoded->blocks_[b].encoding) *
-        static_cast<double>(count);
   }
-  encoded->decode_instructions_per_value_ =
-      n == 0 ? 0.0 : decode_instructions / static_cast<double>(n);
   return encoded;
 }
 

@@ -218,12 +218,6 @@ class EncodedColumn : public ColumnBase {
                                   static_cast<double>(num_values_);
   }
 
-  /// Average per-value decode instructions across blocks (0 for an
-  /// all-plain column), from StorageCostModel.
-  double decode_instructions_per_value() const {
-    return decode_instructions_per_value_;
-  }
-
   /// Decodes rows [row_begin, row_begin + count) into `out` (native
   /// width). Unbooked -- the scan-path booking lives in ColumnView.
   void DecodeRange(size_t row_begin, size_t count, void* out) const;
@@ -239,14 +233,12 @@ class EncodedColumn : public ColumnBase {
   size_t num_values_ = 0;
   size_t block_values_ = 0;
   size_t total_encoded_bytes_ = 0;
-  double decode_instructions_per_value_ = 0.0;
   std::vector<EncodedBlock> blocks_;
   std::vector<ZoneMapEntry> zones_;
 };
 
 /// \brief Instruction costs of decoding, booked by ColumnView per decoded
-/// value (and per zone check); priced by cost/counter_model through the
-/// executor's column stats.
+/// value, and of zone checks, booked by the executor per consulted map.
 struct StorageCostModel {
   /// Dictionary decode: code load is booked as a real load; this is the
   /// index arithmetic per value.

@@ -326,7 +326,6 @@ TEST_P(PipelineFuzzTest, ProgressiveOptimizerPreservesResults) {
   ProgressiveConfig cfg;
   cfg.vector_size = 1024;
   cfg.reopt_interval = 2;
-  cfg.explore_period = 3;
   ProgressiveOptimizer opt(exec.ValueOrDie().get(), cfg);
   const ProgressiveReport report = opt.Run();
   ASSERT_EQ(report.drive.qualifying_tuples, c.ref_qualifying)

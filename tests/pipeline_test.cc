@@ -191,6 +191,66 @@ TEST(PipelineTest, EnumeratorModeCostsMoreCycles) {
   EXPECT_GT(pmu_b.Read().cycles, pmu_a.Read().cycles);
 }
 
+TEST(PipelineTest, EnumeratorModeBooksOnlyItsCounterUpdates) {
+  // One predicate and one FK probe, in both orders: the enumerator build
+  // differs from the PMU build only by kEnumeratorInstructions per row
+  // evaluated at each position (and the cycles they cost), and its pass
+  // counts are the rows that passed each position.
+  const size_t kFact = 20'000, kDim = 100;
+  Prng prng(4);
+  std::vector<int32_t> a(kFact), fk(kFact);
+  uint64_t a_pass = 0, fk_pass = 0, both_pass = 0;
+  for (size_t i = 0; i < kFact; ++i) {
+    a[i] = static_cast<int32_t>(prng.NextBounded(1000));
+    fk[i] = static_cast<int32_t>(prng.NextBounded(kDim));
+    a_pass += a[i] < 400;
+    fk_pass += fk[i] % 2 == 0;
+    both_pass += a[i] < 400 && fk[i] % 2 == 0;
+  }
+  Table fact("fact");
+  ASSERT_TRUE(fact.AddColumn("a", std::move(a)).ok());
+  ASSERT_TRUE(fact.AddColumn("fk", std::move(fk)).ok());
+  std::vector<int32_t> parity(kDim);
+  for (size_t i = 0; i < kDim; ++i) parity[i] = static_cast<int32_t>(i % 2);
+  Table dim("dim");
+  ASSERT_TRUE(dim.AddColumn("parity", std::move(parity)).ok());
+  const std::vector<OperatorSpec> ops = {
+      OperatorSpec::Predicate({"a", CompareOp::kLt, 400.0}),
+      OperatorSpec::FkProbe({"fk", &dim, "parity", CompareOp::kEq, 0.0})};
+
+  for (const std::vector<size_t>& order :
+       {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
+    SCOPED_TRACE(order[0]);
+    Pmu pmu_pmu(HwConfig::ScaledXeon(8)), pmu_enum(HwConfig::ScaledXeon(8));
+    auto plain = PipelineExecutor::Compile(fact, ops, {}, &pmu_pmu,
+                                           InstrumentationMode::kPmu);
+    auto enumer = PipelineExecutor::Compile(fact, ops, {}, &pmu_enum,
+                                            InstrumentationMode::kEnumerator);
+    ASSERT_TRUE(plain.ok() && enumer.ok());
+    ASSERT_TRUE(plain.ValueOrDie()->Reorder(order).ok());
+    ASSERT_TRUE(enumer.ValueOrDie()->Reorder(order).ok());
+    const VectorResult r_pmu = plain.ValueOrDie()->ExecuteAll();
+    const VectorResult r_enum = enumer.ValueOrDie()->ExecuteAll();
+    EXPECT_EQ(r_pmu.qualifying_tuples, both_pass);
+    EXPECT_EQ(r_enum.qualifying_tuples, both_pass);
+
+    const uint64_t first_pass = order[0] == 0 ? a_pass : fk_pass;
+    EXPECT_EQ(enumer.ValueOrDie()->enumerator_pass_counts(),
+              (std::vector<uint64_t>{first_pass, both_pass}));
+    // Rows evaluated: every row at position 0, the survivors at 1.
+    const uint64_t evaluated = kFact + first_pass;
+    PmuCounters c_pmu = pmu_pmu.Read();
+    PmuCounters c_enum = pmu_enum.Read();
+    EXPECT_EQ(c_enum.instructions - c_pmu.instructions,
+              static_cast<uint64_t>(LoopCostModel::kEnumeratorInstructions) *
+                  evaluated);
+    EXPECT_GT(c_enum.cycles, c_pmu.cycles);
+    c_enum.instructions = c_pmu.instructions;
+    c_enum.cycles = c_pmu.cycles;
+    EXPECT_EQ(c_enum, c_pmu) << c_enum.ToString() << "\n" << c_pmu.ToString();
+  }
+}
+
 TEST(PipelineTest, ExpensivePredicateChargesExtraInstructions) {
   Fixture fx(10'000, 0.5, 0.5);
   Pmu pmu_a(HwConfig::ScaledXeon(8)), pmu_b(HwConfig::ScaledXeon(8));

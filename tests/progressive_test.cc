@@ -219,25 +219,28 @@ TEST(ProgressiveTest, AdaptsToMidTableDistributionShift) {
   EXPECT_EQ(report.final_order, (std::vector<size_t>{1, 0}));
 }
 
-TEST(ProgressiveTest, ValidationRevertsHarmfulExploration) {
-  // Force exploration every optimization on an already optimal order: the
-  // explored (worse) order must be reverted by validation.
-  Fixture fx(150'000, 0.05, 0.95, 0.95);
-  ProgressiveConfig cfg = FastConfig();
-  cfg.explore_period = 1;
-  ProgressiveOptimizer opt(fx.exec.get(), cfg);
-  const ProgressiveReport report = opt.Run();
-  size_t explored = 0, reverted = 0;
-  for (const PeoChange& change : report.changes) {
-    if (change.exploration) {
-      ++explored;
-      if (change.reverted) ++reverted;
-    }
-  }
-  EXPECT_GT(explored, 0u);
-  EXPECT_GT(reverted, 0u);
-  // And the run must still finish on the optimal order.
-  EXPECT_EQ(report.final_order[0], 0u);
+TEST(ProgressiveTest, ValidationRevertsRegressedChange) {
+  // Worst-first order a(0.9), b(0.5), c(0.1). Two real vectors make the
+  // optimizer reorder; a third vector priced at twice the second's cycles
+  // regresses past the threshold, so validation restores the old order.
+  Fixture fx(30'000, 0.9, 0.5, 0.1);
+  ProgressiveOptimizer opt(fx.exec.get(), FastConfig());
+  opt.Begin();
+  opt.OnVector(SampleRange(fx.exec.get(), 0, 8'192, 0));
+  const VectorSample second = SampleRange(fx.exec.get(), 8'192, 16'384, 1);
+  opt.OnVector(second);
+  ASSERT_EQ(fx.exec->current_order(), (std::vector<size_t>{2, 1, 0}));
+
+  VectorSample third = second;
+  third.vector_index = 2;
+  third.counters.cycles *= 2;
+  opt.OnVector(third);
+  EXPECT_EQ(fx.exec->current_order(), (std::vector<size_t>{0, 1, 2}));
+  const ProgressiveReport report = opt.Finish(DriveResult{});
+  ASSERT_EQ(report.changes.size(), 1u);
+  EXPECT_TRUE(report.changes.front().reverted);
+  EXPECT_EQ(report.changes.front().old_order, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(report.final_order, (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST(ProgressiveTest, ExpensivePredicateDeferredDespiteSelectivity) {
