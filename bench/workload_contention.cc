@@ -89,11 +89,10 @@ int main(int argc, char** argv) {
   // contention penalty is probe-dominated — every dimension line a
   // co-runner steals turns a ~L3-hit probe into a memory access. The
   // thrasher claim (fk stream + dimension reuse, ~79%) leaves a ~200 KB
-  // budget that still fits every non-thrasher (~12-20% each) even after
-  // live-occupancy feedback inflates the claim — the footprint policy can
-  // always pair a thrasher with a non-thrasher. The non-thrashers add up
-  // to more work than the two thrashers take back to back, so keeping the
-  // thrashers apart costs no concurrency.
+  // budget that still fits every non-thrasher (~12-20% each), so the
+  // footprint policy can always pair a thrasher with a non-thrasher. The
+  // non-thrashers add up to more work than the two thrashers take back to
+  // back, so keeping the thrashers apart costs no concurrency.
   const size_t scale = quick ? 2 : 1;
   Engine engine(HwConfig::ScaledXeon(quick ? 32 : 16));
   const size_t thrash_rows = 18'000 / scale;

@@ -194,15 +194,15 @@ Result<TableEncodingStats> Engine::EncodeTable(const std::string& name,
 
 namespace {
 
-/// Fills a task's scheduling estimates from the cache cost model: every
+/// A query's scheduling estimates from the cache cost model: every
 /// touched column contributes its line-rounded bytes, split into
 /// streamed (fact columns, scanned once) and reused (dimension tables,
 /// re-referenced per probe), combined into the L3 capacity claim by
 /// EstimateScanFootprint. The work score is the touched-value count — the
 /// relative service-time scale deadline shedding calibrates, not a cycle
 /// prediction.
-void FillScheduleEstimates(const Table& table, const QuerySpec& query,
-                           const HwConfig& hw, WorkloadTask* task) {
+ScheduleTaskInfo EstimateSchedule(const Table& table, const QuerySpec& query,
+                                  const HwConfig& hw) {
   ScanCacheModelConfig model;
   model.line_size = hw.l3.line_size;
   // A column referenced by several operators (e.g. a re-probed dimension)
@@ -242,37 +242,26 @@ void FillScheduleEstimates(const Table& table, const QuerySpec& query,
     streamed += column_bytes(table, payload);
     work += rows;
   }
-  task->estimated_work = work;
-  task->footprint_bytes =
-      EstimateScanFootprint(streamed, reuse, hw.l3.capacity_bytes)
-          .footprint_bytes;
+  return {work, EstimateScanFootprint(streamed, reuse, hw.l3.capacity_bytes)
+                   .footprint_bytes};
 }
 
 }  // namespace
 
 Result<WorkloadReport> Engine::Execute(const WorkloadSpec& spec) const {
-  std::vector<WorkloadTask> tasks;
-  tasks.reserve(spec.queries.size());
+  std::vector<ScheduleTaskInfo> estimates;
+  estimates.reserve(spec.queries.size());
   for (const WorkloadQuery& q : spec.queries) {
-    WorkloadTask task;
-    task.name = q.name;
-    task.progressive = q.progressive;
-    task.config = q.config;
-    task.initial_order = q.initial_order;
-    task.sim_deadline_msec = q.sim_deadline_msec;
+    // An unknown table gets no estimate; validation reports it.
     auto table = GetTable(q.query.table);
-    if (table.ok()) {
-      FillScheduleEstimates(*table.ValueOrDie(), q.query, hw_, &task);
-    }
-    tasks.push_back(std::move(task));
+    estimates.push_back(
+        table.ok() ? EstimateSchedule(*table.ValueOrDie(), q.query, hw_)
+                   : ScheduleTaskInfo{});
   }
-  WorkloadDriver driver(
-      NewMachine(),
-      [this, &spec](size_t index, Pmu* pmu) {
-        return CompileQuery(spec.queries[index].query, pmu);
-      },
-      spec.options);
-  return driver.Run(tasks);
+  return RunWorkload(NewMachine(), spec, estimates,
+                     [this](const QuerySpec& query, Pmu* pmu) {
+                       return CompileQuery(query, pmu);
+                     });
 }
 
 std::vector<std::vector<size_t>> AllOrders(size_t n) {

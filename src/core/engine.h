@@ -40,15 +40,6 @@
 
 namespace nipo {
 
-/// \brief A multi-selection (optionally multi-probe) aggregation query.
-struct QuerySpec {
-  std::string table;
-  /// Operator chain in its *initial* evaluation order.
-  std::vector<OperatorSpec> ops;
-  /// Columns multiplied into the SUM aggregate for qualifying tuples.
-  std::vector<std::string> payload_columns;
-};
-
 /// \brief Baseline (fixed-order) execution result.
 struct BaselineReport {
   DriveResult drive;
@@ -59,39 +50,6 @@ struct BaselineReport {
 struct ParallelBaselineReport {
   ParallelDriveResult drive;
   std::vector<size_t> order;  ///< the order that was executed
-};
-
-/// \brief One query of a multi-query workload: what to compute
-/// (QuerySpec) plus how to run it (the driver-level WorkloadTask fields;
-/// see exec/workload_driver.h). The per-query scheduling inputs -- the
-/// work estimate of deadline shedding and the L3 footprint of
-/// kFootprintAware -- are derived automatically from the cost model
-/// (cost/cache_model.h) against the registered tables; see
-/// Engine::Execute(WorkloadSpec).
-struct WorkloadQuery {
-  /// Display name for reports (empty -> "q<index>").
-  std::string name;
-  QuerySpec query;
-  /// Run under progressive optimization (otherwise fixed-order baseline).
-  bool progressive = false;
-  /// Progressive settings; `config.vector_size` is also the vector size
-  /// of baseline queries.
-  ProgressiveConfig config;
-  /// Optional initial evaluation order (permutation of query.ops).
-  std::optional<std::vector<size_t>> initial_order;
-  /// Simulated deadline relative to arrival (0 = none; see
-  /// WorkloadTask::sim_deadline_msec): past it the query is killed
-  /// cooperatively at a vector boundary (QueryOutcome::kDeadlineExceeded)
-  /// or — with WorkloadOptions::shed_deadline — shed at admission.
-  double sim_deadline_msec = 0;
-};
-
-/// \brief A workload: the query queue plus its scheduling options
-/// (simulated core count, admission control, scheduling policy, shared-L3
-/// contention; see WorkloadOptions in exec/workload_driver.h).
-struct WorkloadSpec {
-  std::vector<WorkloadQuery> queries;
-  WorkloadOptions options;
 };
 
 /// \brief Optimization strategy of the unified Execute entry point.

@@ -5,48 +5,10 @@
 #include "common/table_printer.h"
 
 /// \file report.cc
-/// Rendering of execution reports: PMU counter rows, drive summaries, the
-/// progressive PEO-change trace and the workload schedule, as aligned
-/// text.
+/// Rendering of execution reports: drive summaries, the progressive
+/// PEO-change trace and the workload schedule, as aligned text.
 
 namespace nipo {
-
-namespace {
-
-std::vector<std::pair<std::string, uint64_t>> CounterRows(
-    const PmuCounters& c) {
-  return {
-      {"instructions", c.instructions},
-      {"branches", c.branches},
-      {"branches_taken", c.branches_taken},
-      {"branches_not_taken", c.branches_not_taken},
-      {"mispredictions", c.mispredictions},
-      {"taken_mispredictions", c.taken_mispredictions},
-      {"not_taken_mispredictions", c.not_taken_mispredictions},
-      {"l1_accesses", c.l1_accesses},
-      {"l1_misses", c.l1_misses},
-      {"l2_accesses", c.l2_accesses},
-      {"l2_misses", c.l2_misses},
-      {"l3_accesses", c.l3_accesses},
-      {"l3_misses", c.l3_misses},
-      {"prefetch_requests", c.prefetch_requests},
-      {"l3_evictions_caused", c.l3_evictions_caused},
-      {"l3_evictions_suffered", c.l3_evictions_suffered},
-      {"cycles", c.cycles},
-  };
-}
-
-}  // namespace
-
-void PrintCounters(const PmuCounters& counters, const std::string& title,
-                   std::ostream& out) {
-  TablePrinter table(title);
-  table.SetHeader({"counter", "value"});
-  for (const auto& [name, value] : CounterRows(counters)) {
-    table.AddRow({name, std::to_string(value)});
-  }
-  table.Print(out);
-}
 
 void PrintDriveResult(const DriveResult& drive, const std::string& title,
                       std::ostream& out) {

@@ -6,15 +6,11 @@
 #include "core/engine.h"
 
 /// \file report.h
-/// Human-readable rendering of execution reports: counter
-/// summaries, PEO traces and baseline/progressive comparisons. Keeps the
-/// examples and downstream tools free of formatting boilerplate.
+/// Human-readable rendering of execution reports: drive summaries, PEO
+/// traces and workload schedules. Keeps the examples and downstream
+/// tools free of formatting boilerplate.
 
 namespace nipo {
-
-/// \brief Renders a counter set as an aligned two-column table.
-void PrintCounters(const PmuCounters& counters, const std::string& title,
-                   std::ostream& out);
 
 /// \brief Renders the drive summary (rows, result, simulated time,
 /// headline counters).

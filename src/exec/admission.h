@@ -113,8 +113,8 @@ class AdmissionController {
 ///
 /// The service-time estimate calibrates online: every query that
 /// completes OK contributes its scheduled machine time against its cost-
-/// model work score (WorkloadTask::estimated_work, priced by
-/// FillScheduleEstimates), giving a live msec-per-work rate; queries
+/// model work score (ScheduleTaskInfo::work, which Engine::Execute
+/// prices from the cost model), giving a live msec-per-work rate; queries
 /// without work scores fall back to the mean observed service time. The
 /// predicted completion also scales with the pool crowding
 /// ((in_flight + 1) / num_threads) since admitted queries time-share the

@@ -55,6 +55,16 @@ struct ColumnScanStats {
   bool encoded = false;
 };
 
+/// \brief A multi-selection (optionally multi-probe) aggregation query
+/// over a table named in the engine's registry.
+struct QuerySpec {
+  std::string table;
+  /// Operator chain in its *initial* evaluation order.
+  std::vector<OperatorSpec> ops;
+  /// Columns multiplied into the SUM aggregate for qualifying tuples.
+  std::vector<std::string> payload_columns;
+};
+
 /// \brief Compiled pipeline over one fact table.
 class PipelineExecutor {
  public:

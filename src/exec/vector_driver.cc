@@ -49,10 +49,6 @@ void DriveVector(PipelineExecutor* executor, size_t begin, size_t end,
   if (hook) hook(sample);
 }
 
-size_t VectorDriver::num_vectors() const {
-  return (executor_->num_rows() + vector_size_ - 1) / vector_size_;
-}
-
 DriveResult VectorDriver::Run(const VectorHook& hook) {
   DriveResult out;
   Pmu* pmu = executor_->pmu();

@@ -75,9 +75,6 @@ class VectorDriver {
   /// per-vector sampling (the non-instrumented baseline).
   DriveResult Run(const VectorHook& hook = nullptr);
 
-  size_t vector_size() const { return vector_size_; }
-  size_t num_vectors() const;
-
  private:
   PipelineExecutor* executor_;
   size_t vector_size_;

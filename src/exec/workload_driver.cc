@@ -38,13 +38,14 @@ namespace {
 /// Mutable execution state of one admitted query. Everything runs on the
 /// event loop's host thread, one quantum at a time.
 struct QueryRun {
-  const WorkloadTask* task = nullptr;
+  const WorkloadQuery* query = nullptr;
 
   /// The query's private machine (a fresh prototype clone per attempt).
   std::unique_ptr<Pmu> pmu;
   std::unique_ptr<PipelineExecutor> exec;
   std::unique_ptr<ProgressiveOptimizer> optimizer;
-  /// Feeds each vector's sample to `optimizer` (null for baseline tasks).
+  /// Feeds each vector's sample to `optimizer` (null for baseline
+  /// queries).
   VectorHook hook;
 
   /// Full-run counter window, opened at admission (the solo drivers read
@@ -54,14 +55,13 @@ struct QueryRun {
   size_t vector_index = 0;
   DriveResult drive;
 
-  /// Per-quantum replay trace: simulated durations, shared-L3 evictions
-  /// suffered, live shared-L3 occupancy after the quantum (both zero when
-  /// contention=off) and fates, all parallel.
-  std::vector<double> quantum_msec;
-  std::vector<uint64_t> quantum_evictions;
-  std::vector<uint64_t> quantum_occupancy;
-  std::vector<QuantumFate> quantum_fate;
-  size_t quanta = 0;
+  /// One record per dispatched quantum, over every attempt: the replay
+  /// input of this query.
+  std::vector<QuantumTrace> quanta;
+  /// Fault-draw coordinates: the current attempt (0-based) and the quanta
+  /// it has run so far.
+  size_t attempt = 0;
+  size_t quantum_in_attempt = 0;
   /// Contention mode: occupancy gauges sampled at the last quantum.
   uint64_t peak_occupancy_lines = 0;
   uint64_t final_occupancy_lines = 0;
@@ -70,21 +70,6 @@ struct QueryRun {
   /// outcome itself).
   Status error;
 };
-
-/// Executes the next vector of `run` through the solo driver's own step
-/// (DriveVector): baseline tasks execute the range bare; progressive
-/// tasks take the charged counter-read pair around it and feed the sample
-/// to the query's private optimizer, which may Reorder() for subsequent
-/// vectors.
-void ExecuteOneVector(QueryRun* run) {
-  const size_t begin = run->next_row;
-  const size_t end =
-      std::min(begin + run->task->config.vector_size, run->exec->num_rows());
-  DriveVector(run->exec.get(), begin, end, run->vector_index, run->hook,
-              &run->drive);
-  ++run->vector_index;
-  run->next_row = end;
-}
 
 constexpr size_t kNoPick = static_cast<size_t>(-1);
 
@@ -105,10 +90,9 @@ uint64_t CappedFootprint(const SchedulePolicyConfig& cfg, size_t q) {
 /// admission slot empty until the next completion. Pure function of the
 /// pending/in-flight sets and the policy inputs — which is what makes
 /// admission order identical between a live run and its replay.
-size_t PickNextAdmission(
-    const std::vector<size_t>& pending, const SchedulePolicyConfig& cfg,
-    const std::vector<size_t>& in_flight,
-    const std::function<uint64_t(size_t)>& live_footprint) {
+size_t PickNextAdmission(const std::vector<size_t>& pending,
+                         const SchedulePolicyConfig& cfg,
+                         const std::vector<size_t>& in_flight) {
   if (pending.empty()) return kNoPick;
   switch (cfg.policy) {
     case SchedulePolicy::kFifo:
@@ -116,16 +100,7 @@ size_t PickNextAdmission(
     case SchedulePolicy::kFootprintAware: {
       if (cfg.l3_capacity_bytes == 0) return 0;
       uint64_t used = 0;
-      for (const size_t q : in_flight) {
-        uint64_t f = CappedFootprint(cfg, q);
-        if (live_footprint != nullptr) {
-          // Live occupancy feedback: a query that grew past its estimate
-          // claims what it actually holds.
-          f = std::max(f,
-                       std::min(live_footprint(q), cfg.l3_capacity_bytes));
-        }
-        used += f;
-      }
+      for (const size_t q : in_flight) used += CappedFootprint(cfg, q);
       const uint64_t budget =
           cfg.l3_capacity_bytes > used ? cfg.l3_capacity_bytes - used : 0;
       for (size_t i = 0; i < pending.size(); ++i) {
@@ -140,21 +115,6 @@ size_t PickNextAdmission(
   return 0;
 }
 
-/// What one dispatched quantum produced: its simulated duration, the
-/// shared-L3 evictions suffered inside it and the live shared-L3
-/// occupancy after it (adaptive-controller feedback; zero without
-/// contention), and whether it completed the query.
-struct QuantumOutcome {
-  double duration_msec = 0;
-  uint64_t evictions_suffered = 0;
-  uint64_t occupancy_lines = 0;
-  bool done = false;
-  /// How the quantum ended; anything but kNormal ends the attempt (the
-  /// loop decides whether a retry follows). `done` is only meaningful
-  /// for kNormal fates.
-  QuantumFate fate = QuantumFate::kNormal;
-};
-
 /// Optional side-effect hooks of the event loop (used by the live
 /// executor; the pure replay passes none).
 struct EventLoopHooks {
@@ -164,18 +124,18 @@ struct EventLoopHooks {
   /// state (fresh machine, recompiled pipeline, fresh optimizer) so the
   /// next dispatch restarts the query from row zero.
   std::function<void(size_t)> on_retry;
-  std::function<uint64_t(size_t)> live_footprint;
 };
 
 /// The event-driven schedule core shared by the replay and the live
 /// executor: admission picked by `cfg.policy` into at most
 /// `max_concurrent` slots (lowered live by `controller` when adaptive),
 /// a round-robin ready queue, dispatch of the front query to the
-/// earliest-free of `num_threads` simulated workers. `run_quantum(q)` is
-/// called at q's dispatch points *in dispatch order* — for a replay it
-/// returns recorded durations; for a live run it actually executes the
-/// quantum, which is also what serializes the shared-L3 interleaving
-/// into event order under contention.
+/// earliest-free of `num_threads` simulated workers. `run_quantum(q,
+/// start, &done)` is called at q's dispatch points *in dispatch order* and
+/// returns the quantum's record, setting `done` when the quantum completed
+/// the query — for a replay it returns recorded quanta; for a live run it
+/// actually executes the quantum, which is also what serializes the
+/// shared-L3 interleaving into event order under contention.
 ///
 /// Open-loop mode: `arrival_msec` (empty = closed queue; otherwise
 /// non-decreasing, one instant per query) gates when each query joins
@@ -193,22 +153,21 @@ struct EventLoopHooks {
 /// Ties in completion time break by dispatch sequence, making the loop
 /// fully deterministic.
 ///
-/// Faults: run_quantum reports each quantum's fate. kTransientFault
-/// attempts retry after a reconstructed capped-exponential backoff
-/// (re-entering the ready queue at fail time + backoff, keeping the
-/// admission slot) until the retry budget is spent;
-/// kill fates and exhausted retries complete the query with the matching
-/// outcome. With shedding on, admission picks whose predicted completion
-/// misses their deadline are rejected (kShed) without ever dispatching —
-/// the DeadlineShedder calibrates from completed-OK queries' scheduled
-/// time, so live runs and trace replays shed identically. The default
-/// spec (one attempt, no deadlines, no shedding) makes every non-kNormal
-/// fate terminal and never sheds.
+/// Faults: each quantum's record carries its fate; `done` is only meaningful
+/// for kNormal fates. kTransientFault attempts retry after a reconstructed
+/// capped-exponential backoff (re-entering the ready queue at fail time +
+/// backoff, keeping the admission slot) until the retry budget is spent; kill
+/// fates and exhausted retries complete the query with the matching outcome.
+/// With shedding on, admission picks whose predicted completion misses their
+/// deadline are rejected (kShed) without ever dispatching — the DeadlineShedder
+/// calibrates from completed-OK queries' scheduled time, so live runs and trace
+/// replays shed identically. The default spec (one attempt, no deadlines, no
+/// shedding) makes every non-kNormal fate terminal and never sheds.
 SimSchedule RunEventSchedule(
     size_t n, size_t num_threads, size_t max_concurrent,
     const SchedulePolicyConfig& cfg, const std::vector<double>& arrival_msec,
     AdmissionController* controller, const ServiceFaultSpec& faults,
-    const std::function<QuantumOutcome(size_t, double)>& run_quantum,
+    const std::function<QuantumTrace(size_t, double, bool*)>& run_quantum,
     const EventLoopHooks& hooks, size_t* peak_in_flight_out) {
   SimSchedule schedule;
   schedule.arrival_msec.assign(n, 0.0);
@@ -234,12 +193,10 @@ SimSchedule RunEventSchedule(
     double time = 0;
     uint64_t seq = 0;
     size_t query = 0;
+    /// The completed quantum (the controller's feedback) and whether it
+    /// completed the query.
+    QuantumTrace quantum;
     bool done = false;
-    QuantumFate fate = QuantumFate::kNormal;
-    /// The completed quantum, for the controller's feedback.
-    double duration_msec = 0;
-    uint64_t evictions_suffered = 0;
-    uint64_t occupancy_lines = 0;
     bool operator>(const Event& other) const {
       return time != other.time ? time > other.time : seq > other.seq;
     }
@@ -288,8 +245,7 @@ SimSchedule RunEventSchedule(
   };
   auto admit = [&](double now) {
     while (in_flight.size() < effective_limit()) {
-      const size_t pos =
-          PickNextAdmission(pending, cfg, in_flight, hooks.live_footprint);
+      const size_t pos = PickNextAdmission(pending, cfg, in_flight);
       if (pos == kNoPick) break;
       const size_t query = pending[pos];
       // Deadline-aware shedding: a pick predicted to miss its deadline
@@ -329,10 +285,10 @@ SimSchedule RunEventSchedule(
         started[entry.query] = true;
         schedule.start_msec[entry.query] = start;
       }
-      const QuantumOutcome out = run_quantum(entry.query, start);
-      running.push({start + out.duration_msec, seq++, entry.query, out.done,
-                    out.fate, out.duration_msec, out.evictions_suffered,
-                    out.occupancy_lines});
+      bool done = false;
+      const QuantumTrace quantum = run_quantum(entry.query, start, &done);
+      running.push(
+          {start + quantum.duration_msec, seq++, entry.query, quantum, done});
     }
   };
 
@@ -354,12 +310,12 @@ SimSchedule RunEventSchedule(
     const Event event = running.top();
     running.pop();
     free_workers.push(event.time);
-    service_msec[event.query] += event.duration_msec;
+    service_msec[event.query] += event.quantum.duration_msec;
     // Resolve the quantum's fate: completion (with which outcome), a
     // retry after backoff, or a plain yield back to the ready queue.
     bool complete = false;
     QueryOutcome outcome = QueryOutcome::kOk;
-    switch (event.fate) {
+    switch (event.quantum.fate) {
       case QuantumFate::kNormal:
         complete = event.done;
         break;
@@ -407,13 +363,14 @@ SimSchedule RunEventSchedule(
         shedder.OnQueryDone(service_msec[event.query],
                             TaskWork(cfg, event.query));
       }
-    } else if (event.fate == QuantumFate::kNormal) {
+    } else if (event.quantum.fate == QuantumFate::kNormal) {
       ready.push_back({event.query, event.time});
     }
     if (controller != nullptr) {
-      controller->OnQuantum(event.query, event.duration_msec,
-                            event.evictions_suffered, event.occupancy_lines,
-                            in_flight.size(), pending.size());
+      controller->OnQuantum(event.query, event.quantum.duration_msec,
+                            event.quantum.evictions_suffered,
+                            event.quantum.occupancy_lines, in_flight.size(),
+                            pending.size());
     }
     // Completions always free an admission slot — including kills and
     // failures, whose final quantum has done == false; with a
@@ -426,15 +383,22 @@ SimSchedule RunEventSchedule(
   return schedule;
 }
 
-/// Assembles the per-query reports and serial baseline out of finished
-/// runs and the terminal outcomes the event loop decided; the caller
-/// fills the schedule timing afterwards (ApplySchedule).
-WorkloadReport AssembleReport(const std::vector<WorkloadTask>& tasks,
-                              std::vector<QueryRun>* runs,
-                              const WorkloadOptions& options,
-                              const SimSchedule& schedule, double wall_msec,
-                              size_t peak_in_flight) {
-  const size_t n = tasks.size();
+/// The display name of query `index` (empty -> "q<index>").
+std::string QueryName(const WorkloadSpec& spec, size_t index) {
+  return spec.queries[index].name.empty() ? "q" + std::to_string(index)
+                                          : spec.queries[index].name;
+}
+
+/// Assembles the report out of the finished runs and the schedule the
+/// event loop decided: per-query results, outcomes and timing, each
+/// query's quantum records split into the four quantum_* arrays, the
+/// serial baseline, the latency tails and the outcome census.
+WorkloadReport BuildReport(const WorkloadSpec& spec,
+                           std::vector<QueryRun>* runs,
+                           const SimSchedule& schedule, double wall_msec,
+                           size_t peak_in_flight) {
+  const size_t n = spec.queries.size();
+  const WorkloadOptions& options = spec.options;
   WorkloadReport report;
   report.num_threads = options.num_threads;
   report.max_concurrent = options.max_concurrent;
@@ -450,19 +414,49 @@ WorkloadReport AssembleReport(const std::vector<WorkloadTask>& tasks,
   report.wall_queries_per_sec =
       wall_msec > 0 ? static_cast<double>(n) / (wall_msec / 1e3) : 0.0;
   report.queries.resize(n);
+  LatencyDistribution latency;
+  LatencyDistribution queue_wait;
   for (size_t i = 0; i < n; ++i) {
     QueryRun& run = (*runs)[i];
     WorkloadQueryReport& q = report.queries[i];
-    q.name = tasks[i].name.empty() ? "q" + std::to_string(i) : tasks[i].name;
-    q.progressive = tasks[i].progressive;
-    q.quanta = run.quanta;
+    q.name = QueryName(spec, i);
+    q.progressive = spec.queries[i].progressive;
+    q.sim_arrival_msec = schedule.arrival_msec[i];
+    q.sim_start_msec = schedule.start_msec[i];
+    q.sim_finish_msec = schedule.finish_msec[i];
+    q.sim_queue_wait_msec = schedule.queue_wait_msec[i];
+    q.sim_latency_msec = schedule.latency_msec[i];
+    latency.Add(q.sim_latency_msec);
+    queue_wait.Add(q.sim_queue_wait_msec);
+    q.quanta = run.quanta.size();
+    for (const QuantumTrace& quantum : run.quanta) {
+      q.quantum_msec.push_back(quantum.duration_msec);
+      q.quantum_evictions.push_back(quantum.evictions_suffered);
+      q.quantum_occupancy.push_back(quantum.occupancy_lines);
+      q.quantum_fate.push_back(quantum.fate);
+    }
     q.shared_l3_peak_occupancy_lines = run.peak_occupancy_lines;
     q.shared_l3_final_occupancy_lines = run.final_occupancy_lines;
     q.outcome = schedule.outcome[i];
     q.attempts = schedule.attempts[i];
     q.sim_backoff_msec = schedule.backoff_msec[i];
     q.error = run.error;
-    q.quantum_fate = std::move(run.quantum_fate);
+    switch (q.outcome) {
+      case QueryOutcome::kOk:
+        ++report.queries_ok;
+        break;
+      case QueryOutcome::kDeadlineExceeded:
+        ++report.queries_deadline_exceeded;
+        break;
+      case QueryOutcome::kFailed:
+        ++report.queries_failed;
+        break;
+      case QueryOutcome::kShed:
+        ++report.queries_shed;
+        break;
+    }
+    if (q.attempts > 1) report.total_retries += q.attempts - 1;
+    report.total_backoff_msec += q.sim_backoff_msec;
     if (run.exec == nullptr) {
       // Shed at admission: never dispatched, no machine, no execution
       // state — the row carries the outcome and nothing else.
@@ -480,62 +474,22 @@ WorkloadReport AssembleReport(const std::vector<WorkloadTask>& tasks,
       q.final_order = run.exec->current_order();
     }
     report.sim_serial_msec += q.drive.simulated_msec;
-    q.quantum_msec = std::move(run.quantum_msec);
-    q.quantum_evictions = std::move(run.quantum_evictions);
-    q.quantum_occupancy = std::move(run.quantum_occupancy);
   }
-  return report;
-}
-
-/// Copies the schedule into the report's per-query and headline fields,
-/// including the latency/queue-wait tail summaries.
-void ApplySchedule(const SimSchedule& schedule, WorkloadReport* report) {
-  const size_t n = report->queries.size();
-  LatencyDistribution latency;
-  LatencyDistribution queue_wait;
-  for (size_t i = 0; i < n; ++i) {
-    WorkloadQueryReport& q = report->queries[i];
-    q.sim_arrival_msec = schedule.arrival_msec[i];
-    q.sim_start_msec = schedule.start_msec[i];
-    q.sim_finish_msec = schedule.finish_msec[i];
-    q.sim_queue_wait_msec = schedule.queue_wait_msec[i];
-    q.sim_latency_msec = schedule.latency_msec[i];
-    latency.Add(q.sim_latency_msec);
-    queue_wait.Add(q.sim_queue_wait_msec);
-  }
-  report->sim_makespan_msec = schedule.makespan_msec;
-  report->sim_queries_per_sec =
+  report.sim_makespan_msec = schedule.makespan_msec;
+  report.sim_queries_per_sec =
       schedule.makespan_msec > 0
           ? static_cast<double>(n) / (schedule.makespan_msec / 1e3)
           : 0.0;
-  report->latency = latency.Summary();
-  report->queue_wait = queue_wait.Summary();
-  // Outcome census and the goodput headline (completed-OK queries per
-  // simulated second). Fault-free runs count everything as kOk, making
-  // goodput == sim_queries_per_sec.
-  for (const WorkloadQueryReport& q : report->queries) {
-    switch (q.outcome) {
-      case QueryOutcome::kOk:
-        ++report->queries_ok;
-        break;
-      case QueryOutcome::kDeadlineExceeded:
-        ++report->queries_deadline_exceeded;
-        break;
-      case QueryOutcome::kFailed:
-        ++report->queries_failed;
-        break;
-      case QueryOutcome::kShed:
-        ++report->queries_shed;
-        break;
-    }
-    if (q.attempts > 1) report->total_retries += q.attempts - 1;
-    report->total_backoff_msec += q.sim_backoff_msec;
-  }
-  report->sim_goodput_qps =
-      report->sim_makespan_msec > 0
-          ? static_cast<double>(report->queries_ok) /
-                (report->sim_makespan_msec / 1e3)
+  report.latency = latency.Summary();
+  report.queue_wait = queue_wait.Summary();
+  // Goodput: completed-OK queries per simulated second. Fault-free runs
+  // count everything as kOk, making goodput == sim_queries_per_sec.
+  report.sim_goodput_qps =
+      report.sim_makespan_msec > 0
+          ? static_cast<double>(report.queries_ok) /
+                (report.sim_makespan_msec / 1e3)
           : 0.0;
+  return report;
 }
 
 }  // namespace
@@ -554,19 +508,15 @@ SimSchedule SimulateWorkloadSchedule(
         n, max_concurrent, adaptive->l3_capacity_lines);
   }
   std::vector<size_t> next_quantum(n, 0);
-  auto run_quantum = [&](size_t q, double /*start_msec*/) {
-    QuantumOutcome out;
-    if (next_quantum[q] < quanta[q].size()) {
-      out.duration_msec = quanta[q][next_quantum[q]].duration_msec;
-      out.evictions_suffered = quanta[q][next_quantum[q]].evictions_suffered;
-      out.occupancy_lines = quanta[q][next_quantum[q]].occupancy_lines;
-      // The recorded fate replays where the attempt ended; the event loop
-      // reconstructs the backoff from the RetryPolicy alone.
-      out.fate = quanta[q][next_quantum[q]].fate;
-    }
+  auto run_quantum = [&](size_t q, double /*start_msec*/, bool* done) {
+    // The recorded fate replays where the attempt ended; the event loop
+    // reconstructs the backoff from the RetryPolicy alone.
+    const QuantumTrace quantum = next_quantum[q] < quanta[q].size()
+                                     ? quanta[q][next_quantum[q]]
+                                     : QuantumTrace{};
     ++next_quantum[q];
-    out.done = next_quantum[q] >= quanta[q].size();
-    return out;
+    *done = next_quantum[q] >= quanta[q].size();
+    return quantum;
   };
   const ServiceFaultSpec no_faults;
   return RunEventSchedule(n, num_threads, max_concurrent, config, arrival_msec,
@@ -575,92 +525,79 @@ SimSchedule SimulateWorkloadSchedule(
                           EventLoopHooks{}, nullptr);
 }
 
-WorkloadDriver::WorkloadDriver(const Pmu& prototype, ExecutorFactory factory,
-                               WorkloadOptions options)
-    : prototype_(prototype.CloneFresh()),
-      factory_(std::move(factory)),
-      options_(options) {
-  NIPO_CHECK(factory_ != nullptr);
-}
-
-SchedulePolicyConfig WorkloadDriver::PolicyConfig(
-    const std::vector<WorkloadTask>& tasks) const {
-  SchedulePolicyConfig cfg;
-  cfg.policy = options_.policy;
-  cfg.l3_capacity_bytes = prototype_.config().l3.capacity_bytes;
-  cfg.tasks.reserve(tasks.size());
-  for (const WorkloadTask& task : tasks) {
-    cfg.tasks.push_back({task.estimated_work, task.footprint_bytes});
-  }
-  return cfg;
-}
-
-Result<WorkloadReport> WorkloadDriver::Run(
-    const std::vector<WorkloadTask>& tasks) {
-  if (tasks.empty()) {
+Result<WorkloadReport> RunWorkload(
+    const Pmu& prototype, const WorkloadSpec& spec,
+    const std::vector<ScheduleTaskInfo>& estimates,
+    const QueryCompiler& compile) {
+  const std::vector<WorkloadQuery>& queries = spec.queries;
+  const WorkloadOptions& options = spec.options;
+  if (queries.empty()) {
     return Status::InvalidArgument("workload has no queries");
   }
-  if (options_.num_threads == 0) {
+  if (estimates.size() != queries.size()) {
+    return Status::InvalidArgument("need one schedule estimate per query");
+  }
+  if (options.num_threads == 0) {
     return Status::InvalidArgument("num_threads must be positive");
   }
-  if (options_.max_concurrent == 0) {
+  if (options.max_concurrent == 0) {
     return Status::InvalidArgument("max_concurrent must be positive");
   }
-  if (options_.burst_vectors == 0) {
+  if (options.burst_vectors == 0) {
     return Status::InvalidArgument("burst_vectors must be positive");
   }
-  for (const WorkloadTask& task : tasks) {
-    if (task.config.vector_size == 0) {
+  for (const WorkloadQuery& query : queries) {
+    if (query.config.vector_size == 0) {
       return Status::InvalidArgument("vector_size must be positive");
     }
-    if (task.config.reopt_interval == 0) {
+    if (query.config.reopt_interval == 0) {
       return Status::InvalidArgument("reopt_interval must be positive");
     }
   }
-  if (options_.arrival.kind != ArrivalKind::kClosed &&
-      !(options_.arrival.rate_qps > 0)) {
+  if (options.arrival.kind != ArrivalKind::kClosed &&
+      !(options.arrival.rate_qps > 0)) {
     return Status::InvalidArgument("arrival rate_qps must be positive");
   }
-  if (options_.faults.transient_fault_rate < 0 ||
-      options_.faults.transient_fault_rate > 1) {
+  if (options.faults.transient_fault_rate < 0 ||
+      options.faults.transient_fault_rate > 1) {
     return Status::InvalidArgument("transient_fault_rate must be in [0, 1]");
   }
-  if (options_.faults.stall_rate < 0 || options_.faults.stall_rate > 1) {
+  if (options.faults.stall_rate < 0 || options.faults.stall_rate > 1) {
     return Status::InvalidArgument("stall_rate must be in [0, 1]");
   }
-  if (options_.faults.stall_rate > 0 && !(options_.faults.stall_factor >= 1)) {
+  if (options.faults.stall_rate > 0 && !(options.faults.stall_factor >= 1)) {
     return Status::InvalidArgument("stall_factor must be >= 1");
   }
-  if (options_.retry.max_attempts == 0) {
+  if (options.retry.max_attempts == 0) {
     return Status::InvalidArgument("retry max_attempts must be positive");
   }
-  if (options_.retry.max_attempts > 1) {
-    if (options_.retry.backoff_base_msec < 0) {
+  if (options.retry.max_attempts > 1) {
+    if (options.retry.backoff_base_msec < 0) {
       return Status::InvalidArgument("backoff_base_msec must be >= 0");
     }
-    if (options_.retry.backoff_cap_msec < options_.retry.backoff_base_msec) {
+    if (options.retry.backoff_cap_msec < options.retry.backoff_base_msec) {
       return Status::InvalidArgument(
           "backoff_cap_msec must be >= backoff_base_msec");
     }
   }
-  for (const WorkloadTask& task : tasks) {
-    if (task.sim_deadline_msec < 0) {
+  for (const WorkloadQuery& query : queries) {
+    if (query.sim_deadline_msec < 0) {
       return Status::InvalidArgument("sim_deadline_msec must be >= 0");
     }
   }
 
-  const size_t n = tasks.size();
-  // Validation pass: compile every task against a scratch machine and
+  const size_t n = queries.size();
+  // Validation pass: compile every query against a scratch machine and
   // apply its initial order, so unknown tables / bad orders surface
   // before anything executes. Admission-time compiles repeat the same
   // inputs and therefore cannot fail.
   {
-    Pmu scratch = prototype_.CloneFresh();
-    for (size_t i = 0; i < n; ++i) {
+    Pmu scratch = prototype.CloneFresh();
+    for (const WorkloadQuery& query : queries) {
       NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> exec,
-                            factory_(i, &scratch));
-      if (tasks[i].initial_order.has_value()) {
-        NIPO_RETURN_NOT_OK(exec->Reorder(*tasks[i].initial_order));
+                            compile(query.query, &scratch));
+      if (query.initial_order.has_value()) {
+        NIPO_RETURN_NOT_OK(exec->Reorder(*query.initial_order));
       }
     }
   }
@@ -675,46 +612,41 @@ Result<WorkloadReport> WorkloadDriver::Run(
   // L1/L2. Null when contention=off — queries then run interference-free
   // (the event loop only shapes *when* quanta run, not what they cost).
   std::unique_ptr<SharedCacheDomain> domain;
-  if (options_.contention) {
-    domain = std::make_unique<SharedCacheDomain>(prototype_.config().l3);
-    for (size_t i = 0; i < n; ++i) {
-      domain->RegisterOwner(tasks[i].name.empty() ? "q" + std::to_string(i)
-                                                  : tasks[i].name);
-    }
+  if (options.contention) {
+    domain = std::make_unique<SharedCacheDomain>(prototype.config().l3);
+    for (size_t i = 0; i < n; ++i) domain->RegisterOwner(QueryName(spec, i));
   }
   // Open-loop arrival schedule (empty = closed queue: everything
   // admissible at t = 0).
   std::vector<double> arrivals;
-  if (options_.arrival.kind != ArrivalKind::kClosed) {
-    arrivals = GenerateArrivalTimes(options_.arrival, n);
+  if (options.arrival.kind != ArrivalKind::kClosed) {
+    arrivals = GenerateArrivalTimes(options.arrival, n);
   }
   // Adaptive admission: the live controller, fed by the event loop at
   // every quantum completion. Its replay twin is rebuilt from the
   // recorded QuantumTraces in SimulateWorkloadSchedule.
   std::unique_ptr<AdmissionController> controller;
-  if (options_.adaptive_admission) {
+  if (options.adaptive_admission) {
     controller = std::make_unique<AdmissionController>(
-        n, options_.max_concurrent,
+        n, options.max_concurrent,
         domain != nullptr ? domain->capacity_lines() : 0);
   }
   // Fault handling (DESIGN.md Section 9): the spec handed to the event
-  // loop (retry budget, deadlines, shedding switch) plus the live
-  // fault-draw coordinates. The default options give the default spec —
-  // one attempt, no deadlines, no shedding — under which only a latched
-  // runtime error ends a query early.
+  // loop (retry budget, deadlines, shedding switch). The default options
+  // give the default spec — one attempt, no deadlines, no shedding —
+  // under which only a latched runtime error ends a query early.
   ServiceFaultSpec fault_spec;
-  fault_spec.retry = options_.retry;
-  fault_spec.shed_deadline = options_.shed_deadline;
-  for (const WorkloadTask& task : tasks) {
-    fault_spec.deadline_msec.push_back(task.sim_deadline_msec);
+  fault_spec.retry = options.retry;
+  fault_spec.shed_deadline = options.shed_deadline;
+  for (const WorkloadQuery& query : queries) {
+    fault_spec.deadline_msec.push_back(query.sim_deadline_msec);
   }
-  const size_t max_attempts = options_.retry.max_attempts;
-  std::vector<size_t> attempt_no(n, 0);
-  std::vector<size_t> quantum_in_attempt(n, 0);
+  const size_t max_attempts = options.retry.max_attempts;
   constexpr double kNoKill = std::numeric_limits<double>::infinity();
 
   std::vector<QueryRun> runs(n);
-  const SchedulePolicyConfig policy_cfg = PolicyConfig(tasks);
+  const SchedulePolicyConfig policy_cfg{
+      options.policy, prototype.config().l3.capacity_bytes, estimates};
 
   // Puts query `index` on a fresh private machine (attached to the shared
   // L3 under contention), compiles its pipeline, applies its initial
@@ -724,22 +656,22 @@ Result<WorkloadReport> WorkloadDriver::Run(
   // execution state are discarded.
   auto start_attempt = [&](size_t index) {
     QueryRun& run = runs[index];
-    run.task = &tasks[index];
-    run.pmu = std::make_unique<Pmu>(prototype_.CloneFresh());
+    run.query = &queries[index];
+    run.pmu = std::make_unique<Pmu>(prototype.CloneFresh());
     if (domain != nullptr) {
       run.pmu->AttachSharedL3(domain.get(), static_cast<uint32_t>(index));
     }
-    auto exec = factory_(index, run.pmu.get());
+    auto exec = compile(run.query->query, run.pmu.get());
     NIPO_CHECK(exec.ok());  // the validation pass proved this compiles
     run.exec = std::move(exec.ValueOrDie());
-    if (run.task->initial_order.has_value()) {
-      NIPO_CHECK(run.exec->Reorder(*run.task->initial_order).ok());
+    if (run.query->initial_order.has_value()) {
+      NIPO_CHECK(run.exec->Reorder(*run.query->initial_order).ok());
     }
     run.optimizer.reset();
     run.hook = nullptr;
-    if (run.task->progressive) {
-      run.optimizer = std::make_unique<ProgressiveOptimizer>(run.exec.get(),
-                                                             run.task->config);
+    if (run.query->progressive) {
+      run.optimizer = std::make_unique<ProgressiveOptimizer>(
+          run.exec.get(), run.query->config);
       run.optimizer->Begin();
       run.hook = [optimizer = run.optimizer.get()](const VectorSample& s) {
         optimizer->OnVector(s);
@@ -753,106 +685,106 @@ Result<WorkloadReport> WorkloadDriver::Run(
   EventLoopHooks hooks;
   hooks.on_admit = start_attempt;
   hooks.on_retry = [&](size_t index) {
-    ++attempt_no[index];
-    quantum_in_attempt[index] = 0;
+    ++runs[index].attempt;
+    runs[index].quantum_in_attempt = 0;
     runs[index].error = Status::OK();
     start_attempt(index);
   };
-  if (domain != nullptr) {
-    hooks.live_footprint = [&domain](size_t index) -> uint64_t {
-      return domain->stats(static_cast<uint32_t>(index)).occupancy_lines *
-             domain->line_size();
-    };
-  }
 
   // Completed queries whose shared-L3 residue must be excluded from the
   // live occupancy fed to the adaptive controller: a dead owner's lines
   // are reusable capacity, not a crowding signal.
   std::vector<uint32_t> finished_owners;
 
-  auto run_quantum = [&](size_t index, double start) -> QuantumOutcome {
+  auto run_quantum = [&](size_t index, double start,
+                         bool* done) -> QuantumTrace {
     QueryRun& run = runs[index];
-    QuantumOutcome out;
+    QuantumTrace quantum;
     const size_t rows = run.exec->num_rows();
     // Fault draws are pure functions of (seed, query, attempt, quantum)
     // — schedule-independent, so every admission limit, worker count and
     // rerun sees the identical per-query fault sequence.
     FaultDraw draw;
-    if (options_.faults.enabled()) {
-      draw = DrawFault(options_.faults, index, attempt_no[index],
-                       quantum_in_attempt[index]);
+    if (options.faults.enabled()) {
+      draw = DrawFault(options.faults, index, run.attempt,
+                       run.quantum_in_attempt);
     }
     const double arrival = arrivals.empty() ? 0.0 : arrivals[index];
-    const double deadline_at = tasks[index].sim_deadline_msec > 0
-                                   ? arrival + tasks[index].sim_deadline_msec
+    const double deadline_at = run.query->sim_deadline_msec > 0
+                                   ? arrival + run.query->sim_deadline_msec
                                    : kNoKill;
     // Cooperative deadline check at every vector boundary, against
     // *scheduled* time: the quantum's dispatch instant plus the
     // (stall-scaled) simulated time of the vectors run so far. Without a
-    // deadline it never fires, and the per-vector windows only read
-    // counters, so the whole-quantum window still yields the exact
-    // duration.
-    const CounterWindow quantum(run.pmu.get());
+    // deadline it never fires. Counter reads here are side-effect free
+    // and charge nothing, so the per-vector reads leave the whole-quantum
+    // delta exact.
+    const PmuCounters quantum_begin = run.pmu->Read();
     double elapsed = 0;
-    for (size_t b = 0; b < options_.burst_vectors && run.next_row < rows;
+    for (size_t b = 0; b < options.burst_vectors && run.next_row < rows;
          ++b) {
       if (start + elapsed >= deadline_at) {
-        out.fate = QuantumFate::kDeadline;
+        quantum.fate = QuantumFate::kDeadline;
         break;
       }
-      const CounterWindow vec(run.pmu.get());
-      ExecuteOneVector(&run);
+      // The solo driver's own step (DriveVector): baseline queries run
+      // the range bare; progressive ones take the charged counter-read
+      // pair around it and feed the sample to the private optimizer,
+      // which may Reorder() for subsequent vectors.
+      const PmuCounters vector_begin = run.pmu->Read();
+      const size_t end =
+          std::min(run.next_row + run.query->config.vector_size, rows);
+      DriveVector(run.exec.get(), run.next_row, end, run.vector_index++,
+                  run.hook, &run.drive);
+      run.next_row = end;
       if (!run.exec->error().ok()) break;  // latched; resolved below
-      double vec_msec = run.pmu->ToMilliseconds(vec.Delta());
-      if (draw.stall) vec_msec *= options_.faults.stall_factor;
+      double vec_msec =
+          run.pmu->ToMilliseconds(run.pmu->Read() - vector_begin);
+      if (draw.stall) vec_msec *= options.faults.stall_factor;
       elapsed += vec_msec;
     }
     // Resolve the quantum's fate, in precedence order: the deadline kill
     // above, else a latched runtime error, else an injected transient
     // fault.
-    if (out.fate == QuantumFate::kNormal) {
+    if (quantum.fate == QuantumFate::kNormal) {
       if (!run.exec->error().ok()) {
-        out.fate = QuantumFate::kHardFault;
+        quantum.fate = QuantumFate::kHardFault;
         run.error = run.exec->error();
       } else if (draw.transient) {
-        out.fate = QuantumFate::kTransientFault;
-        if (attempt_no[index] + 1 >= max_attempts) {
+        quantum.fate = QuantumFate::kTransientFault;
+        if (run.attempt + 1 >= max_attempts) {
           run.error =
               Status::Internal("fault injection: retry budget exhausted");
         }
       }
     }
-    // One side-effect-free window per quantum (CounterWindow reads, never
-    // resets): the duration feeds the schedule, the evictions feed the
-    // adaptive controller, and both are recorded as the quantum's replay
-    // trace. The full-run window (run_begin -> done) spans exactly the
-    // union of the quantum windows — nothing executes between quanta —
-    // so per-query counters cannot double-count across admission or
-    // quantum boundaries (asserted in tests/service_mode_test.cc).
-    const PmuCounters delta = quantum.Delta();
-    out.duration_msec = run.pmu->ToMilliseconds(delta);
+    // One counter delta per quantum: the duration feeds the schedule, the
+    // evictions feed the adaptive controller, and both are recorded as
+    // the quantum's replay trace. The full-run window (run_begin -> done)
+    // spans exactly the union of the quantum windows — nothing executes
+    // between quanta — so per-query counters cannot double-count across
+    // admission or quantum boundaries (asserted in
+    // tests/service_mode_test.cc).
+    const PmuCounters delta = run.pmu->Read() - quantum_begin;
+    quantum.duration_msec = run.pmu->ToMilliseconds(delta);
     // A stalled quantum occupies its worker stall_factor times longer in
     // the schedule; the machine counters are untouched (the work did not
     // change — the worker was slow), so the inflation lives purely in
     // the recorded duration, which is also what the replay consumes.
-    if (draw.stall) out.duration_msec *= options_.faults.stall_factor;
-    out.evictions_suffered = delta.l3_evictions_suffered;
-    run.quantum_msec.push_back(out.duration_msec);
-    run.quantum_evictions.push_back(out.evictions_suffered);
-    run.quantum_fate.push_back(out.fate);
-    ++run.quanta;
-    ++quantum_in_attempt[index];
-    out.done = run.next_row >= rows;
+    if (draw.stall) quantum.duration_msec *= options.faults.stall_factor;
+    quantum.evictions_suffered = delta.l3_evictions_suffered;
+    ++run.quantum_in_attempt;
+    *done = run.next_row >= rows;
     // The full-run counter window closes when the query leaves the
     // machine for good: normal completion, a deadline kill or hard
     // fault, or a transient fault with no retry budget left. (A retried
     // attempt instead restarts on a fresh machine in hooks.on_retry.)
     const bool terminal =
-        (out.fate == QuantumFate::kNormal && out.done) ||
-        out.fate == QuantumFate::kHardFault ||
-        out.fate == QuantumFate::kDeadline ||
-        (out.fate == QuantumFate::kTransientFault &&
-         attempt_no[index] + 1 >= max_attempts);
+        (quantum.fate == QuantumFate::kNormal && *done) ||
+        quantum.fate == QuantumFate::kHardFault ||
+        quantum.fate == QuantumFate::kDeadline ||
+        (quantum.fate == QuantumFate::kTransientFault &&
+         run.attempt + 1 >= max_attempts);
     if (terminal) {
       run.drive.num_vectors = run.vector_index;
       run.drive.total = run.pmu->Read() - run.run_begin;
@@ -874,36 +806,35 @@ Result<WorkloadReport> WorkloadDriver::Run(
       for (const uint32_t o : finished_owners) {
         dead_lines += domain->stats(o).occupancy_lines;
       }
-      out.occupancy_lines = domain->total_occupancy_lines() - dead_lines;
-    }
-    run.quantum_occupancy.push_back(out.occupancy_lines);
-    if (domain != nullptr && options_.audit_contention) {
-      // Accounting invariants: every resident line is owned by exactly
-      // one query, and every displaced line was charged to exactly one.
-      NIPO_CHECK(domain->total_occupancy_lines() ==
-                 domain->level().occupied_lines());
-      uint64_t charged = 0;
-      for (uint32_t o = 0; o < domain->num_owners(); ++o) {
-        charged += domain->stats(o).evictions_suffered +
-                   domain->stats(o).self_evictions;
+      quantum.occupancy_lines = domain->total_occupancy_lines() - dead_lines;
+      if (options.audit_contention) {
+        // Accounting invariants: every resident line is owned by exactly
+        // one query, and every displaced line was charged to exactly one.
+        NIPO_CHECK(domain->total_occupancy_lines() ==
+                   domain->level().occupied_lines());
+        uint64_t charged = 0;
+        for (uint32_t o = 0; o < domain->num_owners(); ++o) {
+          charged += domain->stats(o).evictions_suffered +
+                     domain->stats(o).self_evictions;
+        }
+        NIPO_CHECK(charged == domain->lines_displaced());
       }
-      NIPO_CHECK(charged == domain->lines_displaced());
     }
-    return out;
+    run.quanta.push_back(quantum);
+    return quantum;
   };
 
   size_t peak_in_flight = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   const SimSchedule schedule = RunEventSchedule(
-      n, options_.num_threads, options_.max_concurrent, policy_cfg, arrivals,
+      n, options.num_threads, options.max_concurrent, policy_cfg, arrivals,
       controller.get(), fault_spec, run_quantum, hooks, &peak_in_flight);
   const double wall_msec = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - wall_start)
                                .count();
 
-  WorkloadReport report = AssembleReport(tasks, &runs, options_, schedule,
-                                         wall_msec, peak_in_flight);
-  ApplySchedule(schedule, &report);
+  WorkloadReport report =
+      BuildReport(spec, &runs, schedule, wall_msec, peak_in_flight);
   if (domain != nullptr) {
     report.shared_l3_capacity_lines = domain->capacity_lines();
     report.shared_l3_lines_displaced = domain->lines_displaced();

@@ -20,8 +20,8 @@
 /// \file workload_driver.h
 /// Multi-query workload execution (DESIGN.md "Workload execution").
 ///
-/// A workload is a queue of queries over the shared table registry. The
-/// driver admits up to `max_concurrent` of them at a time (admission
+/// A workload is a queue of queries over the shared table registry.
+/// RunWorkload admits up to `max_concurrent` of them at a time (admission
 /// control, picked by SchedulePolicy) and runs the admitted queries one
 /// *scheduling quantum* (`burst_vectors` vectors) at a time, round-robin,
 /// on `num_threads` simulated cores: the front of the ready queue is
@@ -55,7 +55,7 @@
 /// Host wall-clock of the loop is reported alongside, wall-only and
 /// non-deterministic.
 ///
-/// Besides the closed queue (every query available at t = 0), the driver
+/// Besides the closed queue (every query available at t = 0), RunWorkload
 /// runs *open-loop* service-mode workloads (DESIGN.md "Open-loop service
 /// mode"): WorkloadOptions::arrival describes an arrival process
 /// (exec/arrival.h), queries become admissible only once their simulated
@@ -71,37 +71,6 @@
 
 namespace nipo {
 
-/// \brief Driver-level description of one workload query: how to run it,
-/// not what it computes. The facade-level WorkloadQuery (core/engine.h)
-/// adds the QuerySpec; the driver reaches the compiled pipeline through
-/// its ExecutorFactory instead, as ParallelDriver does under
-/// Engine::Execute.
-struct WorkloadTask {
-  /// Display name for reports (empty -> "q<index>").
-  std::string name;
-  /// Run under progressive optimization (otherwise fixed-order baseline).
-  bool progressive = false;
-  /// Progressive settings; `config.vector_size` is also the vector size
-  /// of baseline tasks.
-  ProgressiveConfig config;
-  /// Optional initial evaluation order (permutation of the operators).
-  std::optional<std::vector<size_t>> initial_order;
-  /// Relative work estimate: deadline shedding prices a query's service
-  /// time from it (DeadlineShedder in exec/admission.h). The facade
-  /// (core/engine.cc) fills it from the cost model.
-  double estimated_work = 0;
-  /// Estimated L3-resident working set (SchedulePolicy::kFootprintAware):
-  /// the bytes this query re-references and would like to keep in L3.
-  /// The facade fills it from the cache cost model.
-  uint64_t footprint_bytes = 0;
-  /// Simulated deadline relative to arrival (0 = none). A query past its
-  /// deadline is killed cooperatively at the next vector boundary
-  /// (QueryOutcome::kDeadlineExceeded) with its partial-progress counters
-  /// kept; with WorkloadOptions::shed_deadline it may instead be shed at
-  /// admission.
-  double sim_deadline_msec = 0;
-};
-
 /// \brief Admission-control policy of the workload scheduler. Policies
 /// act at *admission* time (which pending query takes a freed slot); the
 /// ready queue of admitted queries stays round-robin in every policy, so
@@ -111,12 +80,12 @@ enum class SchedulePolicy : int {
   kFifo = 0,
   /// Cache-footprint-aware co-scheduling: admit the earliest pending
   /// query whose estimated footprint fits in the shared-L3 budget left
-  /// by the in-flight queries (estimates capped at L3 capacity; under
-  /// contention the in-flight side uses live occupancy feedback when it
-  /// exceeds the estimate). If nothing fits, the slot stays idle until a
-  /// completion frees budget — except when *nothing* is in flight, where
-  /// the front query is admitted regardless so the workload always makes
-  /// progress.
+  /// by the in-flight queries' estimates (each capped at L3 capacity).
+  /// Only the estimates count, never live occupancy, so a replay of the
+  /// recorded quanta admits exactly as the live run did. If nothing fits,
+  /// the slot stays idle until a completion frees budget — except when
+  /// *nothing* is in flight, where the front query is admitted regardless
+  /// so the workload always makes progress.
   kFootprintAware,
 };
 
@@ -176,6 +145,37 @@ struct WorkloadOptions {
   /// QueryOutcome::kShed instead of burning core time and dying at a
   /// vector boundary.
   bool shed_deadline = false;
+};
+
+/// \brief One query of a multi-query workload: what to compute
+/// (QuerySpec) plus how to run it. Its scheduling estimates — the work
+/// score of deadline shedding and the L3 footprint of kFootprintAware —
+/// are separate ScheduleTaskInfo records, which Engine::Execute derives
+/// from the cost model (cost/cache_model.h) against the registered
+/// tables.
+struct WorkloadQuery {
+  /// Display name for reports (empty -> "q<index>").
+  std::string name;
+  QuerySpec query;
+  /// Run under progressive optimization (otherwise fixed-order baseline).
+  bool progressive = false;
+  /// Progressive settings; `config.vector_size` is also the vector size
+  /// of baseline queries.
+  ProgressiveConfig config;
+  /// Optional initial evaluation order (permutation of query.ops).
+  std::optional<std::vector<size_t>> initial_order;
+  /// Simulated deadline relative to arrival (0 = none). A query past its
+  /// deadline is killed cooperatively at the next vector boundary
+  /// (QueryOutcome::kDeadlineExceeded) with its partial-progress counters
+  /// kept; with WorkloadOptions::shed_deadline it may instead be shed at
+  /// admission.
+  double sim_deadline_msec = 0;
+};
+
+/// \brief A workload: the query queue plus its scheduling options.
+struct WorkloadSpec {
+  std::vector<WorkloadQuery> queries;
+  WorkloadOptions options;
 };
 
 /// \brief How one scheduling quantum ended (recorded per quantum in the
@@ -335,10 +335,14 @@ struct SimSchedule {
   std::vector<double> backoff_msec;
 };
 
-/// \brief Static per-query inputs of a policy-aware schedule replay
-/// (mirrors the WorkloadTask scheduling fields).
+/// \brief Scheduling estimates of one query, the static per-query input
+/// of admission in a live run and in its replay.
 struct ScheduleTaskInfo {
+  /// Relative work score: deadline shedding prices a query's service
+  /// time from it (DeadlineShedder in exec/admission.h).
   double work = 0;
+  /// Estimated L3-resident working set (SchedulePolicy::kFootprintAware):
+  /// the bytes this query re-references and would like to keep in L3.
   uint64_t footprint_bytes = 0;
 };
 
@@ -412,36 +416,19 @@ SimSchedule SimulateWorkloadSchedule(
     const AdaptiveAdmissionSpec* adaptive = nullptr,
     const ServiceFaultSpec* faults = nullptr);
 
-/// \brief Drives a multi-query workload through the event loop.
-class WorkloadDriver {
- public:
-  /// Compiles task `index`'s pipeline against the machine it was admitted
-  /// on. Called once per attempt (plus once per task, against a scratch
-  /// machine, for the up-front validation pass).
-  using ExecutorFactory =
-      std::function<Result<std::unique_ptr<PipelineExecutor>>(size_t index,
-                                                              Pmu* pmu)>;
+/// \brief Compiles a query's pipeline against the machine it runs on.
+using QueryCompiler = std::function<Result<std::unique_ptr<PipelineExecutor>>(
+    const QuerySpec& query, Pmu* pmu)>;
 
-  /// \param prototype machine-configuration donor; every query machine
-  ///        is prototype.CloneFresh().
-  WorkloadDriver(const Pmu& prototype, ExecutorFactory factory,
-                 WorkloadOptions options);
-
-  /// Executes every task to completion. Compile and validation errors of
-  /// *any* task surface before execution starts.
-  Result<WorkloadReport> Run(const std::vector<WorkloadTask>& tasks);
-
-  const WorkloadOptions& options() const { return options_; }
-
- private:
-  /// The scheduling-field view of `tasks` plus this driver's policy and
-  /// L3 budget (prototype L3 capacity).
-  SchedulePolicyConfig PolicyConfig(
-      const std::vector<WorkloadTask>& tasks) const;
-
-  Pmu prototype_;
-  ExecutorFactory factory_;
-  WorkloadOptions options_;
-};
+/// \brief Executes every query of `spec` to completion through the event
+/// loop. Every query machine is `prototype.CloneFresh()`; `compile` is
+/// called once per query against a scratch machine, to validate, and then
+/// once per attempt. `estimates` holds one ScheduleTaskInfo per query.
+/// Compile and validation errors of *any* query surface before execution
+/// starts.
+Result<WorkloadReport> RunWorkload(
+    const Pmu& prototype, const WorkloadSpec& spec,
+    const std::vector<ScheduleTaskInfo>& estimates,
+    const QueryCompiler& compile);
 
 }  // namespace nipo

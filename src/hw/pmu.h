@@ -284,23 +284,4 @@ class Pmu {
   uint64_t shared_evictions_suffered_base_ = 0;
 };
 
-/// \brief A windowed counter sample — the PAPI_read-pair idiom every
-/// driver uses (read before a region, read after, subtract). Open()
-/// snapshots the counters; Delta() is the activity since the last Open().
-/// Reading is side-effect free; modelling the *cost* of a read stays with
-/// the caller (the drivers charge kCounterReadCycles per sampling read,
-/// while pure observers — per-step accounting in the workload driver —
-/// charge nothing, keeping them invisible to the simulated machine).
-class CounterWindow {
- public:
-  explicit CounterWindow(const Pmu* pmu) : pmu_(pmu) { Open(); }
-
-  void Open() { begin_ = pmu_->Read(); }
-  PmuCounters Delta() const { return pmu_->Read() - begin_; }
-
- private:
-  const Pmu* pmu_;
-  PmuCounters begin_;
-};
-
 }  // namespace nipo

@@ -42,7 +42,6 @@ class ColumnStatistics {
   double max() const { return max_; }
   uint64_t row_count() const { return row_count_; }
   size_t num_buckets() const { return buckets_.size(); }
-  uint64_t bucket_count(size_t i) const { return buckets_[i]; }
 
   /// Estimated selectivity of `value_column op constant` under the
   /// histogram, with linear interpolation inside the boundary bucket.

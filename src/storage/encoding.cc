@@ -286,28 +286,6 @@ inline T DecodeOne(const EncodedBlock& block, size_t local_row) {
   return T{};
 }
 
-template <typename T>
-void DecodeBlockRange(const EncodedBlock& block, size_t local_begin,
-                      size_t count, T* out) {
-  switch (block.encoding) {
-    case BlockEncoding::kPlain:
-      std::memcpy(out, block.plain.data() + local_begin * sizeof(T),
-                  count * sizeof(T));
-      return;
-    case BlockEncoding::kDictionary: {
-      const T* dict = reinterpret_cast<const T*>(block.dict.data());
-      for (size_t i = 0; i < count; ++i) {
-        out[i] = dict[ReadCode(block.codes.data(), block.code_width,
-                               local_begin + i)];
-      }
-      return;
-    }
-    case BlockEncoding::kBitPacked:
-      UnpackBits(block, local_begin, nullptr, count, out);
-      return;
-  }
-}
-
 }  // namespace
 
 bool ZoneRefutes(const ZoneMapEntry& zone, CompareOp op, double value) {
@@ -403,36 +381,6 @@ const void* EncodedColumn::data() const {
       return b.words.empty() ? nullptr : b.words.data();
   }
   return nullptr;
-}
-
-void EncodedColumn::DecodeRange(size_t row_begin, size_t count,
-                                void* out) const {
-  NIPO_CHECK(row_begin + count <= num_values_);
-  uint8_t* dst = static_cast<uint8_t*>(out);
-  size_t row = row_begin;
-  size_t remaining = count;
-  while (remaining > 0) {
-    const size_t b = BlockIndexOf(row);
-    const EncodedBlock& block = blocks_[b];
-    const size_t local = row - block.row_begin;
-    const size_t take = std::min(remaining, block.row_count - local);
-    switch (type()) {
-      case DataType::kInt32:
-        DecodeBlockRange(block, local, take,
-                         reinterpret_cast<int32_t*>(dst));
-        break;
-      case DataType::kInt64:
-        DecodeBlockRange(block, local, take,
-                         reinterpret_cast<int64_t*>(dst));
-        break;
-      case DataType::kDouble:
-        DecodeBlockRange(block, local, take, reinterpret_cast<double*>(dst));
-        break;
-    }
-    dst += take * value_width();
-    row += take;
-    remaining -= take;
-  }
 }
 
 double EncodedColumn::ValueAsDouble(size_t row) const {

@@ -218,10 +218,6 @@ class EncodedColumn : public ColumnBase {
                                   static_cast<double>(num_values_);
   }
 
-  /// Decodes rows [row_begin, row_begin + count) into `out` (native
-  /// width). Unbooked -- the scan-path booking lives in ColumnView.
-  void DecodeRange(size_t row_begin, size_t count, void* out) const;
-
   /// Single-value random access, unbooked (reference checks and tests).
   double ValueAsDouble(size_t row) const;
   int64_t ValueAsInt64(size_t row) const;

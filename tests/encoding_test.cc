@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "common/prng.h"
 #include "storage/column_view.h"
@@ -34,9 +35,9 @@ std::unique_ptr<Column<T>> MakeColumn(const std::string& name,
   return std::make_unique<Column<T>>(name, std::move(values));
 }
 
-/// Round-trips `values` through Encode and checks every row via both
-/// DecodeRange and single-value access. Returns the encoded column for
-/// further inspection.
+/// Round-trips `values` through Encode and checks every row via
+/// single-value access and via a ColumnView scan over an unaligned range.
+/// Returns the encoded column for further inspection.
 template <typename T>
 std::unique_ptr<EncodedColumn> RoundTrip(std::vector<T> values,
                                          const EncodingOptions& options) {
@@ -46,19 +47,32 @@ std::unique_ptr<EncodedColumn> RoundTrip(std::vector<T> values,
   std::unique_ptr<EncodedColumn> col = std::move(encoded.ValueOrDie());
   EXPECT_EQ(col->size(), values.size());
 
-  std::vector<T> decoded(values.size());
-  col->DecodeRange(0, values.size(), decoded.data());
+  // Bit-pattern equality so NaN payloads round-trip too.
+  auto same_bits = [](const T& a, const void* b) {
+    return std::memcmp(&a, b, sizeof(T)) == 0;
+  };
   for (size_t i = 0; i < values.size(); ++i) {
-    // Bit-pattern equality so NaN payloads round-trip too.
-    EXPECT_EQ(std::memcmp(&decoded[i], &values[i], sizeof(T)), 0)
-        << "row " << i;
+    T decoded;
+    if constexpr (std::is_same_v<T, double>) {
+      decoded = col->ValueAsDouble(i);
+    } else {
+      decoded = static_cast<T>(col->ValueAsInt64(i));
+    }
+    EXPECT_TRUE(same_bits(values[i], &decoded)) << "row " << i;
   }
-  // Unaligned partial ranges must agree with the full decode.
+  // A scan of an unaligned range, straddling storage blocks.
   if (values.size() > 5) {
-    std::vector<T> partial(values.size() - 5);
-    col->DecodeRange(3, values.size() - 5, partial.data());
-    for (size_t i = 0; i < partial.size(); ++i) {
-      EXPECT_EQ(std::memcmp(&partial[i], &values[i + 3], sizeof(T)), 0);
+    auto view = ColumnView::Bind(col.get());
+    EXPECT_TRUE(view.ok());
+    Pmu pmu;
+    DecodeScratch scratch;
+    const size_t count = values.size() - 5;
+    const ScanRun run =
+        view.ValueOrDie().ScanBlock(&pmu, 3, nullptr, count, &scratch);
+    for (size_t j = 0; j < count; ++j) {
+      EXPECT_TRUE(same_bits(values[j + 3],
+                            run.data + (run.base_row + j) * run.width))
+          << "scanned row " << j + 3;
     }
   }
   return col;

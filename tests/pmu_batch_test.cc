@@ -257,7 +257,7 @@ TEST(PmuBatchTest, InterleavedTrafficIdenticalAcrossModes) {
   m.ExpectIdentical("interleaved traffic");
 }
 
-TEST(PmuBatchTest, CounterWindowsIdenticalAcrossModes) {
+TEST(PmuBatchTest, ResetWindowsIdenticalAcrossModes) {
   std::vector<int32_t> data(1 << 14);
   ModePair m;
   for (Pmu* pmu : {&m.scalar, &m.batched}) {

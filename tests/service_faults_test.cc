@@ -30,7 +30,9 @@
 //      and deadline-aware shedding rejects doomed queries at admission;
 //  (d) replay exactness: SimulateWorkloadSchedule fed the recorded
 //      QuantumTrace fates and a ServiceFaultSpec reproduces outcomes,
-//      attempts, backoffs and timing bit-identically;
+//      attempts, backoffs and timing bit-identically, also with every
+//      service option on at once (arrivals, contention, adaptive
+//      admission, the footprint policy and all fault kinds);
 //  (e) the Status propagation paths: FK-out-of-range data errors latch
 //      on the executor and surface as failed Status (solo), a latched
 //      error + partial counts (parallel), or QueryOutcome::kFailed with
@@ -468,6 +470,90 @@ TEST(ServiceFaultsTest, FaultyScheduleReplaysExactly) {
       TracesOf(report), /*arrival_msec=*/{}, spec.options.num_threads,
       spec.options.max_concurrent, SchedulePolicyConfig{},
       /*adaptive=*/nullptr, &faults);
+  for (size_t i = 0; i < report.queries.size(); ++i) {
+    const WorkloadQueryReport& q = report.queries[i];
+    EXPECT_EQ(replay.outcome[i], q.outcome) << q.name;
+    EXPECT_EQ(replay.attempts[i], q.attempts) << q.name;
+    EXPECT_EQ(replay.backoff_msec[i], q.sim_backoff_msec) << q.name;
+    EXPECT_EQ(replay.start_msec[i], q.sim_start_msec) << q.name;
+    EXPECT_EQ(replay.finish_msec[i], q.sim_finish_msec) << q.name;
+    EXPECT_EQ(replay.queue_wait_msec[i], q.sim_queue_wait_msec) << q.name;
+    EXPECT_EQ(replay.latency_msec[i], q.sim_latency_msec) << q.name;
+  }
+  EXPECT_EQ(replay.makespan_msec, report.sim_makespan_msec);
+}
+
+TEST(ServiceFaultsTest, FullServiceStackReplaysExactly) {
+  // Every service option at once, on twelve queries: Poisson arrivals,
+  // audited shared-L3 contention, adaptive admission, the footprint
+  // policy, transient faults with retry, stalls, deadlines with shedding
+  // and an out-of-range-FK hard fault. The schedule inputs are hand-set
+  // estimates, so the footprint policy reorders admission.
+  Engine engine = MakeFaultEngine();
+  WorkloadSpec spec = MakeMixedWorkload(engine);
+  for (WorkloadQuery q : MakeMixedWorkload(engine).queries) {
+    q.name += "_late";
+    spec.queries.push_back(std::move(q));
+  }
+  const DriveResult solo = SoloDrive(engine, spec.queries[0]);
+  spec.queries[3].name = "bad_join";
+  spec.queries[3].query = JoinQuery(engine, "bad_fact");
+  // The late half carries deadlines; retries back the queue up behind
+  // the footprint policy's two-at-a-time admission, so some of it is
+  // shed and some killed at a vector boundary.
+  for (size_t i = 6; i < spec.queries.size(); ++i) {
+    spec.queries[i].sim_deadline_msec = 8.0 * solo.simulated_msec;
+  }
+  spec.options.num_threads = 2;
+  spec.options.max_concurrent = 4;
+  spec.options.policy = SchedulePolicy::kFootprintAware;
+  spec.options.contention = true;
+  spec.options.audit_contention = true;
+  spec.options.adaptive_admission = true;
+  spec.options.arrival.kind = ArrivalKind::kPoisson;
+  // One arrival per two solo runs, on average.
+  spec.options.arrival.rate_qps = 0.5 / (solo.simulated_msec / 1e3);
+  spec.options.arrival.seed = 13;
+  spec.options.faults.seed = 7;
+  spec.options.faults.transient_fault_rate = 0.02;
+  spec.options.faults.stall_rate = 0.10;
+  spec.options.faults.stall_factor = 2.0;
+  spec.options.retry.max_attempts = 3;
+  spec.options.retry.backoff_base_msec = 0.5;
+  spec.options.retry.backoff_cap_msec = 8.0;
+  spec.options.shed_deadline = true;
+
+  const Pmu prototype = engine.NewMachine();
+  SchedulePolicyConfig config;
+  config.policy = spec.options.policy;
+  config.l3_capacity_bytes = prototype.config().l3.capacity_bytes;
+  for (size_t i = 0; i < spec.queries.size(); ++i) {
+    config.tasks.push_back({static_cast<double>(1 + i % 3),
+                            (i % 2 == 0 ? 6 : 3) *
+                                (config.l3_capacity_bytes / 10)});
+  }
+  auto result =
+      RunWorkload(prototype, spec, config.tasks, CompilerFor(engine));
+  ASSERT_TRUE(result.ok());
+  const WorkloadReport& report = result.ValueOrDie();
+  EXPECT_EQ(report.queries[3].outcome, QueryOutcome::kFailed);
+  EXPECT_GT(report.queries_shed, 0u);
+  EXPECT_GT(report.total_retries, 0u);
+  EXPECT_GT(report.admission_decreases, 0u);
+
+  AdaptiveAdmissionSpec adaptive;
+  adaptive.l3_capacity_lines = report.shared_l3_capacity_lines;
+  ServiceFaultSpec faults;
+  faults.retry = spec.options.retry;
+  faults.shed_deadline = true;
+  for (const WorkloadQuery& q : spec.queries) {
+    faults.deadline_msec.push_back(q.sim_deadline_msec);
+  }
+  const SimSchedule replay = SimulateWorkloadSchedule(
+      TracesOf(report),
+      GenerateArrivalTimes(spec.options.arrival, spec.queries.size()),
+      spec.options.num_threads, spec.options.max_concurrent, config,
+      &adaptive, &faults);
   for (size_t i = 0; i < report.queries.size(); ++i) {
     const WorkloadQueryReport& q = report.queries[i];
     EXPECT_EQ(replay.outcome[i], q.outcome) << q.name;

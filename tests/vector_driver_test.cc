@@ -29,11 +29,9 @@ struct Fixture {
 
 TEST(VectorDriverTest, VectorCountRoundsUp) {
   Fixture fx(10'000);
-  VectorDriver d1(fx.exec.get(), 1000);
-  EXPECT_EQ(d1.num_vectors(), 10u);
-  VectorDriver d2(fx.exec.get(), 3000);
-  EXPECT_EQ(d2.num_vectors(), 4u);  // 3+3+3+1
-  EXPECT_EQ(d2.vector_size(), 3000u);
+  EXPECT_EQ(VectorDriver(fx.exec.get(), 1000).Run().num_vectors, 10u);
+  // 3+3+3+1
+  EXPECT_EQ(VectorDriver(fx.exec.get(), 3000).Run().num_vectors, 4u);
 }
 
 TEST(VectorDriverTest, RunWithoutHookAggregates) {

@@ -20,9 +20,9 @@
 //  - admission control bounds in-flight queries and serializes the
 //    simulated schedule at max_concurrent = 1;
 //  - SimulateWorkloadSchedule replays the admission policy
-//    deterministically, and under every SchedulePolicy a closed-queue
-//    report's recorded quanta (four parallel per-quantum arrays) replay
-//    to its exact schedule;
+//    deterministically, and under every SchedulePolicy, with and
+//    without a shared L3, a closed-queue report's recorded quanta (four
+//    parallel per-quantum arrays) replay to its exact schedule;
 //  - a retry budget on a fault-free run changes nothing.
 // ci/check.sh runs this suite with NIPO_TEST_THREADS=1 and =8 and under
 // ThreadSanitizer; the env var replaces the default core-count sweep.
@@ -254,42 +254,24 @@ TEST(WorkloadDriverTest, SimulateWorkloadScheduleReplaysAdmissionPolicy) {
   EXPECT_EQ(fifo.makespan_msec, 5.0);
 }
 
-/// Runs the mixed workload straight through WorkloadDriver, with task
-/// scheduling inputs that make kFootprintAware reorder admission:
-/// distinct L3 footprints (some pairs fit the L3 together, some do not)
-/// and work estimates. Returns the report and, through `config`, the
-/// matching replay configuration.
+/// Runs the mixed workload straight through RunWorkload, with schedule
+/// estimates that make kFootprintAware reorder admission: distinct L3
+/// footprints (some pairs fit the L3 together, some do not) and work
+/// estimates. Returns the report and, through `config`, the matching
+/// replay configuration.
 Result<WorkloadReport> RunWithPolicyInputs(const Engine& engine,
                                            const WorkloadSpec& spec,
                                            SchedulePolicyConfig* config) {
   const Pmu prototype = engine.NewMachine();
   const uint64_t l3 = prototype.config().l3.capacity_bytes;
-  std::vector<WorkloadTask> tasks;
   config->policy = spec.options.policy;
   config->l3_capacity_bytes = l3;
   config->tasks.clear();
   for (size_t i = 0; i < spec.queries.size(); ++i) {
-    const WorkloadQuery& q = spec.queries[i];
-    WorkloadTask task;
-    task.name = q.name;
-    task.progressive = q.progressive;
-    task.config = q.config;
-    task.initial_order = q.initial_order;
-    task.estimated_work = static_cast<double>((i * 7) % 8);
-    task.footprint_bytes = (i % 2 == 0 ? 6 : 3) * (l3 / 10);
-    config->tasks.push_back({task.estimated_work, task.footprint_bytes});
-    tasks.push_back(std::move(task));
+    config->tasks.push_back({static_cast<double>((i * 7) % 8),
+                             (i % 2 == 0 ? 6 : 3) * (l3 / 10)});
   }
-  WorkloadDriver driver(
-      prototype,
-      [&](size_t index, Pmu* pmu) -> Result<std::unique_ptr<PipelineExecutor>> {
-        const QuerySpec& query = spec.queries[index].query;
-        NIPO_ASSIGN_OR_RETURN(const Table* table, engine.GetTable(query.table));
-        return PipelineExecutor::Compile(*table, query.ops,
-                                         query.payload_columns, pmu);
-      },
-      spec.options);
-  return driver.Run(tasks);
+  return RunWorkload(prototype, spec, config->tasks, CompilerFor(engine));
 }
 
 constexpr SchedulePolicy kAllPolicies[] = {SchedulePolicy::kFifo,
@@ -300,36 +282,44 @@ TEST(WorkloadDriverTest, ClosedQueueRecordsReplayableQuanta) {
   WorkloadSpec spec = MakeMixedWorkload(engine);
   spec.options.max_concurrent = 3;
   spec.options.burst_vectors = 2;
-  for (const SchedulePolicy policy : kAllPolicies) {
-    for (size_t threads : TestThreadCounts()) {
-      spec.options.policy = policy;
-      spec.options.num_threads = threads;
-      SchedulePolicyConfig config;
-      auto result = RunWithPolicyInputs(engine, spec, &config);
-      ASSERT_TRUE(result.ok());
-      const WorkloadReport& report = result.ValueOrDie();
-      const std::string where = std::string(SchedulePolicyToString(policy)) +
-                                ", " + std::to_string(threads) + " cores";
-      // All four per-quantum arrays are parallel, one entry per quantum.
-      for (const WorkloadQueryReport& q : report.queries) {
-        EXPECT_EQ(q.quantum_msec.size(), q.quanta) << q.name << ", " << where;
-        EXPECT_EQ(q.quantum_evictions.size(), q.quanta) << q.name;
-        EXPECT_EQ(q.quantum_occupancy.size(), q.quanta) << q.name;
-        EXPECT_EQ(q.quantum_fate.size(), q.quanta) << q.name;
+  for (const bool contention : {false, true}) {
+    for (const SchedulePolicy policy : kAllPolicies) {
+      for (size_t threads : TestThreadCounts()) {
+        spec.options.contention = contention;
+        spec.options.policy = policy;
+        spec.options.num_threads = threads;
+        SchedulePolicyConfig config;
+        auto result = RunWithPolicyInputs(engine, spec, &config);
+        ASSERT_TRUE(result.ok());
+        const WorkloadReport& report = result.ValueOrDie();
+        const std::string where =
+            std::string(SchedulePolicyToString(policy)) + ", " +
+            std::to_string(threads) + " cores" +
+            (contention ? ", shared L3" : "");
+        // All four per-quantum arrays are parallel, one entry per quantum.
+        for (const WorkloadQueryReport& q : report.queries) {
+          EXPECT_EQ(q.quantum_msec.size(), q.quanta) << q.name << ", "
+                                                     << where;
+          EXPECT_EQ(q.quantum_evictions.size(), q.quanta) << q.name;
+          EXPECT_EQ(q.quantum_occupancy.size(), q.quanta) << q.name;
+          EXPECT_EQ(q.quantum_fate.size(), q.quanta) << q.name;
+        }
+        // The recorded quanta replay to the live schedule, exactly — also
+        // under contention, where admission must not depend on anything
+        // the trace does not record.
+        const SimSchedule replay = SimulateWorkloadSchedule(
+            TracesOf(report), /*arrival_msec=*/{}, threads,
+            spec.options.max_concurrent, config);
+        ASSERT_EQ(replay.start_msec.size(), report.queries.size());
+        for (size_t i = 0; i < report.queries.size(); ++i) {
+          const WorkloadQueryReport& q = report.queries[i];
+          EXPECT_EQ(replay.start_msec[i], q.sim_start_msec)
+              << q.name << ", " << where;
+          EXPECT_EQ(replay.finish_msec[i], q.sim_finish_msec)
+              << q.name << ", " << where;
+        }
+        EXPECT_EQ(replay.makespan_msec, report.sim_makespan_msec) << where;
       }
-      // The recorded quanta replay to the live schedule, exactly.
-      const SimSchedule replay = SimulateWorkloadSchedule(
-          TracesOf(report), /*arrival_msec=*/{}, threads,
-          spec.options.max_concurrent, config);
-      ASSERT_EQ(replay.start_msec.size(), report.queries.size());
-      for (size_t i = 0; i < report.queries.size(); ++i) {
-        const WorkloadQueryReport& q = report.queries[i];
-        EXPECT_EQ(replay.start_msec[i], q.sim_start_msec) << q.name << ", "
-                                                          << where;
-        EXPECT_EQ(replay.finish_msec[i], q.sim_finish_msec) << q.name << ", "
-                                                            << where;
-      }
-      EXPECT_EQ(replay.makespan_msec, report.sim_makespan_msec) << where;
     }
   }
 }
@@ -447,6 +437,12 @@ TEST(WorkloadDriverTest, ErrorsPropagate) {
   spec = MakeMixedWorkload(engine);
   spec.queries[5].initial_order = std::vector<size_t>{0, 0};
   EXPECT_FALSE(engine.Execute(spec).ok());
+  // RunWorkload needs one schedule estimate per query.
+  spec = MakeMixedWorkload(engine);
+  EXPECT_EQ(RunWorkload(engine.NewMachine(), spec, {}, CompilerFor(engine))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WorkloadDriverTest, BurstVectorsDoNotChangeCountersOrSchedulePolicy) {

@@ -9,8 +9,9 @@
 
 // Test-local helpers shared by the workload suites: hand-crafted
 // durations and recorded reports both become QuantumTrace replay input
-// for SimulateWorkloadSchedule, and SoloDrive runs one workload entry
-// alone as the bit-identity reference.
+// for SimulateWorkloadSchedule, CompilerFor compiles for direct
+// RunWorkload calls, and SoloDrive runs one workload entry alone as the
+// bit-identity reference.
 
 namespace nipo {
 
@@ -49,6 +50,17 @@ inline std::vector<std::vector<QuantumTrace>> TracesOf(
     }
   }
   return traces;
+}
+
+/// Compiles workload queries against `engine`'s tables, as
+/// Engine::Execute does, for tests that call RunWorkload directly.
+inline QueryCompiler CompilerFor(const Engine& engine) {
+  return [&engine](const QuerySpec& query,
+                   Pmu* pmu) -> Result<std::unique_ptr<PipelineExecutor>> {
+    NIPO_ASSIGN_OR_RETURN(const Table* table, engine.GetTable(query.table));
+    return PipelineExecutor::Compile(*table, query.ops, query.payload_columns,
+                                     pmu);
+  };
 }
 
 /// Solo single-threaded reference for one workload entry: its query, mode,
