@@ -40,11 +40,15 @@ void PrintProgressiveReport(const ProgressiveReport& report,
                             const std::string& title, std::ostream& out) {
   PrintDriveResult(report.drive, title, out);
   TablePrinter trace(title + " - PEO trace");
-  trace.SetHeader({"vector", "old order", "new order", "flags"});
+  trace.SetHeader({"vector", "old order", "new order", "old cyc/tup",
+                   "new cyc/tup", "margin", "flags"});
   for (const PeoChange& change : report.changes) {
     trace.AddRow({std::to_string(change.vector_index),
                   FormatOrder(change.old_order),
                   FormatOrder(change.new_order),
+                  FormatDouble(change.predicted_old_cycles, 2),
+                  FormatDouble(change.predicted_new_cycles, 2),
+                  FormatDouble(change.margin, 3),
                   change.reverted ? "reverted" : ""});
   }
   trace.Print(out);

@@ -7,7 +7,6 @@
 #include "exec/parallel_driver.h"
 #include "exec/vector_driver.h"
 #include "optimizer/estimator.h"
-#include "optimizer/sortedness.h"
 #include "optimizer/statistics.h"
 
 /// \file progressive.h
@@ -18,14 +17,18 @@
 /// Execution proceeds vector by vector. Every `reopt_interval` vectors the
 /// driver takes the latest counter sample, runs the Section 4.2 learning
 /// algorithm to estimate the selectivity of every operator in the current
-/// evaluation order, ranks the operators (ascending selectivity for plain
-/// predicates; cost-weighted rank when expensive predicates or join
-/// probes participate, with probe cost informed by the Section 5.5-5.6
-/// sortedness detector), and -- if the ranking disagrees with the current
-/// order -- switches the order for subsequent vectors (the JIT-recompile /
-/// primitive-rechain step). The next vector *validates* the switch: if
-/// its cycles-per-tuple deteriorate, the old order is re-established
-/// (Section 4.4's "if they deteriorate, the old order is reestablished").
+/// evaluation order, and prices evaluation orders in predicted simulated
+/// cycles per input tuple: the cycle model's instruction, branch and
+/// misprediction prices (the misprediction rate from the Markov predictor
+/// model at each estimated selectivity), the scan cache model for the
+/// fact columns, the sampled probe misses per probe evaluation, and a
+/// zone-map discount. A dynamic program over operator subsets finds the
+/// cheapest order exactly. If it beats the current order by more than the
+/// sample's sampling noise allows, the driver switches to it for
+/// subsequent vectors (the JIT-recompile / primitive-rechain step). The
+/// next vector *validates* the switch: if its cycles-per-tuple
+/// deteriorate, the old order is re-established (Section 4.4's "if they
+/// deteriorate, the old order is reestablished").
 ///
 /// Under sharded execution ParallelProgressiveCoordinator feeds this same
 /// optimizer: worker morsel samples are merged into windows of
@@ -54,6 +57,13 @@ struct PeoChange {
   size_t vector_index = 0;
   std::vector<size_t> old_order;
   std::vector<size_t> new_order;
+  /// Predicted simulated cycles per input tuple of the old and the new
+  /// order on the sample that decided the change.
+  double predicted_old_cycles = 0;
+  double predicted_new_cycles = 0;
+  /// Relative margin the change cleared:
+  /// predicted_new_cycles < predicted_old_cycles * (1 - margin).
+  double margin = 0;
   bool reverted = false;  ///< validation rolled it back
 };
 
@@ -137,7 +147,7 @@ struct ParallelProgressiveReport {
 /// receives every worker's morsel samples (serialized by ParallelDriver's
 /// hook lock), merges them into windows of `reopt_interval` same-order
 /// morsels, and steps a ProgressiveOptimizer over the windows -- one
-/// decision point per window, so estimate, rank, validate/revert and
+/// decision point per window, so estimate, price, validate/revert and
 /// hysteresis are exactly the single-threaded driver's.
 ///
 /// That optimizer drives a *control* executor: a non-executing pipeline

@@ -51,6 +51,9 @@ TEST(ReportTest, PrintProgressiveReportIncludesTrace) {
   change.vector_index = 5;
   change.old_order = {0, 1};
   change.new_order = {1, 0};
+  change.predicted_old_cycles = 21.75;
+  change.predicted_new_cycles = 17.25;
+  change.margin = 0.056;
   change.reverted = true;
   report.changes.push_back(change);
   std::ostringstream out;
@@ -60,6 +63,10 @@ TEST(ReportTest, PrintProgressiveReportIncludesTrace) {
   EXPECT_NE(s.find("0,1"), std::string::npos);
   EXPECT_NE(s.find("1,0"), std::string::npos);
   EXPECT_NE(s.find("reverted"), std::string::npos);
+  EXPECT_NE(s.find("old cyc/tup"), std::string::npos);
+  EXPECT_NE(s.find("21.75"), std::string::npos);
+  EXPECT_NE(s.find("17.25"), std::string::npos);
+  EXPECT_NE(s.find("0.056"), std::string::npos);
   EXPECT_NE(s.find("final order: 1,0"), std::string::npos);
   EXPECT_NE(s.find("0.25"), std::string::npos);
 }
