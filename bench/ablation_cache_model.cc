@@ -21,9 +21,9 @@ int main() {
                    "err %", "single-count est", "err %"});
 
   for (double rho : {0.002, 0.01, 0.03, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0}) {
-    CacheHierarchy caches(CacheGeometry{8 * 1024, 8, 64},
-                          CacheGeometry{64 * 1024, 8, 64},
-                          CacheGeometry{1024 * 1024, 16, 64}, true);
+    CacheHierarchy caches(CacheGeometry{8 * 1024, 8},
+                          CacheGeometry{64 * 1024, 8},
+                          CacheGeometry{1024 * 1024, 16});
     Prng prng(5);
     const uint64_t base = 1u << 30;
     for (size_t i = 0; i < kTuples; ++i) {

@@ -34,9 +34,8 @@ int main() {
 
   for (double sample_fraction : {0.01, 0.05, 0.25, 1.0}) {
     auto stats = TableStatistics::Build(
-        *li, 64,
-        static_cast<size_t>(sample_fraction *
-                            static_cast<double>(li->num_rows())));
+        *li, static_cast<size_t>(sample_fraction *
+                                 static_cast<double>(li->num_rows())));
     NIPO_CHECK(stats.ok());
     const StaticPlan plan = PlanStatically(query.ops, stats.ValueOrDie());
     ExecOptions static_opt;

@@ -25,7 +25,7 @@ int main() {
   };
   std::vector<Distance> distances = {
       {"1T", 1},
-      {"CL", hw.l1.line_size / 4},
+      {"CL", kCacheLineBytes / 4},
       {"100T", 100},
       {"1KT", 1'000},
       {"L1", hw.l1.capacity_bytes / 4},

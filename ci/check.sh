@@ -4,10 +4,11 @@
 # (1-thread and 8-thread driver configs via the NIPO_TEST_THREADS env
 # var), a perf-smoke run of the simulator-throughput, workload,
 # SIMD-kernel, and compressed-storage-scan benches (their correctness
-# gates assert counter, kernel, and plain-vs-encoded bit-identity), one
-# multi-gate perf-regression check against the committed trajectory
-# anchors, then the concurrency tests again under ThreadSanitizer and
-# the full suite under ASan+UBSan.
+# gates assert counter, kernel, and plain-vs-encoded bit-identity), a
+# build of the repo benchmark (nipobench/) and a short run of each of its
+# workloads, one multi-gate perf-regression check against the committed
+# trajectory anchors, then the concurrency tests again under
+# ThreadSanitizer and the full suite under ASan+UBSan.
 #
 # Opt-outs (all default on): NIPO_LINT=0, NIPO_PERF_SMOKE=0 (also skips
 # the gate), NIPO_PERF_GATE=0, NIPO_TSAN=0, NIPO_ASAN=0.
@@ -120,6 +121,21 @@ if [[ "${NIPO_PERF_SMOKE:-1}" == "1" ]]; then
   echo "== perf smoke: storage_scan =="
   "$BUILD_DIR"/bench/storage_scan --quick \
       --json="$BUILD_DIR"/BENCH_storage_scan.json
+
+  # The repo benchmark (nipobench/, declared by BENCHMARK.json) is its own
+  # CMake project over src/, so no build above compiles it: a library API
+  # change that breaks it would otherwise go unseen. Build it as it stands
+  # and run each workload briefly; nipo_bench exits non-zero when its
+  # correctness checks fail.
+  echo "== nipobench smoke: build =="
+  cmake -S nipobench -B "$BUILD_DIR-nipobench" -DCMAKE_BUILD_TYPE=Release \
+      -DNIPO_SIMD="$NIPO_SIMD"
+  cmake --build "$BUILD_DIR-nipobench" -j "$(nproc)" --target nipo_bench
+  for workload in scan_plain scan_encoded join_sharded service; do
+    echo "== nipobench smoke: $workload =="
+    "$BUILD_DIR-nipobench"/nipo_bench --workload="$workload" --seed=1 \
+        --seconds=0.5
+  done
 
   # Perf-regression gate, one invocation over every (anchor, metric)
   # pair: smoke throughput must stay within a generous factor of the

@@ -91,7 +91,7 @@ int main() {
     const double fact_rows =
         static_cast<double>(diag.ValueOrDie().input_tuples);
     const double fk_scan_misses =
-        fact_rows * 4.0 / engine.hw_config().l3.line_size;
+        fact_rows * 4.0 / kCacheLineBytes;
     ProbeObservation obs;
     obs.relation.num_tuples =
         static_cast<double>(orders.ValueOrDie()->num_rows());

@@ -38,7 +38,7 @@ int main() {
 
   // Statistics as a real system would have them: built when the first
   // fifth of the data was loaded.
-  auto stats = TableStatistics::Build(*table, 64, kRows / 5);
+  auto stats = TableStatistics::Build(*table, kRows / 5);
   NIPO_CHECK(stats.ok());
 
   QuerySpec query;

@@ -1,11 +1,10 @@
 /// \file tpch_gen.cc
 /// Command-line TPC-H generator: `tpch_gen --sf 0.1` builds the three
-/// tables at the requested scale factor with deterministic seeds and
+/// tables at the requested scale factor from one deterministic seed and
 /// prints their shapes; `--encode` additionally compresses every column
 /// (dictionary / bit-pack per block, DESIGN.md Section 10) and reports
-/// the size reduction. `--per-table-seeds` switches each table to its
-/// own derived seed stream; `--seed` changes the base seed. Out-of-range
-/// scale factors are rejected through the generator's Status path.
+/// the size reduction. `--seed` changes the seed. Out-of-range scale
+/// factors are rejected through the generator's Status path.
 
 #include <cstdio>
 #include <cstdlib>
@@ -22,8 +21,7 @@ namespace {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--sf <scale>] [--seed <n>] [--per-table-seeds] "
-               "[--encode]\n",
+               "usage: %s [--sf <scale>] [--seed <n>] [--encode]\n",
                argv0);
   return 2;
 }
@@ -39,8 +37,6 @@ int main(int argc, char** argv) {
       config.scale_factor = std::atof(argv[++i]);
     } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
       config.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(arg, "--per-table-seeds") == 0) {
-      config.per_table_seeds = true;
     } else if (std::strcmp(arg, "--encode") == 0) {
       encode = true;
     } else {
@@ -56,8 +52,7 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter out("TPC-H sf=" + FormatDouble(config.scale_factor, 3) +
-                   " seed=" + std::to_string(config.seed) +
-                   (config.per_table_seeds ? " (per-table seeds)" : ""));
+                   " seed=" + std::to_string(config.seed));
   out.SetHeader({"table", "rows", "columns", "plain KiB", "encoded KiB",
                  "ratio"});
   Table* tables[] = {db.ValueOrDie().lineitem.get(),

@@ -186,10 +186,9 @@ Result<ExecReport> Engine::Execute(const QuerySpec& query,
   return report;
 }
 
-Result<TableEncodingStats> Engine::EncodeTable(const std::string& name,
-                                               const EncodingOptions& options) {
+Result<TableEncodingStats> Engine::EncodeTable(const std::string& name) {
   NIPO_ASSIGN_OR_RETURN(Table * table, GetMutableTable(name));
-  return EncodeTableColumns(table, options);
+  return EncodeTableColumns(table);
 }
 
 namespace {
@@ -203,8 +202,6 @@ namespace {
 /// prediction.
 ScheduleTaskInfo EstimateSchedule(const Table& table, const QuerySpec& query,
                                   const HwConfig& hw) {
-  ScanCacheModelConfig model;
-  model.line_size = hw.l3.line_size;
   // A column referenced by several operators (e.g. a re-probed dimension)
   // occupies its bytes once, so count each (table, column) pair once.
   std::vector<std::pair<const Table*, std::string>> counted;
@@ -217,10 +214,10 @@ ScheduleTaskInfo EstimateSchedule(const Table& table, const QuerySpec& query,
     }
     counted.push_back(key);
     const ColumnCacheEstimate est = EstimateColumnCache(
-        model, static_cast<double>(t.num_rows()),
+        ScanCacheModelConfig{}, static_cast<double>(t.num_rows()),
         ScanColumnSpec{
             static_cast<uint32_t>(column.ValueOrDie()->value_width()), 1.0});
-    return static_cast<uint64_t>(est.lines_total) * model.line_size;
+    return static_cast<uint64_t>(est.lines_total) * kCacheLineBytes;
   };
   const double rows = static_cast<double>(table.num_rows());
   uint64_t streamed = 0;

@@ -168,13 +168,12 @@ class Engine {
   Result<WorkloadReport> Execute(const WorkloadSpec& spec) const;
 
   /// Re-encodes every column of a registered table into the per-block
-  /// compressed format (dictionary / bit-packed / plain per 64K-value
+  /// compressed format (dictionary / bit-packed / plain per 65,536-value
   /// block, with zone maps; see src/storage/encoding.h). Queries keep
   /// working unchanged through the ColumnView scan API; an encodings-off
   /// engine stays bit-identical to the plain-array path. Idempotent:
   /// already-encoded columns are left alone.
-  Result<TableEncodingStats> EncodeTable(const std::string& name,
-                                         const EncodingOptions& options = {});
+  Result<TableEncodingStats> EncodeTable(const std::string& name);
 
   /// Builds the fresh simulated machine every execution runs on (cold
   /// caches, neutral predictor). Solo drives run on this machine

@@ -32,7 +32,7 @@ ColumnCacheEstimate EstimateColumnCache(const ScanCacheModelConfig& config,
                                         double num_tuples,
                                         const ScanColumnSpec& column) {
   NIPO_CHECK(column.value_width > 0);
-  NIPO_CHECK(config.line_size >= column.value_width);
+  NIPO_CHECK(kCacheLineBytes >= column.value_width);
   NIPO_CHECK(column.packed_bytes_per_value >= 0.0);
   ColumnCacheEstimate out;
   // Encoded columns stream their packed representation past the caches, so
@@ -41,17 +41,17 @@ ColumnCacheEstimate EstimateColumnCache(const ScanCacheModelConfig& config,
                                 ? column.packed_bytes_per_value
                                 : static_cast<double>(column.value_width);
   const double values_per_line =
-      static_cast<double>(config.line_size) / scan_bytes;
+      static_cast<double>(kCacheLineBytes) / scan_bytes;
   out.lines_total = num_tuples / values_per_line;
   const double rho = std::clamp(column.access_fraction, 0.0, 1.0);
   // Probability that a line contains at least one accessed value. A plain
   // column packs a whole number of values per line; only a packed width
   // needs the general power.
   const bool whole_values = column.packed_bytes_per_value == 0.0 &&
-                            config.line_size % column.value_width == 0;
+                            kCacheLineBytes % column.value_width == 0;
   const double p_untouched =
       whole_values
-          ? PowInt(1.0 - rho, config.line_size / column.value_width)
+          ? PowInt(1.0 - rho, kCacheLineBytes / column.value_width)
           : std::pow(1.0 - rho, values_per_line);
   const double p_accessed = 1.0 - p_untouched;
   out.lines_accessed = out.lines_total * p_accessed;

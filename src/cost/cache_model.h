@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "hw/cache.h"
+
 /// \file cache_model.h
 /// Analytic cache-access model for scans (paper Section 3.1).
 ///
@@ -41,7 +43,6 @@ struct ColumnCacheEstimate {
 
 /// \brief Scan cache model configuration.
 struct ScanCacheModelConfig {
-  uint32_t line_size = 64;
   /// Paper's modification: random misses count twice (wasted prefetch +
   /// demand fetch). Disable to get the original Pirk et al. behaviour.
   bool double_count_random_misses = true;
@@ -50,7 +51,7 @@ struct ScanCacheModelConfig {
 /// \brief Expected cache behaviour of one column scanned over `num_tuples`
 /// tuples with the given access density.
 ///
-/// A line holds t = line_size / value_width values; under the model's
+/// A line holds t = kCacheLineBytes / value_width values; under the model's
 /// independence assumption a line is touched with probability
 /// 1 - (1-rho)^t and is a "random" (non-sequentially reached) line with
 /// probability (1 - (1-rho)^t) * (1-rho)^t.

@@ -26,7 +26,7 @@ double ExpectedRandomMisses(const JoinRelationSpec& relation,
   NIPO_CHECK(relation.tuple_width > 0);
   const double relation_bytes = relation.num_tuples * relation.tuple_width;
   const double total_lines =
-      std::max(1.0, relation_bytes / static_cast<double>(cache.line_size));
+      std::max(1.0, relation_bytes / static_cast<double>(kCacheLineBytes));
   const double distinct = ExpectedDistinctLines(total_lines, num_accesses);
   const double capacity_lines = static_cast<double>(cache.num_lines());
   if (distinct < capacity_lines) {
@@ -36,7 +36,7 @@ double ExpectedRandomMisses(const JoinRelationSpec& relation,
   // Thrashing regime: a probe hits only if it lands on one of the
   // capacity_lines resident lines of the relation.
   const double resident_fraction =
-      std::min(1.0, (capacity_lines * cache.line_size) / relation_bytes);
+      std::min(1.0, (capacity_lines * kCacheLineBytes) / relation_bytes);
   return num_accesses * (1.0 - resident_fraction);
 }
 

@@ -81,14 +81,14 @@ struct OrderBroadcast {
 
 }  // namespace
 
-ParallelDriver::ParallelDriver(const Pmu& prototype, ExecutorFactory factory,
+ParallelDriver::ParallelDriver(Pmu prototype, ExecutorFactory factory,
                                ParallelConfig config)
-    : prototype_(prototype.CloneFresh()),
+    : prototype_(std::move(prototype)),
       factory_(std::move(factory)),
       config_(config) {}
 
 Result<ParallelDriveResult> ParallelDriver::Run(
-    std::optional<std::vector<size_t>> initial_order, const MorselHook& hook) {
+    std::optional<std::vector<size_t>> order, const MorselHook& hook) {
   // Configuration is user input: propagate instead of aborting.
   if (factory_ == nullptr) {
     return Status::InvalidArgument("executor factory must not be null");
@@ -111,8 +111,8 @@ Result<ParallelDriveResult> ParallelDriver::Run(
     pmus.push_back(std::make_unique<Pmu>(prototype_.CloneFresh()));
     NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> exec,
                           factory_(pmus.back().get()));
-    if (initial_order.has_value()) {
-      NIPO_RETURN_NOT_OK(exec->Reorder(*initial_order));
+    if (order.has_value()) {
+      NIPO_RETURN_NOT_OK(exec->Reorder(*order));
     }
     executors.push_back(std::move(exec));
   }

@@ -103,14 +103,14 @@ class ParallelDriver {
 
   /// \param prototype machine configuration donor; every worker machine is
   ///        prototype.CloneFresh() (cold caches, neutral predictor).
-  ParallelDriver(const Pmu& prototype, ExecutorFactory factory,
+  ParallelDriver(Pmu prototype, ExecutorFactory factory,
                  ParallelConfig config);
 
   /// Executes the whole table across the configured worker count.
-  /// `initial_order`, if given, is applied to every worker's executor
-  /// before execution starts.
+  /// `order`, if given, is applied to every worker's executor before
+  /// execution starts.
   Result<ParallelDriveResult> Run(
-      std::optional<std::vector<size_t>> initial_order = std::nullopt,
+      std::optional<std::vector<size_t>> order = std::nullopt,
       const MorselHook& hook = nullptr);
 
   const ParallelConfig& config() const { return config_; }

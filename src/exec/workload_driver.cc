@@ -587,18 +587,14 @@ Result<WorkloadReport> RunWorkload(
   }
 
   const size_t n = queries.size();
-  // Validation pass: compile every query against a scratch machine and
-  // apply its initial order, so unknown tables / bad orders surface
-  // before anything executes. Admission-time compiles repeat the same
-  // inputs and therefore cannot fail.
+  // Validation pass: compile every query against a scratch machine, so
+  // unknown tables and bad columns surface before anything executes.
+  // Admission-time compiles repeat the same inputs and therefore cannot
+  // fail.
   {
     Pmu scratch = prototype.CloneFresh();
     for (const WorkloadQuery& query : queries) {
-      NIPO_ASSIGN_OR_RETURN(std::unique_ptr<PipelineExecutor> exec,
-                            compile(query.query, &scratch));
-      if (query.initial_order.has_value()) {
-        NIPO_RETURN_NOT_OK(exec->Reorder(*query.initial_order));
-      }
+      NIPO_RETURN_NOT_OK(compile(query.query, &scratch).status());
     }
   }
 
@@ -664,9 +660,6 @@ Result<WorkloadReport> RunWorkload(
     auto exec = compile(run.query->query, run.pmu.get());
     NIPO_CHECK(exec.ok());  // the validation pass proved this compiles
     run.exec = std::move(exec.ValueOrDie());
-    if (run.query->initial_order.has_value()) {
-      NIPO_CHECK(run.exec->Reorder(*run.query->initial_order).ok());
-    }
     run.optimizer.reset();
     run.hook = nullptr;
     if (run.query->progressive) {

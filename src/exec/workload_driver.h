@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -162,8 +161,6 @@ struct WorkloadQuery {
   /// Progressive settings; `config.vector_size` is also the vector size
   /// of baseline queries.
   ProgressiveConfig config;
-  /// Optional initial evaluation order (permutation of query.ops).
-  std::optional<std::vector<size_t>> initial_order;
   /// Simulated deadline relative to arrival (0 = none). A query past its
   /// deadline is killed cooperatively at the next vector boundary
   /// (QueryOutcome::kDeadlineExceeded) with its partial-progress counters

@@ -199,18 +199,17 @@ __attribute__((target("avx2"))) inline SetWalk WalkSet(
 
 // ---------------------------------------------------------------------------
 // Gather line runs. The element at `indices[i]` lies on line
-// (addr + indices[i] * width) >> shift, and an element on the line of the
-// element before it is a coalesced touch (AccessGather). WalkNewLines
-// calls `walk(line)` for each element in a prefix of [0, count) whose
-// line differs from its predecessor's (`prev_line` before the first),
-// updates `prev_line`, and returns the prefix length: none in scalar
-// code, whole blocks of four with AVX2 when the line size is a power of
-// two.
+// (addr + indices[i] * width) >> kCacheLineShift, and an element on the
+// line of the element before it is a coalesced touch (AccessGather).
+// WalkNewLines calls `walk(line)` for each element in a prefix of [0,
+// count) whose line differs from its predecessor's (`prev_line` before
+// the first), updates `prev_line`, and returns the prefix length: none in
+// scalar code, whole blocks of four with AVX2.
 // ---------------------------------------------------------------------------
 
 template <class Walk>
-size_t WalkNewLines(ScalarIsa, uint64_t, uint32_t, int, const uint32_t*,
-                    size_t, uint64_t&, const Walk&) {
+size_t WalkNewLines(ScalarIsa, uint64_t, uint32_t, const uint32_t*, size_t,
+                    uint64_t&, const Walk&) {
   return 0;
 }
 
@@ -221,13 +220,11 @@ size_t WalkNewLines(ScalarIsa, uint64_t, uint32_t, int, const uint32_t*,
 // start a new line leave the vector registers.
 template <class Walk>
 __attribute__((target("avx2"))) size_t WalkNewLines(
-    Avx2Isa, uint64_t addr, uint32_t width, int shift,
-    const uint32_t* indices, size_t count, uint64_t& prev_line,
-    const Walk& walk) {
-  if (shift < 0) return 0;
+    Avx2Isa, uint64_t addr, uint32_t width, const uint32_t* indices,
+    size_t count, uint64_t& prev_line, const Walk& walk) {
   const __m256i base = _mm256_set1_epi64x(static_cast<long long>(addr));
   const __m256i scale = _mm256_set1_epi64x(width);
-  const __m128i bits = _mm_cvtsi32_si128(shift);
+  const __m128i bits = _mm_cvtsi32_si128(kCacheLineShift);
   __m256i prev = _mm256_set1_epi64x(static_cast<long long>(prev_line));
   size_t i = 0;
   for (; i + 4 <= count; i += 4) {
@@ -357,7 +354,6 @@ struct DemandWalk {
   CacheLevel::State& l3;
   SharedCacheDomain* shared_l3;
   uint32_t shared_owner;
-  bool prefetcher;
   CacheStats& stats;
   uint64_t& prefetched_line;
   uint64_t& prefetched_hash;
@@ -408,7 +404,7 @@ MemoryLevel DemandLine(DemandWalk& w, uint64_t line_addr) {
   if (DemandFill<Isa>(w.l2, line, &was_prefetched)) {
     // First demand use of a prefetched line: the stream prefetcher keeps
     // running ahead (stream continuation).
-    if (w.prefetcher && was_prefetched) {
+    if (was_prefetched) {
       Prefetch<Isa>(w, line.line + 1);
     }
     return MemoryLevel::kL2;
@@ -422,9 +418,7 @@ MemoryLevel DemandLine(DemandWalk& w, uint64_t line_addr) {
   }
   // L2 demand miss: the next-line prefetcher kicks in (Section 2.2.2 /
   // 3.1 of the paper: prefetch requests count as L3 accesses).
-  if (w.prefetcher) {
-    Prefetch<Isa>(w, line.line + 1);
-  }
+  Prefetch<Isa>(w, line.line + 1);
   return served;
 }
 
@@ -434,7 +428,6 @@ CacheLevel::CacheLevel(CacheGeometry geometry)
     : geometry_(geometry),
       num_sets_(geometry.num_sets()),
       ways_(geometry.associativity) {
-  NIPO_CHECK(geometry_.line_size > 0);
   NIPO_CHECK(geometry_.associativity > 0);
   NIPO_CHECK(num_sets_ > 0);
   // Normalize the set count to a power of two so SetIndex can mask,
@@ -537,23 +530,17 @@ CacheStats CacheStats::operator-(const CacheStats& other) const {
 }
 
 CacheHierarchy::CacheHierarchy(CacheGeometry l1, CacheGeometry l2,
-                               CacheGeometry l3, bool enable_prefetcher)
+                               CacheGeometry l3)
     : l1_(l1),
       l2_(l2),
       l3_(l3),
-      prefetcher_enabled_(enable_prefetcher),
-      avx2_(simd::ActiveLevel() == simd::SimdLevel::kAvx2),
-      line_shift_(std::has_single_bit(l1.line_size)
-                      ? std::countr_zero(l1.line_size)
-                      : -1) {
-  NIPO_CHECK(l1.line_size == l2.line_size && l2.line_size == l3.line_size);
-}
+      avx2_(simd::ActiveLevel() == simd::SimdLevel::kAvx2) {}
 
 template <class Fn>
 auto CacheHierarchy::Walk(const Fn& fn) {
-  DemandWalk w{l1_.state_, l2_.state_,       l3_.state_,
-               shared_l3_, shared_owner_,    prefetcher_enabled_,
-               stats_,     prefetched_line_, prefetched_hash_};
+  DemandWalk w{l1_.state_,     l2_.state_, l3_.state_,
+               shared_l3_,     shared_owner_, stats_,
+               prefetched_line_, prefetched_hash_};
   return Run(avx2_, [&w, &fn](auto isa) { return fn(isa, w); });
 }
 
@@ -585,16 +572,16 @@ void CacheHierarchy::AccessRun(uint64_t first_line, uint64_t last_line,
 uint64_t CacheHierarchy::AccessGather(uint64_t addr, uint32_t width,
                                       const uint32_t* indices, size_t count,
                                       uint64_t served[4]) {
-  return Walk([this, addr, width, indices, count, served](auto isa,
-                                                          DemandWalk& w) {
+  return Walk([addr, width, indices, count, served](auto isa,
+                                                    DemandWalk& w) {
     uint64_t walked = 0;
     const auto walk = [&](uint64_t line) {
       ++served[static_cast<int>(DemandLine<decltype(isa)>(w, line))];
       ++walked;
     };
     uint64_t prev_line = ~uint64_t{0};
-    size_t i = WalkNewLines(isa, addr, width, line_shift_, indices, count,
-                            prev_line, walk);
+    size_t i =
+        WalkNewLines(isa, addr, width, indices, count, prev_line, walk);
     for (; i < count; ++i) {
       const uint64_t l =
           LineOf(addr + static_cast<uint64_t>(indices[i]) * width);

@@ -27,13 +27,18 @@ enum class MemoryLevel : int {
   kMemory = 3,
 };
 
+/// log2 of the line size: a byte address's line index is `addr >>
+/// kCacheLineShift`.
+inline constexpr int kCacheLineShift = 6;
+/// Bytes per cache line at every level, as on the paper's Xeon.
+inline constexpr uint32_t kCacheLineBytes = 1u << kCacheLineShift;
+
 /// \brief Geometry of one cache level.
 struct CacheGeometry {
   uint64_t capacity_bytes = 32 * 1024;
   uint32_t associativity = 8;
-  uint32_t line_size = 64;
 
-  uint64_t num_lines() const { return capacity_bytes / line_size; }
+  uint64_t num_lines() const { return capacity_bytes / kCacheLineBytes; }
   uint64_t num_sets() const { return num_lines() / associativity; }
 };
 
@@ -211,8 +216,8 @@ struct CacheStats {
   CacheStats operator-(const CacheStats& other) const;
 };
 
-/// \brief Three-level inclusive hierarchy with an optional streaming
-/// next-line prefetcher.
+/// \brief Three-level inclusive hierarchy with a streaming next-line
+/// prefetcher, always on (the paper's cache model assumes it).
 ///
 /// The prefetcher models the paper's key cache-model refinement: on an L2
 /// demand miss for line X -- or the first demand use of a line it
@@ -227,8 +232,7 @@ class SharedCacheDomain;
 
 class CacheHierarchy {
  public:
-  CacheHierarchy(CacheGeometry l1, CacheGeometry l2, CacheGeometry l3,
-                 bool enable_prefetcher = true);
+  CacheHierarchy(CacheGeometry l1, CacheGeometry l2, CacheGeometry l3);
 
   /// Routes this hierarchy's L3 fills (demand and prefetch) through a
   /// shared domain under `owner`'s id; L1/L2 stay private. The private
@@ -278,13 +282,8 @@ class CacheHierarchy {
 
   const CacheStats& stats() const { return stats_; }
 
-  uint32_t line_size() const { return l1_.geometry().line_size; }
-
-  /// Line index of a byte address; a shift for the (universal)
-  /// power-of-two line sizes, a division otherwise.
-  uint64_t LineOf(uint64_t addr) const {
-    return line_shift_ >= 0 ? addr >> line_shift_ : addr / line_size();
-  }
+  /// Line index of a byte address.
+  static uint64_t LineOf(uint64_t addr) { return addr >> kCacheLineShift; }
 
   const CacheLevel& l1() const { return l1_; }
   const CacheLevel& l2() const { return l2_; }
@@ -299,9 +298,7 @@ class CacheHierarchy {
   CacheLevel l1_;
   CacheLevel l2_;
   CacheLevel l3_;
-  bool prefetcher_enabled_;
-  bool avx2_;       ///< demand path chosen at construction
-  int line_shift_;  ///< log2(line size), or -1 if not a power of two
+  bool avx2_;  ///< demand path chosen at construction
   CacheStats stats_;
   SharedCacheDomain* shared_l3_ = nullptr;
   uint32_t shared_owner_ = 0;

@@ -83,7 +83,7 @@ HwConfig HwConfig::ScaledXeon(uint64_t divisor) {
     g.capacity_bytes /= divisor;
     // Keep at least one set per way group.
     const uint64_t min_capacity =
-        static_cast<uint64_t>(g.associativity) * g.line_size;
+        static_cast<uint64_t>(g.associativity) * kCacheLineBytes;
     if (g.capacity_bytes < min_capacity) g.capacity_bytes = min_capacity;
     return g;
   };
@@ -96,7 +96,7 @@ HwConfig HwConfig::ScaledXeon(uint64_t divisor) {
 Pmu::Pmu(HwConfig config)
     : config_(config),
       predictor_(config.predictor),
-      caches_(config.l1, config.l2, config.l3, config.prefetcher) {}
+      caches_(config.l1, config.l2, config.l3) {}
 
 void Pmu::SyncCacheStats(PmuCounters* c) const {
   const CacheStats delta = caches_.stats() - cache_baseline_;
@@ -198,7 +198,7 @@ void Pmu::OnSequentialLoads(const void* base, uint32_t width,
                             uint64_t count) {
   const uint64_t addr = reinterpret_cast<uint64_t>(base);
   NIPO_DCHECK(width > 0);
-  NIPO_CHECK(caches_.line_size() % width == 0 && addr % width == 0);
+  NIPO_CHECK(kCacheLineBytes % width == 0 && addr % width == 0);
   if (count == 0) return;
   if (reporting_mode_ == ReportingMode::kScalar) {
     for (uint64_t i = 0; i < count; ++i) {
@@ -212,8 +212,8 @@ void Pmu::OnSequentialLoads(const void* base, uint32_t width,
   // the hierarchy; every further touch of the same line is the certain
   // L1 hit a scalar replay would produce (nothing intervenes between the
   // touches), so it is booked arithmetically.
-  const uint64_t first = caches_.LineOf(addr);
-  const uint64_t last = caches_.LineOf(addr + count * width - 1);
+  const uint64_t first = CacheHierarchy::LineOf(addr);
+  const uint64_t last = CacheHierarchy::LineOf(addr + count * width - 1);
   caches_.AccessRun(first, last, loads_served_);
   const uint64_t coalesced = count - (last - first + 1);
   loads_served_[static_cast<int>(MemoryLevel::kL1)] += coalesced;
@@ -224,7 +224,7 @@ void Pmu::OnGatherLoads(const void* base, uint32_t width,
                         const uint32_t* indices, size_t count) {
   const uint64_t addr = reinterpret_cast<uint64_t>(base);
   NIPO_DCHECK(width > 0);
-  NIPO_CHECK(caches_.line_size() % width == 0 && addr % width == 0);
+  NIPO_CHECK(kCacheLineBytes % width == 0 && addr % width == 0);
   if (count == 0) return;
   if (reporting_mode_ == ReportingMode::kScalar) {
     for (size_t i = 0; i < count; ++i) {

@@ -79,10 +79,9 @@ struct CycleModel {
 /// \brief Full description of the simulated machine.
 struct HwConfig {
   PredictorConfig predictor = PredictorConfig::Symmetric(6);
-  CacheGeometry l1{32 * 1024, 8, 64};
-  CacheGeometry l2{256 * 1024, 8, 64};
-  CacheGeometry l3{15 * 1024 * 1024, 20, 64};
-  bool prefetcher = true;
+  CacheGeometry l1{32 * 1024, 8};
+  CacheGeometry l2{256 * 1024, 8};
+  CacheGeometry l3{15 * 1024 * 1024, 20};
   CycleModel cycle_model;
 
   /// The paper's evaluation machine: Intel Xeon E5-2630 v2 (Ivy Bridge EP),

@@ -82,7 +82,6 @@ class SharedCacheDomain {
 
   const CacheLevel& level() const { return level_; }
   uint64_t capacity_lines() const { return capacity_lines_; }
-  uint32_t line_size() const { return level_.geometry().line_size; }
 
  private:
   CacheLevel level_;

@@ -139,12 +139,12 @@ Result<SelectivityEstimate> EstimateSelectivities(
   int stall = 0;
   int starts_used = 0;
   int total_iters = 0;
-  while (starts_used < max_starts && stall < config.stall_limit) {
+  while (starts_used < max_starts && stall < kEstimatorStallLimit) {
     const std::vector<double> start = starts.Next();
     NIPO_ASSIGN_OR_RETURN(
         NelderMeadResult run,
         NelderMeadMinimize(objective, start, lower, upper,
-                           config.nelder_mead));
+                           kEstimatorNelderMead));
     ++starts_used;
     total_iters += run.iterations;
     if (run.value + 1e-12 < best_value) {

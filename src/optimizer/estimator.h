@@ -37,19 +37,21 @@ enum class CounterSet : int {
   kBntOnly,       ///< branches-not-taken alone (under-determined for n>2)
 };
 
-/// \brief Estimator tuning. Defaults follow the paper: Nelder-Mead with
-/// 10k max iterations, multi-start until 5 stalls or 2p starts.
+/// Nelder-Mead settings of every start: the paper's 10k max iterations.
+inline constexpr NelderMeadOptions kEstimatorNelderMead{
+    .max_iterations = 10'000,
+    .abs_tolerance = 1e-6,  // objective is normalized (relative errors)
+    .initial_step = 0.15,
+};
+/// The multi-start search stops after this many consecutive starts
+/// without improvement (paper: n < 5).
+inline constexpr int kEstimatorStallLimit = 5;
+
+/// \brief Estimator tuning. Defaults follow the paper: multi-start until
+/// kEstimatorStallLimit stalls or 2p starts.
 struct EstimatorConfig {
-  NelderMeadOptions nelder_mead{
-      .max_iterations = 10'000,
-      .abs_tolerance = 1e-6,  // objective is normalized (relative errors)
-      .initial_step = 0.15,
-  };
   /// Maximum start points m; 0 means the paper's m = 2p rule.
   int max_starts = 0;
-  /// Stop after this many consecutive starts without improvement
-  /// (paper: n < 5).
-  int stall_limit = 5;
   CounterSet counter_set = CounterSet::kAll;
   bool include_vertex_starts = true;
 };

@@ -41,7 +41,6 @@ ScanShape ShapeForOrder(const PipelineExecutor& exec, double num_tuples) {
   ScanShape shape;
   shape.num_tuples = num_tuples;
   shape.predictor = exec.pmu()->config().predictor;
-  shape.cache.line_size = exec.pmu()->config().l1.line_size;
   // The shape describes the columns the executor actually scans: their
   // value widths, and for encoded columns the bytes streamed per value (a
   // packed column streams fewer than its width).
@@ -68,7 +67,7 @@ ScanShape ShapeForOrder(const PipelineExecutor& exec, double num_tuples) {
 /// inconsistent samples.
 Result<SelectivityEstimate> EstimateOrderSelectivities(
     const PipelineExecutor& exec, const ScanShape& shape,
-    const ProgressiveConfig& config, const VectorSample& sample) {
+    const VectorSample& sample) {
   CounterSample cs;
   cs.tuples_in = shape.num_tuples;
   cs.tuples_out = static_cast<double>(sample.result.qualifying_tuples);
@@ -80,7 +79,7 @@ Result<SelectivityEstimate> EstimateOrderSelectivities(
       static_cast<double>(sample.counters.not_taken_mispredictions);
   cs.counters.l3_accesses = static_cast<double>(sample.counters.l3_accesses);
 
-  EstimatorConfig est = config.estimator;
+  EstimatorConfig est;
   if (PipelineHasProbe(exec)) {
     // The scan cache model does not cover dimension-side traffic; rely on
     // the (cache-independent) branch counters for selectivities.
@@ -329,7 +328,7 @@ void ProgressiveOptimizer::Optimize(const VectorSample& sample) {
       *executor_, static_cast<double>(sample.result.input_tuples -
                                       sample.result.zone_skipped));
   auto estimate =
-      EstimateOrderSelectivities(*executor_, shape, config_, sample);
+      EstimateOrderSelectivities(*executor_, shape, sample);
   if (!estimate.ok()) {
     return;  // inconsistent sample (e.g. empty vector); skip this cycle
   }

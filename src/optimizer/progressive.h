@@ -45,7 +45,6 @@ struct ProgressiveConfig {
   /// Vectors between optimization attempts (the paper's ReopInt; its
   /// evaluation uses 10, 75 and 200).
   size_t reopt_interval = 10;
-  EstimatorConfig estimator;
   /// Validate the vector after a reorder and revert when its
   /// cycles-per-tuple regress past a fixed factor (kRevertThreshold in
   /// progressive.cc).

@@ -8,8 +8,7 @@
 namespace nipo {
 
 SortednessVerdict JudgeSortedness(const CacheGeometry& l3_geometry,
-                                  const ProbeObservation& observation,
-                                  double threshold) {
+                                  const ProbeObservation& observation) {
   SortednessVerdict verdict;
   verdict.predicted_random_misses = ExpectedRandomMisses(
       observation.relation, l3_geometry, observation.num_probes);
@@ -20,7 +19,7 @@ SortednessVerdict JudgeSortedness(const CacheGeometry& l3_geometry,
   }
   verdict.score =
       observation.sampled_l3_misses / verdict.predicted_random_misses;
-  verdict.co_clustered = verdict.score < threshold;
+  verdict.co_clustered = verdict.score < kCoClusteredScore;
   return verdict;
 }
 

@@ -31,11 +31,13 @@ struct SortednessVerdict {
   bool co_clustered = false;
 };
 
-/// \brief Co-clustered iff sampled misses fall below
-/// `threshold` * (Equation 1 prediction). The default 0.5 leaves a wide
+/// Score below which a probe counts as co-clustered. 0.5 leaves a wide
 /// margin on both sides of the bimodal distribution the experiments show.
+inline constexpr double kCoClusteredScore = 0.5;
+
+/// \brief Co-clustered iff sampled misses fall below
+/// kCoClusteredScore * (Equation 1 prediction).
 SortednessVerdict JudgeSortedness(const CacheGeometry& l3_geometry,
-                                  const ProbeObservation& observation,
-                                  double threshold = 0.5);
+                                  const ProbeObservation& observation);
 
 }  // namespace nipo

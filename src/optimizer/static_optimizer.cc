@@ -12,21 +12,18 @@
 namespace nipo {
 
 StaticPlan PlanStatically(const std::vector<OperatorSpec>& ops,
-                          const TableStatistics& stats,
-                          double probe_selectivity_fallback,
-                          double probe_cost) {
+                          const TableStatistics& stats) {
   StaticPlan plan;
   plan.rankings.reserve(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
     StaticRanking r;
     r.original_index = i;
-    r.estimated_selectivity = stats.EstimateOperatorSelectivity(
-        ops[i], probe_selectivity_fallback);
+    r.estimated_selectivity = stats.EstimateOperatorSelectivity(ops[i]);
     if (ops[i].kind == OperatorSpec::Kind::kPredicate) {
       r.cost = 1.0 + ops[i].predicate.extra_instructions /
                          LoopCostModel::kCompareInstructions / 3.0;
     } else {
-      r.cost = probe_cost;
+      r.cost = kStaticProbeCost;
     }
     r.rank = (r.estimated_selectivity - 1.0) / std::max(r.cost, 1e-9);
     plan.rankings.push_back(r);

@@ -33,13 +33,15 @@ struct StaticPlan {
   std::vector<StaticRanking> rankings;  ///< sorted by rank
 };
 
+/// Cost the static optimizer assigns a probe, in units of one plain
+/// predicate's.
+inline constexpr double kStaticProbeCost = 2.0;
+
 /// \brief Orders `ops` by the classic rank rule using `stats` for
-/// selectivities. Probes use `probe_selectivity_fallback` and
-/// `probe_cost` (the static optimizer cannot see probe locality -- that
-/// is exactly the paper's Section 5.5-5.6 point).
+/// selectivities. Probes get kUnknownSelectivity and kStaticProbeCost
+/// (the static optimizer cannot see probe locality -- that is exactly the
+/// paper's Section 5.5-5.6 point).
 StaticPlan PlanStatically(const std::vector<OperatorSpec>& ops,
-                          const TableStatistics& stats,
-                          double probe_selectivity_fallback = 0.5,
-                          double probe_cost = 2.0);
+                          const TableStatistics& stats);
 
 }  // namespace nipo

@@ -30,16 +30,12 @@ double ValueAt(const ColumnBase& column, size_t row) {
 
 }  // namespace
 
-Result<ColumnStatistics> ColumnStatistics::Build(const ColumnBase& column,
-                                                 size_t num_buckets) {
-  return BuildFromPrefix(column, column.size(), num_buckets);
+Result<ColumnStatistics> ColumnStatistics::Build(const ColumnBase& column) {
+  return BuildFromPrefix(column, column.size());
 }
 
 Result<ColumnStatistics> ColumnStatistics::BuildFromPrefix(
-    const ColumnBase& column, size_t sample_size, size_t num_buckets) {
-  if (num_buckets == 0) {
-    return Status::InvalidArgument("need at least one bucket");
-  }
+    const ColumnBase& column, size_t sample_size) {
   const size_t n = std::min(sample_size, column.size());
   if (n == 0) {
     return Status::InvalidArgument("cannot summarize an empty column");
@@ -52,16 +48,16 @@ Result<ColumnStatistics> ColumnStatistics::BuildFromPrefix(
     stats.min_ = std::min(stats.min_, v);
     stats.max_ = std::max(stats.max_, v);
   }
-  stats.buckets_.assign(num_buckets, 0);
+  stats.buckets_.assign(kHistogramBuckets, 0);
   const double width =
-      (stats.max_ - stats.min_) / static_cast<double>(num_buckets);
+      (stats.max_ - stats.min_) / static_cast<double>(kHistogramBuckets);
   for (size_t i = 0; i < n; ++i) {
     const double v = ValueAt(column, i);
     size_t bucket =
         width > 0
             ? static_cast<size_t>((v - stats.min_) / width)
             : 0;
-    bucket = std::min(bucket, num_buckets - 1);
+    bucket = std::min(bucket, kHistogramBuckets - 1);
     ++stats.buckets_[bucket];
   }
   stats.row_count_ = n;
@@ -142,7 +138,6 @@ double ColumnStatistics::EstimateRangeFraction(double lo, double hi) const {
 }
 
 Result<TableStatistics> TableStatistics::Build(const Table& table,
-                                               size_t num_buckets,
                                                size_t sample_size) {
   TableStatistics stats;
   stats.row_count_ = table.num_rows();
@@ -152,8 +147,7 @@ Result<TableStatistics> TableStatistics::Build(const Table& table,
     const ColumnBase* column = table.column(c);
     NIPO_ASSIGN_OR_RETURN(
         ColumnStatistics col_stats,
-        ColumnStatistics::BuildFromPrefix(*column, effective_sample,
-                                          num_buckets));
+        ColumnStatistics::BuildFromPrefix(*column, effective_sample));
     stats.columns_.emplace_back(column->name(), std::move(col_stats));
   }
   return stats;
@@ -167,13 +161,14 @@ Result<const ColumnStatistics*> TableStatistics::ForColumn(
   return Status::NotFound("no statistics for column '" + name + "'");
 }
 
-double TableStatistics::EstimateOperatorSelectivity(const OperatorSpec& op,
-                                                    double fallback) const {
+double TableStatistics::EstimateOperatorSelectivity(
+    const OperatorSpec& op) const {
   if (op.kind != OperatorSpec::Kind::kPredicate) {
-    return fallback;  // probe selectivity lives in the dimension table
+    // probe selectivity lives in the dimension table
+    return kUnknownSelectivity;
   }
   auto stats = ForColumn(op.predicate.column);
-  if (!stats.ok()) return fallback;
+  if (!stats.ok()) return kUnknownSelectivity;
   return stats.ValueOrDie()->EstimateSelectivity(op.predicate.op,
                                                  op.predicate.value);
 }

@@ -24,19 +24,23 @@
 
 namespace nipo {
 
+/// Buckets of every column histogram.
+inline constexpr size_t kHistogramBuckets = 64;
+/// Selectivity the statistics assume where they have none: probes and
+/// unknown columns.
+inline constexpr double kUnknownSelectivity = 0.5;
+
 /// \brief Equi-width histogram plus min/max/count for one column.
 class ColumnStatistics {
  public:
   /// Builds statistics from every value of `column` (values read as
-  /// doubles). `num_buckets` >= 1.
-  static Result<ColumnStatistics> Build(const ColumnBase& column,
-                                        size_t num_buckets = 64);
+  /// doubles).
+  static Result<ColumnStatistics> Build(const ColumnBase& column);
 
   /// Builds from a sampled prefix of `sample_size` values, emulating the
   /// stale / partial statistics real optimizers operate with.
   static Result<ColumnStatistics> BuildFromPrefix(const ColumnBase& column,
-                                                  size_t sample_size,
-                                                  size_t num_buckets = 64);
+                                                  size_t sample_size);
 
   double min() const { return min_; }
   double max() const { return max_; }
@@ -67,15 +71,13 @@ class TableStatistics {
   /// Builds statistics for all columns. `sample_size` 0 means exact
   /// (full-column) statistics; otherwise only a prefix is summarized.
   static Result<TableStatistics> Build(const Table& table,
-                                       size_t num_buckets = 64,
                                        size_t sample_size = 0);
 
   Result<const ColumnStatistics*> ForColumn(const std::string& name) const;
 
   /// Estimated selectivity of a predicate under the histograms;
-  /// probes / unknown columns fall back to `fallback`.
-  double EstimateOperatorSelectivity(const OperatorSpec& op,
-                                     double fallback = 0.5) const;
+  /// probes / unknown columns get kUnknownSelectivity.
+  double EstimateOperatorSelectivity(const OperatorSpec& op) const;
 
   uint64_t row_count() const { return row_count_; }
 

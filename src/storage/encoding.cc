@@ -326,10 +326,7 @@ size_t EncodedBlock::encoded_bytes() const {
 }
 
 Result<std::unique_ptr<EncodedColumn>> EncodedColumn::Encode(
-    const ColumnBase& source, const EncodingOptions& options) {
-  if (options.block_values == 0) {
-    return Status::InvalidArgument("block_values must be positive");
-  }
+    const ColumnBase& source) {
   if (dynamic_cast<const EncodedColumn*>(&source) != nullptr) {
     return Status::InvalidArgument("column '" + source.name() +
                                    "' is already encoded");
@@ -337,16 +334,14 @@ Result<std::unique_ptr<EncodedColumn>> EncodedColumn::Encode(
   auto encoded = std::unique_ptr<EncodedColumn>(
       new EncodedColumn(source.name(), source.type()));
   encoded->num_values_ = source.size();
-  encoded->block_values_ = options.block_values;
   const size_t n = source.size();
-  const size_t num_blocks =
-      n == 0 ? 0 : (n + options.block_values - 1) / options.block_values;
+  const size_t num_blocks = (n + kBlockValues - 1) / kBlockValues;
   encoded->blocks_.resize(num_blocks);
   encoded->zones_.resize(num_blocks);
   PatternSet patterns;
   for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t begin = b * options.block_values;
-    const size_t count = std::min(options.block_values, n - begin);
+    const size_t begin = b * kBlockValues;
+    const size_t count = std::min(kBlockValues, n - begin);
     switch (source.type()) {
       case DataType::kInt32:
         EncodeBlock(static_cast<const int32_t*>(source.data()) + begin, begin,
@@ -413,15 +408,14 @@ int64_t EncodedColumn::ValueAsInt64(size_t row) const {
   return 0;
 }
 
-Result<TableEncodingStats> EncodeTableColumns(Table* table,
-                                              const EncodingOptions& options) {
+Result<TableEncodingStats> EncodeTableColumns(Table* table) {
   if (table == nullptr) return Status::InvalidArgument("null table");
   TableEncodingStats stats;
   for (size_t i = 0; i < table->num_columns(); ++i) {
     const ColumnBase* column = table->column(i);
     if (dynamic_cast<const EncodedColumn*>(column) != nullptr) continue;
     NIPO_ASSIGN_OR_RETURN(std::unique_ptr<EncodedColumn> encoded,
-                          EncodedColumn::Encode(*column, options));
+                          EncodedColumn::Encode(*column));
     stats.plain_bytes += column->size() * column->value_width();
     stats.encoded_bytes += encoded->total_encoded_bytes();
     NIPO_RETURN_NOT_OK(table->ReplaceColumn(std::move(encoded)));

@@ -16,8 +16,8 @@
 /// \file encoding.h
 /// Compressed columnar storage (DESIGN.md Section 10).
 ///
-/// An EncodedColumn splits a column into fixed-size blocks (64K values by
-/// default) and stores each block in the cheapest of three physical
+/// An EncodedColumn splits a column into fixed-size blocks of kBlockValues
+/// (65,536) values and stores each block in the cheapest of three physical
 /// encodings: a per-block sorted **dictionary** with narrow codes, a
 /// frame-of-reference **bit-packing** for integers, or a **plain** copy
 /// when neither wins. Every block additionally carries a min/max **zone
@@ -45,11 +45,11 @@ namespace nipo {
 /// Per-block physical encoding chosen by EncodedColumn::Encode.
 enum class BlockEncoding : int { kPlain, kDictionary, kBitPacked };
 
-/// \brief Knobs of EncodedColumn::Encode. Defaults match the benches.
-struct EncodingOptions {
-  /// Values per storage block (and zone-map granularity).
-  size_t block_values = 65536;
-};
+/// log2 of kBlockValues: the block of row r is r >> kBlockShift.
+inline constexpr int kBlockShift = 16;
+/// Values per storage block (and zone-map granularity); the last block
+/// of a column may be shorter.
+inline constexpr size_t kBlockValues = size_t{1} << kBlockShift;
 
 /// \brief Min/max statistics of one block, in the double domain the
 /// selection kernels compare in. min/max are over non-NaN values only; a
@@ -194,18 +194,17 @@ class EncodedColumn : public ColumnBase {
   /// values are counted only while a dictionary could still be the
   /// smallest (DESIGN.md Section 10).
   static Result<std::unique_ptr<EncodedColumn>> Encode(
-      const ColumnBase& source, const EncodingOptions& options = {});
+      const ColumnBase& source);
 
   size_t size() const override { return num_values_; }
   const void* data() const override;
 
-  size_t block_values() const { return block_values_; }
   size_t num_blocks() const { return blocks_.size(); }
   const EncodedBlock& block(size_t i) const { return blocks_[i]; }
   const ZoneMapEntry& zone(size_t i) const { return zones_[i]; }
 
   /// Index of the block containing `row`.
-  size_t BlockIndexOf(size_t row) const { return row / block_values_; }
+  static size_t BlockIndexOf(size_t row) { return row >> kBlockShift; }
 
   /// Total scan-payload bytes across blocks (dictionaries included).
   size_t total_encoded_bytes() const { return total_encoded_bytes_; }
@@ -227,7 +226,6 @@ class EncodedColumn : public ColumnBase {
       : ColumnBase(std::move(name), type) {}
 
   size_t num_values_ = 0;
-  size_t block_values_ = 0;
   size_t total_encoded_bytes_ = 0;
   std::vector<EncodedBlock> blocks_;
   std::vector<ZoneMapEntry> zones_;
@@ -255,7 +253,6 @@ struct TableEncodingStats {
 /// \brief Replaces every plain column of `table` with its encoded form
 /// (columns already encoded are left alone). Returns size stats.
 class Table;  // storage/table.h
-Result<TableEncodingStats> EncodeTableColumns(
-    Table* table, const EncodingOptions& options = {});
+Result<TableEncodingStats> EncodeTableColumns(Table* table);
 
 }  // namespace nipo

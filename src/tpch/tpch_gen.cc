@@ -17,18 +17,11 @@ struct OrderDraft {
   uint32_t num_lineitems = 1;
 };
 
-/// SplitMix64-style derivation of a per-table seed stream from the base
-/// seed; the tag keeps the streams disjoint.
-uint64_t DeriveSeed(uint64_t seed, uint64_t tag) {
-  uint64_t z = seed + tag * 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Draws the per-order structure: the orderdate schedule and lineitem
-/// counts. With clustered_dates, orderdates increase monotonically across
-/// the table (bulk-load order); otherwise they are uniform random.
+/// counts. Orderdates increase monotonically across the table (bulk-load
+/// order) with small jitter: weak clustering on dates. Lineitems per
+/// order are uniform 1..7 (dbgen's distribution), giving the canonical
+/// 4:1 lineitem:order ratio on average.
 std::vector<OrderDraft> DraftOrders(const TpchConfig& config, Prng* prng) {
   const uint64_t n = config.num_orders();
   const int32_t start = TpchStartDay();
@@ -39,17 +32,13 @@ std::vector<OrderDraft> DraftOrders(const TpchConfig& config, Prng* prng) {
   std::vector<OrderDraft> drafts(n);
   for (uint64_t i = 0; i < n; ++i) {
     OrderDraft& d = drafts[i];
-    if (config.clustered_dates) {
-      // Evenly spaced base date plus small jitter: monotone overall trend
-      // with local disorder, i.e. *weak* clustering.
-      const int64_t base = start + span * static_cast<int64_t>(i) /
-                                       std::max<int64_t>(1, n - 1);
-      const int64_t jitter = prng->NextInRange(-15, 15);
-      d.orderdate = static_cast<int32_t>(
-          std::clamp<int64_t>(base + jitter, start, end));
-    } else {
-      d.orderdate = static_cast<int32_t>(start + prng->NextInRange(0, span));
-    }
+    // Evenly spaced base date plus small jitter: monotone overall trend
+    // with local disorder, i.e. *weak* clustering.
+    const int64_t base =
+        start + span * static_cast<int64_t>(i) / std::max<int64_t>(1, n - 1);
+    const int64_t jitter = prng->NextInRange(-15, 15);
+    d.orderdate =
+        static_cast<int32_t>(std::clamp<int64_t>(base + jitter, start, end));
     d.num_lineitems = static_cast<uint32_t>(prng->NextInRange(1, 7));
   }
   return drafts;
@@ -77,17 +66,10 @@ Result<TpchDatabase> GenerateTpch(const TpchConfig& config) {
         std::to_string(num_parts) + ")");
   }
 
-  // One shared stream by default (byte-identical to the historical
-  // generator); per-table streams when the config opts in.
-  Prng shared(config.seed);
-  Prng draft_stream(DeriveSeed(config.seed, 1));
-  Prng part_stream(DeriveSeed(config.seed, 2));
-  Prng order_stream(DeriveSeed(config.seed, 3));
-  Prng* draft_prng = config.per_table_seeds ? &draft_stream : &shared;
-  Prng* part_prng = config.per_table_seeds ? &part_stream : &shared;
-  Prng* line_prng = config.per_table_seeds ? &order_stream : &shared;
-
-  const std::vector<OrderDraft> drafts = DraftOrders(config, draft_prng);
+  // One stream draws every table, in order: the order drafts, part, then
+  // orders and lineitem together.
+  Prng prng(config.seed);
+  const std::vector<OrderDraft> drafts = DraftOrders(config, &prng);
 
   // --- part ---
   std::vector<int64_t> p_retailprice(num_parts);
@@ -96,8 +78,8 @@ Result<TpchDatabase> GenerateTpch(const TpchConfig& config) {
     // dbgen: retail price ~ 90000 + (key/10) % 20001 + 100 * (key % 1000),
     // here a uniform price in [900.00, 2100.00] dollars keeps the same
     // range without the arithmetic quirks.
-    p_retailprice[i] = part_prng->NextInRange(90'000, 210'000);
-    p_size[i] = static_cast<int32_t>(part_prng->NextInRange(1, 50));
+    p_retailprice[i] = prng.NextInRange(90'000, 210'000);
+    p_size[i] = static_cast<int32_t>(prng.NextInRange(1, 50));
   }
 
   // --- orders + lineitem ---
@@ -124,20 +106,20 @@ Result<TpchDatabase> GenerateTpch(const TpchConfig& config) {
   for (uint64_t o = 0; o < num_orders; ++o) {
     const OrderDraft& d = drafts[o];
     o_orderdate[o] = d.orderdate;
-    o_shippriority[o] = static_cast<int32_t>(line_prng->NextInRange(0, 4));
+    o_shippriority[o] = static_cast<int32_t>(prng.NextInRange(0, 4));
     int64_t total = 0;
     for (uint32_t li = 0; li < d.num_lineitems; ++li) {
       const int32_t partkey = static_cast<int32_t>(
-          line_prng->NextBounded(num_parts));
+          prng.NextBounded(num_parts));
       const int32_t quantity =
-          static_cast<int32_t>(line_prng->NextInRange(1, 50));
+          static_cast<int32_t>(prng.NextInRange(1, 50));
       const int64_t extendedprice =
           static_cast<int64_t>(quantity) * p_retailprice[partkey] / 10;
       const int32_t discount =
-          static_cast<int32_t>(line_prng->NextInRange(0, 10));
-      const int32_t tax = static_cast<int32_t>(line_prng->NextInRange(0, 8));
+          static_cast<int32_t>(prng.NextInRange(0, 10));
+      const int32_t tax = static_cast<int32_t>(prng.NextInRange(0, 8));
       const int32_t shipdate =
-          d.orderdate + static_cast<int32_t>(line_prng->NextInRange(1, 121));
+          d.orderdate + static_cast<int32_t>(prng.NextInRange(1, 121));
       l_orderkey.push_back(static_cast<int32_t>(o));
       l_partkey.push_back(partkey);
       l_quantity.push_back(quantity);
@@ -150,9 +132,9 @@ Result<TpchDatabase> GenerateTpch(const TpchConfig& config) {
       // N; linestatus is F (fulfilled) up to that date, O (open) after.
       const int32_t current_date = DateToDayNumber(Date{1995, 6, 17});
       const int32_t receiptdate =
-          shipdate + static_cast<int32_t>(line_prng->NextInRange(1, 30));
+          shipdate + static_cast<int32_t>(prng.NextInRange(1, 30));
       if (receiptdate <= current_date) {
-        l_returnflag.push_back(line_prng->NextBool(0.5) ? 2 : 0);  // R : A
+        l_returnflag.push_back(prng.NextBool(0.5) ? 2 : 0);  // R : A
       } else {
         l_returnflag.push_back(1);  // N
       }

@@ -43,14 +43,6 @@ namespace nipo {
 struct TpchConfig {
   double scale_factor = 0.1;
   uint64_t seed = 42;
-  /// Lineitems per order are uniform 1..7 (dbgen's distribution), giving
-  /// the canonical 4:1 lineitem:order ratio on average.
-  bool clustered_dates = true;  ///< bulk-load weak clustering on dates
-  /// When true, each table draws from its own seed stream (derived
-  /// deterministically from `seed`), so regenerating one table at a
-  /// different scale leaves the others' values untouched. Default false
-  /// keeps the historical single-stream draw order byte-identical.
-  bool per_table_seeds = false;
 
   uint64_t num_orders() const {
     return static_cast<uint64_t>(scale_factor * 1'500'000);

@@ -133,10 +133,9 @@ TEST_P(CacheModelVsSimulatorTest, PredictsSimulatedL3Accesses) {
   const double rho = GetParam();
   const size_t kTuples = 200'000;
   // Simulate: conditional scan of an int32 column; tuples chosen i.i.d.
-  CacheHierarchy caches(CacheGeometry{8 * 1024, 8, 64},
-                        CacheGeometry{64 * 1024, 8, 64},
-                        CacheGeometry{1024 * 1024, 16, 64},
-                        /*enable_prefetcher=*/true);
+  CacheHierarchy caches(CacheGeometry{8 * 1024, 8},
+                        CacheGeometry{64 * 1024, 8},
+                        CacheGeometry{1024 * 1024, 16});
   Prng prng(5);
   const uint64_t base = 1u << 30;  // arbitrary aligned base address
   for (size_t i = 0; i < kTuples; ++i) {

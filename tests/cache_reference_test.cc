@@ -159,13 +159,13 @@ std::vector<CacheGeometry> AllGeometries() {
     add(cfg.l2);
     add(cfg.l3);
   }
-  add({1920, 3, 64});
-  add({20 * 64, 20, 64});
+  add({1920, 3});
+  add({20 * 64, 20});
   for (const CacheGeometry g :
-       {CacheGeometry{1024, 2, 64}, CacheGeometry{4096, 4, 64},
-        CacheGeometry{16384, 4, 64}, CacheGeometry{8 * 1024, 8, 64},
-        CacheGeometry{64 * 1024, 8, 64}, CacheGeometry{1024 * 1024, 16, 64},
-        CacheGeometry{16 * 1024, 4, 64}}) {
+       {CacheGeometry{1024, 2}, CacheGeometry{4096, 4},
+        CacheGeometry{16384, 4}, CacheGeometry{8 * 1024, 8},
+        CacheGeometry{64 * 1024, 8}, CacheGeometry{1024 * 1024, 16},
+        CacheGeometry{16 * 1024, 4}}) {
     add(g);
   }
   return out;
@@ -568,7 +568,7 @@ TEST(CacheWayBoundTest, ScaledXeonConstructsAtEveryDivisor) {
 }
 
 TEST(CacheWayBoundDeathTest, MoreThan32WaysIsRejected) {
-  EXPECT_DEATH(CacheLevel(CacheGeometry{33 * 64, 33, 64}), "NIPO_CHECK");
+  EXPECT_DEATH(CacheLevel(CacheGeometry{33 * 64, 33}), "NIPO_CHECK");
 }
 
 }  // namespace

@@ -8,11 +8,11 @@ namespace nipo {
 namespace {
 
 CacheGeometry Tiny(uint64_t capacity, uint32_t assoc) {
-  return CacheGeometry{capacity, assoc, 64};
+  return CacheGeometry{capacity, assoc};
 }
 
 TEST(CacheGeometryTest, DerivedQuantities) {
-  CacheGeometry g{32 * 1024, 8, 64};
+  CacheGeometry g{32 * 1024, 8};
   EXPECT_EQ(g.num_lines(), 512u);
   EXPECT_EQ(g.num_sets(), 64u);
 }
@@ -85,22 +85,49 @@ TEST(CacheLevelTest, ClearDropsContents) {
   EXPECT_FALSE(level.Contains(3));
 }
 
-CacheHierarchy SmallHierarchy(bool prefetch) {
-  return CacheHierarchy(Tiny(1024, 2), Tiny(4096, 4), Tiny(16384, 4),
-                        prefetch);
+TEST(CacheLevelTest, WorkingSetLargerThanLevelThrashes) {
+  CacheLevel level(Tiny(16384, 4));
+  const uint64_t capacity_lines = 16384 / kCacheLineBytes;  // 256
+  const uint64_t working_lines = 4 * capacity_lines;
+  // Two passes over 4x the capacity: the second pass still misses.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t line = 0; line < working_lines; ++line) {
+      level.AccessFill(line);
+    }
+  }
+  EXPECT_EQ(level.misses(), 2 * working_lines);
+  EXPECT_EQ(level.hits(), 0u);
+}
+
+TEST(CacheLevelTest, WorkingSetWithinLevelHitsOnSecondPass) {
+  CacheLevel level(Tiny(16384, 4));
+  const uint64_t lines = 32;  // well inside the level's 256 lines
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t line = 0; line < lines; ++line) {
+      level.AccessFill(line);
+    }
+  }
+  EXPECT_EQ(level.misses(), lines);  // only the cold pass missed
+  EXPECT_EQ(level.hits(), lines);
+}
+
+CacheHierarchy SmallHierarchy() {
+  return CacheHierarchy(Tiny(1024, 2), Tiny(4096, 4), Tiny(16384, 4));
 }
 
 TEST(CacheHierarchyTest, ColdAccessMissesEverywhere) {
-  CacheHierarchy h = SmallHierarchy(false);
+  CacheHierarchy h = SmallHierarchy();
   EXPECT_EQ(h.Access(0, 4), MemoryLevel::kMemory);
   EXPECT_EQ(h.stats().l1_misses, 1u);
   EXPECT_EQ(h.stats().l2_misses, 1u);
-  EXPECT_EQ(h.stats().l3_misses, 1u);
-  EXPECT_EQ(h.stats().l3_accesses, 1u);
+  // The demand miss and the next-line prefetch it triggers both miss L3.
+  EXPECT_EQ(h.stats().l3_accesses, 2u);
+  EXPECT_EQ(h.stats().l3_misses, 2u);
+  EXPECT_EQ(h.stats().prefetch_requests, 1u);
 }
 
 TEST(CacheHierarchyTest, SecondAccessHitsL1) {
-  CacheHierarchy h = SmallHierarchy(false);
+  CacheHierarchy h = SmallHierarchy();
   h.Access(0, 4);
   EXPECT_EQ(h.Access(4, 4), MemoryLevel::kL1);  // same line
   EXPECT_EQ(h.stats().l1_accesses, 2u);
@@ -108,7 +135,7 @@ TEST(CacheHierarchyTest, SecondAccessHitsL1) {
 }
 
 TEST(CacheHierarchyTest, InclusiveFill) {
-  CacheHierarchy h = SmallHierarchy(false);
+  CacheHierarchy h = SmallHierarchy();
   h.Access(0, 4);
   EXPECT_TRUE(h.l1().Contains(0));
   EXPECT_TRUE(h.l2().Contains(0));
@@ -116,16 +143,16 @@ TEST(CacheHierarchyTest, InclusiveFill) {
 }
 
 TEST(CacheHierarchyTest, L1EvictionFallsBackToL2) {
-  CacheHierarchy h = SmallHierarchy(false);
+  CacheHierarchy h = SmallHierarchy();
   // L1 has 16 lines in 8 sets x 2 ways. Touch three lines of one L1 set:
   // the first is evicted from L1 but survives in L2.
   const auto lines = CollidingLines(h.l1(), 0, 3);
-  for (uint64_t line : lines) h.Access(line * 64, 4);
-  EXPECT_EQ(h.Access(lines[0] * 64, 4), MemoryLevel::kL2);
+  for (uint64_t line : lines) h.Access(line * kCacheLineBytes, 4);
+  EXPECT_EQ(h.Access(lines[0] * kCacheLineBytes, 4), MemoryLevel::kL2);
 }
 
 TEST(CacheHierarchyTest, StraddlingAccessTouchesBothLines) {
-  CacheHierarchy h = SmallHierarchy(false);
+  CacheHierarchy h = SmallHierarchy();
   h.Access(60, 8);  // bytes 60..67: lines 0 and 1
   EXPECT_TRUE(h.l1().Contains(0));
   EXPECT_TRUE(h.l1().Contains(1));
@@ -133,7 +160,7 @@ TEST(CacheHierarchyTest, StraddlingAccessTouchesBothLines) {
 }
 
 TEST(CacheHierarchyTest, PrefetcherCountsL3Access) {
-  CacheHierarchy h = SmallHierarchy(true);
+  CacheHierarchy h = SmallHierarchy();
   h.Access(0, 4);  // demand miss line 0 + prefetch line 1
   EXPECT_EQ(h.stats().prefetch_requests, 1u);
   EXPECT_EQ(h.stats().l3_accesses, 2u);
@@ -142,7 +169,7 @@ TEST(CacheHierarchyTest, PrefetcherCountsL3Access) {
 }
 
 TEST(CacheHierarchyTest, SequentialScanCostsOneL3AccessPerLine) {
-  CacheHierarchy h = SmallHierarchy(true);
+  CacheHierarchy h = SmallHierarchy();
   const int kLines = 64;
   for (int64_t byte = 0; byte < kLines * 64; byte += 4) {
     h.Access(static_cast<uint64_t>(byte), 4);
@@ -158,7 +185,7 @@ TEST(CacheHierarchyTest, SequentialScanCostsOneL3AccessPerLine) {
 }
 
 TEST(CacheHierarchyTest, SkippingScanDoubleCountsRandomMisses) {
-  CacheHierarchy h = SmallHierarchy(true);
+  CacheHierarchy h = SmallHierarchy();
   const int kLines = 64;
   // Touch every third line: every touched line is a "random miss" whose
   // next-line prefetch is wasted -> 2 L3 accesses per touched line.
@@ -171,44 +198,22 @@ TEST(CacheHierarchyTest, SkippingScanDoubleCountsRandomMisses) {
 }
 
 TEST(CacheHierarchyTest, PrefetchSquashedWhenLineResident) {
-  CacheHierarchy h = SmallHierarchy(true);
+  CacheHierarchy h = SmallHierarchy();
   h.Access(1 * 64, 4);  // brings line 1 (+ prefetch 2)
   h.Access(0 * 64, 4);  // demand miss line 0; prefetch of line 1 squashed
   EXPECT_EQ(h.stats().prefetch_requests, 1u);
 }
 
-TEST(CacheHierarchyTest, WorkingSetLargerThanL3Thrashes) {
-  CacheHierarchy h = SmallHierarchy(false);
-  const uint64_t l3_lines = 16384 / 64;  // 256
-  const uint64_t working_lines = 4 * l3_lines;
-  // Two passes over 4x the L3 capacity: second pass still misses.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (uint64_t line = 0; line < working_lines; ++line) {
-      h.Access(line * 64, 4);
-    }
-  }
-  EXPECT_EQ(h.stats().l3_misses, 2 * working_lines);
-}
-
-TEST(CacheHierarchyTest, WorkingSetWithinL3HitsOnSecondPass) {
-  CacheHierarchy h = SmallHierarchy(false);
-  const uint64_t lines = 32;  // well inside every level but L1
-  for (int pass = 0; pass < 2; ++pass) {
-    for (uint64_t line = 0; line < lines; ++line) {
-      h.Access(line * 64, 4);
-    }
-  }
-  EXPECT_EQ(h.stats().l3_misses, lines);  // only the cold pass missed
-}
-
 TEST(CacheStatsTest, SubtractionWindows) {
-  CacheHierarchy h = SmallHierarchy(false);
+  CacheHierarchy h = SmallHierarchy();
   h.Access(0, 4);
   const CacheStats mid = h.stats();
-  h.Access(64, 4);
+  h.Access(100 * kCacheLineBytes, 4);  // a cold line far from line 0
   const CacheStats delta = h.stats() - mid;
   EXPECT_EQ(delta.l1_accesses, 1u);
-  EXPECT_EQ(delta.l3_misses, 1u);
+  EXPECT_EQ(delta.l3_accesses, 2u);  // demand + its next-line prefetch
+  EXPECT_EQ(delta.l3_misses, 2u);
+  EXPECT_EQ(delta.prefetch_requests, 1u);
 }
 
 }  // namespace

@@ -12,9 +12,9 @@
 /// one compare per row. ScanBlock and GatherRows must return the values
 /// and book the PmuCounters of the grouping they replaced, kept here as
 /// a test-local copy: one BlockIndexOf per element, the packed word index
-/// computed per piece, each value read by ExtractBits. Columns use block
-/// sizes that do not divide the morsel size, at unaligned morsel offsets,
-/// so selections span several storage blocks of all three encodings.
+/// computed per piece, each value read by ExtractBits. Scans start at
+/// offsets off the 1,024-row execution grid, so selections span storage
+/// blocks of all three encodings.
 
 #include <gtest/gtest.h>
 
@@ -191,61 +191,80 @@ void ReferenceDecodeRows(Pmu* pmu, const EncodedColumn& col, size_t base_row,
   }
 }
 
-/// A column whose value range changes every 250 rows and its frame every
-/// 1000, so that at block sizes of 100, 128 and 1000 its blocks are
-/// bit-packed at many widths (0 to 64 for int64), dictionary-coded or
-/// plain.
+/// Bit widths of MixedColumn's bit-packed blocks, per value type: small,
+/// word-straddling and one below the type's width.
 template <typename T>
-std::unique_ptr<EncodedColumn> MixedColumn(size_t rows, size_t block_values) {
-  Prng prng(block_values);
+constexpr uint32_t kMixedWidths[] = {7, 13, sizeof(T) * 8 - 3};
+
+/// A column of six full storage blocks and a partial seventh. Block b's
+/// shape is b % 6: all equal (bit width 0), three distinct values far
+/// apart (dictionary), random over the whole type (plain), or random over
+/// one of kMixedWidths bits from a negative or minimal frame
+/// (bit-packed).
+template <typename T>
+std::unique_ptr<EncodedColumn> MixedColumn(size_t rows) {
+  Prng prng(sizeof(T));
   std::vector<T> values(rows);
   const uint32_t max_bits = sizeof(T) * 8;
   for (size_t r = 0; r < rows; ++r) {
-    const size_t region = r / 250;
-    const uint32_t bits = static_cast<uint32_t>((region * 7) % (max_bits + 1));
-    uint64_t offset = bits == 0 ? 0 : prng.Next() >> (64 - bits);
-    if (region % 5 == 4) offset = prng.NextBounded(3) << (max_bits - 3);
-    const int64_t base =
-        r / 1000 % 2 == 0 ? static_cast<int64_t>(std::numeric_limits<T>::min())
-                          : -static_cast<int64_t>(region * 1000);
+    const size_t b = EncodedColumn::BlockIndexOf(r);
+    uint64_t offset = 0;
+    int64_t base = static_cast<int64_t>(std::numeric_limits<T>::min());
+    switch (b % 6) {
+      case 0:  // all equal
+        break;
+      case 1:  // dictionary
+        offset = prng.NextBounded(3) << (max_bits - 3);
+        break;
+      case 2:  // plain
+        offset = prng.Next() >> (64 - max_bits);
+        break;
+      default: {  // bit-packed
+        const uint32_t bits = kMixedWidths<T>[b % 6 - 3];
+        offset = prng.Next() >> (64 - bits);
+        if (b % 2 == 0) base = -static_cast<int64_t>(b * 1000);
+        break;
+      }
+    }
     values[r] = static_cast<T>(static_cast<int64_t>(
         static_cast<uint64_t>(base) + offset));
   }
   Column<T> plain("c", std::move(values));
-  EncodingOptions options;
-  options.block_values = block_values;
-  auto encoded = EncodedColumn::Encode(plain, options);
+  auto encoded = EncodedColumn::Encode(plain);
   NIPO_CHECK(encoded.ok());
   return std::move(encoded.ValueOrDie());
 }
 
 template <typename T>
-void CheckColumnView(size_t block_values) {
-  constexpr size_t kRows = 5000;
-  const std::unique_ptr<EncodedColumn> col =
-      MixedColumn<T>(kRows, block_values);
+void CheckColumnView() {
+  constexpr size_t kRows = 6 * kBlockValues + 3000;
+  const std::unique_ptr<EncodedColumn> col = MixedColumn<T>(kRows);
+  ASSERT_EQ(col->num_blocks(), 7u);
   bool saw[3] = {false, false, false};
   for (size_t b = 0; b < col->num_blocks(); ++b) {
     saw[static_cast<int>(col->block(b).encoding)] = true;
   }
+  EXPECT_TRUE(saw[static_cast<int>(BlockEncoding::kPlain)]);
+  EXPECT_TRUE(saw[static_cast<int>(BlockEncoding::kDictionary)]);
   EXPECT_TRUE(saw[static_cast<int>(BlockEncoding::kBitPacked)]);
   const ColumnView view = ColumnView::Bind(col.get()).ValueOrDie();
-  Prng prng(block_values + sizeof(T));
+  Prng prng(sizeof(T));
 
   auto expect_values = [&](const ScanRun& run, size_t base_row,
                            const uint32_t* rows, size_t count) {
     for (size_t j = 0; j < count; ++j) {
       ASSERT_EQ(ScanRunValueAsInt64(run, j),
                 col->ValueAsInt64(base_row + rows[j]))
-          << "block_values " << block_values << " row " << base_row + rows[j];
+          << "row " << base_row + rows[j];
     }
   };
 
-  // ScanBlock under a selection, at morsel offsets that straddle storage
-  // blocks of every size here.
+  // ScanBlock under a selection, at offsets off the 1,024-row grid, most
+  // of them straddling two storage blocks.
+  constexpr size_t kB = kBlockValues;
   for (const size_t begin :
-       {size_t{0}, size_t{37}, size_t{99}, size_t{127}, size_t{250},
-        size_t{999}, size_t{1001}, size_t{3333}, kRows - 700}) {
+       {size_t{0}, size_t{37}, kB - 1, kB - 300, 2 * kB - 1000, 3 * kB - 17,
+        4 * kB - 512, 5 * kB - 999, 6 * kB - 1, kRows - 700}) {
     const size_t span = std::min<size_t>(1024, kRows - begin);
     {
       Pmu pmu;
@@ -286,10 +305,8 @@ void CheckColumnView(size_t block_values) {
 }
 
 TEST(DecodeReferenceTest, ScanBlockAndGatherRowsMatchOldGrouping) {
-  for (const size_t block_values : {size_t{100}, size_t{128}, size_t{1000}}) {
-    CheckColumnView<int32_t>(block_values);
-    CheckColumnView<int64_t>(block_values);
-  }
+  CheckColumnView<int32_t>();
+  CheckColumnView<int64_t>();
 }
 
 }  // namespace

@@ -201,22 +201,20 @@ void ExpectSameBlock(const EncodedBlock& got, const ZoneMapEntry& got_zone,
 /// Encodes `values[0..n)` with EncodedColumn::Encode and with the
 /// reference, block by block, and compares them.
 template <typename T>
-void ExpectMatchesReference(const T* values, size_t n, size_t block_values,
+void ExpectMatchesReference(const T* values, size_t n,
                             const std::string& label) {
   Column<T> column(label, std::vector<T>(values, values + n));
-  EncodingOptions options;
-  options.block_values = block_values;
-  auto encoded = EncodedColumn::Encode(column, options);
+  auto encoded = EncodedColumn::Encode(column);
   ASSERT_TRUE(encoded.ok()) << label;
   const EncodedColumn& col = *encoded.ValueOrDie();
-  ASSERT_EQ(col.num_blocks(), (n + block_values - 1) / block_values) << label;
+  ASSERT_EQ(col.num_blocks(), (n + kBlockValues - 1) / kBlockValues) << label;
   size_t total_bytes = 0;
   for (size_t b = 0; b < col.num_blocks(); ++b) {
-    const size_t begin = b * block_values;
+    const size_t begin = b * kBlockValues;
     EncodedBlock block;
     ZoneMapEntry zone;
     ReferenceEncodeBlock(values + begin, begin,
-                         std::min(block_values, n - begin), &block, &zone);
+                         std::min(kBlockValues, n - begin), &block, &zone);
     ExpectSameBlock(col.block(b), col.zone(b), block, zone,
                     label + " block " + std::to_string(b));
     total_bytes += block.encoded_bytes();
@@ -225,9 +223,9 @@ void ExpectMatchesReference(const T* values, size_t n, size_t block_values,
 }
 
 template <typename T>
-void ExpectMatchesReference(const std::vector<T>& values, size_t block_values,
+void ExpectMatchesReference(const std::vector<T>& values,
                             const std::string& label) {
-  ExpectMatchesReference(values.data(), values.size(), block_values, label);
+  ExpectMatchesReference(values.data(), values.size(), label);
 }
 
 /// The reference's choice for a one-block column, to pin which side of a
@@ -275,8 +273,12 @@ std::vector<T> FromDistinct(size_t n, size_t distinct, uint64_t seed) {
 
 TEST(EncodingReferenceTest, BlockSizesAndTails) {
   Prng prng(1);
-  for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                         size_t{3 * 64 + 17}}) {
+  // One partial block of a few values, and one to four blocks around the
+  // block size.
+  for (const size_t n :
+       {size_t{1}, size_t{63}, size_t{64}, size_t{65}, size_t{3 * 64 + 17},
+        kBlockValues - 1, kBlockValues, kBlockValues + 1,
+        3 * kBlockValues + 17}) {
     std::vector<int32_t> i32(n);
     std::vector<int64_t> i64(n);
     std::vector<double> f64(n);
@@ -286,12 +288,12 @@ TEST(EncodingReferenceTest, BlockSizesAndTails) {
       f64[i] = static_cast<double>(prng.NextBounded(8)) * 0.125;
     }
     const std::string size = " n=" + std::to_string(n);
-    ExpectMatchesReference(i32, 64, "int32" + size);
-    ExpectMatchesReference(i64, 64, "int64" + size);
-    ExpectMatchesReference(f64, 64, "double" + size);
+    ExpectMatchesReference(i32, "int32" + size);
+    ExpectMatchesReference(i64, "int64" + size);
+    ExpectMatchesReference(f64, "double" + size);
   }
-  // Full 65,536-value blocks plus a short tail, at the default size.
-  const size_t n = 65536 + 100;
+  // A full block plus a short tail, with narrow domains.
+  const size_t n = kBlockValues + 100;
   std::vector<int32_t> i32(n);
   std::vector<int64_t> i64(n);
   std::vector<double> f64(n);
@@ -300,9 +302,9 @@ TEST(EncodingReferenceTest, BlockSizesAndTails) {
     i64[i] = prng.NextInRange(-5, 5);
     f64[i] = static_cast<double>(prng.NextBounded(1000));
   }
-  ExpectMatchesReference(i32, 65536, "int32 65536+tail");
-  ExpectMatchesReference(i64, 65536, "int64 65536+tail");
-  ExpectMatchesReference(f64, 65536, "double 65536+tail");
+  ExpectMatchesReference(i32, "int32 65536+tail");
+  ExpectMatchesReference(i64, "int64 65536+tail");
+  ExpectMatchesReference(f64, "double 65536+tail");
 }
 
 TEST(EncodingReferenceTest, DistinctCountsAroundCodeWidthAndCap) {
@@ -311,11 +313,11 @@ TEST(EncodingReferenceTest, DistinctCountsAroundCodeWidthAndCap) {
        {size_t{255}, size_t{256}, size_t{257}, size_t{4095}, size_t{4096},
         size_t{4097}}) {
     const std::string label = " distinct=" + std::to_string(distinct);
-    ExpectMatchesReference(FromDistinct<int32_t>(n, distinct, distinct), n,
+    ExpectMatchesReference(FromDistinct<int32_t>(n, distinct, distinct),
                            "int32" + label);
-    ExpectMatchesReference(FromDistinct<int64_t>(n, distinct, distinct), n,
+    ExpectMatchesReference(FromDistinct<int64_t>(n, distinct, distinct),
                            "int64" + label);
-    ExpectMatchesReference(FromDistinct<double>(n, distinct, distinct), n,
+    ExpectMatchesReference(FromDistinct<double>(n, distinct, distinct),
                            "double" + label);
   }
   // The cap decides these blocks: 4096 distinct values dictionary-encode,
@@ -343,10 +345,10 @@ TEST(EncodingReferenceTest, SignMixedInt32PatternOrder) {
     pool[1] = 1;
     std::vector<int32_t> values(65536 + 7);
     for (auto& v : values) v = pool[prng.NextBounded(distinct)];
-    ExpectMatchesReference(values, 65536,
+    ExpectMatchesReference(values,
                            "sign-mixed distinct=" + std::to_string(distinct));
     std::vector<int32_t> small(values.begin(), values.begin() + 200);
-    ExpectMatchesReference(small, 64,
+    ExpectMatchesReference(small,
                            "sign-mixed small distinct=" +
                                std::to_string(distinct));
   }
@@ -357,7 +359,7 @@ TEST(EncodingReferenceTest, SignMixedInt32PatternOrder) {
     two[i] = i % 3 == 0 ? std::numeric_limits<int32_t>::min() : 7;
   }
   EXPECT_EQ(ReferenceEncodingOf(two), BlockEncoding::kDictionary);
-  ExpectMatchesReference(two, 64, "int32 min and 7");
+  ExpectMatchesReference(two, "int32 min and 7");
 }
 
 TEST(EncodingReferenceTest, Int64Extremes) {
@@ -365,17 +367,17 @@ TEST(EncodingReferenceTest, Int64Extremes) {
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   const std::vector<int64_t> extremes = {
       kMin, kMax, 0, -1, 1, kMin + 1, kMax - 1, -123456789012345678};
-  ExpectMatchesReference(extremes, 64, "int64 extremes");
+  ExpectMatchesReference(extremes, "int64 extremes");
   std::vector<int64_t> repeated(64 * 5 + 3);
   Prng prng(9);
   for (auto& v : repeated) v = extremes[prng.NextBounded(extremes.size())];
-  ExpectMatchesReference(repeated, 64, "int64 extremes repeated");
+  ExpectMatchesReference(repeated, "int64 extremes repeated");
   std::vector<int64_t> top(64, kMax);
   top[5] = kMax - 3;
-  ExpectMatchesReference(top, 64, "int64 near max");
+  ExpectMatchesReference(top, "int64 near max");
   std::vector<int64_t> bottom(64, kMin);
   bottom[9] = kMin + 200;
-  ExpectMatchesReference(bottom, 64, "int64 near min");
+  ExpectMatchesReference(bottom, "int64 near min");
 }
 
 TEST(EncodingReferenceTest, NanPayloadsAndSignedZeros) {
@@ -393,24 +395,24 @@ TEST(EncodingReferenceTest, NanPayloadsAndSignedZeros) {
   Prng prng(21);
   std::vector<double> values(65536 + 64 * 3);
   for (auto& v : values) v = specials[prng.NextBounded(specials.size())];
-  ExpectMatchesReference(values, 65536, "specials large");
-  ExpectMatchesReference(values, 64, "specials small");
+  ExpectMatchesReference(values, "specials large");
+  ExpectMatchesReference(values, "specials small");
   // Zero order decides the zone's min/max sign bit.
-  ExpectMatchesReference(std::vector<double>{0.0, -0.0, 0.0}, 64, "0,-0");
-  ExpectMatchesReference(std::vector<double>{-0.0, 0.0, -0.0}, 64, "-0,0");
+  ExpectMatchesReference(std::vector<double>{0.0, -0.0, 0.0}, "0,-0");
+  ExpectMatchesReference(std::vector<double>{-0.0, 0.0, -0.0}, "-0,0");
   // All NaN: the zone keeps its empty sentinel.
   std::vector<double> nans(100);
   for (size_t i = 0; i < nans.size(); ++i) {
     nans[i] = std::bit_cast<double>(uint64_t{0x7FF8000000000000} | i);
   }
-  ExpectMatchesReference(nans, 64, "all NaN");
+  ExpectMatchesReference(nans, "all NaN");
   // Many distinct values around NaNs and zeros: plain.
   std::vector<double> mixed(64 * 4);
   for (size_t i = 0; i < mixed.size(); ++i) {
     mixed[i] = i % 7 == 0 ? specials[i % specials.size()]
                           : static_cast<double>(i) * 1.0001;
   }
-  ExpectMatchesReference(mixed, 64, "mixed specials");
+  ExpectMatchesReference(mixed, "mixed specials");
 }
 
 TEST(EncodingReferenceTest, BitWidthsAroundByteSteps) {
@@ -428,13 +430,13 @@ TEST(EncodingReferenceTest, BitWidthsAroundByteSteps) {
       }
       i64[0] = base;  // pin the range to exactly `width` bits
       i64[1] = static_cast<int64_t>(static_cast<uint64_t>(base) + span);
-      ExpectMatchesReference(i64, 65536, "int64" + label);
+      ExpectMatchesReference(i64, "int64" + label);
       if (width <= 32) {
         std::vector<int32_t> i32(n);
         for (size_t i = 0; i < n; ++i) {
           i32[i] = static_cast<int32_t>(i64[i]);
         }
-        ExpectMatchesReference(i32, 65536, "int32" + label);
+        ExpectMatchesReference(i32, "int32" + label);
       }
     }
   }
@@ -445,7 +447,7 @@ TEST(EncodingReferenceTest, BitWidthsAroundByteSteps) {
       v = static_cast<int32_t>(prng.NextBounded(200) *
                                ((uint64_t{1} << width) - 1) / 199);
     }
-    ExpectMatchesReference(values, 65536,
+    ExpectMatchesReference(values,
                            "few distinct width=" + std::to_string(width));
   }
 }
@@ -458,7 +460,7 @@ TEST(EncodingReferenceTest, ExactSizeTies) {
     dict_pack[i] = i % 2 == 0 ? 0 : 256;
   }
   EXPECT_EQ(ReferenceEncodingOf(dict_pack), BlockEncoding::kDictionary);
-  ExpectMatchesReference(dict_pack, 64, "tie dict == pack int32");
+  ExpectMatchesReference(dict_pack, "tie dict == pack int32");
   // The same at full block size with 2-byte codes: 2048 distinct values
   // over 17 bits, 131072 + 2048*4 = 139264 B = 17 bits * 65536.
   std::vector<int32_t> dict_pack_large(65536);
@@ -466,18 +468,18 @@ TEST(EncodingReferenceTest, ExactSizeTies) {
     dict_pack_large[i] = static_cast<int32_t>((i % 2048) * 64);
   }
   EXPECT_EQ(ReferenceEncodingOf(dict_pack_large), BlockEncoding::kDictionary);
-  ExpectMatchesReference(dict_pack_large, 65536, "tie dict == pack large");
+  ExpectMatchesReference(dict_pack_large, "tie dict == pack large");
   // One more distinct value breaks the tie towards packing.
   dict_pack_large[7] = 5;
   EXPECT_EQ(ReferenceEncodingOf(dict_pack_large), BlockEncoding::kBitPacked);
-  ExpectMatchesReference(dict_pack_large, 65536, "dict just above pack");
+  ExpectMatchesReference(dict_pack_large, "dict just above pack");
   // int64 {0, 512}: 64 + 2*8 = 80 B against 10 bits * 64 = 80 B.
   std::vector<int64_t> dict_pack64(64);
   for (size_t i = 0; i < dict_pack64.size(); ++i) {
     dict_pack64[i] = i % 3 == 0 ? 512 : 0;
   }
   EXPECT_EQ(ReferenceEncodingOf(dict_pack64), BlockEncoding::kDictionary);
-  ExpectMatchesReference(dict_pack64, 64, "tie dict == pack int64");
+  ExpectMatchesReference(dict_pack64, "tie dict == pack int64");
 
   // dict == plain, 64 doubles with 56 distinct: 64 + 56*8 = 512 B. Plain
   // keeps the tie; 55 distinct values make the dictionary win.
@@ -489,7 +491,7 @@ TEST(EncodingReferenceTest, ExactSizeTies) {
     EXPECT_EQ(ReferenceEncodingOf(values), distinct == 56
                                                ? BlockEncoding::kPlain
                                                : BlockEncoding::kDictionary);
-    ExpectMatchesReference(values, 64,
+    ExpectMatchesReference(values,
                            "dict vs plain distinct=" +
                                std::to_string(distinct));
   }
@@ -499,7 +501,7 @@ TEST(EncodingReferenceTest, ExactSizeTies) {
   three_way[0] = std::numeric_limits<int32_t>::min();
   three_way[1] = std::numeric_limits<int32_t>::max();
   EXPECT_EQ(ReferenceEncodingOf(three_way), BlockEncoding::kPlain);
-  ExpectMatchesReference(three_way, 64, "tie dict == plain == pack");
+  ExpectMatchesReference(three_way, "tie dict == plain == pack");
 
   // pack == plain: 32-bit range over 64 distinct int32 values, and the
   // full 64-bit range of int64.
@@ -507,62 +509,64 @@ TEST(EncodingReferenceTest, ExactSizeTies) {
   pack_plain[0] = std::numeric_limits<int32_t>::min();
   pack_plain[1] = std::numeric_limits<int32_t>::max();
   EXPECT_EQ(ReferenceEncodingOf(pack_plain), BlockEncoding::kPlain);
-  ExpectMatchesReference(pack_plain, 64, "tie pack == plain int32");
+  ExpectMatchesReference(pack_plain, "tie pack == plain int32");
   std::vector<int64_t> pack_plain64 = FromDistinct<int64_t>(64, 64, 8);
   pack_plain64[0] = std::numeric_limits<int64_t>::min();
   pack_plain64[1] = std::numeric_limits<int64_t>::max();
   EXPECT_EQ(ReferenceEncodingOf(pack_plain64), BlockEncoding::kPlain);
-  ExpectMatchesReference(pack_plain64, 64, "tie pack == plain int64");
+  ExpectMatchesReference(pack_plain64, "tie pack == plain int64");
 }
 
 TEST(EncodingReferenceTest, RandomBlocks) {
+  // Single partial blocks of random length, and every eighth round a
+  // column of two to four blocks.
   Prng prng(77);
   for (int round = 0; round < 40; ++round) {
-    const size_t block_values = size_t{1} << (prng.NextBounded(10) + 1);
-    const size_t n = 1 + prng.NextBounded(block_values * 4);
+    const size_t span = round % 8 == 7
+                            ? kBlockValues
+                            : size_t{1} << (prng.NextBounded(10) + 1);
+    const size_t n = (round % 8 == 7 ? kBlockValues : 0) + 1 +
+                     prng.NextBounded(span * 3);
     const size_t distinct = 1 + prng.NextBounded(prng.NextBounded(2) == 0
                                                      ? 16
-                                                     : block_values);
+                                                     : span);
     const std::string label = "round " + std::to_string(round);
     ExpectMatchesReference(FromDistinct<int32_t>(n, std::min(n, distinct),
                                                  round),
-                           block_values, "int32 " + label);
+                           "int32 " + label);
     ExpectMatchesReference(FromDistinct<int64_t>(n, std::min(n, distinct),
                                                  round),
-                           block_values, "int64 " + label);
+                           "int64 " + label);
     ExpectMatchesReference(FromDistinct<double>(n, std::min(n, distinct),
                                                 round),
-                           block_values, "double " + label);
+                           "double " + label);
   }
 }
 
 TEST(EncodingReferenceTest, WholeLineitem) {
+  // SF 0.04: about 240,000 rows, three full blocks and a partial fourth.
   TpchConfig config;
-  config.scale_factor = 0.01;
+  config.scale_factor = 0.04;
   auto lineitem = GenerateLineitem(config);
   ASSERT_TRUE(lineitem.ok());
   const Table& table = *lineitem.ValueOrDie();
-  for (const size_t block_values : {size_t{65536}, size_t{4096}}) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      const ColumnBase& column = *table.column(c);
-      const std::string label =
-          column.name() + " block=" + std::to_string(block_values);
-      switch (column.type()) {
-        case DataType::kInt32:
-          ExpectMatchesReference(
-              static_cast<const int32_t*>(column.data()), column.size(),
-              block_values, label);
-          break;
-        case DataType::kInt64:
-          ExpectMatchesReference(
-              static_cast<const int64_t*>(column.data()), column.size(),
-              block_values, label);
-          break;
-        case DataType::kDouble:
-          ExpectMatchesReference(static_cast<const double*>(column.data()),
-                                 column.size(), block_values, label);
-          break;
-      }
+  ASSERT_GT(table.num_rows(), 3 * kBlockValues);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const ColumnBase& column = *table.column(c);
+    const std::string& label = column.name();
+    switch (column.type()) {
+      case DataType::kInt32:
+        ExpectMatchesReference(static_cast<const int32_t*>(column.data()),
+                               column.size(), label);
+        break;
+      case DataType::kInt64:
+        ExpectMatchesReference(static_cast<const int64_t*>(column.data()),
+                               column.size(), label);
+        break;
+      case DataType::kDouble:
+        ExpectMatchesReference(static_cast<const double*>(column.data()),
+                               column.size(), label);
+        break;
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -22,13 +23,6 @@
 namespace nipo {
 namespace {
 
-/// Small blocks so every test exercises multi-block columns.
-EncodingOptions SmallBlocks() {
-  EncodingOptions options;
-  options.block_values = 64;
-  return options;
-}
-
 template <typename T>
 std::unique_ptr<Column<T>> MakeColumn(const std::string& name,
                                       std::vector<T> values) {
@@ -39,10 +33,9 @@ std::unique_ptr<Column<T>> MakeColumn(const std::string& name,
 /// single-value access and via a ColumnView scan over an unaligned range.
 /// Returns the encoded column for further inspection.
 template <typename T>
-std::unique_ptr<EncodedColumn> RoundTrip(std::vector<T> values,
-                                         const EncodingOptions& options) {
+std::unique_ptr<EncodedColumn> RoundTrip(std::vector<T> values) {
   auto plain = MakeColumn<T>("c", values);
-  auto encoded = EncodedColumn::Encode(*plain, options);
+  auto encoded = EncodedColumn::Encode(*plain);
   EXPECT_TRUE(encoded.ok());
   std::unique_ptr<EncodedColumn> col = std::move(encoded.ValueOrDie());
   EXPECT_EQ(col->size(), values.size());
@@ -79,31 +72,35 @@ std::unique_ptr<EncodedColumn> RoundTrip(std::vector<T> values,
 }
 
 TEST(EncodingTest, RoundTripRandomInt32) {
+  // Two full storage blocks and a partial third.
   Prng prng(1);
-  std::vector<int32_t> values(1000);
+  std::vector<int32_t> values(2 * kBlockValues + 1000);
   for (auto& v : values) {
     v = static_cast<int32_t>(prng.NextInRange(-500, 500));
   }
-  auto col = RoundTrip(values, SmallBlocks());
-  EXPECT_GT(col->num_blocks(), 1u);
+  auto col = RoundTrip(values);
+  ASSERT_EQ(col->num_blocks(), 3u);
+  EXPECT_EQ(col->zone(2).row_begin, 2 * kBlockValues);
+  EXPECT_EQ(col->zone(2).row_count, 1000u);
   EXPECT_LT(col->total_encoded_bytes(), values.size() * sizeof(int32_t));
 }
 
 TEST(EncodingTest, RoundTripRandomInt64AndDouble) {
   Prng prng(2);
-  std::vector<int64_t> i64(777);
-  std::vector<double> f64(777);
+  std::vector<int64_t> i64(kBlockValues + 777);
+  std::vector<double> f64(kBlockValues + 777);
   for (size_t i = 0; i < i64.size(); ++i) {
     i64[i] = prng.NextInRange(-1'000'000, 1'000'000);
     f64[i] = static_cast<double>(prng.NextInRange(0, 99)) * 0.25;
   }
-  RoundTrip(i64, SmallBlocks());
-  RoundTrip(f64, SmallBlocks());
+  EXPECT_EQ(RoundTrip(i64)->num_blocks(), 2u);
+  EXPECT_EQ(RoundTrip(f64)->num_blocks(), 2u);
 }
 
 TEST(EncodingTest, AllEqualColumnCollapses) {
-  std::vector<int64_t> values(500, 42);
-  auto col = RoundTrip(values, SmallBlocks());
+  std::vector<int64_t> values(2 * kBlockValues + 500, 42);
+  auto col = RoundTrip(values);
+  EXPECT_EQ(col->num_blocks(), 3u);
   // Every block is either a 1-entry dictionary or bit_width-0 packing;
   // either way the payload is tiny.
   EXPECT_LT(col->total_encoded_bytes(), values.size());
@@ -115,8 +112,9 @@ TEST(EncodingTest, AllEqualColumnCollapses) {
 }
 
 TEST(EncodingTest, SingleDistinctDoubleUsesDictionary) {
-  std::vector<double> values(300, 3.25);
-  auto col = RoundTrip(values, SmallBlocks());
+  std::vector<double> values(kBlockValues + 300, 3.25);
+  auto col = RoundTrip(values);
+  EXPECT_EQ(col->num_blocks(), 2u);
   for (size_t b = 0; b < col->num_blocks(); ++b) {
     EXPECT_EQ(col->block(b).encoding, BlockEncoding::kDictionary);
     EXPECT_EQ(col->block(b).dict_size, 1u);
@@ -136,7 +134,7 @@ TEST(EncodingTest, MaxBitWidthAndInt64Extremes) {
                                    std::numeric_limits<int64_t>::min() + 1,
                                    std::numeric_limits<int64_t>::max() - 1,
                                    -123456789012345678};
-  auto col = RoundTrip(extremes, SmallBlocks());
+  auto col = RoundTrip(extremes);
   ASSERT_EQ(col->num_blocks(), 1u);
   EXPECT_EQ(col->block(0).encoding, BlockEncoding::kPlain);
   for (size_t i = 0; i < extremes.size(); ++i) {
@@ -154,7 +152,7 @@ TEST(EncodingTest, MaxBitWidthAndInt64Extremes) {
   }
   wide[0] = -kQuarter;
   wide[1] = kQuarter - 1;
-  col = RoundTrip(wide, SmallBlocks());
+  col = RoundTrip(wide);
   ASSERT_EQ(col->num_blocks(), 1u);
   EXPECT_EQ(col->block(0).encoding, BlockEncoding::kBitPacked);
   EXPECT_EQ(col->block(0).bit_width, 63u);
@@ -166,7 +164,7 @@ TEST(EncodingTest, MaxBitWidthAndInt64Extremes) {
 TEST(EncodingTest, NanDoublesRoundTripAndZoneSemantics) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> values = {1.0, nan, 2.0, nan, -7.5, 0.0};
-  auto col = RoundTrip(values, SmallBlocks());
+  auto col = RoundTrip(values);
   ASSERT_EQ(col->num_blocks(), 1u);
   const ZoneMapEntry& zone = col->zone(0);
   EXPECT_TRUE(zone.has_nan);
@@ -186,7 +184,7 @@ TEST(EncodingTest, NanDoublesRoundTripAndZoneSemantics) {
 TEST(EncodingTest, AllNanBlockRefutesEverythingButNe) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> values(10, nan);
-  auto col = RoundTrip(values, SmallBlocks());
+  auto col = RoundTrip(values);
   const ZoneMapEntry& zone = col->zone(0);
   EXPECT_TRUE(zone.has_nan);
   EXPECT_GT(zone.min, zone.max);  // empty sentinel
@@ -198,17 +196,24 @@ TEST(EncodingTest, AllNanBlockRefutesEverythingButNe) {
 TEST(EncodingTest, ZoneRefutationNeverDisagreesWithBruteForce) {
   // Randomized soundness: whenever a zone refutes (op, value), no row of
   // that block may satisfy it under the executor's double-domain compare.
+  // Each storage block draws from its own random sub-range, so zones
+  // differ and refute different constants; the last block is partial.
   Prng prng(7);
   static constexpr CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe,
                                        CompareOp::kGt, CompareOp::kGe,
                                        CompareOp::kEq, CompareOp::kNe};
-  for (int round = 0; round < 20; ++round) {
-    std::vector<int32_t> values(256);
-    for (auto& v : values) {
-      v = static_cast<int32_t>(prng.NextInRange(-100, 100));
+  for (int round = 0; round < 4; ++round) {
+    std::vector<int32_t> values(3 * kBlockValues + 256);
+    for (size_t begin = 0; begin < values.size(); begin += kBlockValues) {
+      const int64_t lo = prng.NextInRange(-100, 100);
+      const int64_t hi = lo + prng.NextInRange(0, 20);
+      const size_t end = std::min(begin + kBlockValues, values.size());
+      for (size_t r = begin; r < end; ++r) {
+        values[r] = static_cast<int32_t>(prng.NextInRange(lo, hi));
+      }
     }
     auto plain = MakeColumn<int32_t>("c", values);
-    auto encoded = EncodedColumn::Encode(*plain, SmallBlocks());
+    auto encoded = EncodedColumn::Encode(*plain);
     ASSERT_TRUE(encoded.ok());
     const EncodedColumn& col = *encoded.ValueOrDie();
     for (int trial = 0; trial < 50; ++trial) {
@@ -232,16 +237,20 @@ TEST(EncodingTest, ZoneRefutationNeverDisagreesWithBruteForce) {
 TEST(EncodingTest, ColumnViewScansEncodedAndPlainIdentically) {
   // The scan contract: for any (block_begin, sel, active), the run an
   // encoded column produces must read back the same values as the plain
-  // source -- and a compressible column must book fewer L1 bytes.
+  // source -- and a compressible column must book fewer L1 bytes. The
+  // column has two full storage blocks and a partial third; scans start
+  // inside the partial block and off the 1,024-row grid across a block
+  // boundary.
   Prng prng(11);
-  const size_t rows = 10'000;
+  const size_t rows = 2 * kBlockValues + 10'000;
   std::vector<int32_t> values(rows);
   for (auto& v : values) {
     v = static_cast<int32_t>(prng.NextBounded(16));  // 4-bit domain
   }
   auto plain = MakeColumn<int32_t>("c", values);
-  auto encoded = EncodedColumn::Encode(*plain, {});
+  auto encoded = EncodedColumn::Encode(*plain);
   ASSERT_TRUE(encoded.ok());
+  ASSERT_EQ(encoded.ValueOrDie()->num_blocks(), 3u);
 
   auto plain_view = ColumnView::Bind(plain.get());
   auto enc_view = ColumnView::Bind(encoded.ValueOrDie().get());
@@ -253,7 +262,9 @@ TEST(EncodingTest, ColumnViewScansEncodedAndPlainIdentically) {
   Pmu plain_pmu, enc_pmu;
   DecodeScratch scratch;
   // Dense scans at several offsets, plus a strided selection.
-  for (const size_t begin : {size_t{0}, size_t{1000}, size_t{9000}}) {
+  for (const size_t begin :
+       {size_t{0}, size_t{1000}, kBlockValues - 300, 2 * kBlockValues - 1,
+        rows - 1000}) {
     const size_t n = std::min<size_t>(1024, rows - begin);
     const ScanRun p =
         plain_view.ValueOrDie().ScanBlock(&plain_pmu, begin, nullptr, n,
@@ -269,13 +280,16 @@ TEST(EncodingTest, ColumnViewScansEncodedAndPlainIdentically) {
   }
   std::vector<uint32_t> sel;
   for (uint32_t j = 0; j < 512; ++j) sel.push_back(j * 3);
-  const ScanRun ps = plain_view.ValueOrDie().ScanBlock(
-      &plain_pmu, 100, sel.data(), sel.size(), &scratch);
-  DecodeScratch enc_scratch;
-  const ScanRun es = enc_view.ValueOrDie().ScanBlock(
-      &enc_pmu, 100, sel.data(), sel.size(), &enc_scratch);
-  for (size_t j = 0; j < sel.size(); ++j) {
-    ASSERT_EQ(ScanRunValueAsInt64(ps, j), ScanRunValueAsInt64(es, j));
+  for (const size_t begin : {size_t{100}, kBlockValues - 700}) {
+    const ScanRun ps = plain_view.ValueOrDie().ScanBlock(
+        &plain_pmu, begin, sel.data(), sel.size(), &scratch);
+    DecodeScratch enc_scratch;
+    const ScanRun es = enc_view.ValueOrDie().ScanBlock(
+        &enc_pmu, begin, sel.data(), sel.size(), &enc_scratch);
+    for (size_t j = 0; j < sel.size(); ++j) {
+      ASSERT_EQ(ScanRunValueAsInt64(ps, j), ScanRunValueAsInt64(es, j))
+          << "begin " << begin << " j " << j;
+    }
   }
   // The 4-bit domain dictionary-encodes far below 4 bytes/value, so the
   // encoded scan touches fewer cache lines.
@@ -283,12 +297,14 @@ TEST(EncodingTest, ColumnViewScansEncodedAndPlainIdentically) {
 }
 
 TEST(EncodingTest, ColumnViewGatherRowsMatchesPlain) {
+  // Probes land in every block of a column of two full storage blocks
+  // and a partial third.
   Prng prng(13);
-  const size_t rows = 5'000;
+  const size_t rows = 2 * kBlockValues + 5'000;
   std::vector<int64_t> values(rows);
   for (auto& v : values) v = prng.NextInRange(0, 1000);
   auto plain = MakeColumn<int64_t>("c", values);
-  auto encoded = EncodedColumn::Encode(*plain, {});
+  auto encoded = EncodedColumn::Encode(*plain);
   ASSERT_TRUE(encoded.ok());
 
   auto plain_view = ColumnView::Bind(plain.get());
@@ -311,42 +327,50 @@ TEST(EncodingTest, ColumnViewGatherRowsMatchesPlain) {
 }
 
 TEST(EncodingTest, ZoneRangeQueriesOnColumnView) {
-  // Block 0 holds 0..63, block 1 holds 1000..1063, block 2 holds
-  // 2000..2063 (block_values = 64): range queries must refute exactly
+  // Block b holds b * 100,000 + (0..65,535) for b = 0..2, and a partial
+  // block 3 holds 300,000 + (0..999): range queries must refute exactly
   // the provably dead ranges.
+  constexpr size_t kB = kBlockValues;
   std::vector<int32_t> values;
-  for (int b = 0; b < 3; ++b) {
-    for (int i = 0; i < 64; ++i) values.push_back(b * 1000 + i);
+  for (int b = 0; b < 4; ++b) {
+    const size_t count = b < 3 ? kB : 1000;
+    for (size_t i = 0; i < count; ++i) {
+      values.push_back(static_cast<int32_t>(b * 100'000 + i));
+    }
   }
   auto plain = MakeColumn<int32_t>("c", values);
-  auto encoded = EncodedColumn::Encode(*plain, SmallBlocks());
+  auto encoded = EncodedColumn::Encode(*plain);
   ASSERT_TRUE(encoded.ok());
+  ASSERT_EQ(encoded.ValueOrDie()->num_blocks(), 4u);
   auto view = ColumnView::Bind(encoded.ValueOrDie().get());
   ASSERT_TRUE(view.ok());
   const ColumnView& v = view.ValueOrDie();
 
-  EXPECT_TRUE(v.ZoneRefutesRange(0, 64, CompareOp::kGt, 100.0));
-  EXPECT_FALSE(v.ZoneRefutesRange(64, 64, CompareOp::kGt, 100.0));
+  EXPECT_TRUE(v.ZoneRefutesRange(0, kB, CompareOp::kGt, 70'000.0));
+  EXPECT_FALSE(v.ZoneRefutesRange(kB, kB, CompareOp::kGt, 70'000.0));
   // A range straddling blocks 0 and 1 refutes only if both do.
-  EXPECT_FALSE(v.ZoneRefutesRange(32, 64, CompareOp::kGt, 100.0));
-  EXPECT_TRUE(v.ZoneRefutesRange(32, 64, CompareOp::kGt, 2000.0));
-  EXPECT_EQ(v.ZoneChecksForRange(32, 64), 2u);
-  EXPECT_EQ(v.ZoneChecksForRange(0, 64), 1u);
-  // kGt 1500 kills blocks 0 and 1 -- two thirds of the rows.
-  EXPECT_NEAR(v.ZonePrunableFraction(CompareOp::kGt, 1500.0), 2.0 / 3.0,
-              1e-12);
+  EXPECT_FALSE(v.ZoneRefutesRange(kB / 2, kB, CompareOp::kGt, 70'000.0));
+  EXPECT_TRUE(v.ZoneRefutesRange(kB / 2, kB, CompareOp::kGt, 200'000.0));
+  EXPECT_EQ(v.ZoneChecksForRange(kB / 2, kB), 2u);
+  EXPECT_EQ(v.ZoneChecksForRange(0, kB), 1u);
+  // The partial last block has its own zone.
+  EXPECT_TRUE(v.ZoneRefutesRange(3 * kB, 1000, CompareOp::kLt, 300'000.0));
+  EXPECT_FALSE(v.ZoneRefutesRange(3 * kB - 1, 2, CompareOp::kLt, 300'000.0));
+  // kGt 170,000 kills blocks 0 and 1.
+  EXPECT_NEAR(v.ZonePrunableFraction(CompareOp::kGt, 170'000.0),
+              2.0 * kB / static_cast<double>(values.size()), 1e-12);
   // Plain columns have no zone maps and never refute.
   auto plain_view = ColumnView::Bind(plain.get());
   ASSERT_TRUE(plain_view.ok());
   EXPECT_FALSE(
-      plain_view.ValueOrDie().ZoneRefutesRange(0, 64, CompareOp::kGt, 1e9));
+      plain_view.ValueOrDie().ZoneRefutesRange(0, kB, CompareOp::kGt, 1e9));
   EXPECT_EQ(plain_view.ValueOrDie().ZonePrunableFraction(CompareOp::kGt, 0.0),
             0.0);
 }
 
 TEST(EncodingTest, EncodeTableColumnsReplacesInPlace) {
   Prng prng(17);
-  const size_t rows = 2'000;
+  const size_t rows = kBlockValues + 2'000;
   std::vector<int32_t> a(rows);
   std::vector<int64_t> b(rows);
   for (size_t i = 0; i < rows; ++i) {

@@ -98,22 +98,26 @@ TEST(EstimatorTest, AccessFractionsMonotone) {
 TEST(EstimatorTest, RespectsStartBudget) {
   const ScanShape shape = MakeShape(1e6, 3);
   const CounterSample s = PerfectSample(shape, {0.5, 0.5, 0.5});
+  // A budget below the stall limit ends the search first.
+  static_assert(2 < kEstimatorStallLimit);
   EstimatorConfig cfg;
   cfg.max_starts = 2;
-  cfg.stall_limit = 100;
   auto est = EstimateSelectivities(shape, s, cfg);
   ASSERT_TRUE(est.ok());
-  EXPECT_LE(est.ValueOrDie().starts_used, 2);
+  EXPECT_EQ(est.ValueOrDie().starts_used, 2);
 }
 
 TEST(EstimatorTest, StallLimitStopsEarly) {
   const ScanShape shape = MakeShape(1e6, 2);
   const CounterSample s = PerfectSample(shape, {0.5, 0.5});
+  // A budget far above the stall limit: the search ends after
+  // kEstimatorStallLimit starts in a row fail to improve, and the first
+  // start always improves.
   EstimatorConfig cfg;
   cfg.max_starts = 100;
-  cfg.stall_limit = 2;
   auto est = EstimateSelectivities(shape, s, cfg);
   ASSERT_TRUE(est.ok());
+  EXPECT_GE(est.ValueOrDie().starts_used, kEstimatorStallLimit + 1);
   EXPECT_LT(est.ValueOrDie().starts_used, 100);
 }
 

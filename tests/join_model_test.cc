@@ -47,7 +47,7 @@ TEST(JoinModelTest, DistinctLinesMatchesMonteCarlo) {
               2.0);
 }
 
-const CacheGeometry kL3{1024 * 1024, 16, 64};  // 16384 lines
+const CacheGeometry kL3{1024 * 1024, 16};  // 16384 lines
 
 TEST(JoinModelTest, FittingRelationMissesEachLineOnce) {
   // Relation spans 1000 lines < 16384 capacity: Equation 1's first case.
@@ -78,7 +78,7 @@ TEST(JoinModelTest, SequentialFarCheaperThanRandomWhenThrashing) {
   const double probes = 4'194'304.0;       // one probe per tuple
   const double random = ExpectedRandomMisses(rel, kL3, probes);
   // A sequential pass misses once per line.
-  const double sequential = rel.num_tuples * rel.tuple_width / kL3.line_size;
+  const double sequential = rel.num_tuples * rel.tuple_width / kCacheLineBytes;
   EXPECT_GT(random / sequential, 10.0);
 }
 

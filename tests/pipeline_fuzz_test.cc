@@ -26,10 +26,12 @@ struct RandomCase {
   double ref_aggregate = 0;
 };
 
-RandomCase MakeCase(uint64_t seed) {
+/// A random table of `min_rows` to `min_rows` + 30,000 rows, its
+/// operators, and their reference result.
+RandomCase MakeCase(uint64_t seed, size_t min_rows = 1'000) {
   Prng prng(seed);
   RandomCase c;
-  const size_t rows = 1'000 + prng.NextBounded(30'000);
+  const size_t rows = min_rows + prng.NextBounded(30'000);
   const size_t num_cols = 2 + prng.NextBounded(5);  // 2..6 columns
 
   // Mixed-type columns with varied domains (some constant, some skewed).
@@ -280,14 +282,14 @@ TEST_P(PipelineFuzzTest, EncodedStorageMatchesReference) {
   // dictionary/bit-pack edge cases (constant columns, narrow domains,
   // drifting distributions, doubles) -- and the pipeline over encoded
   // columns with zone-map skipping must still match the plain reference
-  // exactly, for any order and vector size.
+  // exactly, for any order and vector size. Every fourth seed's table
+  // spans three storage blocks, the last one partial; the others fit in
+  // one partial block.
   const uint64_t seed = GetParam();
-  RandomCase c = MakeCase(seed);
+  RandomCase c = MakeCase(seed, seed % 4 == 0 ? 2 * kBlockValues + 1 : 1'000);
   Prng prng(seed ^ 0xe2c0de);
 
-  EncodingOptions options;
-  options.block_values = 128 << prng.NextBounded(4);  // 128..1024
-  auto stats = EncodeTableColumns(&c.table, options);
+  auto stats = EncodeTableColumns(&c.table);
   ASSERT_TRUE(stats.ok());
   ASSERT_GT(stats.ValueOrDie().columns_encoded, 0u);
 
@@ -379,7 +381,7 @@ std::vector<SharedCacheDomain::OwnerStats> DriveSharedL3(
 
 TEST_P(PipelineFuzzTest, SharedL3MultiOwnerRoundTripIsDeterministic) {
   const uint64_t seed = GetParam();
-  const CacheGeometry geometry{16 * 1024, 4, 64};  // 256 lines, 64 sets
+  const CacheGeometry geometry{16 * 1024, 4};  // 256 lines, 64 sets
   SharedCacheDomain first(geometry), second(geometry);
   uint64_t displaced[2], occupied[2];
   const auto a = DriveSharedL3(seed, &first, &displaced[0], &occupied[0]);
@@ -401,7 +403,7 @@ TEST_P(PipelineFuzzTest, SharedL3MultiOwnerRoundTripIsDeterministic) {
 
 TEST_P(PipelineFuzzTest, SharedL3EvictionAccountingInvariants) {
   const uint64_t seed = GetParam();
-  const CacheGeometry geometry{16 * 1024, 4, 64};
+  const CacheGeometry geometry{16 * 1024, 4};
   SharedCacheDomain domain(geometry);
   uint64_t displaced, occupied;
   const auto stats = DriveSharedL3(seed, &domain, &displaced, &occupied);

@@ -271,7 +271,7 @@ TEST(PmuBatchTest, ResetWindowsIdenticalAcrossModes) {
 
 TEST(CacheNormalizationTest, NonPowerOfTwoSetCountKeepsCapacity) {
   // The Xeon L3: 15 MB / 64 B lines / 20 ways = 12288 sets (3 * 2^12).
-  CacheLevel level(CacheGeometry{15 * 1024 * 1024, 20, 64});
+  CacheLevel level(CacheGeometry{15 * 1024 * 1024, 20});
   EXPECT_EQ(level.num_sets(), 16384u);  // rounded up to a power of two
   EXPECT_EQ(level.ways(), 15u);         // re-derived: capacity preserved
   EXPECT_EQ(level.num_sets() * level.ways() * 64, 15u * 1024 * 1024);
@@ -284,7 +284,7 @@ TEST(CacheNormalizationTest, NonPowerOfTwoSetCountKeepsCapacity) {
 }
 
 TEST(CacheNormalizationTest, PowerOfTwoGeometryUnchanged) {
-  CacheLevel level(CacheGeometry{32 * 1024, 8, 64});
+  CacheLevel level(CacheGeometry{32 * 1024, 8});
   EXPECT_EQ(level.num_sets(), 64u);
   EXPECT_EQ(level.ways(), 8u);
 }
@@ -294,7 +294,7 @@ TEST(CacheNormalizationTest, IndivisibleLineCountKeepsMostRetentiveShape) {
   // the normalization keeps the organization retaining the most lines
   // (8 x 3 = 24 beats 16 x 1 = 16) — bounded, documented flooring rather
   // than a silent arbitrary choice.
-  CacheLevel level(CacheGeometry{1920, 3, 64});
+  CacheLevel level(CacheGeometry{1920, 3});
   EXPECT_EQ(level.num_sets(), 8u);
   EXPECT_EQ(level.ways(), 3u);
   for (uint64_t line = 0; line < 100; ++line) {
@@ -303,7 +303,7 @@ TEST(CacheNormalizationTest, IndivisibleLineCountKeepsMostRetentiveShape) {
 }
 
 TEST(CacheHitCountTest, RepeatedAccessesCountHitsExactly) {
-  CacheLevel level(CacheGeometry{1024, 2, 64});
+  CacheLevel level(CacheGeometry{1024, 2});
   EXPECT_FALSE(level.AccessFill(3));
   EXPECT_FALSE(level.AccessFill(4));
   for (int i = 0; i < 10; ++i) {

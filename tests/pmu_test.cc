@@ -21,13 +21,13 @@ TEST(HwConfigTest, ScaledXeonDividesCapacities) {
   const HwConfig cfg = HwConfig::ScaledXeon(4);
   EXPECT_EQ(cfg.l1.capacity_bytes, 8u * 1024);
   EXPECT_EQ(cfg.l3.capacity_bytes, 15u * 1024 * 1024 / 4);
-  EXPECT_EQ(cfg.l1.line_size, 64u);
+  EXPECT_EQ(cfg.l1.num_lines(), 8u * 1024 / 64);
 }
 
 TEST(HwConfigTest, ScaledXeonFloorsAtOneWayGroup) {
   const HwConfig cfg = HwConfig::ScaledXeon(1'000'000);
   EXPECT_GE(cfg.l1.capacity_bytes,
-            static_cast<uint64_t>(cfg.l1.associativity) * cfg.l1.line_size);
+            static_cast<uint64_t>(cfg.l1.associativity) * kCacheLineBytes);
   EXPECT_GE(cfg.l1.num_sets(), 1u);
 }
 

@@ -7,7 +7,7 @@
 namespace nipo {
 namespace {
 
-const CacheGeometry kL3{1024 * 1024, 16, 64};
+const CacheGeometry kL3{1024 * 1024, 16};
 
 ProbeObservation ThrashingProbe() {
   ProbeObservation obs;
@@ -32,7 +32,7 @@ TEST(SortednessTest, SequentialPatternJudgedCoClustered) {
   ProbeObservation obs = ThrashingProbe();
   // A sequential pass misses once per line.
   obs.sampled_l3_misses = obs.relation.num_tuples * obs.relation.tuple_width /
-                          kL3.line_size;
+                          kCacheLineBytes;
   const SortednessVerdict v = JudgeSortedness(kL3, obs);
   EXPECT_TRUE(v.co_clustered);
   EXPECT_LT(v.score, 0.3);
@@ -42,9 +42,10 @@ TEST(SortednessTest, ThresholdIsRespected) {
   ProbeObservation obs = ThrashingProbe();
   const double predicted =
       ExpectedRandomMisses(obs.relation, kL3, obs.num_probes);
-  obs.sampled_l3_misses = predicted * 0.4;
-  EXPECT_TRUE(JudgeSortedness(kL3, obs, 0.5).co_clustered);
-  EXPECT_FALSE(JudgeSortedness(kL3, obs, 0.3).co_clustered);
+  obs.sampled_l3_misses = predicted * (kCoClusteredScore - 0.1);
+  EXPECT_TRUE(JudgeSortedness(kL3, obs).co_clustered);
+  obs.sampled_l3_misses = predicted * (kCoClusteredScore + 0.1);
+  EXPECT_FALSE(JudgeSortedness(kL3, obs).co_clustered);
 }
 
 TEST(SortednessTest, ZeroPredictionDefaultsToCoClustered) {
@@ -64,8 +65,8 @@ TEST(SortednessTest, EndToEndAgainstSimulatedCaches) {
   const uint64_t kProbes = 500'000;
   const uint64_t base = 1ull << 32;
   for (bool random : {true, false}) {
-    CacheHierarchy caches(CacheGeometry{8 * 1024, 8, 64},
-                          CacheGeometry{64 * 1024, 8, 64}, kL3, true);
+    CacheHierarchy caches(CacheGeometry{8 * 1024, 8},
+                          CacheGeometry{64 * 1024, 8}, kL3);
     Prng prng(11);
     for (uint64_t i = 0; i < kProbes; ++i) {
       const uint64_t row =

@@ -64,11 +64,19 @@ TEST(StaticOptimizerTest, ProbeUsesFallbacks) {
   };
   // Probe fallback 0.5 at cost 2 -> rank -0.25; predicate 0.1 at cost 1
   // -> rank -0.9: predicate first.
-  const StaticPlan plan = PlanStatically(ops, stats.ValueOrDie(), 0.5, 2.0);
+  static_assert(kUnknownSelectivity == 0.5 && kStaticProbeCost == 2.0);
+  const StaticPlan plan = PlanStatically(ops, stats.ValueOrDie());
   EXPECT_EQ(plan.order, (std::vector<size_t>{1, 0}));
-  // A very cheap probe assumption flips it.
-  const StaticPlan flipped =
-      PlanStatically(ops, stats.ValueOrDie(), 0.05, 0.5);
+  ASSERT_EQ(plan.rankings.size(), 2u);
+  EXPECT_DOUBLE_EQ(plan.rankings[1].estimated_selectivity, 0.5);
+  EXPECT_DOUBLE_EQ(plan.rankings[1].cost, 2.0);
+  EXPECT_DOUBLE_EQ(plan.rankings[1].rank, -0.25);
+  // A predicate passing ~95% ranks at ~-0.05, behind the probe.
+  const std::vector<OperatorSpec> loose = {
+      OperatorSpec::FkProbe({}),
+      OperatorSpec::Predicate({"c", CompareOp::kLt, 950.0}),
+  };
+  const StaticPlan flipped = PlanStatically(loose, stats.ValueOrDie());
   EXPECT_EQ(flipped.order, (std::vector<size_t>{0, 1}));
 }
 
@@ -90,7 +98,7 @@ TEST(StaticOptimizerTest, StaleStatisticsProduceBadPlan) {
   Table t("t");
   ASSERT_TRUE(t.AddColumn("drift", std::move(drift)).ok());
   ASSERT_TRUE(t.AddColumn("steady", std::move(steady)).ok());
-  auto stale = TableStatistics::Build(t, 64, /*sample_size=*/n / 10);
+  auto stale = TableStatistics::Build(t, /*sample_size=*/n / 10);
   auto fresh = TableStatistics::Build(t);
   ASSERT_TRUE(stale.ok() && fresh.ok());
   const std::vector<OperatorSpec> ops = {

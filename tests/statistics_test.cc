@@ -19,24 +19,25 @@ Column<int32_t> UniformColumn(size_t n, int32_t lo, int32_t hi,
 
 TEST(ColumnStatisticsTest, MinMaxCount) {
   Column<int32_t> col("c", {5, 1, 9, 3});
-  auto stats = ColumnStatistics::Build(col, 4);
+  auto stats = ColumnStatistics::Build(col);
   ASSERT_TRUE(stats.ok());
   EXPECT_DOUBLE_EQ(stats.ValueOrDie().min(), 1.0);
   EXPECT_DOUBLE_EQ(stats.ValueOrDie().max(), 9.0);
   EXPECT_EQ(stats.ValueOrDie().row_count(), 4u);
-  EXPECT_EQ(stats.ValueOrDie().num_buckets(), 4u);
+  EXPECT_EQ(stats.ValueOrDie().num_buckets(), kHistogramBuckets);
 }
 
-TEST(ColumnStatisticsTest, RejectsEmptyOrZeroBuckets) {
+TEST(ColumnStatisticsTest, RejectsEmpty) {
   Column<int32_t> empty("c", {});
   EXPECT_FALSE(ColumnStatistics::Build(empty).ok());
+  EXPECT_FALSE(ColumnStatistics::BuildFromPrefix(empty, 10).ok());
   Column<int32_t> one("c", {1});
-  EXPECT_FALSE(ColumnStatistics::Build(one, 0).ok());
+  EXPECT_FALSE(ColumnStatistics::BuildFromPrefix(one, 0).ok());
 }
 
 TEST(ColumnStatisticsTest, UniformSelectivityEstimates) {
   Column<int32_t> col = UniformColumn(100'000, 0, 999);
-  auto r = ColumnStatistics::Build(col, 64);
+  auto r = ColumnStatistics::Build(col);
   ASSERT_TRUE(r.ok());
   const ColumnStatistics& stats = r.ValueOrDie();
   EXPECT_NEAR(stats.EstimateSelectivity(CompareOp::kLt, 500.0), 0.5, 0.02);
@@ -58,7 +59,7 @@ TEST(ColumnStatisticsTest, SkewedDistributionCaptured) {
             : static_cast<int32_t>(900 + prng.NextBounded(100));
   }
   Column<int32_t> col("c", std::move(values));
-  auto stats = ColumnStatistics::Build(col, 64);
+  auto stats = ColumnStatistics::Build(col);
   ASSERT_TRUE(stats.ok());
   EXPECT_NEAR(stats.ValueOrDie().EstimateSelectivity(CompareOp::kLt, 500.0),
               0.9, 0.02);
@@ -68,7 +69,7 @@ TEST(ColumnStatisticsTest, SkewedDistributionCaptured) {
 
 TEST(ColumnStatisticsTest, EqualityGetsSliverNotZero) {
   Column<int32_t> col = UniformColumn(100'000, 0, 999);
-  auto stats = ColumnStatistics::Build(col, 64);
+  auto stats = ColumnStatistics::Build(col);
   ASSERT_TRUE(stats.ok());
   const double eq = stats.ValueOrDie().EstimateSelectivity(CompareOp::kEq,
                                                            500.0);
@@ -80,7 +81,7 @@ TEST(ColumnStatisticsTest, EqualityGetsSliverNotZero) {
 
 TEST(ColumnStatisticsTest, ConstantColumn) {
   Column<int32_t> col("c", std::vector<int32_t>(100, 7));
-  auto stats = ColumnStatistics::Build(col, 8);
+  auto stats = ColumnStatistics::Build(col);
   ASSERT_TRUE(stats.ok());
   EXPECT_DOUBLE_EQ(stats.ValueOrDie().EstimateSelectivity(CompareOp::kLt,
                                                           7.0),
@@ -105,13 +106,13 @@ TEST(ColumnStatisticsTest, PrefixSamplingMissesLaterDistribution) {
                     : static_cast<int32_t>(900 + prng.NextBounded(100));
   }
   Column<int32_t> col("c", std::move(values));
-  auto sampled = ColumnStatistics::BuildFromPrefix(col, 5'000, 16);
+  auto sampled = ColumnStatistics::BuildFromPrefix(col, 5'000);
   ASSERT_TRUE(sampled.ok());
   // The sample believes everything is < 500...
   EXPECT_GT(sampled.ValueOrDie().EstimateSelectivity(CompareOp::kLt, 500.0),
             0.99);
   // ...while the truth is 50%.
-  auto exact = ColumnStatistics::Build(col, 16);
+  auto exact = ColumnStatistics::Build(col);
   ASSERT_TRUE(exact.ok());
   EXPECT_NEAR(exact.ValueOrDie().EstimateSelectivity(CompareOp::kLt, 500.0),
               0.5, 0.02);
@@ -136,12 +137,12 @@ TEST(TableStatisticsTest, BuildsAllColumnsAndEstimates) {
               0.03);
   // Probes and unknown columns fall back.
   OperatorSpec probe = OperatorSpec::FkProbe({});
-  EXPECT_DOUBLE_EQ(
-      stats.ValueOrDie().EstimateOperatorSelectivity(probe, 0.7), 0.7);
+  EXPECT_DOUBLE_EQ(stats.ValueOrDie().EstimateOperatorSelectivity(probe),
+                   kUnknownSelectivity);
   OperatorSpec unknown =
       OperatorSpec::Predicate({"zzz", CompareOp::kLt, 1.0});
-  EXPECT_DOUBLE_EQ(
-      stats.ValueOrDie().EstimateOperatorSelectivity(unknown, 0.3), 0.3);
+  EXPECT_DOUBLE_EQ(stats.ValueOrDie().EstimateOperatorSelectivity(unknown),
+                   kUnknownSelectivity);
 }
 
 TEST(SampleMergerTest, SumsResultsAndCounters) {

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "exec/operators.h"
+#include "storage/encoding.h"
 #include "tpch/q6.h"
 #include "tpch/tpch_gen.h"
 
@@ -183,6 +185,76 @@ TEST(StorageScanTest, ZoneSkippingConsistentAcrossDrivers) {
     EXPECT_EQ(run.ValueOrDie().aggregate, s.aggregate);
     EXPECT_EQ(run.ValueOrDie().zone_skipped_tuples, s.zone_skipped_tuples)
         << "threads=" << threads;
+  }
+}
+
+TEST(StorageScanTest, ExecutionBlocksStraddlingStorageBlocksMatchPlain) {
+  // Three full storage blocks and a partial fourth; block b holds
+  // b * 1000 + (0..499). Vectors of 1,000 and 3,000 rows start off the
+  // 1,024-row grid, so execution blocks straddle storage boundaries.
+  // v >= 1000 refutes block 0 and v < 3000 refutes block 3: an execution
+  // block inside one of them is skipped, and one straddling into block 1
+  // or 2 is evaluated tuple by tuple.
+  const size_t rows = 3 * kBlockValues + 5'000;
+  std::vector<int32_t> v(rows), pay(rows);
+  uint64_t want_qualifying = 0;
+  double want_aggregate = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    v[i] = static_cast<int32_t>(i / kBlockValues * 1000 + i % 500);
+    pay[i] = static_cast<int32_t>(i % 97);
+    if (v[i] >= 1000 && v[i] < 3000) {
+      ++want_qualifying;
+      want_aggregate += pay[i];
+    }
+  }
+  Engine plain, encoded;
+  for (Engine* engine : {&plain, &encoded}) {
+    auto table = std::make_unique<Table>("t");
+    NIPO_CHECK(table->AddColumn("v", v).ok());
+    NIPO_CHECK(table->AddColumn("pay", pay).ok());
+    NIPO_CHECK(engine->RegisterTable(std::move(table)).ok());
+  }
+  ASSERT_TRUE(encoded.EncodeTable("t").ok());
+  QuerySpec query;
+  query.table = "t";
+  query.ops = {OperatorSpec::Predicate({"v", CompareOp::kGe, 1000.0}),
+               OperatorSpec::Predicate({"v", CompareOp::kLt, 3000.0})};
+  query.payload_columns = {"pay"};
+
+  for (const size_t vector_size : {size_t{1'000}, size_t{3'000}}) {
+    // Rows in execution blocks that lie inside block 0 or block 3.
+    uint64_t want_skipped = 0;
+    for (size_t start = 0; start < rows; start += vector_size) {
+      const size_t end = std::min(start + vector_size, rows);
+      for (size_t b = start; b < end; b += kSimBlockRows) {
+        const size_t n = std::min(kSimBlockRows, end - b);
+        if (b + n <= kBlockValues || b >= 3 * kBlockValues) want_skipped += n;
+      }
+    }
+    ExecOptions options;
+    options.vector_size = vector_size;
+    auto p = plain.Execute(query, options);
+    auto e = encoded.Execute(query, options);
+    ExecOptions sharded = options;
+    sharded.driver = ExecDriver::kSharded;
+    auto es = encoded.Execute(query, sharded);
+    ASSERT_TRUE(p.ok() && e.ok() && es.ok());
+    for (const ExecReport* r :
+         {&p.ValueOrDie(), &e.ValueOrDie(), &es.ValueOrDie()}) {
+      EXPECT_EQ(r->qualifying_tuples, want_qualifying) << vector_size;
+      EXPECT_EQ(r->aggregate, want_aggregate) << vector_size;
+      // The branch identity over the tuples actually evaluated.
+      EXPECT_EQ(2 * (r->input_tuples - r->zone_skipped_tuples) -
+                    r->counters.branches_taken,
+                r->qualifying_tuples);
+    }
+    EXPECT_EQ(p.ValueOrDie().zone_skipped_tuples, 0u);
+    EXPECT_GT(want_skipped, 0u);
+    // Morsels of the vector size split rows on the solo drive's grid.
+    EXPECT_EQ(e.ValueOrDie().zone_skipped_tuples, want_skipped)
+        << vector_size;
+    EXPECT_EQ(es.ValueOrDie().zone_skipped_tuples, want_skipped)
+        << vector_size;
   }
 }
 

@@ -229,7 +229,7 @@ TEST(WorkloadContentionTest, OccupancyAndEvictionAccountingAuditsClean) {
   ASSERT_TRUE(result.ok());
   const WorkloadReport& report = result.ValueOrDie();
   const uint64_t capacity =
-      engine.hw_config().l3.capacity_bytes / engine.hw_config().l3.line_size;
+      engine.hw_config().l3.capacity_bytes / kCacheLineBytes;
   EXPECT_EQ(report.shared_l3_capacity_lines, capacity);
   uint64_t suffered = 0, caused = 0;
   for (const WorkloadQueryReport& q : report.queries) {

@@ -102,23 +102,23 @@ QuerySpec JoinQuery(const Engine& engine, const std::string& table) {
 }
 
 /// Eight mixed queries: scans + FK-probe joins + SUM aggregates over two
-/// shared tables, baseline and progressive, with one explicit initial
-/// order — the heterogeneity the bit-equality claims must hold under.
+/// shared tables, baseline and progressive, with one scan's operators
+/// listed in another order — the heterogeneity the bit-equality claims
+/// must hold under.
 WorkloadSpec MakeMixedWorkload(const Engine& engine) {
   WorkloadSpec spec;
   auto add = [&spec](std::string name, QuerySpec q, bool progressive,
-                     size_t vector_size,
-                     std::optional<std::vector<size_t>> order =
-                         std::nullopt) {
+                     size_t vector_size) {
     WorkloadQuery query;
     query.name = std::move(name);
     query.query = std::move(q);
     query.progressive = progressive;
     query.config.vector_size = vector_size;
     query.config.reopt_interval = 2;
-    query.initial_order = std::move(order);
     spec.queries.push_back(std::move(query));
   };
+  QuerySpec reordered = ScanQuery("fact_a", 90, 50, 2);
+  reordered.ops = {reordered.ops[2], reordered.ops[0], reordered.ops[1]};
   // Worst-first scans (the ~2% predicate evaluated last) in both modes.
   add("scan_a_base", ScanQuery("fact_a", 90, 50, 2), false, 2'048);
   add("scan_a_prog", ScanQuery("fact_a", 90, 50, 2), true, 2'048);
@@ -127,8 +127,7 @@ WorkloadSpec MakeMixedWorkload(const Engine& engine) {
   add("join_a_base", JoinQuery(engine, "fact_a"), false, 2'048);
   add("join_b_prog", JoinQuery(engine, "fact_b"), true, 2'048);
   add("scan_b_selective", ScanQuery("fact_b", 10, 90, 90), false, 1'024);
-  add("scan_a_reordered", ScanQuery("fact_a", 90, 50, 2), false, 2'048,
-      std::vector<size_t>{2, 0, 1});
+  add("scan_a_reordered", std::move(reordered), false, 2'048);
   return spec;
 }
 
@@ -435,7 +434,7 @@ TEST(WorkloadDriverTest, ErrorsPropagate) {
   EXPECT_EQ(engine.Execute(spec).status().code(),
             StatusCode::kNotFound);
   spec = MakeMixedWorkload(engine);
-  spec.queries[5].initial_order = std::vector<size_t>{0, 0};
+  spec.queries[5].query.ops[0].predicate.column = "missing";
   EXPECT_FALSE(engine.Execute(spec).ok());
   // RunWorkload needs one schedule estimate per query.
   spec = MakeMixedWorkload(engine);

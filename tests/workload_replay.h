@@ -64,7 +64,7 @@ inline QueryCompiler CompilerFor(const Engine& engine) {
 }
 
 /// Solo single-threaded reference for one workload entry: its query, mode,
-/// vector size and initial order through Engine::Execute. Stores the
+/// and vector size through Engine::Execute. Stores the
 /// order the run ended in into `final_order` when non-null.
 inline DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
                              std::vector<size_t>* final_order = nullptr) {
@@ -73,7 +73,6 @@ inline DriveResult SoloDrive(const Engine& engine, const WorkloadQuery& q,
   options.driver = ExecDriver::kSolo;
   options.vector_size = q.config.vector_size;
   options.progressive = q.config;
-  options.order = q.initial_order;
   auto r = engine.Execute(q.query, options);
   EXPECT_TRUE(r.ok());
   const ExecReport& report = r.ValueOrDie();
